@@ -95,14 +95,6 @@ _TABLE_DEFAULTS = (
 
 # --- serialization helpers --------------------------------------------------
 
-def _bound(x):
-    """Support endpoint for JSON: float if finite, 'inf'/'-inf' otherwise."""
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return x
-
-
 def _jtext(obj, indent=0):
     pad = " " * indent
     inner = " " * (indent + 2)
@@ -124,7 +116,9 @@ def _jtext(obj, indent=0):
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return "%.17g" % float(obj)
+        # JSON has no non-finite numbers; write them as "nan", "inf", "-inf"
+        x = float(obj)
+        return "%.17g" % x if math.isfinite(x) else json.dumps(str(x))
     if obj is None:
         return "null"
     return json.dumps(str(obj))
@@ -183,7 +177,7 @@ def run_optimal(spec_file, out_dir, sigma_hat=None, grid_points=2000,
              else "closed")
     _write_json(os.path.join(out_dir, "process.json"), {
         "kind": spec.kind,
-        "support": [_bound(spec.support.lower), _bound(spec.support.upper)],
+        "support": [spec.support.lower, spec.support.upper],
         "moments": {"m1": mom.m1, "m2": mom.m2, "variance": mom.variance},
         "sigma_hat_sq_half": proc.sigma_hat_sq_half,
         "lambda1": proc.lambda1,
@@ -322,7 +316,7 @@ def run_simulate(spec_file, out_dir, dt=None, steps=None, paths=None,
     return _EXIT_OK
 
 
-def _table_rows(params_file):
+def _read_rows(params_file):
     if params_file is None:
         return [{"name": n, "params": dict(p)} for n, p in _TABLE_DEFAULTS]
     try:
@@ -333,6 +327,10 @@ def _table_rows(params_file):
     except json.JSONDecodeError as exc:
         raise SpecFileError("invalid JSON in %s: %s"
                             % (params_file, exc)) from exc
+    return _table_rows(doc)
+
+
+def _table_rows(doc):
     if not isinstance(doc, list):
         raise SpecFileError("params file must hold a list of rows")
     rows = []
@@ -347,8 +345,10 @@ def _table_rows(params_file):
     return rows
 
 
-def run_table(out_dir, params_file=None, strict=False):
-    rows = _table_rows(params_file)
+def run_table(out_dir, params_file=None, strict=False, rows=None):
+    """Catalog table of the rows in params_file, or of rows when given
+    (replay passes the recorded ones; params_file is then only recorded)."""
+    rows = _read_rows(params_file) if rows is None else _table_rows(rows)
     os.makedirs(out_dir, exist_ok=True)
     _write_manifest(out_dir, "table", params_file, None, {
         "rows": rows,
@@ -423,23 +423,7 @@ def run_replay(manifest_path, out_dir=None):
                                 strict=bool(r.get("strict", False)),
                                 boundary=r.get("boundary_mode", "reflect"))
         if command == "table":
-            if spec_file is None:
-                rows = r.get("rows")
-                if rows == [{"name": n, "params": dict(p)}
-                            for n, p in _TABLE_DEFAULTS]:
-                    return run_table(out, None,
-                                     strict=bool(r.get("strict", False)))
-                # rows were resolved from defaults that have since changed;
-                # replay them through a temporary params file
-                tmp = os.path.join(out, "_replay_rows.json")
-                os.makedirs(out, exist_ok=True)
-                _write_json(tmp, rows)
-                try:
-                    return run_table(out, tmp,
-                                     strict=bool(r.get("strict", False)))
-                finally:
-                    os.remove(tmp)
-            return run_table(out, spec_file,
+            return run_table(out, spec_file, rows=r["rows"],
                              strict=bool(r.get("strict", False)))
     except KeyError as exc:
         raise SpecFileError("manifest is missing field %s" % exc) from exc

@@ -887,11 +887,9 @@ def parse_spec(doc: dict) -> DistributionSpec:
         raise SpecFileError("missing required params for %s" % kind) from exc
     if support is not None:
         # a declared window truncates evaluation; it must keep the full mass
-        lo = max(support.lower, spec.support.lower)
-        hi = min(support.upper, spec.support.upper)
-        inner = spec
-        spec = Custom(inner._pdf, Support(lo, hi),
-                      anchor=inner._anchor(), scale_hint=inner._scale_hint())
+        spec.support = Support(max(support.lower, spec.support.lower),
+                               min(support.upper, spec.support.upper))
+        spec._check_normalized()
     return spec
 
 

@@ -85,10 +85,6 @@ class ZeroDenominator(FastmixError):
     """Rayleigh quotient denominator vanished after re-centering."""
 
 
-class UnstableStep(FastmixError):
-    """Density evolution produced significantly negative values."""
-
-
 # --- sim --------------------------------------------------------------------
 
 class BoundaryViolation(FastmixError):

@@ -276,6 +276,9 @@ def tridiag_eigs(diag, offdiag, k=1):
     try:
         if d.size == 1:
             w, v = np.array([d[0]]), np.ones((1, 1))
+        elif k == d.size:
+            # the index-range driver is 10-30x slower when asked for all pairs
+            w, v = scipy.linalg.eigh_tridiagonal(d, e)
         else:
             w, v = scipy.linalg.eigh_tridiagonal(
                 d, e, select="i", select_range=(0, k - 1))
@@ -429,6 +432,22 @@ def truncated_interval(pdf, lower, upper, anchor, scale):
     a = pull_in(lo) if math.isfinite(lo) else grow(-1)
     b = pull_in(hi) if math.isfinite(hi) else grow(+1)
     return a, b
+
+
+def moment_window(pdf, m1, sd, lower, upper):
+    """[m1 - 8 sd, m1 + 8 sd], clipped to [lower, upper].
+
+    A side whose density is still at least 1e-10 at its edge (heavy tails)
+    is pushed out by doubling its distance from m1.
+    """
+    def push(edge):
+        for _ in range(60):
+            if not lower < edge < upper or float(pdf(np.asarray(edge))) < 1e-10:
+                break
+            edge = m1 + 2.0 * (edge - m1)
+        return edge
+
+    return max(push(m1 - 8.0 * sd), lower), min(push(m1 + 8.0 * sd), upper)
 
 
 def chebyshev_points(a, b, n):

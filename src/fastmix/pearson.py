@@ -257,26 +257,6 @@ class RowReport:
     ok: bool
 
 
-def _comparison_window(row_: PearsonRow):
-    """Window for pointwise variance comparison: mean +- 8 sd, widened on a
-    side while the density there exceeds 1e-10, clipped to the truncated
-    support (inside it the density stays representable, so V/pi is 0/0-free)."""
-    mom = row_.spec.moments()
-    s = math.sqrt(mom.variance)
-    t_lo, t_hi = row_.spec.truncated_support()
-    lo = mom.m1 - 8.0 * s
-    hi = mom.m1 + 8.0 * s
-    for _ in range(60):
-        if lo <= t_lo or float(row_.spec._pdf(np.asarray(lo))) < 1e-10:
-            break
-        lo = mom.m1 + 2.0 * (lo - mom.m1)
-    for _ in range(60):
-        if hi >= t_hi or float(row_.spec._pdf(np.asarray(hi))) < 1e-10:
-            break
-        hi = mom.m1 + 2.0 * (hi - mom.m1)
-    return max(lo, t_lo), min(hi, t_hi)
-
-
 def verify_row_against_synthesis(row_: PearsonRow, n_points=200,
                                 tol_lambda=1e-10, tol_variance=1e-7,
                                 tol_drift=1e-10) -> RowReport:
@@ -294,7 +274,12 @@ def verify_row_against_synthesis(row_: PearsonRow, n_points=200,
     a0_s, a1_s = proc.drift
     a0_r, a1_r = row_.drift_coeffs
     dev_drift = max(abs(a0_s - a0_r), abs(a1_s - a1_r)) / max(1.0, abs(lam_row))
-    lo, hi = _comparison_window(row_)
+    # inside the truncated support the density stays representable, so the
+    # quadrature V/pi is 0/0-free
+    mom = row_.spec.moments()
+    lo, hi = numerics.moment_window(row_.spec._pdf, mom.m1,
+                                    math.sqrt(mom.variance),
+                                    *row_.spec.truncated_support())
     pad = 1e-6 * (hi - lo)
     pts = np.linspace(lo + pad, hi - pad, int(n_points))
     v_q = np.asarray(proc.variance_fn(pts), dtype=float)

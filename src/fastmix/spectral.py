@@ -5,9 +5,10 @@ The generator in divergence form, L f = (1/pi) d/dx[(sigma^2/2) pi df/dx]
 with zero-flux ends, is discretized on cell centers with arithmetic face
 averages of g = pi sigma^2/2. Conjugating by sqrt(pi_i h) makes the matrix
 symmetric tridiagonal, so eigenvectors of unit Euclidean norm map directly to
-pi-orthonormal eigenfunctions. The same face coefficients drive the forward
-(Fokker-Planck) stepping, which therefore conserves discrete mass exactly and
-holds the discrete pi stationary to machine precision.
+pi-orthonormal eigenfunctions. The forward (Fokker-Planck) operator is the
+transpose of the same matrix, so densities evolve exactly in that eigenbasis,
+which conserves discrete mass and holds the discrete pi stationary to machine
+precision.
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import numerics
-from .errors import GridTooCoarse, UnstableStep, ZeroDenominator
+from .errors import GridTooCoarse, ZeroDenominator
 from .numerics import Grid, GridFunction
 from .optimal import OptimalProcess
+
+# recorded times evolved together; bounds memory at O(n * block)
+_RECORD_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -65,33 +68,12 @@ def _target_functions(target):
 
 
 def default_grid(proc: OptimalProcess, n: int) -> Grid:
-    """Cell-center grid on [m1 - 8 s, m1 + 8 s] clipped to the support.
-
-    A side whose density still exceeds 1e-10 at the window edge (heavy tails)
-    is pushed out by doubling its distance from the mean.
-    """
+    """Cell-center grid on numerics.moment_window within the support."""
     mom = proc.moments
-    s = math.sqrt(mom.variance)
     sup = proc.source.support
-    pdf = proc.source._pdf
-
-    def push(edge, direction):
-        for _ in range(60):
-            if not math.isfinite(edge):
-                break
-            bound = sup.lower if direction < 0 else sup.upper
-            if (direction < 0 and edge <= bound) or \
-                    (direction > 0 and edge >= bound):
-                return max(edge, sup.lower) if direction < 0 else min(edge, sup.upper)
-            if float(pdf(np.asarray(edge))) < 1e-10:
-                return edge
-            edge = mom.m1 + 2.0 * (edge - mom.m1)
-        return edge
-
-    lo = push(mom.m1 - 8.0 * s, -1)
-    hi = push(mom.m1 + 8.0 * s, +1)
-    lo = max(lo, sup.lower)
-    hi = min(hi, sup.upper)
+    lo, hi = numerics.moment_window(proc.source._pdf, mom.m1,
+                                    math.sqrt(mom.variance),
+                                    sup.lower, sup.upper)
     return Grid.cell_centers(lo, hi, n)
 
 
@@ -160,7 +142,16 @@ def gaussian_bump(grid: Grid, center, width) -> np.ndarray:
 
 def evolve_fpe(proc: OptimalProcess, initial: EvolutionState, t_end, dt,
                record_every=1):
-    """Crank-Nicolson forward evolution; returns (state, times, distances).
+    """Exact forward evolution in the generator's eigenbasis; returns
+    (state, times, distances).
+
+    The forward operator is the transpose of the discrete generator, so with
+    the pi-orthonormal eigenpairs (lambda_k, phi_k) of `spectrum`,
+    p(t) = pi * sum_k exp(-lambda_k t) c_k phi_k, c_k = h sum_i p0_i phi_k(i).
+    lambda_0 is pinned to 0, so the discrete mass is conserved exactly. The
+    density is recorded every record_every steps of dt and at t_end; dt sets
+    only that cadence, so no step size can be unstable. All n eigenpairs are
+    held, which costs O(n^2) memory: about 65 MB peak at n = 2000.
 
     distances[i] is the discrete L1 distance between the density at times[i]
     and the grid-stationary density scaled to the evolving mass, so it decays
@@ -168,49 +159,35 @@ def evolve_fpe(proc: OptimalProcess, initial: EvolutionState, t_end, dt,
     """
     grid = initial.grid
     h = grid.h
-    n = grid.n
-    disc = discretize_generator(proc, grid)
-    pi = disc.pi
-    faces = disc.faces
-    # forward operator M: dp/dt = M p, columns of M sum to zero
-    lower = np.concatenate([faces / pi[:-1], [0.0]]) / (h * h)
-    upper = np.concatenate([[0.0], faces / pi[1:]]) / (h * h)
-    w_left = np.concatenate([[0.0], faces])
-    w_right = np.concatenate([faces, [0.0]])
-    diag = -(w_left + w_right) / (pi * h * h)
-
     dt = float(dt)
     t_end = float(t_end)
-    if dt <= 0 or t_end <= initial.time:
-        raise ValueError("need dt > 0 and t_end > start time")
+    if dt <= 0 or t_end <= initial.time or record_every < 1:
+        raise ValueError("need dt > 0, t_end > start time, record_every >= 1")
     n_steps = int(math.ceil((t_end - initial.time) / dt - 1e-12))
+    steps = np.arange(record_every, n_steps + 1, record_every)
+    if steps.size == 0 or steps[-1] != n_steps:
+        steps = np.append(steps, n_steps)
+    times = np.concatenate([[initial.time], initial.time + steps * dt])
 
-    # banded forms of I -+ dt/2 M (solve_banded layout: upper, diag, lower)
-    a_band = np.zeros((3, n))
-    a_band[0, 1:] = -0.5 * dt * upper[1:]
-    a_band[1] = 1.0 - 0.5 * dt * diag
-    a_band[2, :-1] = -0.5 * dt * lower[:-1]
-
-    p = initial.density.copy()
-    mass0 = float(np.sum(p) * h)
-    target = pi * (mass0 / (float(np.sum(pi)) * h))
-    times = [initial.time]
-    dists = [float(np.sum(np.abs(p - target)) * h)]
-    t = initial.time
-    for step in range(n_steps):
-        rhs = p + 0.5 * dt * (diag * p)
-        rhs[:-1] += 0.5 * dt * upper[1:] * p[1:]
-        rhs[1:] += 0.5 * dt * lower[:-1] * p[:-1]
-        p = scipy.linalg.solve_banded((1, 1), a_band, rhs)
-        t = initial.time + (step + 1) * dt
-        if float(np.min(p)) < -1e-10:
-            raise UnstableStep("density reached %g at t=%g"
-                               % (float(np.min(p)), t))
-        if (step + 1) % record_every == 0 or step == n_steps - 1:
-            times.append(t)
-            dists.append(float(np.sum(np.abs(p - target)) * h))
-    state = EvolutionState(grid=grid, density=p, time=t)
-    return state, np.asarray(times), np.asarray(dists)
+    disc = discretize_generator(proc, grid)
+    modes = spectrum(disc, grid.n)
+    lams = modes.eigenvalues.copy()
+    lams[0] = 0.0
+    phi = modes.eigenfunctions
+    p0 = initial.density
+    coeffs = h * (phi @ p0)
+    pi = disc.pi
+    target = pi * (float(np.sum(p0) * h) / (float(np.sum(pi)) * h))
+    dists = np.empty(times.size)
+    for lo in range(0, times.size, _RECORD_BLOCK):
+        elapsed = times[lo:lo + _RECORD_BLOCK] - initial.time
+        p = pi[:, None] * (phi.T @ (coeffs[:, None]
+                                    * np.exp(-np.outer(lams, elapsed))))
+        dists[lo:lo + elapsed.size] = np.sum(np.abs(p - target[:, None]),
+                                             axis=0) * h
+    state = EvolutionState(grid=grid, density=p[:, -1].copy(),
+                           time=float(times[-1]))
+    return state, times, dists
 
 
 def fit_decay_rate(times, dists, floor=1e-6, frac=0.1) -> numerics.RateEstimate:

@@ -277,7 +277,7 @@ def test_criterion_08_sde_rate_recovery():
 
 
 def test_criterion_09_density_evolution_rate():
-    """Crank-Nicolson evolution from a narrow bump decays toward the
+    """Exact eigenbasis evolution from a narrow bump decays toward the
     stationary density at the analytic rate within 5 percent for the
     dome target and a truncated Gaussian, inside 2 minutes."""
     t0 = time.perf_counter()

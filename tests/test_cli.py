@@ -2,12 +2,14 @@
 
 import filecmp
 import json
+import math
 import os
 
+import numpy as np
 import pytest
 
 from fastmix import __version__
-from fastmix.cli import main
+from fastmix.cli import _jtext, main
 
 BETA_DOME = {"kind": "beta", "params": {"alpha": 1.0, "beta": 1.0}}
 STANDARD_NORMAL = {"kind": "normal", "params": {"x0": 0.0, "sigma": 1.0}}
@@ -102,6 +104,43 @@ class TestOptimalCommand:
         assert checks["passed"] is True
         assert checks["variance_positive"] is True
         assert checks["variance_mean_rel_err"] < 1e-6
+
+    def test_declared_support_keeps_the_family(self, tmp_path):
+        """Declaring the family's own support changes nothing: the kind,
+        the budget and the closed variance route carry over."""
+        plain, declared = tmp_path / "plain", tmp_path / "declared"
+        main(["optimal", _spec(tmp_path, BETA_DOME), "--out", str(plain)])
+        doc = dict(BETA_DOME, support=[0.0, 1.0])
+        assert main(["optimal", _spec(tmp_path, doc, "declared.json"),
+                     "--out", str(declared)]) == 0
+        assert _load(declared, "process.json")["lambda1"] == \
+            pytest.approx(4.0, rel=1e-12)
+        for name in ("process.json", "variance.csv", "checks.json"):
+            assert filecmp.cmp(str(plain / name), str(declared / name),
+                               shallow=False), name
+
+    def test_narrowing_support_keeps_the_rate(self, tmp_path):
+        """A window that keeps the mass keeps the family's lambda1."""
+        doc = {"kind": "studentcauchy", "params": {"alpha": 3.0},
+               "support": [-1e4, 1e4]}
+        out = tmp_path / "out"
+        assert main(["optimal", _spec(tmp_path, doc), "--out", str(out)]) == 0
+        res = _load(out, "process.json")
+        assert res["kind"] == "StudentCauchy"
+        assert res["support"] == [-1e4, 1e4]
+        assert res["lambda1"] == pytest.approx(5.0, rel=1e-12)
+
+    def test_support_cutting_mass_exits_2(self, tmp_path):
+        """A window that cuts off probability mass is an input error."""
+        doc = dict(BETA_DOME, support=[0.0, 0.5])
+        assert main(["optimal", _spec(tmp_path, doc),
+                     "--out", str(tmp_path / "o")]) == 2
+
+    def test_infinite_support_is_a_json_string(self, tmp_path):
+        """process.json writes an infinite endpoint as the string 'inf'."""
+        out = tmp_path / "out"
+        main(["optimal", _spec(tmp_path, STANDARD_NORMAL), "--out", str(out)])
+        assert _load(out, "process.json")["support"] == ["-inf", "inf"]
 
     def test_missing_spec_file_exits_2(self, tmp_path):
         """A nonexistent density file is an input error."""
@@ -335,6 +374,23 @@ class TestReplayCommand:
                      "--out", str(b)]) == 0
         assert (a / "table1.csv").read_text() == (b / "table1.csv").read_text()
 
+    def test_table_replay_uses_recorded_rows(self, tmp_path):
+        """Editing the params file after the run does not change the
+        replayed table."""
+        pf = tmp_path / "rows.json"
+        pf.write_text(json.dumps([{"name": "gamma", "params": {"alpha": 2.0}}]),
+                      encoding="utf-8")
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["table", "--params-file", str(pf), "--out", str(a)]) == 0
+        pf.write_text(json.dumps([{"name": "beta",
+                                   "params": {"alpha": 1.0, "beta": 3.0}}]),
+                      encoding="utf-8")
+        assert main(["replay", str(a / "manifest.json"),
+                     "--out", str(b)]) == 0
+        assert filecmp.cmp(str(a / "table1.csv"), str(b / "table1.csv"),
+                           shallow=False)
+        assert _load(b, "manifest.json")["spec_file"] == os.path.abspath(pf)
+
     def test_missing_manifest_exits_2(self, tmp_path):
         """A nonexistent manifest is an input error."""
         assert main(["replay", str(tmp_path / "nope.json")]) == 2
@@ -352,6 +408,28 @@ class TestReplayCommand:
                                    "out_dir": str(tmp_path)}),
                        encoding="utf-8")
         assert main(["replay", str(man)]) == 2
+
+
+class TestJsonText:
+    """The JSON writer behind every artifact."""
+
+    def test_output_is_strict_json(self):
+        """Non-finite floats become strings, so every output parses without
+        NaN or Infinity literals; finite floats keep 17 digits."""
+        def reject(name):
+            raise ValueError("non-standard JSON constant %s" % name)
+
+        doc = {"nan": math.nan, "inf": math.inf, "ninf": -math.inf,
+               "np": [np.float64(np.nan), np.float32(-np.inf), np.int64(3)],
+               "x": 0.1, "flag": np.bool_(True), "none": None, "empty": [],
+               "nested": {"y": [1.5, {}]}}
+        for obj in (doc, math.nan, [math.inf], {}, 0.1, "text"):
+            json.loads(_jtext(obj), parse_constant=reject)
+        back = json.loads(_jtext(doc), parse_constant=reject)
+        assert back["nan"] == "nan"
+        assert back["inf"] == "inf" and back["ninf"] == "-inf"
+        assert back["np"] == ["nan", "-inf", 3]
+        assert _jtext(0.1) == "0.10000000000000001"
 
 
 class TestTopLevel:

@@ -348,13 +348,20 @@ class TestParseSpec:
                            "support": ["-inf", "inf"]})
         assert spec.support == Support(-math.inf, math.inf)
 
-    def test_support_override_truncates_via_custom(self):
+    def test_support_override_narrows_the_family(self):
         doc = {"kind": "normal", "params": {"x0": 0.0, "sigma": 1.0},
                "support": [-8.0, 8.0]}
         spec = parse_spec(doc)
-        assert isinstance(spec, Custom)
+        assert isinstance(spec, Normal)
         assert spec.support == Support(-8.0, 8.0)
         assert abs(spec.moments().m1) < 1e-10
+        assert spec.default_sigma_hat_sq_half() == 1.0
+
+    def test_support_override_keeps_the_mass_check(self):
+        doc = {"kind": "normal", "params": {"x0": 0.0, "sigma": 1.0},
+               "support": [-1.0, 8.0]}
+        with pytest.raises(NotNormalized):
+            parse_spec(doc)
 
     def test_custom_from_arrays(self):
         pts = list(np.linspace(0.0, 1.0, 9))

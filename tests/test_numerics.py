@@ -29,6 +29,7 @@ from fastmix.numerics import (
     hyp1f1,
     hyp2f1,
     integrate,
+    moment_window,
     tridiag_eigs,
     truncated_interval,
 )
@@ -160,6 +161,18 @@ class TestTridiagEigs:
     def test_single_point(self):
         pairs = tridiag_eigs([3.5], [], k=1)
         assert pairs[0][0] == 3.5
+
+    def test_all_pairs_agree_with_the_index_route(self):
+        """k = n takes the all-pairs driver; it matches k = n - 1."""
+        rng = np.random.default_rng(11)
+        d = rng.uniform(0.5, 3.0, 60)
+        e = rng.uniform(-1.0, 1.0, 59)
+        every = tridiag_eigs(d, e, k=60)
+        some = tridiag_eigs(d, e, k=59)
+        np.testing.assert_allclose([p[0] for p in every[:59]],
+                                   [p[0] for p in some], rtol=0, atol=1e-12)
+        vecs = np.array([p[1] for p in every])
+        np.testing.assert_allclose(vecs @ vecs.T, np.eye(60), atol=1e-12)
 
 
 class TestHyp2f1:
@@ -347,6 +360,25 @@ class TestTruncatedInterval:
         with pytest.raises(NumericalFailure):
             truncated_interval(lambda x: np.zeros_like(np.asarray(x, float)),
                                0.0, 1.0, 0.5, 0.2)
+
+
+class TestMomentWindow:
+    def test_eight_sd_inside_the_bounds(self):
+        pdf = lambda x: np.exp(-0.5 * np.asarray(x) ** 2)
+        assert moment_window(pdf, 0.0, 1.0, -math.inf, math.inf) == (-8.0, 8.0)
+
+    def test_clipped_to_the_bounds(self):
+        pdf = lambda x: np.ones_like(np.asarray(x, dtype=float))
+        assert moment_window(pdf, 0.5, 0.2, 0.0, 1.0) == (0.0, 1.0)
+
+    def test_heavy_side_doubles_outward(self):
+        """Only the side whose density is still >= 1e-10 moves, by
+        doubling its distance from the mean."""
+        pdf = lambda x: np.where(np.asarray(x) > 0, 1e-3, 0.0)
+        lo, hi = moment_window(pdf, 0.0, 1.0, -math.inf, 100.0)
+        assert lo == -8.0 and hi == 100.0
+        lo, hi = moment_window(pdf, 0.0, 1.0, -math.inf, 1e3)
+        assert hi == 1e3  # 8, 16, ..., 1024 clipped
 
 
 class TestChebyshevPoints:

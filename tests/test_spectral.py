@@ -1,6 +1,6 @@
 """Tests for the finite-volume generator discretization: spectrum accuracy
 and convergence order, Rayleigh-quotient minimality of the linear slow mode,
-and the mass-conserving Crank-Nicolson forward evolution.
+and the mass-conserving forward evolution in the generator's eigenbasis.
 """
 
 import math
@@ -207,6 +207,31 @@ class TestEvolveFpe:
             proc, EvolutionState(grid=g, density=pi), t_end=0.2, dt=1e-3)
         assert np.max(dists) < 1e-10
 
+    def test_narrow_start_on_a_fine_grid(self):
+        """A start whose fast modes a fixed step cannot resolve still
+        evolves: the density stays nonnegative and mass holds."""
+        proc = synthesize(Beta(1.0, 1.0))
+        g = default_grid(proc, 2000)
+        state0 = EvolutionState(grid=g, density=gaussian_bump(g, 0.3, 0.1))
+        state, times, dists = evolve_fpe(proc, state0, t_end=1.5, dt=1e-3)
+        assert np.min(state.density) >= -1e-12 * np.max(state.density)
+        assert abs(state.mass() - state0.mass()) <= 1e-9 * state0.mass()
+        est = fit_decay_rate(times, dists)
+        assert abs(est.rate - proc.lambda1) <= 0.05 * proc.lambda1
+
+    def test_dt_sets_only_the_recording_cadence(self):
+        """Quartering dt while recording 4x less often gives the same
+        distances at the same times."""
+        proc = synthesize(Gamma(1.0))
+        g = default_grid(proc, 300)
+        state0 = EvolutionState(grid=g, density=gaussian_bump(g, 1.0, 0.2))
+        _, t1, d1 = evolve_fpe(proc, state0, 3.0, 1e-2, record_every=4)
+        _, t2, d2 = evolve_fpe(proc, state0, 3.0, 2.5e-3, record_every=16)
+        np.testing.assert_allclose(t1, t2, rtol=1e-12)
+        keep = d1 > 1e-10
+        assert np.count_nonzero(keep) > 10
+        np.testing.assert_allclose(d1[keep], d2[keep], rtol=1e-12)
+
     def test_argument_validation(self):
         proc = synthesize(Beta(1.0, 1.0))
         g = default_grid(proc, 100)
@@ -215,6 +240,8 @@ class TestEvolveFpe:
             evolve_fpe(proc, state, t_end=1.0, dt=0.0)
         with pytest.raises(ValueError):
             evolve_fpe(proc, state, t_end=-1.0, dt=1e-3)
+        with pytest.raises(ValueError):
+            evolve_fpe(proc, state, t_end=1.0, dt=1e-3, record_every=0)
         with pytest.raises(ValueError):
             EvolutionState(grid=g, density=np.ones(5))
 
