@@ -23,11 +23,12 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .distributions import load_spec
+from .distributions import load_spec, numeric_params, parse_spec, read_json
 from .errors import (
     FastmixError,
     BadWeights,
@@ -48,7 +49,7 @@ from .optimal import (
     variance_at,
     verify_detailed_balance,
 )
-from .pearson import ROW_NAMES, row, verify_row_against_synthesis
+from .pearson import ROW_DEFAULTS, row, verify_row_against_synthesis
 from .sim import (
     SimConfig,
     rate_from_acf,
@@ -82,15 +83,86 @@ _INPUT_ERRORS = (
     ValueError,
 )
 
-_TABLE_DEFAULTS = (
-    ("Beta", {"alpha": 1.0, "beta": 2.0}),
-    ("Jacobi", {"alpha": 1.0, "beta": 1.0}),
-    ("Gamma", {"alpha": 1.0}),
-    ("Normal", {"x0": 0.0, "sigma": 1.0}),
-    ("StudentCauchy", {"alpha": 3.0}),
-    ("InverseGamma", {"alpha": 3.0}),
-    ("FisherSnedecor", {"nu1": 6.0, "nu2": 10.0}),
-)
+
+def _arg(*flags, **kw):
+    return flags, kw
+
+
+_GRID_POINTS = _arg("--grid-points", type=int, default=2000, metavar="N")
+_SIGMA_HAT = dict(dest="sigma_hat_sq_half", type=float, default=None,
+                  metavar="S")
+
+
+class Command(NamedTuple):
+    """One subcommand.
+
+    fields are the arguments its manifest records under "resolved" (name ->
+    JSON type, in record order). run_<command>(spec_file, out_dir, **fields)
+    runs it, and replay calls it with exactly the recorded fields. args are
+    its parser arguments before --out and --strict; each dest is spec_file
+    or a field name.
+    """
+
+    help: str
+    fields: dict
+    args: tuple
+    strict_help: str
+    spec_optional: bool = False
+
+
+COMMANDS = {
+    "optimal": Command(
+        help="synthesize the optimal process for a density file",
+        fields={"sigma_hat_sq_half": float, "grid_points": int,
+                "strict": bool},
+        args=(_arg("spec_file", help="JSON density file"),
+              _arg("--sigma-hat", **_SIGMA_HAT,
+                   help="average of sigma^2/2 under the density "
+                        "(default: the density's canonical level)"),
+              _GRID_POINTS),
+        strict_help="exit 4 if the synthesis checks fail"),
+    "spectrum": Command(
+        help="low eigenvalues of the discretized generator",
+        fields={"k": int, "grid_points": int, "sigma_hat_sq_half": float,
+                "strict": bool},
+        args=(_arg("spec_file"),
+              _arg("--k", type=int, default=5, metavar="K",
+                   help="number of eigenvalues (default 5)"),
+              _GRID_POINTS,
+              _arg("--sigma-hat", **_SIGMA_HAT)),
+        strict_help="exit 4 if the numeric gap misses the analytic one by "
+                    "more than 1%%"),
+    "simulate": Command(
+        help="sample paths and an empirical decay rate",
+        fields={"dt": float, "steps": int, "paths": int, "seed": int,
+                "burn_in": int, "boundary_mode": str,
+                "sigma_hat_sq_half": float, "strict": bool},
+        # numeric flags default to None so a value in the spec file's "sim"
+        # section can fill them; hard defaults live in run_simulate
+        args=(_arg("spec_file"),
+              _arg("--dt", type=float, default=None,
+                   help="time step (default 1e-3)"),
+              _arg("--steps", type=int, default=None,
+                   help="steps per path (default 200000)"),
+              _arg("--paths", type=int, default=None,
+                   help="independent paths (default 4)"),
+              _arg("--seed", type=int, default=None,
+                   help="RNG seed (default 0)"),
+              _arg("--burn-in", type=int, default=None,
+                   help="steps discarded per path (default 0)"),
+              _arg("--sigma-hat", **_SIGMA_HAT)),
+        strict_help="exit 4 if the fitted rate misses lambda1 by more than "
+                    "10%%"),
+    "table": Command(
+        help="catalog summary table with per-row verification",
+        fields={"rows": list, "strict": bool},
+        args=(_arg("--params-file", dest="spec_file", default=None,
+                   metavar="FILE",
+                   help="JSON list of {name, params} rows "
+                        "(default: one standard row per catalog family)"),),
+        strict_help="exit 4 if any row fails verification",
+        spec_optional=True),
+}
 
 
 # --- serialization helpers --------------------------------------------------
@@ -131,6 +203,8 @@ def _write_json(path, obj):
 
 
 def _write_manifest(out_dir, command, spec_file, seed, resolved):
+    # in the declared order and types, which is what replay accepts
+    fields = COMMANDS[command].fields
     doc = {
         "command": command,
         "version": __version__,
@@ -138,29 +212,30 @@ def _write_manifest(out_dir, command, spec_file, seed, resolved):
         "spec_file": os.path.abspath(spec_file) if spec_file else None,
         "out_dir": os.path.abspath(out_dir),
         "seed": seed,
-        "resolved": resolved,
+        "resolved": {name: kind(resolved[name])
+                     for name, kind in fields.items()},
     }
     _write_json(os.path.join(out_dir, "manifest.json"), doc)
 
 
-def _resolve_shalf(spec, sigma_hat):
-    if sigma_hat is not None:
-        return float(sigma_hat)
+def _resolve_shalf(spec, sigma_hat_sq_half):
+    if sigma_hat_sq_half is not None:
+        return float(sigma_hat_sq_half)
     return float(spec.default_sigma_hat_sq_half())
 
 
 # --- commands ---------------------------------------------------------------
 
-def run_optimal(spec_file, out_dir, sigma_hat=None, grid_points=2000,
+def run_optimal(spec_file, out_dir, sigma_hat_sq_half=None, grid_points=2000,
                 strict=False):
     spec = load_spec(spec_file)
-    shalf = _resolve_shalf(spec, sigma_hat)
+    shalf = _resolve_shalf(spec, sigma_hat_sq_half)
     grid_points = int(grid_points)
     os.makedirs(out_dir, exist_ok=True)
     _write_manifest(out_dir, "optimal", spec_file, None, {
         "sigma_hat_sq_half": shalf,
         "grid_points": grid_points,
-        "strict": bool(strict),
+        "strict": strict,
     })
 
     proc = synthesize(spec, shalf)
@@ -209,10 +284,10 @@ def run_optimal(spec_file, out_dir, sigma_hat=None, grid_points=2000,
     return _EXIT_OK
 
 
-def run_spectrum(spec_file, out_dir, k=5, grid_points=2000, sigma_hat=None,
-                 strict=False):
+def run_spectrum(spec_file, out_dir, k=5, grid_points=2000,
+                 sigma_hat_sq_half=None, strict=False):
     spec = load_spec(spec_file)
-    shalf = _resolve_shalf(spec, sigma_hat)
+    shalf = _resolve_shalf(spec, sigma_hat_sq_half)
     k = int(k)
     grid_points = int(grid_points)
     if k < 1 or k > grid_points:
@@ -223,7 +298,7 @@ def run_spectrum(spec_file, out_dir, k=5, grid_points=2000, sigma_hat=None,
         "k": k,
         "grid_points": grid_points,
         "sigma_hat_sq_half": shalf,
-        "strict": bool(strict),
+        "strict": strict,
     })
 
     proc = synthesize(spec, shalf)
@@ -242,35 +317,27 @@ def run_spectrum(spec_file, out_dir, k=5, grid_points=2000, sigma_hat=None,
     return _EXIT_OK
 
 
-def _sim_section(spec_file):
-    """The spec file's optional 'sim' mapping of default run parameters."""
-    try:
-        with open(spec_file, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return {}
-    sec = doc.get("sim") if isinstance(doc, dict) else None
-    return sec if isinstance(sec, dict) else {}
-
-
 def run_simulate(spec_file, out_dir, dt=None, steps=None, paths=None,
-                 seed=None, burn_in=None, sigma_hat=None, strict=False,
-                 boundary=None):
-    spec = load_spec(spec_file)
-    shalf = _resolve_shalf(spec, sigma_hat)
-    sec = _sim_section(spec_file)
+                 seed=None, burn_in=None, boundary_mode=None,
+                 sigma_hat_sq_half=None, strict=False):
+    doc = read_json(spec_file)
+    spec = parse_spec(doc)
+    shalf = _resolve_shalf(spec, sigma_hat_sq_half)
+    sec = doc.get("sim", {})
+    if not isinstance(sec, dict):
+        raise SpecFileError("the 'sim' section must be a mapping")
 
-    def pick(flag, key, fallback):
-        # explicit flag beats the file's sim section beats the default
-        if flag is not None:
-            return flag
+    def pick(value, key, fallback):
+        # an explicit argument beats the file's sim section beats the default
+        if value is not None:
+            return value
         v = sec.get(key, fallback)
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise SpecFileError("sim section field %r must be numeric" % key)
         return v
 
-    mode = boundary if boundary is not None else sec.get("boundary_mode",
-                                                         "reflect")
+    mode = (boundary_mode if boundary_mode is not None
+            else sec.get("boundary_mode", "reflect"))
     if not isinstance(mode, str):
         raise SpecFileError("sim section field 'boundary_mode' must be text")
     cfg = SimConfig(dt=float(pick(dt, "dt", 1e-3)),
@@ -288,7 +355,7 @@ def run_simulate(spec_file, out_dir, dt=None, steps=None, paths=None,
         "burn_in": cfg.burn_in,
         "boundary_mode": cfg.boundary_mode,
         "sigma_hat_sq_half": shalf,
-        "strict": bool(strict),
+        "strict": strict,
     })
 
     proc = synthesize(spec, shalf)
@@ -316,20 +383,6 @@ def run_simulate(spec_file, out_dir, dt=None, steps=None, paths=None,
     return _EXIT_OK
 
 
-def _read_rows(params_file):
-    if params_file is None:
-        return [{"name": n, "params": dict(p)} for n, p in _TABLE_DEFAULTS]
-    try:
-        with open(params_file, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise SpecFileError("cannot read %s: %s" % (params_file, exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise SpecFileError("invalid JSON in %s: %s"
-                            % (params_file, exc)) from exc
-    return _table_rows(doc)
-
-
 def _table_rows(doc):
     if not isinstance(doc, list):
         raise SpecFileError("params file must hold a list of rows")
@@ -340,19 +393,22 @@ def _table_rows(doc):
             raise SpecFileError(
                 "each row needs a 'name' string and a 'params' mapping")
         rows.append({"name": entry["name"],
-                     "params": {str(k): float(v)
-                                for k, v in entry["params"].items()}})
+                     "params": numeric_params(entry["params"])})
     return rows
 
 
-def run_table(out_dir, params_file=None, strict=False, rows=None):
-    """Catalog table of the rows in params_file, or of rows when given
-    (replay passes the recorded ones; params_file is then only recorded)."""
-    rows = _read_rows(params_file) if rows is None else _table_rows(rows)
+def run_table(spec_file, out_dir, rows=None, strict=False):
+    """Catalog table of the rows in the params file spec_file (one standard
+    row per family without one), or of rows when given (replay passes the
+    recorded ones; spec_file is then only recorded)."""
+    if rows is None:
+        rows = (read_json(spec_file) if spec_file is not None else
+                [{"name": n, "params": p} for n, p in ROW_DEFAULTS.items()])
+    rows = _table_rows(rows)
     os.makedirs(out_dir, exist_ok=True)
-    _write_manifest(out_dir, "table", params_file, None, {
+    _write_manifest(out_dir, "table", spec_file, None, {
         "rows": rows,
-        "strict": bool(strict),
+        "strict": strict,
     })
 
     all_ok = True
@@ -386,48 +442,38 @@ def run_table(out_dir, params_file=None, strict=False, rows=None):
     return _EXIT_OK
 
 
-def run_replay(manifest_path, out_dir=None):
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise SpecFileError("cannot read %s: %s"
-                            % (manifest_path, exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise SpecFileError("invalid JSON in %s: %s"
-                            % (manifest_path, exc)) from exc
+def run_replay(manifest, out_dir=None):
+    """Rerun the command a manifest.json records, with exactly its recorded
+    arguments. A manifest whose fields do not match the command's
+    declaration in COMMANDS raises SpecFileError."""
+    doc = read_json(manifest)
     if not isinstance(doc, dict) or not isinstance(doc.get("resolved"), dict):
         raise SpecFileError("manifest lacks a 'resolved' mapping")
     command = doc.get("command")
+    if not isinstance(command, str) or command not in COMMANDS:
+        raise SpecFileError("unknown command %r in manifest" % (command,))
+    cmd = COMMANDS[command]
     out = out_dir if out_dir is not None else doc.get("out_dir")
     if not isinstance(out, str) or not out:
         raise SpecFileError("manifest lacks an output directory")
-    r = doc["resolved"]
     spec_file = doc.get("spec_file")
-    try:
-        if command == "optimal":
-            return run_optimal(spec_file, out,
-                               sigma_hat=r["sigma_hat_sq_half"],
-                               grid_points=r["grid_points"],
-                               strict=bool(r.get("strict", False)))
-        if command == "spectrum":
-            return run_spectrum(spec_file, out, k=r["k"],
-                                grid_points=r["grid_points"],
-                                sigma_hat=r["sigma_hat_sq_half"],
-                                strict=bool(r.get("strict", False)))
-        if command == "simulate":
-            return run_simulate(spec_file, out, dt=r["dt"], steps=r["steps"],
-                                paths=r["paths"], seed=r["seed"],
-                                burn_in=r["burn_in"],
-                                sigma_hat=r["sigma_hat_sq_half"],
-                                strict=bool(r.get("strict", False)),
-                                boundary=r.get("boundary_mode", "reflect"))
-        if command == "table":
-            return run_table(out, spec_file, rows=r["rows"],
-                             strict=bool(r.get("strict", False)))
-    except KeyError as exc:
-        raise SpecFileError("manifest is missing field %s" % exc) from exc
-    raise SpecFileError("unknown command %r in manifest" % command)
+    if not (isinstance(spec_file, str)
+            or spec_file is None and cmd.spec_optional):
+        raise SpecFileError("manifest 'spec_file' must be a path")
+    resolved = doc["resolved"]
+    if set(resolved) != set(cmd.fields):
+        raise SpecFileError("manifest of %s must resolve exactly: %s"
+                            % (command, ", ".join(cmd.fields)))
+    for name, kind in cmd.fields.items():
+        # a float may be written as a JSON integer (1.0 as 1); a bool is
+        # never a number
+        value = resolved[name]
+        accepted = (int, float) if kind is float else kind
+        if (not isinstance(value, accepted)
+                or isinstance(value, bool) != (kind is bool)):
+            raise SpecFileError("manifest field %r must be a JSON %s"
+                                % (name, kind.__name__))
+    return globals()["run_" + command](spec_file, out, **resolved)
 
 
 # --- argument parsing -------------------------------------------------------
@@ -440,102 +486,35 @@ def _build_parser():
     p.add_argument("--version", action="version",
                    version="%(prog)s " + __version__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    po = sub.add_parser(
-        "optimal", help="synthesize the optimal process for a density file")
-    po.add_argument("spec_file", help="JSON density file")
-    po.add_argument("--sigma-hat", type=float, default=None, metavar="S",
-                    help="average of sigma^2/2 under the density "
-                         "(default: the density's canonical level)")
-    po.add_argument("--grid-points", type=int, default=2000, metavar="N")
-    po.add_argument("--out", required=True, metavar="DIR")
-    po.add_argument("--strict", action="store_true",
-                    help="exit 4 if the synthesis checks fail")
-
-    ps = sub.add_parser(
-        "spectrum", help="low eigenvalues of the discretized generator")
-    ps.add_argument("spec_file")
-    ps.add_argument("--k", type=int, default=5, metavar="K",
-                    help="number of eigenvalues (default 5)")
-    ps.add_argument("--grid-points", type=int, default=2000, metavar="N")
-    ps.add_argument("--sigma-hat", type=float, default=None, metavar="S")
-    ps.add_argument("--out", required=True, metavar="DIR")
-    ps.add_argument("--strict", action="store_true",
-                    help="exit 4 if the numeric gap misses the analytic "
-                         "one by more than 1%%")
-
-    pm = sub.add_parser(
-        "simulate", help="sample paths and an empirical decay rate")
-    pm.add_argument("spec_file")
-    # numeric flags default to None so a value in the spec file's "sim"
-    # section can fill them; hard defaults live in run_simulate
-    pm.add_argument("--dt", type=float, default=None,
-                    help="time step (default 1e-3)")
-    pm.add_argument("--steps", type=int, default=None,
-                    help="steps per path (default 200000)")
-    pm.add_argument("--paths", type=int, default=None,
-                    help="independent paths (default 4)")
-    pm.add_argument("--seed", type=int, default=None,
-                    help="RNG seed (default 0)")
-    pm.add_argument("--burn-in", type=int, default=None,
-                    help="steps discarded per path (default 0)")
-    pm.add_argument("--sigma-hat", type=float, default=None, metavar="S")
-    pm.add_argument("--out", required=True, metavar="DIR")
-    pm.add_argument("--strict", action="store_true",
-                    help="exit 4 if the fitted rate misses lambda1 by "
-                         "more than 10%%")
-
-    pt = sub.add_parser(
-        "table", help="catalog summary table with per-row verification")
-    pt.add_argument("--params-file", default=None, metavar="FILE",
-                    help="JSON list of {name, params} rows "
-                         "(default: one standard row per catalog family)")
-    pt.add_argument("--out", required=True, metavar="DIR")
-    pt.add_argument("--strict", action="store_true",
-                    help="exit 4 if any row fails verification")
+    for name, cmd in COMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.help)
+        for flags, kw in cmd.args:
+            sp.add_argument(*flags, **kw)
+        sp.add_argument("--out", dest="out_dir", required=True, metavar="DIR")
+        sp.add_argument("--strict", action="store_true", help=cmd.strict_help)
 
     pr = sub.add_parser("replay", help="rerun a manifest.json")
     pr.add_argument("manifest", help="path to a manifest.json")
-    pr.add_argument("--out", default=None, metavar="DIR",
+    pr.add_argument("--out", dest="out_dir", default=None, metavar="DIR",
                     help="write artifacts here instead of the recorded "
                          "output directory")
     return p
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = vars(_build_parser().parse_args(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        if args.command == "optimal":
-            return run_optimal(args.spec_file, args.out,
-                               sigma_hat=args.sigma_hat,
-                               grid_points=args.grid_points,
-                               strict=args.strict)
-        if args.command == "spectrum":
-            return run_spectrum(args.spec_file, args.out, k=args.k,
-                                grid_points=args.grid_points,
-                                sigma_hat=args.sigma_hat, strict=args.strict)
-        if args.command == "simulate":
-            return run_simulate(args.spec_file, args.out, dt=args.dt,
-                                steps=args.steps, paths=args.paths,
-                                seed=args.seed, burn_in=args.burn_in,
-                                sigma_hat=args.sigma_hat, strict=args.strict)
-        if args.command == "table":
-            return run_table(args.out, params_file=args.params_file,
-                             strict=args.strict)
-        if args.command == "replay":
-            return run_replay(args.manifest, out_dir=args.out)
-        parser.error("unknown command %r" % args.command)
+        # looked up when called, so a rebound run_<command> is the one run
+        return globals()["run_" + args.pop("command")](**args)
     except _INPUT_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return _EXIT_INPUT
-    except FastmixError as exc:
+    except (FastmixError, ArithmeticError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return _EXIT_NUMERICAL
-    return _EXIT_OK
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ rate). Construction always verifies unit mass to 1e-8.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass
@@ -807,20 +808,51 @@ def mixture(specs, weights) -> Mixture:
     return Mixture(specs, w)
 
 
-_CATALOG = {
-    "beta": (Beta, ("alpha", "beta")),
-    "jacobi": (Jacobi, ("alpha", "beta")),
-    "gamma": (Gamma, ("alpha",)),
-    "normal": (Normal, ("x0", "sigma")),
-    "studentcauchy": (StudentCauchy, ("alpha",)),
-    "student": (StudentCauchy, ("alpha",)),
-    "inversegamma": (InverseGamma, ("alpha",)),
-    "reciprocalgamma": (InverseGamma, ("alpha",)),
-    "fishersnedecor": (FisherSnedecor, ("nu1", "nu2")),
-    "fisher": (FisherSnedecor, ("nu1", "nu2")),
-    "hyperexponential": (Hyperexponential, ("p1", "p2", "eta1", "eta2")),
-    "cubicpearson": (CubicPearson, ("alpha", "beta", "a")),
+# every spelling a density file's "kind" or a table row's "name" may use,
+# after kind_class folds case, "_" and "-"
+_KINDS = {
+    "beta": Beta, "hypergeometric": Beta,
+    "jacobi": Jacobi,
+    "gamma": Gamma, "cir": Gamma,
+    "normal": Normal, "ou": Normal, "ornsteinuhlenbeck": Normal,
+    "studentcauchy": StudentCauchy, "student": StudentCauchy,
+    "cauchy": StudentCauchy,
+    "inversegamma": InverseGamma, "reciprocalgamma": InverseGamma,
+    "fishersnedecor": FisherSnedecor, "fisher": FisherSnedecor,
+    "f": FisherSnedecor,
+    "hyperexponential": Hyperexponential,
+    "cubicpearson": CubicPearson,
+    "custom": Custom,
 }
+
+
+def kind_class(name):
+    """The density class that a kind name or alias selects, or None."""
+    return _KINDS.get(name.strip().lower().replace("_", "").replace("-", ""))
+
+
+def numeric_params(params) -> dict:
+    """params as {name: float}; SpecFileError unless a mapping of numbers."""
+    if not isinstance(params, dict):
+        raise SpecFileError("'params' must be a mapping")
+    for name, v in params.items():
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise SpecFileError("param %r must be numeric" % name)
+    return {str(k): float(v) for k, v in params.items()}
+
+
+def catalog_spec(cls, params) -> DistributionSpec:
+    """Family cls built from a mapping of its named (constructor) params."""
+    params = numeric_params(params)
+    unknown = set(params) - set(inspect.signature(cls).parameters)
+    if unknown:
+        raise SpecFileError("unknown params for %s: %s"
+                            % (cls.kind, ", ".join(sorted(unknown))))
+    try:
+        return cls(**params)
+    except TypeError as exc:
+        raise SpecFileError("missing required params for %s"
+                            % cls.kind) from exc
 
 
 def _parse_bound(v):
@@ -846,14 +878,14 @@ def parse_spec(doc: dict) -> DistributionSpec:
     kind = doc.get("kind")
     if not isinstance(kind, str):
         raise SpecFileError("missing or non-string 'kind'")
-    key = kind.strip().lower().replace("_", "").replace("-", "")
+    cls = kind_class(kind)
     support = None
     if "support" in doc:
         raw = doc["support"]
         if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
             raise SpecFileError("'support' must be a [lower, upper] pair")
         support = Support(_parse_bound(raw[0]), _parse_bound(raw[1]))
-    if key == "custom":
+    if cls is Custom:
         if "grid" not in doc or "pdf" not in doc:
             raise SpecFileError("Custom spec needs 'grid' and 'pdf' arrays")
         try:
@@ -864,27 +896,9 @@ def parse_spec(doc: dict) -> DistributionSpec:
                                     or support.upper != spec.support.upper):
             raise SpecFileError("declared support does not match the grid")
         return spec
-    if key not in _CATALOG:
+    if cls is None:
         raise SpecFileError("unknown kind %r" % kind)
-    cls, names = _CATALOG[key]
-    params = doc.get("params", {})
-    if not isinstance(params, dict):
-        raise SpecFileError("'params' must be a mapping")
-    unknown = set(params) - set(names)
-    if unknown:
-        raise SpecFileError("unknown params for %s: %s"
-                            % (kind, ", ".join(sorted(unknown))))
-    kwargs = {}
-    for name in names:
-        if name in params:
-            v = params[name]
-            if not isinstance(v, (int, float)):
-                raise SpecFileError("param %r must be numeric" % name)
-            kwargs[name] = float(v)
-    try:
-        spec = cls(**kwargs)
-    except TypeError as exc:
-        raise SpecFileError("missing required params for %s" % kind) from exc
+    spec = catalog_spec(cls, doc.get("params", {}))
     if support is not None:
         # a declared window truncates evaluation; it must keep the full mass
         spec.support = Support(max(support.lower, spec.support.lower),
@@ -893,13 +907,17 @@ def parse_spec(doc: dict) -> DistributionSpec:
     return spec
 
 
-def load_spec(path) -> DistributionSpec:
-    """Read a JSON spec file; see parse_spec for the document shape."""
+def read_json(path):
+    """The parsed JSON document in the file at path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise SpecFileError("cannot read %s: %s" % (path, exc)) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise SpecFileError("invalid JSON in %s: %s" % (path, exc)) from exc
-    return parse_spec(doc)
+
+
+def load_spec(path) -> DistributionSpec:
+    """Read a JSON spec file; see parse_spec for the document shape."""
+    return parse_spec(read_json(path))

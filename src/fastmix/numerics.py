@@ -298,14 +298,37 @@ def _is_nonpositive_integer(x) -> bool:
     return x <= 0 and float(x) == math.floor(x)
 
 
+def _series(ratio, name, z):
+    """1 + t_1 + t_2 + ... with t_r = t_{r-1} ratio(r-1), t_0 = 1.
+
+    Terms are accumulated until below 1e-15 of the partial sum (twice in a
+    row, so a single small coefficient cannot stop the sum early) or zero;
+    running out of the 10000-term budget first raises NonConvergence.
+    """
+    total = term = 1.0
+    small = 0
+    for r in range(_SERIES_BUDGET):
+        term *= ratio(r)
+        total += term
+        if term == 0.0:
+            return total
+        if abs(term) <= _SERIES_EPS * abs(total):
+            small += 1
+            if small >= 2:
+                return total
+        else:
+            small = 0
+    raise NonConvergence("%s series did not converge in %d terms at z=%g"
+                         % (name, _SERIES_BUDGET, z))
+
+
 def hyp2f1(a, b, c, z) -> float:
     """Gauss hypergeometric series sum_r (a)_r (b)_r z^r / ((c)_r r!).
 
     Terminating cases (a or b a nonpositive integer) are polynomials and are
-    evaluated for any z; otherwise |z| >= 1 raises SeriesDivergence. Terms are
-    accumulated until below 1e-15 of the partial sum (twice in a row, so a
-    single small coefficient cannot stop the sum early) or the 10000-term
-    budget runs out.
+    evaluated for any z; otherwise |z| >= 1 raises SeriesDivergence. The
+    sum stops as described in _series; near z = 1 it can exhaust the term
+    budget and raise NonConvergence.
     """
     a = float(a)
     b = float(b)
@@ -316,20 +339,8 @@ def hyp2f1(a, b, c, z) -> float:
     terminating = _is_nonpositive_integer(a) or _is_nonpositive_integer(b)
     if not terminating and abs(z) >= 1.0:
         raise SeriesDivergence("series needs |z| < 1, got z=%g" % z)
-    total = term = 1.0
-    small = 0
-    for r in range(_SERIES_BUDGET):
-        term *= (a + r) * (b + r) / ((c + r) * (r + 1.0)) * z
-        total += term
-        if term == 0.0:
-            break
-        if abs(term) <= _SERIES_EPS * abs(total):
-            small += 1
-            if small >= 2:
-                break
-        else:
-            small = 0
-    return total
+    return _series(lambda r: (a + r) * (b + r) / ((c + r) * (r + 1.0)) * z,
+                   "hyp2f1", z)
 
 
 def hyp1f1(a, c, z) -> float:
@@ -339,20 +350,7 @@ def hyp1f1(a, c, z) -> float:
     z = float(z)
     if _is_nonpositive_integer(c):
         raise PoleAtC("lower parameter c=%g is a nonpositive integer" % c)
-    total = term = 1.0
-    small = 0
-    for r in range(_SERIES_BUDGET):
-        term *= (a + r) / ((c + r) * (r + 1.0)) * z
-        total += term
-        if term == 0.0:
-            break
-        if abs(term) <= _SERIES_EPS * abs(total):
-            small += 1
-            if small >= 2:
-                break
-        else:
-            small = 0
-    return total
+    return _series(lambda r: (a + r) / ((c + r) * (r + 1.0)) * z, "hyp1f1", z)
 
 
 def fit_exponential_decay(times, values) -> RateEstimate:

@@ -16,15 +16,10 @@ import numpy as np
 
 from . import numerics, optimal
 from .distributions import (
-    Beta,
     CubicPearson,
-    FisherSnedecor,
-    Gamma,
     Hyperexponential,
-    InverseGamma,
-    Jacobi,
-    Normal,
-    StudentCauchy,
+    catalog_spec,
+    kind_class,
 )
 from .errors import BeyondDiscreteSpectrum, ParamOutOfRange, RowMismatch
 
@@ -60,31 +55,29 @@ class PearsonRow:
         return a0 + a1 * np.asarray(x, float)
 
 
-_ALIASES = {
-    "beta": "Beta", "hypergeometric": "Beta",
-    "jacobi": "Jacobi",
-    "gamma": "Gamma", "cir": "Gamma",
-    "normal": "Normal", "ou": "Normal", "ornsteinuhlenbeck": "Normal",
-    "studentcauchy": "StudentCauchy", "student": "StudentCauchy",
-    "cauchy": "StudentCauchy",
-    "inversegamma": "InverseGamma", "reciprocalgamma": "InverseGamma",
-    "fishersnedecor": "FisherSnedecor", "fisher": "FisherSnedecor",
-    "f": "FisherSnedecor",
+# one standard parameter set per catalog row, in table order
+ROW_DEFAULTS = {
+    "Beta": {"alpha": 1.0, "beta": 2.0},
+    "Jacobi": {"alpha": 1.0, "beta": 1.0},
+    "Gamma": {"alpha": 1.0},
+    "Normal": {"x0": 0.0, "sigma": 1.0},
+    "StudentCauchy": {"alpha": 3.0},
+    "InverseGamma": {"alpha": 3.0},
+    "FisherSnedecor": {"nu1": 6.0, "nu2": 10.0},
 }
 
-ROW_NAMES = ("Beta", "Jacobi", "Gamma", "Normal", "StudentCauchy",
-             "InverseGamma", "FisherSnedecor")
+ROW_NAMES = tuple(ROW_DEFAULTS)
 
 
 def row(name: str, params: dict) -> PearsonRow:
-    """Catalog row by name; params use the distribution parameter names."""
-    key = name.strip().lower().replace("_", "").replace("-", "")
-    if key not in _ALIASES:
+    """Catalog row by name or alias; params use the distribution parameter
+    names and are checked like a density file's."""
+    cls = kind_class(name)
+    if cls is None or cls.kind not in ROW_NAMES:
         raise ParamOutOfRange("unknown catalog row %r" % name)
-    canon = _ALIASES[key]
-    p = dict(params)
+    canon = cls.kind
+    spec = catalog_spec(cls, params)
     if canon == "Beta":
-        spec = Beta(**p)
         a, b = spec.params["alpha"], spec.params["beta"]
         return PearsonRow(
             name=canon, params=spec.params, spec=spec,
@@ -93,7 +86,6 @@ def row(name: str, params: dict) -> PearsonRow:
             sigma_hat_sq_half=spec.default_sigma_hat_sq_half(),
             n_max_discrete=None)
     if canon == "Jacobi":
-        spec = Jacobi(**p)
         a, b = spec.params["alpha"], spec.params["beta"]
         return PearsonRow(
             name=canon, params=spec.params, spec=spec,
@@ -102,7 +94,6 @@ def row(name: str, params: dict) -> PearsonRow:
             sigma_hat_sq_half=spec.default_sigma_hat_sq_half(),
             n_max_discrete=None)
     if canon == "Gamma":
-        spec = Gamma(**p)
         a = spec.params["alpha"]
         return PearsonRow(
             name=canon, params=spec.params, spec=spec,
@@ -111,7 +102,6 @@ def row(name: str, params: dict) -> PearsonRow:
             sigma_hat_sq_half=a + 1.0,
             n_max_discrete=None)
     if canon == "Normal":
-        spec = Normal(**p)
         x0, s = spec.params["x0"], spec.params["sigma"]
         return PearsonRow(
             name=canon, params=spec.params, spec=spec,
@@ -120,7 +110,6 @@ def row(name: str, params: dict) -> PearsonRow:
             sigma_hat_sq_half=s * s,
             n_max_discrete=None)
     if canon == "StudentCauchy":
-        spec = StudentCauchy(**p)
         a = spec.params["alpha"]
         return PearsonRow(
             name=canon, params=spec.params, spec=spec,
@@ -129,7 +118,6 @@ def row(name: str, params: dict) -> PearsonRow:
             sigma_hat_sq_half=(2.0 * a - 1.0) / (2.0 * (a - 1.0)),
             n_max_discrete=int(math.floor(a)))
     if canon == "InverseGamma":
-        spec = InverseGamma(**p)
         a = spec.params["alpha"]
         return PearsonRow(
             name=canon, params=spec.params, spec=spec,
@@ -138,7 +126,6 @@ def row(name: str, params: dict) -> PearsonRow:
             sigma_hat_sq_half=1.0 / (2.0 * (a - 1.0) * (2.0 * a - 1.0)),
             n_max_discrete=int(math.floor(a)))
     # FisherSnedecor
-    spec = FisherSnedecor(**p)
     n1, n2 = spec.params["nu1"], spec.params["nu2"]
     if n2 <= 4.0:
         raise ParamOutOfRange("row needs nu2 > 4 for a finite diffusion level")

@@ -1,6 +1,8 @@
 """Tests for the command line interface and its on-disk artifacts."""
 
+import argparse
 import filecmp
+import inspect
 import json
 import math
 import os
@@ -8,8 +10,8 @@ import os
 import numpy as np
 import pytest
 
-from fastmix import __version__
-from fastmix.cli import _jtext, main
+from fastmix import __version__, cli
+from fastmix.cli import COMMANDS, _jtext, main
 
 BETA_DOME = {"kind": "beta", "params": {"alpha": 1.0, "beta": 1.0}}
 STANDARD_NORMAL = {"kind": "normal", "params": {"x0": 0.0, "sigma": 1.0}}
@@ -155,6 +157,22 @@ class TestOptimalCommand:
         bad.write_text("{not json", encoding="utf-8")
         assert main(["optimal", str(bad), "--out", str(tmp_path / "o")]) == 2
 
+    def test_overflow_exits_3(self, tmp_path, capsys):
+        """A parameter whose normalizer overflows is a numerical failure."""
+        spec = _spec(tmp_path, {"kind": "beta",
+                                "params": {"alpha": 1e308, "beta": 1.0}})
+        assert main(["optimal", spec, "--out", str(tmp_path / "o")]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_series_budget_exits_3(self, tmp_path, capsys):
+        """A normalizer whose series runs out of terms is a numerical
+        failure, not a mass error."""
+        spec = _spec(tmp_path, {"kind": "cubicpearson",
+                                "params": {"alpha": 2.0, "beta": 2.0,
+                                           "a": 0.999}})
+        assert main(["optimal", spec, "--out", str(tmp_path / "o")]) == 3
+        assert "did not converge" in capsys.readouterr().err
+
     def test_divergent_moments_exit_3(self, tmp_path, capsys):
         """Valid parameters with no finite variance are a numerical
         failure, not an input error."""
@@ -286,6 +304,11 @@ class TestSimulateCommand:
         rc = main(["simulate", spec, "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_sim_section_must_be_a_mapping(self, tmp_path):
+        """A sim section that is not a mapping is an input error."""
+        spec = _spec(tmp_path, dict(BETA_DOME, sim=[0.002]))
+        assert main(["simulate", spec, "--out", str(tmp_path / "o")]) == 2
+
     def test_strict_coarse_fit_exits_4(self, tmp_path):
         """A coarse time step biases the fit past 10 percent under
         --strict."""
@@ -347,9 +370,126 @@ class TestTableCommand:
         assert main(["table", "--params-file", str(pf),
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("value", [None, [2.0], "2", True],
+                             ids=["null", "list", "text", "bool"])
+    def test_param_values_must_be_numbers(self, tmp_path, capsys, value):
+        """A row parameter that is not a JSON number is an input error, as
+        it is in a density file."""
+        pf = tmp_path / "rows.json"
+        pf.write_text(json.dumps([{"name": "gamma",
+                                   "params": {"alpha": value}}]),
+                      encoding="utf-8")
+        assert main(["table", "--params-file", str(pf),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "must be numeric" in capsys.readouterr().err
+
+    def test_unknown_param_name_fails_its_row(self, tmp_path):
+        """A parameter the family does not have fails that row only."""
+        pf = tmp_path / "rows.json"
+        pf.write_text(json.dumps([{"name": "gamma", "params": {"beta": 2.0}},
+                                  {"name": "gamma",
+                                   "params": {"alpha": 2.0}}]),
+                      encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["table", "--params-file", str(pf),
+                     "--out", str(out)]) == 0
+        lines = (out / "table1.csv").read_text().strip().split("\n")
+        assert lines[1].endswith(",false") and lines[2].endswith(",true")
+
+
+# one small run per command, with arguments that exercise every field
+_RUNS = {
+    "optimal": lambda d: ["optimal", _spec(d, BETA_DOME), "--sigma-hat", "1",
+                          "--grid-points", "300"],
+    "spectrum": lambda d: ["spectrum", _spec(d, STANDARD_NORMAL), "--k", "3",
+                           "--grid-points", "300"],
+    "simulate": lambda d: ["simulate", _spec(d, dict(BETA_DOME, sim={
+        "boundary_mode": "reject-step"})), "--dt", "0.002", "--steps",
+        "20000", "--paths", "2", "--seed", "3", "--burn-in", "100"],
+    "table": lambda d: ["table", "--params-file", _rows_file(d)],
+}
+
+
+def _rows_file(d):
+    path = d / "rows.json"
+    path.write_text(json.dumps([{"name": "ou", "params": {"sigma": 2}},
+                                {"name": "zeta", "params": {}}]),
+                    encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def recorded(tmp_path_factory):
+    """Output directory of one run of each command."""
+    outs = {}
+    for command, argv in _RUNS.items():
+        d = tmp_path_factory.mktemp(command)
+        assert main(argv(d) + ["--out", str(d / "out")]) == 0
+        outs[command] = d / "out"
+    return outs
+
+
+def _bad_manifest(tmp_path, recorded, command, edit):
+    doc = _load(recorded[command], "manifest.json")
+    edit(doc)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return ["replay", str(path), "--out", str(tmp_path / "replayed")]
+
 
 class TestReplayCommand:
     """Reproducing a recorded run from its manifest."""
+
+    @pytest.mark.parametrize("command", sorted(_RUNS))
+    def test_replay_is_byte_identical(self, tmp_path, recorded, command):
+        """Every artifact of a replay matches the recorded run byte for
+        byte; the manifest differs only in its timestamp and out_dir."""
+        first, again = recorded[command], tmp_path / "again"
+        assert main(["replay", str(first / "manifest.json"),
+                     "--out", str(again)]) == 0
+        names = sorted(os.listdir(str(first)))
+        assert sorted(os.listdir(str(again))) == names
+        for name in names:
+            if name != "manifest.json":
+                assert filecmp.cmp(str(first / name), str(again / name),
+                                   shallow=False), name
+        a, b = _load(first, "manifest.json"), _load(again, "manifest.json")
+        for doc in (a, b):
+            del doc["timestamp"], doc["out_dir"]
+        assert a == b
+
+    @pytest.mark.parametrize("command,edit", [
+        ("optimal", lambda m: m["resolved"].update(grid_points=None)),
+        ("optimal", lambda m: m["resolved"].update(sigma_hat_sq_half=[1.0])),
+        ("optimal", lambda m: m.update(spec_file=None)),
+        ("spectrum", lambda m: m["resolved"].update(strict="no")),
+        ("spectrum", lambda m: m["resolved"].update(k=True)),
+        ("optimal", lambda m: m["resolved"].update(grid=300)),
+        ("optimal", lambda m: m["resolved"].pop("strict")),
+        ("simulate", lambda m: m["resolved"].pop("boundary_mode")),
+        ("table", lambda m: m["resolved"].update(rows={})),
+        ("table", lambda m: m.update(spec_file=3)),
+        ("table", lambda m: m.update(command=["table"])),
+    ], ids=["null-int", "list-float", "null-spec-file", "text-bool",
+            "bool-int", "unknown-field", "missing-strict",
+            "missing-boundary-mode", "mapping-rows", "number-spec-file",
+            "list-command"])
+    def test_mismatched_manifest_exits_2(self, tmp_path, capsys, recorded,
+                                         command, edit):
+        """A manifest whose fields differ from the command's declaration,
+        in name or in JSON type, is an input error, not a traceback or a
+        default."""
+        argv = _bad_manifest(tmp_path, recorded, command, edit)
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "replayed").exists()
+
+    def test_integral_float_replays(self, tmp_path, recorded):
+        """A float written as a JSON integer (1.0 as 1) is still a float."""
+        man = recorded["optimal"] / "manifest.json"
+        value = json.loads(man.read_text())["resolved"]["sigma_hat_sq_half"]
+        assert value == 1 and isinstance(value, int)
+        assert main(["replay", str(man), "--out", str(tmp_path / "b")]) == 0
 
     def test_simulate_replay_is_bit_identical(self, tmp_path):
         """Replaying a simulate manifest reproduces every artifact."""
@@ -370,6 +510,7 @@ class TestReplayCommand:
         """Replaying the default table rebuilds the same CSV."""
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["table", "--out", str(a)]) == 0
+        assert _load(a, "manifest.json")["spec_file"] is None
         assert main(["replay", str(a / "manifest.json"),
                      "--out", str(b)]) == 0
         assert (a / "table1.csv").read_text() == (b / "table1.csv").read_text()
@@ -408,6 +549,50 @@ class TestReplayCommand:
                                    "out_dir": str(tmp_path)}),
                        encoding="utf-8")
         assert main(["replay", str(man)]) == 2
+
+
+class TestCommandTable:
+    """The command declaration is the single source of the CLI's names."""
+
+    def test_manifests_record_the_declared_fields(self, recorded):
+        for command, out in recorded.items():
+            man = _load(out, "manifest.json")
+            assert man["command"] == command
+            assert list(man["resolved"]) == list(COMMANDS[command].fields)
+
+    def test_run_functions_take_the_declared_fields(self):
+        for command, cmd in COMMANDS.items():
+            params = list(inspect.signature(
+                getattr(cli, "run_" + command)).parameters)
+            assert params[:2] == ["spec_file", "out_dir"]
+            assert sorted(params[2:]) == sorted(cmd.fields), command
+
+    def test_parser_matches_the_declaration(self):
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(COMMANDS) | {"replay"}
+        for command, cmd in COMMANDS.items():
+            dests = {a.dest for a in sub.choices[command]._actions
+                     if a.dest != "help"}
+            assert dests <= {"spec_file", "out_dir"} | set(cmd.fields)
+            assert {"spec_file", "out_dir", "strict"} <= dests
+
+    def test_dispatch_reads_the_module_attribute(self, tmp_path,
+                                                 monkeypatch, recorded):
+        """main and replay look run_<command> up when called, so a wrapper
+        bound in its place (a tracer, say) sees every call."""
+        calls = []
+
+        def fake(spec_file, out_dir, **fields):
+            calls.append((spec_file, out_dir, fields))
+            return 0
+
+        monkeypatch.setattr(cli, "run_table", fake)
+        assert main(["table", "--out", str(tmp_path / "a")]) == 0
+        assert main(["replay", str(recorded["table"] / "manifest.json"),
+                     "--out", str(tmp_path / "b")]) == 0
+        assert calls[0] == (None, str(tmp_path / "a"), {"strict": False})
+        assert set(calls[1][2]) == set(COMMANDS["table"].fields)
 
 
 class TestJsonText:

@@ -29,6 +29,7 @@ from fastmix.distributions import (
     load_spec,
     mixture,
     parse_spec,
+    read_json,
 )
 from fastmix.errors import (
     BadWeights,
@@ -333,6 +334,9 @@ class TestParseSpec:
                           ("reciprocalgamma", InverseGamma),
                           ("fishersnedecor", FisherSnedecor),
                           ("fisher", FisherSnedecor),
+                          ("ou", Normal), ("Ornstein-Uhlenbeck", Normal),
+                          ("cir", Gamma), ("cauchy", StudentCauchy),
+                          ("f", FisherSnedecor), ("hypergeometric", Beta),
                           ("hyperexponential", Hyperexponential),
                           ("cubicpearson", CubicPearson)]:
             doc = {"kind": kind, "params": _defaults_for(cls)}
@@ -377,6 +381,9 @@ class TestParseSpec:
             {"kind": "nosuchfamily"},
             {"kind": "beta", "params": {"alpha": 1.0, "gamma": 2.0}},
             {"kind": "beta", "params": {"alpha": "one", "beta": 1.0}},
+            {"kind": "beta", "params": {"alpha": True, "beta": 1.0}},
+            {"kind": "beta", "params": {"alpha": None, "beta": 1.0}},
+            {"kind": "beta", "params": {"alpha": [2.0], "beta": 1.0}},
             {"kind": "beta", "params": "alpha=1"},
             {"kind": "beta", "params": {"alpha": 1.0}},  # missing beta
             {"kind": "beta", "params": {"alpha": 1.0, "beta": 1.0},
@@ -416,6 +423,22 @@ class TestLoadSpec:
         p.write_text("{not json")
         with pytest.raises(SpecFileError):
             load_spec(str(p))
+
+
+class TestReadJson:
+    def test_document_of_any_shape(self, tmp_path):
+        p = tmp_path / "rows.json"
+        p.write_text(json.dumps([{"name": "gamma"}, 2.5]))
+        assert read_json(str(p)) == [{"name": "gamma"}, 2.5]
+
+    def test_unreadable_or_malformed_files(self, tmp_path):
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe[")
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1, 2")
+        for path in (tmp_path / "nope.json", tmp_path, bad, binary):
+            with pytest.raises(SpecFileError):
+                read_json(str(path))
 
 
 def _defaults_for(cls):

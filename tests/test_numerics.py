@@ -9,7 +9,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
+from fastmix import numerics
 from fastmix.errors import (
     ConvergenceFailure,
     InvalidInterval,
@@ -223,6 +225,16 @@ class TestHyp2f1:
             with pytest.raises(PoleAtC):
                 hyp2f1(0.5, 0.5, c, 0.3)
 
+    def test_series_budget_is_an_error(self):
+        """Near z = 1 the 10000-term budget runs out before the terms
+        fall below 1e-15 of the sum: an error, never a truncated sum. Just
+        inside the budget the sum is accurate."""
+        with pytest.raises(NonConvergence, match="did not converge"):
+            hyp2f1(0.5, 0.5, 1.5, 0.999)
+        for a, b, c in ((0.5, 0.5, 1.5), (1.0, 1.0, 2.0), (2.5, 0.5, 1.2)):
+            truth = scipy.special.hyp2f1(a, b, c, 0.99)
+            assert abs(hyp2f1(a, b, c, 0.99) - truth) <= 1e-12 * abs(truth)
+
 
 class TestHyp1f1:
     def test_exponential(self):
@@ -237,6 +249,12 @@ class TestHyp1f1:
     def test_pole(self):
         with pytest.raises(PoleAtC):
             hyp1f1(1.0, -2.0, 0.5)
+
+    def test_series_budget_is_an_error(self, monkeypatch):
+        """e = 1F1(1; 1; 1) needs about 18 terms; a 5-term budget raises."""
+        monkeypatch.setattr(numerics, "_SERIES_BUDGET", 5)
+        with pytest.raises(NonConvergence):
+            hyp1f1(1.0, 1.0, 1.0)
 
 
 class TestFitExponentialDecay:

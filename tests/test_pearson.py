@@ -10,11 +10,13 @@ import math
 import numpy as np
 import pytest
 
+from fastmix import distributions
 from fastmix.distributions import Beta as BetaDist
 from fastmix.errors import (
     BeyondDiscreteSpectrum,
     ParamOutOfRange,
     RowMismatch,
+    SpecFileError,
 )
 from fastmix.optimal import synthesize
 from fastmix.pearson import (
@@ -104,6 +106,31 @@ class TestRowFactory:
     def test_unknown_row(self):
         with pytest.raises(ParamOutOfRange):
             row("lognormal", {})
+
+    def test_catalog_kind_without_a_row(self):
+        params = {"p1": 0.5, "p2": 0.5, "eta1": 1.0, "eta2": 2.0}
+        assert distributions.parse_spec(
+            {"kind": "hyperexponential", "params": params}).kind == \
+            "Hyperexponential"
+        for name in ("hyperexponential", "cubic_pearson", "custom"):
+            with pytest.raises(ParamOutOfRange):
+                row(name, params)
+
+    def test_aliases_agree_with_density_files(self):
+        """Every alias of a row family selects the same family in a
+        density file as in a table row."""
+        for alias, cls in distributions._KINDS.items():
+            if cls.kind in ROW_NAMES:
+                params = DEFAULT_PARAMS[cls.kind]
+                spec = distributions.parse_spec({"kind": alias,
+                                                 "params": params})
+                assert row(alias, params).name == spec.kind, alias
+
+    def test_params_are_checked_like_density_files(self):
+        for params in ({"alpha": 1.0, "gamma": 2.0}, {"alpha": None},
+                       {"alpha": True}, {}):
+            with pytest.raises(SpecFileError):
+                row("gamma", params)
 
     def test_fisher_needs_finite_budget(self):
         with pytest.raises(ParamOutOfRange):
