@@ -121,13 +121,16 @@ class DistributionSpec:
             return 0.0
         if x >= self.support.upper:
             return 1.0
-        if math.isfinite(lo):
-            r = numerics.integrate(self._pdf, lo, x, tol=1e-12, rel_tol=1e-11,
-                                   singular_left=self.singular_left)
-            return min(max(r.value, 0.0), 1.0)
-        # infinite lower end: integrate the complementary side instead
-        val = self._integral(lambda t: np.ones_like(t), lower_override=x)
-        return min(max(1.0 - val, 0.0), 1.0)
+        # an infinite tail ends where _integral's core begins: mapped from a
+        # point far right of the bulk, its first panel would step over it
+        cut = min(x, self._core()[0])
+        total = 0.0
+        for a, b in ((lo, cut), (cut, x)):
+            if a < b:
+                total += numerics.integrate(
+                    self._pdf, a, b, tol=1e-12, rel_tol=1e-11,
+                    singular_left=self.singular_left).value
+        return min(max(total, 0.0), 1.0)
 
     # --- moments ----------------------------------------------------------
 
@@ -166,18 +169,18 @@ class DistributionSpec:
             self._pdf, self.support.lower, self.support.upper,
             self._anchor(), self._scale_hint())
 
-    def _integral(self, g, rel_tol=1e-11, lower_override=None):
-        """integral of g(x) pdf(x) dx over the support.
-
-        Infinite tails are mapped to [0, 1) through x = c +- t/(1-t), which
-        keeps polynomially decaying tails integrable to full precision.
-        """
-        lo = self.support.lower if lower_override is None else float(lower_override)
-        hi = self.support.upper
+    def _core(self):
+        """Finite part of the support that _integral takes before any tail."""
+        lo, hi = self.support.lower, self.support.upper
         s = max(self._scale_hint(), 1e-6)
         c0 = self._anchor()
         core_lo = lo if math.isfinite(lo) else c0 - s
-        core_hi = hi if math.isfinite(hi) else max(c0, core_lo) + s
+        return core_lo, hi if math.isfinite(hi) else max(c0, core_lo) + s
+
+    def _integral(self, g, rel_tol=1e-11):
+        """integral of g(x) pdf(x) dx over the support: core, then tails."""
+        lo, hi = self.support.lower, self.support.upper
+        core_lo, core_hi = self._core()
 
         def weighted(x):
             return g(x) * self._pdf(x)
@@ -185,21 +188,14 @@ class DistributionSpec:
         total = 0.0
         r = numerics.integrate(
             weighted, core_lo, core_hi, tol=1e-13, rel_tol=rel_tol,
-            singular_left=self.singular_left and math.isfinite(self.support.lower)
-            and core_lo == self.support.lower,
-            singular_right=self.singular_right and math.isfinite(hi))
+            singular_left=self.singular_left,
+            singular_right=self.singular_right)
         total += r.value
         if not math.isfinite(hi):
-            def right_tail(t):
-                x = core_hi + t / (1.0 - t)
-                return weighted(x) / (1.0 - t) ** 2
-            total += numerics.integrate(right_tail, 0.0, 1.0, tol=1e-13,
+            total += numerics.integrate(weighted, core_hi, hi, tol=1e-13,
                                         rel_tol=rel_tol).value
         if not math.isfinite(lo):
-            def left_tail(t):
-                x = core_lo - t / (1.0 - t)
-                return weighted(x) / (1.0 - t) ** 2
-            total += numerics.integrate(left_tail, 0.0, 1.0, tol=1e-13,
+            total += numerics.integrate(weighted, lo, core_lo, tol=1e-13,
                                         rel_tol=rel_tol).value
         return total
 

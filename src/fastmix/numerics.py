@@ -221,20 +221,33 @@ def _adaptive(f, a, b, tol, rel_tol, max_intervals):
 
 def integrate(f, a, b, tol=1e-10, *, rel_tol=1e-12, singular_left=False,
               singular_right=False, max_intervals=4096) -> QuadratureResult:
-    """Adaptive Gauss-Kronrod integral of a vectorized f over finite [a, b].
+    """Adaptive Gauss-Kronrod integral of a vectorized f over [a, b].
 
     Refinement bisects the interval with the largest error estimate until the
-    summed estimate drops below max(tol, rel_tol * |value|). Integrable
-    endpoint singularities are handled by the substitution x = a + u**2
-    (resp. x = b - u**2) when the corresponding flag is set; the Kronrod nodes
-    themselves never touch the endpoints.
+    summed estimate drops below max(tol, rel_tol * |value|). One end may be
+    infinite: [a, inf) is mapped onto [0, 1) by x = a + t/(1-t), and
+    (-inf, b] by x = b - t/(1-t), as in QUADPACK's QAGI, which keeps
+    polynomially decaying tails integrable to full precision. On a finite
+    interval, integrable endpoint singularities are handled by the
+    substitution x = a + u**2 (resp. x = b - u**2) when the corresponding flag
+    is set; the Kronrod nodes themselves never touch the endpoints.
     """
     a = float(a)
     b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
-        raise InvalidInterval("need finite a < b, got (%r, %r)" % (a, b))
+    if not a < b or math.isinf(a) and math.isinf(b):
+        raise InvalidInterval("need a < b with a finite end, got (%r, %r)"
+                              % (a, b))
+    if (singular_left or singular_right) and (math.isinf(a) or math.isinf(b)):
+        raise InvalidInterval("singular endpoint flags need a finite interval")
     pieces = []
-    if singular_left and singular_right:
+    if math.isinf(a) or math.isinf(b):
+        def mapped(t):
+            if t[-1] == 1.0:  # bisection ran out of resolution at infinity
+                raise NumericalFailure("integrand does not decay at infinity")
+            x = a + t / (1.0 - t) if math.isinf(b) else b - t / (1.0 - t)
+            return f(x) / (1.0 - t) ** 2
+        pieces.append((mapped, 0.0, 1.0))
+    elif singular_left and singular_right:
         mid = 0.5 * (a + b)
         pieces.append((lambda u, _a=a: 2.0 * u * f(_a + u * u),
                        0.0, math.sqrt(mid - a)))
@@ -303,13 +316,16 @@ def _series(ratio, name, z):
 
     Terms are accumulated until below 1e-15 of the partial sum (twice in a
     row, so a single small coefficient cannot stop the sum early) or zero;
-    running out of the 10000-term budget first raises NonConvergence.
+    running out of the 10000-term budget first raises NonConvergence, and a
+    partial sum that overflows raises NumericalFailure.
     """
     total = term = 1.0
     small = 0
     for r in range(_SERIES_BUDGET):
         term *= ratio(r)
         total += term
+        if not math.isfinite(total):
+            raise NumericalFailure("%s series overflowed at z=%g" % (name, z))
         if term == 0.0:
             return total
         if abs(term) <= _SERIES_EPS * abs(total):
@@ -344,12 +360,19 @@ def hyp2f1(a, b, c, z) -> float:
 
 
 def hyp1f1(a, c, z) -> float:
-    """Confluent hypergeometric series sum_r (a)_r z^r / ((c)_r r!)."""
+    """Confluent hypergeometric series sum_r (a)_r z^r / ((c)_r r!).
+
+    Unless a is a nonpositive integer (a polynomial), z < 0 goes through
+    Kummer's 1F1(a; c; z) = e^z 1F1(c - a; c; -z), which does not cancel.
+    The sum stops as described in _series; |z| beyond about 700 overflows.
+    """
     a = float(a)
     c = float(c)
     z = float(z)
     if _is_nonpositive_integer(c):
         raise PoleAtC("lower parameter c=%g is a nonpositive integer" % c)
+    if z < 0.0 and not _is_nonpositive_integer(a):
+        return math.exp(z) * hyp1f1(c - a, c, -z)
     return _series(lambda r: (a + r) / ((c + r) * (r + 1.0)) * z, "hyp1f1", z)
 
 

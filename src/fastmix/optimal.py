@@ -80,47 +80,21 @@ class _QuadratureVariance:
         self.m1 = m1
         self.lambda1 = lambda1
 
-    def _v_left(self, x):
-        lo = self.spec.support.lower
-        m1 = self.m1
-        pdf = self.spec._pdf
-        if math.isfinite(lo):
-            if x <= lo:
-                return 0.0
-            r = numerics.integrate(lambda z: (m1 - z) * pdf(z), lo, x,
-                                   tol=1e-300, rel_tol=1e-11,
-                                   singular_left=self.spec.singular_left)
-            return r.value
-
-        def mapped(t):
-            z = x - t / (1.0 - t)
-            return (m1 - z) * pdf(z) / (1.0 - t) ** 2
-
-        return numerics.integrate(mapped, 0.0, 1.0, tol=1e-300,
-                                  rel_tol=1e-11).value
-
-    def _v_right(self, x):
-        hi = self.spec.support.upper
-        m1 = self.m1
-        pdf = self.spec._pdf
-        if math.isfinite(hi):
-            if x >= hi:
-                return 0.0
-            r = numerics.integrate(lambda z: (z - m1) * pdf(z), x, hi,
-                                   tol=1e-300, rel_tol=1e-11,
-                                   singular_right=self.spec.singular_right)
-            return r.value
-
-        def mapped(t):
-            z = x + t / (1.0 - t)
-            return (z - m1) * pdf(z) / (1.0 - t) ** 2
-
-        return numerics.integrate(mapped, 0.0, 1.0, tol=1e-300,
-                                  rel_tol=1e-11).value
-
     def v(self, x):
         x = float(x)
-        return self._v_left(x) if x <= self.m1 else self._v_right(x)
+        m1 = self.m1
+        pdf = self.spec._pdf
+        left = x <= m1
+        if left:
+            a, b, g = self.spec.support.lower, x, lambda z: (m1 - z) * pdf(z)
+        else:
+            a, b, g = x, self.spec.support.upper, lambda z: (z - m1) * pdf(z)
+        if b <= a:
+            return 0.0
+        return numerics.integrate(
+            g, a, b, tol=1e-300, rel_tol=1e-11,
+            singular_left=left and self.spec.singular_left,
+            singular_right=not left and self.spec.singular_right).value
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)

@@ -9,9 +9,12 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastmix import __version__, cli
 from fastmix.cli import COMMANDS, _jtext, main
+from fastmix.distributions import _KINDS, Custom
 
 BETA_DOME = {"kind": "beta", "params": {"alpha": 1.0, "beta": 1.0}}
 STANDARD_NORMAL = {"kind": "normal", "params": {"x0": 0.0, "sigma": 1.0}}
@@ -629,3 +632,49 @@ class TestTopLevel:
         """Calling without a subcommand exits 2."""
         assert main([]) == 2
         capsys.readouterr()
+
+
+# edge values for params, table entries and support bounds
+_EDGE = st.sampled_from([
+    0.0, -0.0, 1, -1, 0.5, 2.0, 3, -0.999999, 0.999999, 1.000001, 1e-8,
+    1e-300, 5e-324, 500.0, 1e6, 1e300, -1e300, 1.7976931348623157e308,
+    math.inf, -math.inf, math.nan])
+_PARAM = st.one_of(st.floats(0.1, 10.0), _EDGE, st.floats(-1e3, 1e3),
+                   st.sampled_from([True, None, "1", [1.0]]))
+_BOUND = st.one_of(_EDGE, st.sampled_from(["inf", "-inf", "x", None]))
+
+
+@st.composite
+def _density_documents(draw):
+    """A density file of any kind or alias, with edge-valued params, an
+    optional support and, for custom, a tiny table."""
+    kind = draw(st.sampled_from(sorted(_KINDS)))
+    doc = {"kind": draw(st.sampled_from([kind, kind.upper()]))}
+    cls = _KINDS[kind]
+    if cls is Custom:
+        unit = [0.0, 0.5, 1.0]
+        doc["grid"] = draw(st.one_of(st.just(unit), st.lists(_EDGE, max_size=5)))
+        doc["pdf"] = draw(st.one_of(st.just([1.0] * 3), st.lists(_EDGE, max_size=5)))
+    else:
+        # each param is present nine times in ten; an unknown one rarely
+        names = list(inspect.signature(cls).parameters)
+        doc["params"] = {name: draw(_PARAM) for name in names
+                         if draw(st.integers(0, 9))}
+        if not draw(st.integers(0, 9)):
+            doc["params"]["bogus"] = 1.0
+    if not draw(st.integers(0, 3)):
+        doc["support"] = [draw(_BOUND), draw(_BOUND)]
+    return doc
+
+
+class TestFuzzedDensityFiles:
+    """Every density file ends in a result or a typed exit code."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(doc=_density_documents())
+    def test_optimal_never_raises(self, tmp_path_factory, doc):
+        work = tmp_path_factory.mktemp("fuzz")
+        spec = _spec(work, doc)
+        argv = ["optimal", spec, "--out", str(work / "out"),
+                "--grid-points", "60"]
+        assert main(argv) in {0, 2, 3, 4}

@@ -175,6 +175,16 @@ class TestCdf:
         assert abs(spec.cdf(1.0) - 1.0) < 1e-9
         assert spec.cdf(0.0) < 1e-12
 
+    def test_quadrature_cdf_from_minus_infinity(self):
+        """The left tail is integrated itself, not as 1 minus the rest:
+        Phi(-8) = 6.22096057427174e-16 keeps its digits, and a point far
+        right of the bulk still sees all of it."""
+        spec = Custom(lambda x: np.exp(-0.5 * np.asarray(x) ** 2)
+                      / math.sqrt(2.0 * math.pi),
+                      Support(-math.inf, math.inf))
+        assert abs(spec.cdf(-8.0) / 6.22096057427174e-16 - 1.0) < 1e-6
+        assert abs(spec.cdf(60.0) - 1.0) < 1e-12
+
 
 class TestSupportAndValidation:
     def test_pdf_out_of_support(self):

@@ -6,6 +6,7 @@ derived by hand and frozen as a literal.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import scipy.special
 from fastmix import numerics
 from fastmix.errors import (
     ConvergenceFailure,
+    FastmixError,
     InvalidInterval,
     NonConvergence,
     NonPositiveValues,
@@ -102,10 +104,42 @@ class TestIntegrate:
         assert abs(res.value - truth) / truth < 1e-11
 
     def test_invalid_interval(self):
-        for a, b in [(1.0, 1.0), (2.0, 1.0), (0.0, math.inf),
-                     (-math.inf, 0.0), (math.nan, 1.0)]:
+        for a, b in [(1.0, 1.0), (2.0, 1.0), (-math.inf, math.inf),
+                     (-math.inf, -math.inf), (math.nan, 1.0)]:
             with pytest.raises(InvalidInterval):
                 integrate(lambda x: x, a, b)
+
+    def test_singular_flags_need_a_finite_interval(self):
+        with pytest.raises(InvalidInterval):
+            integrate(lambda x: np.exp(-x), 0.0, math.inf, singular_left=True)
+        with pytest.raises(InvalidInterval):
+            integrate(lambda x: np.exp(x), -math.inf, 0.0, singular_right=True)
+
+    def test_infinite_upper_end(self):
+        res = integrate(lambda x: np.exp(-x), 0.0, math.inf)
+        assert abs(res.value - 1.0) < 1e-12
+
+    def test_infinite_lower_end(self):
+        res = integrate(lambda x: 1.0 / (1.0 + x * x), -math.inf, 0.0)
+        assert abs(res.value - 0.5 * math.pi) < 1e-10
+
+    def test_infinite_end_is_the_mapped_call(self):
+        """integrate(f, c, inf) is the hand-written map x = c + t/(1-t) on
+        [0, 1), bit for bit."""
+        f = lambda x: x * x * np.exp(-0.5 * x)
+        c = 0.75
+        direct = integrate(f, c, math.inf)
+        mapped = integrate(lambda t: f(c + t / (1 - t)) / (1 - t) ** 2,
+                           0, 1)
+        assert direct == mapped
+
+    def test_divergent_half_line_is_an_error(self):
+        """int_0^inf x dx: the map meets t = 1 on a typed error path, without
+        a division warning on the way."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FastmixError):
+                integrate(lambda x: x, 0.0, math.inf)
 
     def test_nonconvergence_on_interval_budget(self):
         with pytest.raises(NonConvergence):
@@ -245,6 +279,22 @@ class TestHyp1f1:
         for z in (0.25, 1.0, -2.0, 5.0):
             truth = math.expm1(z) / z
             assert abs(hyp1f1(1.0, 2.0, z) - truth) <= 1e-13 * abs(truth)
+
+    def test_negative_z_by_kummer_transformation(self):
+        # 1F1(1; 2; -40) = (1 - e^-40)/40; the plain series cancels to 0.0145
+        assert abs(hyp1f1(1.0, 2.0, -40.0) - 0.025) <= 1e-14
+        # scipy.special.hyp1f1(2.5, 3, -60); the plain series gave 2.5e8
+        truth = 4.13471648163733e-05
+        assert abs(hyp1f1(2.5, 3.0, -60.0) - truth) <= 1e-13 * truth
+
+    def test_terminating_series_is_summed_as_is(self):
+        # 1F1(-3; 2; z) = 1 - 3z/2 + z^2/2 - z^3/24, at z = -40
+        assert abs(hyp1f1(-3.0, 2.0, -40.0) - 10583.0 / 3.0) <= 1e-12
+
+    def test_overflow_is_an_error(self):
+        """e^1000 does not fit a float; the sum used to return inf."""
+        with pytest.raises(NumericalFailure):
+            hyp1f1(1.0, 2.0, 1000.0)
 
     def test_pole(self):
         with pytest.raises(PoleAtC):
