@@ -116,21 +116,22 @@ class DistributionSpec:
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     def _cdf_quad(self, x):
-        lo = self.support.lower
+        lo, hi = self.support.lower, self.support.upper
         if x <= lo:
             return 0.0
-        if x >= self.support.upper:
+        if x >= hi:
             return 1.0
-        # an infinite tail ends where _integral's core begins: mapped from a
-        # point far right of the bulk, its first panel would step over it
-        cut = min(x, self._core()[0])
-        total = 0.0
-        for a, b in ((lo, cut), (cut, x)):
-            if a < b:
-                total += numerics.integrate(
-                    self._pdf, a, b, tol=1e-12, rel_tol=1e-11,
-                    singular_left=self.singular_left).value
-        return min(max(total, 0.0), 1.0)
+        # from -inf only a relative tolerance keeps a far tail's digits; right
+        # of the bulk the tail taken is the one that starts at x, as a map
+        # from -inf that ends at x would step over the mass
+        tol = 1e-12 if math.isfinite(lo) else 1e-300
+        if math.isfinite(lo) or x <= self._anchor():
+            r = numerics.integrate(self._pdf, lo, x, tol=tol, rel_tol=1e-11,
+                                   singular_left=self.singular_left)
+            return min(max(r.value, 0.0), 1.0)
+        r = numerics.integrate(self._pdf, x, hi, tol=tol, rel_tol=1e-11,
+                               singular_right=self.singular_right)
+        return min(max(1.0 - r.value, 0.0), 1.0)
 
     # --- moments ----------------------------------------------------------
 
@@ -169,18 +170,13 @@ class DistributionSpec:
             self._pdf, self.support.lower, self.support.upper,
             self._anchor(), self._scale_hint())
 
-    def _core(self):
-        """Finite part of the support that _integral takes before any tail."""
+    def _integral(self, g, rel_tol=1e-11):
+        """integral of g(x) pdf(x) dx over the support: core, then tails."""
         lo, hi = self.support.lower, self.support.upper
         s = max(self._scale_hint(), 1e-6)
         c0 = self._anchor()
         core_lo = lo if math.isfinite(lo) else c0 - s
-        return core_lo, hi if math.isfinite(hi) else max(c0, core_lo) + s
-
-    def _integral(self, g, rel_tol=1e-11):
-        """integral of g(x) pdf(x) dx over the support: core, then tails."""
-        lo, hi = self.support.lower, self.support.upper
-        core_lo, core_hi = self._core()
+        core_hi = hi if math.isfinite(hi) else max(c0, core_lo) + s
 
         def weighted(x):
             return g(x) * self._pdf(x)
@@ -188,8 +184,8 @@ class DistributionSpec:
         total = 0.0
         r = numerics.integrate(
             weighted, core_lo, core_hi, tol=1e-13, rel_tol=rel_tol,
-            singular_left=self.singular_left,
-            singular_right=self.singular_right)
+            singular_left=self.singular_left and math.isfinite(lo),
+            singular_right=self.singular_right and math.isfinite(hi))
         total += r.value
         if not math.isfinite(hi):
             total += numerics.integrate(weighted, core_hi, hi, tol=1e-13,

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import betainc
 
 from fastmix.distributions import (
     Beta,
@@ -176,14 +177,26 @@ class TestCdf:
         assert spec.cdf(0.0) < 1e-12
 
     def test_quadrature_cdf_from_minus_infinity(self):
-        """The left tail is integrated itself, not as 1 minus the rest:
-        Phi(-8) = 6.22096057427174e-16 keeps its digits, and a point far
-        right of the bulk still sees all of it."""
+        """Left of the bulk the left tail is integrated itself, not as 1
+        minus the rest: Phi(-8) = 6.22096057427174e-16 keeps its digits.
+        Right of it, points far out still see all of the mass."""
         spec = Custom(lambda x: np.exp(-0.5 * np.asarray(x) ** 2)
                       / math.sqrt(2.0 * math.pi),
                       Support(-math.inf, math.inf))
         assert abs(spec.cdf(-8.0) / 6.22096057427174e-16 - 1.0) < 1e-6
         assert abs(spec.cdf(60.0) - 1.0) < 1e-12
+        assert spec.cdf(1e4) == 1.0
+
+    def test_quadrature_cdf_of_a_heavy_tail(self):
+        """Student t with 3 degrees of freedom: the left tail keeps its
+        digits far out, and far right points still see all of the mass."""
+        spec = Custom(lambda x: 6.0 * math.sqrt(3.0)
+                      / (math.pi * (3.0 + np.asarray(x) ** 2) ** 2),
+                      Support(-math.inf, math.inf))
+        for y in (10.0, 1e3, 1e4, 1e6):
+            tail = 0.5 * betainc(1.5, 0.5, 3.0 / (3.0 + y * y))
+            assert abs(spec.cdf(-y) / tail - 1.0) < 1e-9
+            assert abs(spec.cdf(y) - (1.0 - tail)) < 1e-15
 
 
 class TestSupportAndValidation:
