@@ -122,15 +122,18 @@ class DistributionSpec:
         if x >= hi:
             return 1.0
         # from -inf only a relative tolerance keeps a far tail's digits; right
-        # of the bulk the tail taken is the one that starts at x, as a map
-        # from -inf that ends at x would step over the mass
+        # of the bulk the tail taken is the one that starts at x, as a single
+        # integral that ends there would step over the mass
         tol = 1e-12 if math.isfinite(lo) else 1e-300
-        if math.isfinite(lo) or x <= self._anchor():
+        s = self._scale_hint()
+        split = self._anchor() + (s if math.isfinite(lo) else 0.0)
+        if self.support.finite or x <= split:
             r = numerics.integrate(self._pdf, lo, x, tol=tol, rel_tol=1e-11,
-                                   singular_left=self.singular_left)
+                                   singular_left=self.singular_left, scale=s,
+                                   points=self.breakpoints())
             return min(max(r.value, 0.0), 1.0)
         r = numerics.integrate(self._pdf, x, hi, tol=tol, rel_tol=1e-11,
-                               singular_right=self.singular_right)
+                               singular_right=self.singular_right, scale=s)
         return min(max(1.0 - r.value, 0.0), 1.0)
 
     # --- moments ----------------------------------------------------------
@@ -164,6 +167,11 @@ class DistributionSpec:
             return 0.25 * (s.upper - s.lower)
         return 1.0
 
+    def breakpoints(self):
+        """Points inside the support where the pdf is only piecewise smooth
+        (the knots of a table); quadrature starts with one panel per piece."""
+        return ()
+
     def truncated_support(self):
         """Finite window holding all but ~1e-14 of the density's peak scale."""
         return numerics.truncated_interval(
@@ -185,14 +193,15 @@ class DistributionSpec:
         r = numerics.integrate(
             weighted, core_lo, core_hi, tol=1e-13, rel_tol=rel_tol,
             singular_left=self.singular_left and math.isfinite(lo),
-            singular_right=self.singular_right and math.isfinite(hi))
+            singular_right=self.singular_right and math.isfinite(hi),
+            points=self.breakpoints())
         total += r.value
         if not math.isfinite(hi):
             total += numerics.integrate(weighted, core_hi, hi, tol=1e-13,
-                                        rel_tol=rel_tol).value
+                                        rel_tol=rel_tol, scale=s).value
         if not math.isfinite(lo):
             total += numerics.integrate(weighted, lo, core_lo, tol=1e-13,
-                                        rel_tol=rel_tol).value
+                                        rel_tol=rel_tol, scale=s).value
         return total
 
     def _check_normalized(self):
@@ -707,7 +716,7 @@ class Custom(DistributionSpec):
     kind = "Custom"
 
     def __init__(self, pdf, support: Support, *, check_mass=True,
-                 anchor=None, scale_hint=None):
+                 anchor=None, scale_hint=None, knots=()):
         if not callable(pdf):
             raise ValueError("pdf must be callable")
         if not isinstance(support, Support):
@@ -718,6 +727,7 @@ class Custom(DistributionSpec):
         self._pdf_fn = pdf
         self._anchor_v = anchor
         self._scale_v = scale_hint
+        self._knots = tuple(float(k) for k in knots)
         if check_mass:
             self._check_normalized()
 
@@ -735,11 +745,13 @@ class Custom(DistributionSpec):
         interp = PchipInterpolator(pts, vals)
         if rescale:
             mass = numerics.integrate(interp, pts[0], pts[-1],
-                                      tol=1e-13, rel_tol=1e-12).value
+                                      tol=1e-13, rel_tol=1e-12,
+                                      points=pts[1:-1]).value
             if mass <= 0:
                 raise ValueError("table has zero mass")
             interp = PchipInterpolator(pts, vals / mass)
-        return cls(interp, Support(float(pts[0]), float(pts[-1])))
+        return cls(interp, Support(float(pts[0]), float(pts[-1])),
+                   knots=pts[1:-1])
 
     def _pdf(self, x):
         return np.asarray(self._pdf_fn(np.asarray(x, float)), dtype=float)
@@ -753,6 +765,9 @@ class Custom(DistributionSpec):
         if self._scale_v is not None:
             return self._scale_v
         return super()._scale_hint()
+
+    def breakpoints(self):
+        return self._knots
 
 
 class Mixture(Custom):

@@ -190,11 +190,20 @@ def _gk15(f, a, b):
     return resk, err, x.size
 
 
-def _adaptive(f, a, b, tol, rel_tol, max_intervals):
-    val, err, n_eval = _gk15(f, a, b)
-    total_val, total_err = val, err
-    heap = [(-err, a, b, val)]
-    count = 1
+def _adaptive(f, edges, tol, rel_tol, max_intervals):
+    """Bisect the worst panel until the summed error estimate is small; the
+    heap starts with one panel per piece between consecutive edges."""
+    heap = []
+    total_val = total_err = 0.0
+    n_eval = 0
+    for a, b in zip(edges[:-1], edges[1:]):
+        val, err, k = _gk15(f, a, b)
+        total_val += val
+        total_err += err
+        n_eval += k
+        heap.append((-err, a, b, val))
+    heapq.heapify(heap)
+    count = len(heap)
     while total_err > max(tol, rel_tol * abs(total_val)):
         if count >= max_intervals:
             raise NonConvergence(
@@ -220,57 +229,85 @@ def _adaptive(f, a, b, tol, rel_tol, max_intervals):
 
 
 def integrate(f, a, b, tol=1e-10, *, rel_tol=1e-12, singular_left=False,
-              singular_right=False, max_intervals=4096) -> QuadratureResult:
+              singular_right=False, max_intervals=4096, scale=1.0,
+              points=()) -> QuadratureResult:
     """Adaptive Gauss-Kronrod integral of a vectorized f over [a, b].
 
     Refinement bisects the interval with the largest error estimate until the
     summed estimate drops below max(tol, rel_tol * |value|). One end may be
-    infinite: [a, inf) is mapped onto [0, 1) by x = a + t/(1-t), and
-    (-inf, b] by x = b - t/(1-t), as in QUADPACK's QAGI, which keeps
-    polynomially decaying tails integrable to full precision. On a finite
-    interval, integrable endpoint singularities are handled by the
-    substitution x = a + u**2 (resp. x = b - u**2) when the corresponding flag
-    is set; the Kronrod nodes themselves never touch the endpoints.
+    infinite: [a, inf) is mapped onto [0, 1) by x = a + scale t/(1-t), and
+    (-inf, b] by x = b - scale t/(1-t), as in QUADPACK's QAGI, which keeps
+    polynomially decaying tails integrable to full precision; scale should be
+    the length over which the tail's mass lies. On a finite interval,
+    integrable endpoint singularities are handled by the substitution
+    x = a + u**2 (resp. x = b - u**2) when the corresponding flag is set; the
+    Kronrod nodes themselves never touch the endpoints. Breakpoints inside a
+    finite (a, b), such as the knots of a piecewise density, start the
+    refinement with one panel per piece, as QUADPACK's QAGP does.
     """
     a = float(a)
     b = float(b)
     if not a < b or math.isinf(a) and math.isinf(b):
         raise InvalidInterval("need a < b with a finite end, got (%r, %r)"
                               % (a, b))
-    if (singular_left or singular_right) and (math.isinf(a) or math.isinf(b)):
-        raise InvalidInterval("singular endpoint flags need a finite interval")
+    infinite = math.isinf(a) or math.isinf(b)
+    if (singular_left or singular_right or len(points)) and infinite:
+        raise InvalidInterval("singular endpoint flags and breakpoints need "
+                              "a finite interval")
+    s = float(scale)
+    if not s > 0.0:
+        raise ValueError("scale must be positive")
+    inner = np.asarray(points, dtype=float)
+    inner = np.unique(inner[(inner > a) & (inner < b)])
     pieces = []
-    if math.isinf(a) or math.isinf(b):
+    if infinite:
         def mapped(t):
             if t[-1] == 1.0:  # bisection ran out of resolution at infinity
                 raise NumericalFailure("integrand does not decay at infinity")
-            x = a + t / (1.0 - t) if math.isinf(b) else b - t / (1.0 - t)
-            return f(x) / (1.0 - t) ** 2
-        pieces.append((mapped, 0.0, 1.0))
+            st = s * t / (1.0 - t)
+            return s * f(a + st if math.isinf(b) else b - st) / (1.0 - t) ** 2
+        pieces.append((mapped, [0.0, 1.0]))
     elif singular_left and singular_right:
         mid = 0.5 * (a + b)
         pieces.append((lambda u, _a=a: 2.0 * u * f(_a + u * u),
-                       0.0, math.sqrt(mid - a)))
+                       _cuts(np.sqrt(inner[inner < mid] - a), mid - a)))
         pieces.append((lambda u, _b=b: 2.0 * u * f(_b - u * u),
-                       0.0, math.sqrt(b - mid)))
+                       _cuts(np.sqrt(b - inner[inner > mid])[::-1], b - mid)))
     elif singular_left:
         pieces.append((lambda u, _a=a: 2.0 * u * f(_a + u * u),
-                       0.0, math.sqrt(b - a)))
+                       _cuts(np.sqrt(inner - a), b - a)))
     elif singular_right:
         pieces.append((lambda u, _b=b: 2.0 * u * f(_b - u * u),
-                       0.0, math.sqrt(b - a)))
+                       _cuts(np.sqrt(b - inner)[::-1], b - a)))
     else:
-        pieces.append((f, a, b))
+        pieces.append((f, [a] + inner.tolist() + [b]))
     value = err = 0.0
     n_eval = 0
     per_tol = tol / len(pieces)
-    for g, lo, hi in pieces:
-        v, e, k = _adaptive(g, lo, hi, per_tol, rel_tol, max_intervals)
+    for g, edges in pieces:
+        v, e, k = _adaptive(g, edges, per_tol, rel_tol, max_intervals)
         value += v
         err += e
         n_eval += k
     return QuadratureResult(value=value, abs_error_estimate=err,
                             evaluations=n_eval)
+
+
+def _cuts(inner_u, width):
+    """Edges [0, *inner_u, sqrt(width)] of a substituted piece."""
+    return [0.0] + [float(u) for u in inner_u] + [math.sqrt(width)]
+
+
+def kronrod_panels(lo, hi):
+    """Nodes and weights of one 15-point Kronrod panel on each [lo, hi].
+
+    lo and hi are arrays of n interval ends; the result is a pair of (n, 15)
+    arrays with sum(weights * f(nodes), axis=1) the n panel integrals of f.
+    """
+    lo = np.asarray(lo, dtype=float)[:, None]
+    hi = np.asarray(hi, dtype=float)[:, None]
+    half = 0.5 * (hi - lo)
+    return 0.5 * (lo + hi) + half * _XK, half * _WK
 
 
 def tridiag_eigs(diag, offdiag, k=1):
@@ -418,7 +455,9 @@ def truncated_interval(pdf, lower, upper, anchor, scale):
     x0 = float(anchor)
     probe_lo = x0 - 4.0 * scale if not math.isfinite(lo) else lo
     probe_hi = x0 + 4.0 * scale if not math.isfinite(hi) else hi
-    pmax = float(np.max(pdf(np.linspace(probe_lo, probe_hi, 513))))
+    probe = np.asarray(pdf(np.linspace(probe_lo, probe_hi, 513)), dtype=float)
+    # a pole at a finite end is no peak: 1e-14 of it would cut any tail short
+    pmax = float(np.max(probe[np.isfinite(probe)], initial=0.0))
     if not (pmax > 0.0):
         raise NumericalFailure("density is zero on the probe window")
 

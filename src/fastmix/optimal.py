@@ -66,19 +66,44 @@ class _ClosedVariance:
         return self.lambda1 * self._profile(x)
 
 
+@dataclass(frozen=True)
+class _VTable:
+    edges: np.ndarray
+    v: np.ndarray     # V at the edges, summed from the near side
+    integral: float   # of V over [edges[0], edges[-1]]
+
+
 class _QuadratureVariance:
     """sigma^2(x)/2 = lambda1 V(x) / pi(x) with V evaluated by quadrature.
 
-    V is always integrated from the support side nearest to x; by parts the
-    two one-sided integrals agree, and the near-side integrand keeps one sign,
-    so the ratio V/pi stays relatively accurate deep in the tails where both
-    factors underflow together.
+    V is always integrated from the support side nearest to x, from the left
+    for x <= m1 and from the right above it; by parts the two one-sided
+    integrals agree, and the near-side integrand keeps one sign, so the ratio
+    V/pi stays relatively accurate deep in the tails where both factors
+    underflow together.
+
+    Array calls read V from a table built once, on the first call. It spans
+    the support, cut where an infinite end's density falls below 1e-14 of
+    its peak. Its cells are uniform, split at the density's breakpoints and
+    halved geometrically toward a finite end, where the pdf may be a power of
+    the distance (a root or a pole); the last cell there is integrated
+    adaptively with the endpoint substitution. One vectorized Gauss-Kronrod
+    pass gives the other cell integrals of (m1 - z) pi. Their running sums
+    from the near side, plus the exact remainder beyond a cut end, give V at
+    the cell edges, and V at a point is the value at its near edge plus one
+    Kronrod panel over the partial cell. Points beyond a cut end, and v,
+    take one adaptive quadrature per point: pointwise is the independent
+    route that pearson's row check uses.
     """
+
+    CELLS = 4096
+    GRADING = 40  # halvings of the cell next to a finite support end
 
     def __init__(self, spec, m1, lambda1):
         self.spec = spec
         self.m1 = m1
         self.lambda1 = lambda1
+        self._table = None
 
     def v(self, x):
         x = float(x)
@@ -97,9 +122,17 @@ class _QuadratureVariance:
             singular_right=not left and self.spec.singular_right).value
 
     def __call__(self, x):
+        return self._ratio(x, self._table_v)
+
+    def pointwise(self, x):
+        """sigma^2/2 with V from one adaptive quadrature per point."""
+        return self._ratio(x, lambda flat: np.array([self.v(t) for t in flat]))
+
+    def _ratio(self, x, v_of):
+        """lambda1 V / pi at x, with V from v_of on the flattened points."""
         arr = np.asarray(x, dtype=float)
-        flat = np.atleast_1d(arr)
-        vals = np.array([self.v(t) for t in flat])
+        flat = np.atleast_1d(arr).ravel()
+        vals = v_of(flat)
         dens = np.atleast_1d(np.asarray(self.spec._pdf(flat), dtype=float))
         with np.errstate(invalid="ignore", divide="ignore"):
             out = self.lambda1 * vals / dens
@@ -107,36 +140,82 @@ class _QuadratureVariance:
         out = np.where((dens == 0.0) & (vals == 0.0), 0.0, out)
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
-    def integral_of_v(self, n_cells=8192):
-        """integral of V over the (truncated) support by a composite table.
+    # --- the table of V ---------------------------------------------------
 
-        Cell integrals of (m1-z) pi come from one vectorized Kronrod pass,
-        V at the cell edges from their running sum, and the outer integral
-        from composite Simpson on the edges. Singular end cells fall back to
-        adaptive quadrature with the endpoint substitution.
-        """
-        a, b = self.spec.truncated_support()
-        n = int(n_cells)
-        if n % 2:
-            n += 1
-        edges = np.linspace(a, b, n + 1)
-        h = (b - a) / n
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        nodes = mids[:, None] + 0.5 * h * numerics._XK[None, :]
-        f = (self.m1 - nodes) * self.spec._pdf(nodes.ravel()).reshape(nodes.shape)
-        cells = 0.5 * h * f @ numerics._WK
-        if self.spec.singular_left:
-            cells[0] = numerics.integrate(
-                lambda z: (self.m1 - z) * self.spec._pdf(z), edges[0], edges[1],
-                tol=1e-300, rel_tol=1e-10, singular_left=True).value
-        if self.spec.singular_right:
-            cells[-1] = numerics.integrate(
-                lambda z: (self.m1 - z) * self.spec._pdf(z), edges[-2], edges[-1],
-                tol=1e-300, rel_tol=1e-10, singular_right=True).value
-        v_edges = np.concatenate([[0.0], np.cumsum(cells)])
-        return float(h / 3.0 * (v_edges[0] + v_edges[-1]
-                                + 4.0 * np.sum(v_edges[1:-1:2])
-                                + 2.0 * np.sum(v_edges[2:-1:2])))
+    @property
+    def table(self) -> _VTable:
+        if self._table is None:
+            self._table = self._build()
+        return self._table
+
+    def _g(self, z):
+        return (self.m1 - z) * self.spec._pdf(z.ravel()).reshape(z.shape)
+
+    def _build(self):
+        spec, m1 = self.spec, self.m1
+        lo, hi = spec.support.lower, spec.support.upper
+        cut_lo, cut_hi = spec.truncated_support()
+        a = lo if math.isfinite(lo) else cut_lo
+        b = hi if math.isfinite(hi) else cut_hi
+        knots = np.asarray(spec.breakpoints(), dtype=float)
+        edges = np.union1d(np.linspace(a, b, self.CELLS + 1),
+                           knots[(knots > a) & (knots < b)])
+        halves = 0.5 ** np.arange(self.GRADING, 0, -1)
+        if a == lo:
+            edges = np.concatenate([[a], a + (edges[1] - a) * halves,
+                                    edges[1:]])
+        if b == hi:
+            edges = np.concatenate([edges[:-1],
+                                    b - (b - edges[-2]) * halves[::-1], [b]])
+        edges = np.unique(edges)
+        left, right = edges[:-1], edges[1:]
+        z, w = numerics.kronrod_panels(left, right)
+        f = w * self._g(z)
+        cells = f.sum(axis=1)
+        for i, at_end in ((0, a == lo), (-1, b == hi)):
+            if at_end:
+                cells[i] = numerics.integrate(
+                    self._g, left[i], right[i], tol=1e-300, rel_tol=1e-11,
+                    singular_left=i == 0, singular_right=i == -1).value
+
+        def beyond(x0, x1, sign):
+            # V at a cut end, integrated from the infinite end
+            if x0 == x1:
+                return 0.0
+            return numerics.integrate(
+                lambda t: sign * (m1 - t) * spec._pdf(t), x0, x1,
+                tol=1e-300, rel_tol=1e-11, scale=spec._scale_hint()).value
+
+        v = np.where(
+            edges <= m1,
+            beyond(lo, a, 1.0) + np.concatenate([[0.0], np.cumsum(cells)]),
+            beyond(b, hi, -1.0) - np.concatenate(
+                [np.cumsum(cells[::-1])[::-1], [0.0]]))
+        # by parts, V over a cell is its width times V at the near edge plus
+        # int (right - z) g from the left, int (z - left) (-g) from the right
+        int_v = np.where(
+            left <= m1,
+            (right - left) * v[:-1] + np.sum(f * (right[:, None] - z), 1),
+            (right - left) * v[1:] - np.sum(f * (z - left[:, None]), 1))
+        return _VTable(edges, v, float(np.sum(int_v)))
+
+    def _table_v(self, x):
+        t = self.table
+        out = np.empty_like(x)
+        inside = (x >= t.edges[0]) & (x <= t.edges[-1])
+        out[~inside] = [self.v(p) for p in x[~inside]]
+        xs = x[inside]
+        k = np.clip(np.searchsorted(t.edges, xs, side="right") - 1,
+                    0, t.edges.size - 2)
+        from_left = xs <= self.m1
+        lo = np.where(from_left, t.edges[k], xs)
+        hi = np.where(from_left, xs, t.edges[k + 1])
+        part = np.zeros_like(xs)
+        wide = hi > lo
+        z, w = numerics.kronrod_panels(lo[wide], hi[wide])
+        part[wide] = np.sum(w * self._g(z), axis=1)
+        out[inside] = np.where(from_left, t.v[k] + part, t.v[k + 1] - part)
+        return out
 
 
 def synthesize(spec: DistributionSpec, sigma_hat_sq_half=None, *,
@@ -220,11 +299,15 @@ def check_variance_positivity(proc: OptimalProcess, n_points=64):
 
 
 def check_variance_mean(proc: OptimalProcess):
-    """integral of (sigma^2/2) pi over the support; compare to shalf."""
+    """integral of (sigma^2/2) pi over the support; compare to shalf.
+
+    On the quadrature route (sigma^2/2) pi is lambda1 V, so the integral is
+    lambda1 times the integral of V over the table's cells, with no division
+    by pi; a cut infinite end leaves out the tail beyond the table.
+    """
     fn = proc.variance_fn
     if isinstance(fn, _QuadratureVariance):
-        # (sigma^2/2) pi == lambda1 V: integrate the table of V, no division
-        return fn.lambda1 * fn.integral_of_v()
+        return fn.lambda1 * fn.table.integral
     return proc.source._integral(lambda x: np.asarray(fn(x), dtype=float),
                                  rel_tol=1e-10)
 

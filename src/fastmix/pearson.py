@@ -250,8 +250,9 @@ def verify_row_against_synthesis(row_: PearsonRow, n_points=200,
     """Check the printed row against an independent synthesis.
 
     The synthesized process takes only the row's density and diffusion level;
-    its variance function goes through the quadrature route, so agreement with
-    the row's polynomial is a genuine two-route check. Raises RowMismatch
+    its variance function goes through the quadrature route, one adaptive
+    quadrature per point, so agreement with the row's polynomial is a genuine
+    two-route check. Raises RowMismatch
     (report attached) when any deviation exceeds its tolerance.
     """
     proc = optimal.synthesize(row_.spec, row_.sigma_hat_sq_half,
@@ -269,7 +270,7 @@ def verify_row_against_synthesis(row_: PearsonRow, n_points=200,
                                     *row_.spec.truncated_support())
     pad = 1e-6 * (hi - lo)
     pts = np.linspace(lo + pad, hi - pad, int(n_points))
-    v_q = np.asarray(proc.variance_fn(pts), dtype=float)
+    v_q = np.asarray(proc.variance_fn.pointwise(pts), dtype=float)
     v_row = row_.variance_half(pts)
     dev_var = float(np.max(np.abs(v_q - v_row)))
     ok = (dev_lambda <= tol_lambda and dev_drift <= tol_drift

@@ -61,8 +61,8 @@ def _unpack_target(target):
     if isinstance(target, OptimalProcess):
         var_fn = target.variance_fn
         if isinstance(var_fn, _QuadratureVariance):
-            # per-step adaptive quadrature is far too slow inside the loop;
-            # tabulate once and interpolate
+            # a Kronrod panel per path and step is too slow inside the
+            # loop; tabulate once and interpolate
             a, b = target.source.truncated_support()
             grid = Grid.uniform(a, b, 4001)
             var_fn = numerics.GridFunction(grid, np.maximum(

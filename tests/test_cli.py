@@ -11,10 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from fastmix import __version__, cli
 from fastmix.cli import COMMANDS, _jtext, main
 from fastmix.distributions import _KINDS, Custom
+from fastmix.optimal import _QuadratureVariance
+from fastmix.pearson import row, verify_row_against_synthesis
 
 BETA_DOME = {"kind": "beta", "params": {"alpha": 1.0, "beta": 1.0}}
 STANDARD_NORMAL = {"kind": "normal", "params": {"x0": 0.0, "sigma": 1.0}}
@@ -109,6 +112,17 @@ class TestOptimalCommand:
         assert checks["passed"] is True
         assert checks["variance_positive"] is True
         assert checks["variance_mean_rel_err"] < 1e-6
+
+    def test_narrow_normal_runs(self, tmp_path):
+        """sd 1e-4: the tails lie far inside a unit length, and the mass
+        check still finds them."""
+        doc = {"kind": "normal", "params": {"x0": 0.0, "sigma": 1e-4}}
+        out = tmp_path / "out"
+        assert main(["optimal", _spec(tmp_path, doc), "--grid-points", "200",
+                     "--out", str(out)]) == 0
+        assert _load(out, "process.json")["lambda1"] == \
+            pytest.approx(1.0, rel=1e-12)
+        assert _load(out, "checks.json")["passed"] is True
 
     def test_declared_support_keeps_the_family(self, tmp_path):
         """Declaring the family's own support changes nothing: the kind,
@@ -322,6 +336,43 @@ class TestSimulateCommand:
                    "--out", str(out)])
         assert rc == 4
         assert _load(out, "rate.json")["rel_err"] > 0.10
+
+
+class TestQuadratureWork:
+    """The quadrature route reads every array call from its table of V; only
+    the row check of the table command integrates point by point."""
+
+    @pytest.fixture()
+    def v_calls(self, monkeypatch):
+        calls = []
+        per_point = _QuadratureVariance.v
+
+        def counted(self, x):
+            calls.append(x)
+            return per_point(self, x)
+
+        monkeypatch.setattr(_QuadratureVariance, "v", counted)
+        return calls
+
+    def test_commands_on_a_table_integrate_no_point(self, tmp_path, v_calls):
+        x = np.linspace(0.0, 2.0, 41)
+        y = x * (2.0 - x) + 0.01
+        y /= PchipInterpolator(x, y).integrate(0.0, 2.0)
+        doc = {"kind": "custom", "grid": x.tolist(), "pdf": y.tolist(),
+               "sim": {"dt": 0.01, "steps": 500, "paths": 2}}
+        spec = _spec(tmp_path, doc)
+        for argv in (["optimal", spec, "--grid-points", "200"],
+                     ["spectrum", spec, "--grid-points", "200", "--k", "2"],
+                     ["simulate", spec]):
+            assert main(argv + ["--out", str(tmp_path / argv[0])]) == 0
+        assert _load(tmp_path / "optimal", "process.json")[
+            "variance_route"] == "quadrature"
+        assert v_calls == []
+
+    def test_row_check_integrates_each_point(self, v_calls):
+        verify_row_against_synthesis(
+            row("Gamma", {"alpha": 1.5}), n_points=37)
+        assert len(v_calls) == 37
 
 
 class TestTableCommand:

@@ -53,6 +53,7 @@ CATALOG_SWEEP = [
     Gamma(3.0),
     Normal(0.0, 1.0),
     Normal(-2.0, 0.5),
+    Normal(0.0, 1e-4),  # tails far narrower than a unit-length map
     StudentCauchy(2.0),
     StudentCauchy(3.0),
     InverseGamma(2.0),
@@ -199,6 +200,16 @@ class TestCdf:
             assert abs(spec.cdf(y) - (1.0 - tail)) < 1e-15
 
 
+    def test_quadrature_cdf_on_a_half_line(self):
+        """exp(-x) on (0, inf): right of the bulk the cdf is 1 minus the
+        tail from x, which a single integral from 0 would step over."""
+        spec = Custom(lambda x: np.exp(-np.asarray(x, float)),
+                      Support(0.0, math.inf))
+        assert spec.cdf(1e4) == 1.0
+        assert abs(spec.cdf(2.0) - (1.0 - math.exp(-2.0))) < 1e-12
+        assert abs(spec.cdf(0.5) - (1.0 - math.exp(-0.5))) < 1e-12
+
+
 class TestSupportAndValidation:
     def test_pdf_out_of_support(self):
         with pytest.raises(OutOfSupport):
@@ -276,6 +287,33 @@ class TestCustom:
         spec = Custom.from_table(pts, vals, rescale=True)
         mass = spec._integral(lambda t: np.ones_like(t))
         assert abs(mass - 1.0) < 1e-9
+
+    def test_table_moments_are_exact(self):
+        """A PCHIP table is integrated knot by knot: mass, m1 and m2 match
+        4-point Gauss-Legendre on each knot interval (exact for the cubic
+        pieces times x^2) to 1e-13."""
+        pts = np.linspace(0.0, 4.0, 81)
+        spec = Custom.from_table(pts, 0.02 + pts ** 1.5 * np.exp(-2.0 * pts),
+                                 rescale=True)
+        t, w = np.polynomial.legendre.leggauss(4)
+        half = 0.5 * np.diff(pts)[:, None]
+        nodes = 0.5 * (pts[:-1] + pts[1:])[:, None] + half * t
+        weights = half * w
+        dens = spec.pdf(nodes)
+        mass = np.sum(weights * dens)
+        m1 = np.sum(weights * dens * nodes)
+        m2 = np.sum(weights * dens * nodes ** 2)
+        assert spec.breakpoints() == tuple(pts[1:-1])
+        assert abs(spec._integral(lambda x: np.ones_like(x)) - mass) < 1e-13
+        mom = spec.moments()
+        assert abs(mom.m1 / m1 - 1.0) < 1e-13
+        assert abs(mom.m2 / m2 - 1.0) < 1e-13
+        x = 1.234
+        k = int(np.searchsorted(pts, x)) - 1
+        part = 0.5 * (x - pts[k]) * (t + 1.0) + pts[k]
+        cdf = np.sum((weights * dens)[:k]) + np.sum(
+            0.5 * (x - pts[k]) * w * spec.pdf(part))
+        assert abs(spec.cdf(x) - cdf) < 1e-13
 
     def test_from_table_validation(self):
         with pytest.raises(ValueError):

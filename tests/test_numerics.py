@@ -133,6 +133,63 @@ class TestIntegrate:
                            0, 1)
         assert direct == mapped
 
+    def test_scaled_map_finds_a_narrow_tail(self):
+        """The tail of a normal with sd 1e-4 past one sd holds 15.9% of the
+        mass; a unit-length map steps over it, one scaled to the sd does
+        not."""
+        sd = 1e-4
+        f = lambda x: (np.exp(-0.5 * (x / sd) ** 2)
+                       / (sd * math.sqrt(2.0 * math.pi)))
+        truth = 0.5 * math.erfc(1.0 / math.sqrt(2.0))
+        assert integrate(f, sd, math.inf, tol=1e-13).value < 0.1
+        res = integrate(f, sd, math.inf, tol=1e-13, scale=sd)
+        assert abs(res.value - truth) < 1e-12
+        res = integrate(f, -math.inf, -sd, tol=1e-13, scale=sd)
+        assert abs(res.value - truth) < 1e-12
+
+    def test_breakpoints_start_one_panel_per_piece(self):
+        """|x - 1/3| has a kink that no bisection point hits: split there,
+        each piece is a polynomial and the first panels are exact."""
+        f = lambda x: np.abs(x - 1.0 / 3.0)
+        truth = 0.5 * ((1.0 / 3.0) ** 2 + (2.0 / 3.0) ** 2)
+        res = integrate(f, 0.0, 1.0, tol=1e-15, rel_tol=1e-14,
+                        points=[1.0 / 3.0, 5.0])
+        assert abs(res.value - truth) < 1e-15
+        assert res.evaluations == 2 * 15
+        plain = integrate(f, 0.0, 1.0, tol=1e-15, rel_tol=1e-14)
+        assert plain.evaluations > 10 * res.evaluations
+
+    def test_breakpoints_follow_the_endpoint_substitution(self):
+        """|x - c| / sqrt(x) under x = u^2 is 2 |u^2 - c|, a polynomial on
+        each side of u = sqrt(c): with the kink mapped there, two panels are
+        exact. The same holds at the right end with x = 1 - u^2."""
+        c = 0.3
+        truth = 2.0 * (2.0 / 3.0 * c ** 1.5 + (1.0 / 3.0 - c)
+                       + 2.0 / 3.0 * c ** 1.5)
+        left = integrate(lambda x: np.abs(x - c) / np.sqrt(x), 0.0, 1.0,
+                         tol=1e-15, rel_tol=1e-14, singular_left=True,
+                         points=[c])
+        right = integrate(lambda x: np.abs(1.0 - c - x) / np.sqrt(1.0 - x),
+                          0.0, 1.0, tol=1e-15, rel_tol=1e-14,
+                          singular_right=True, points=[1.0 - c])
+        for res in (left, right):
+            assert abs(res.value - truth) < 1e-14
+            assert res.evaluations == 2 * 15
+
+    def test_breakpoints_need_a_finite_interval(self):
+        with pytest.raises(InvalidInterval):
+            integrate(lambda x: np.exp(-x), 0.0, math.inf, points=[1.0])
+
+    def test_kronrod_panels_are_vectorized_panels(self):
+        """One panel per interval; exact on a degree-10 polynomial."""
+        lo = np.array([0.0, -1.0, 2.0])
+        hi = np.array([1.0, 3.0, 2.5])
+        nodes, weights = numerics.kronrod_panels(lo, hi)
+        assert nodes.shape == weights.shape == (3, 15)
+        got = np.sum(weights * nodes ** 10, axis=1)
+        np.testing.assert_allclose(got, (hi ** 11 - lo ** 11) / 11.0,
+                                   rtol=1e-14)
+
     def test_divergent_half_line_is_an_error(self):
         """int_0^inf x dx: the map meets t = 1 on a typed error path, without
         a division warning on the way."""
@@ -423,6 +480,17 @@ class TestTruncatedInterval:
         assert a > 0.0
         assert float(pdf(np.asarray(a))) > 0.0
         assert math.isfinite(b)
+
+    def test_pole_at_a_finite_end_is_no_peak(self):
+        """x^-1/2 e^-x is infinite at 0; the window still reaches the tail
+        where the density is 1e-14 of its finite values."""
+        def pdf(x):
+            with np.errstate(divide="ignore"):
+                return np.asarray(x, float) ** -0.5 * np.exp(-np.asarray(x))
+
+        a, b = truncated_interval(pdf, 0.0, math.inf, 0.5, 1.7)
+        assert a == 0.0
+        assert b > 30.0 and float(pdf(np.asarray(b))) < 1e-13
 
     def test_zero_density_probe_fails(self):
         with pytest.raises(NumericalFailure):

@@ -12,11 +12,14 @@ import pytest
 from fastmix.distributions import (
     Beta,
     Custom,
+    FisherSnedecor,
     Gamma,
     Hyperexponential,
+    InverseGamma,
     Normal,
     StudentCauchy,
     Support,
+    mixture,
 )
 from fastmix.errors import DegenerateDistribution, OutOfSupport
 from fastmix.numerics import Grid
@@ -120,20 +123,89 @@ class TestDrift:
         assert abs(proc.drift_at(5.0) + 3.0) < 1e-13
 
 
+def _exact_table_v(spec, m1, x):
+    """V(x) of a PCHIP table from the near side, by 4-point Gauss-Legendre
+    on each knot interval: (m1 - z) pi(z) is a quartic there, so exact."""
+    knots = np.asarray((spec.support.lower,) + spec.breakpoints()
+                       + (spec.support.upper,))
+    t, w = np.polynomial.legendre.leggauss(4)
+    out = []
+    for xi in x:
+        if xi <= m1:
+            lo, hi, sign = knots[:-1], np.minimum(knots[1:], xi), 1.0
+        else:
+            lo, hi, sign = np.maximum(knots[:-1], xi), knots[1:], -1.0
+        keep = hi > lo
+        lo, hi = lo[keep, None], hi[keep, None]
+        z = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
+        out.append(sign * np.sum(0.5 * (hi - lo) * w * (m1 - z)
+                                 * spec.pdf(z)))
+    return np.array(out)
+
+
 class TestVarianceRoutes:
     @pytest.mark.parametrize("spec,window", [
         (Beta(1.0, 2.0), (0.02, 0.98)),
         (Gamma(1.0), (0.05, 12.0)),
         (Normal(0.0, 1.0), (-6.0, 6.0)),
         (Hyperexponential(0.5, 0.5, 1.0, 2.0), (0.05, 20.0)),
+        # a root at a finite end, roots at both, heavy and essential tails
+        (Gamma(0.5), "support"),
+        (Beta(0.5, 0.7), "support"),
+        (StudentCauchy(3.0), "support"),
+        (InverseGamma(3.0), "support"),
+        (FisherSnedecor(5.0, 12.0), "support"),
     ], ids=lambda v: getattr(v, "kind", str(v)))
     def test_closed_and_quadrature_agree(self, spec, window):
         closed = synthesize(spec, variance_mode="closed")
         quad = synthesize(spec, variance_mode="quadrature")
-        x = np.linspace(window[0], window[1], 41)
-        vc = np.asarray(closed.variance_fn(x))
-        vq = np.asarray(quad.variance_fn(x))
-        assert np.max(np.abs(vc - vq)) <= 1e-7 * max(1.0, np.max(np.abs(vc)))
+        if window != "support":
+            x = np.linspace(window[0], window[1], 41)
+            vc = np.asarray(closed.variance_fn(x))
+            vq = np.asarray(quad.variance_fn(x))
+            assert np.max(np.abs(vc - vq)) <= \
+                1e-7 * max(1.0, np.max(np.abs(vc)))
+        # relative agreement over the whole truncated support, down to 1e-6
+        # of its width from each end (nearer an end at 1, the rounding of a
+        # node's distance to it exceeds the gate)
+        a, b = spec.truncated_support()
+        near = (b - a) * np.geomspace(1e-6, 1e-2, 25)
+        x = np.concatenate([np.linspace(a, b, 801)[1:-1], a + near, b - near])
+        rel = np.abs(np.asarray(quad.variance_fn(x))
+                     / np.asarray(closed.variance_fn(x)) - 1.0)
+        pi = spec.pdf(x)
+        bulk = pi > 1e-8 * np.max(pi)
+        assert np.max(rel[bulk]) <= 1e-9
+        assert np.max(rel[~bulk], initial=0.0) <= 1e-7
+
+    def test_table_matches_exact_pchip_integration(self):
+        pts = np.linspace(0.0, 4.0, 81)
+        spec = Custom.from_table(pts, 0.02 + pts ** 1.5 * np.exp(-2.0 * pts),
+                                 rescale=True)
+        proc = synthesize(spec, 0.5)
+        x = np.concatenate([np.linspace(0.0, 4.0, 399)[1:-1], pts[1:-1],
+                            [1e-9, 4.0 - 1e-9]])
+        want = (proc.lambda1 * _exact_table_v(spec, proc.moments.m1, x)
+                / spec.pdf(x))
+        got = np.asarray(proc.variance_fn(x))
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("specs", [
+        (Beta(2.0, 5.0), Beta(5.0, 2.0)), (Gamma(1.0), Gamma(4.0)),
+    ], ids=lambda v: v[0].kind)
+    def test_table_matches_the_pointwise_route(self, specs):
+        """Mixtures have no closed shape; one adaptive quadrature per point
+        is the reference."""
+        spec = mixture(specs, [0.4, 0.6])
+        fn = synthesize(spec, 0.5).variance_fn
+        x = np.linspace(*spec.truncated_support(), 83)[1:-1]
+        np.testing.assert_allclose(fn(x), fn.pointwise(x), rtol=1e-9)
+
+    def test_mean_level_quadrature_with_a_pole(self):
+        """x^-1/2 e^-x: the mean of sigma^2/2 takes in the whole tail."""
+        proc = synthesize(Gamma(-0.5), variance_mode="quadrature")
+        mean = check_variance_mean(proc)
+        assert abs(mean / proc.sigma_hat_sq_half - 1.0) <= 1e-9
 
     def test_closed_route_required_but_absent(self):
         spec = Custom(lambda x: np.ones_like(np.asarray(x, float)),
