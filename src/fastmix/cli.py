@@ -515,6 +515,9 @@ def main(argv=None):
     except (FastmixError, ArithmeticError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return _EXIT_NUMERICAL
+    except MemoryError as exc:
+        print("out of memory: %s" % exc, file=sys.stderr)
+        return _EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -214,8 +214,10 @@ class DistributionSpec:
     def closed_profile(self):
         """Closed diffusion-coefficient shape per unit rate, or None.
 
-        When available this returns a vectorized callable p with
+        When available this returns a callable p with
         sigma^2(x)/2 = lambda1 * p(x) for the synthesized optimal process.
+        p is written as arithmetic on its argument, so a Python float and a
+        float array give the same value bit for bit.
         """
         return None
 
@@ -260,8 +262,7 @@ class Beta(DistributionSpec):
     def closed_profile(self):
         a = self.params["alpha"]
         b = self.params["beta"]
-        return lambda x: np.asarray(x, float) * (1.0 - np.asarray(x, float)) \
-            / (a + b + 2.0)
+        return lambda x: x * (1.0 - x) / (a + b + 2.0)
 
     def default_sigma_hat_sq_half(self):
         a = self.params["alpha"]
@@ -308,7 +309,7 @@ class Jacobi(DistributionSpec):
     def closed_profile(self):
         a = self.params["alpha"]
         b = self.params["beta"]
-        return lambda x: (1.0 - np.asarray(x, float) ** 2) / (a + b + 2.0)
+        return lambda x: (1.0 - x * x) / (a + b + 2.0)
 
     def default_sigma_hat_sq_half(self):
         a = self.params["alpha"]
@@ -345,7 +346,7 @@ class Gamma(DistributionSpec):
         return a + 1.0, (a + 1.0) * (a + 2.0)
 
     def closed_profile(self):
-        return lambda x: np.asarray(x, float) * 1.0
+        return lambda x: x * 1.0
 
     def default_sigma_hat_sq_half(self):
         return self.params["alpha"] + 1.0
@@ -389,7 +390,7 @@ class Normal(DistributionSpec):
 
     def closed_profile(self):
         s2 = self.params["sigma"] ** 2
-        return lambda x: np.asarray(x, float) * 0.0 + s2
+        return lambda x: x * 0.0 + s2
 
     def default_sigma_hat_sq_half(self):
         return self.params["sigma"] ** 2
@@ -432,7 +433,7 @@ class StudentCauchy(DistributionSpec):
 
     def closed_profile(self):
         a = self.params["alpha"]
-        return lambda x: (1.0 + np.asarray(x, float) ** 2) / (2.0 * a - 1.0)
+        return lambda x: (1.0 + x * x) / (2.0 * a - 1.0)
 
     def default_sigma_hat_sq_half(self):
         a = self.params["alpha"]
@@ -484,7 +485,7 @@ class InverseGamma(DistributionSpec):
 
     def closed_profile(self):
         a = self.params["alpha"]
-        return lambda x: np.asarray(x, float) ** 2 / (2.0 * a - 1.0)
+        return lambda x: x * x / (2.0 * a - 1.0)
 
     def default_sigma_hat_sq_half(self):
         a = self.params["alpha"]
@@ -560,7 +561,6 @@ class FisherSnedecor(DistributionSpec):
         scale = 2.0 * n2 / (n1 * (n2 - 2.0))
 
         def profile(x):
-            x = np.asarray(x, float)
             return (x + (n1 / n2) * x * x) * scale
 
         return profile
@@ -621,14 +621,16 @@ class Hyperexponential(DistributionSpec):
         emin = min(e1, e2)
 
         def profile(x):
-            x = np.asarray(x, float)
             # V(x)/pi(x) with V the integral of (m1 - z) pi(z) dz from 0 to x
             # in closed form; both share a factor exp(-emin x), divided out so
-            # the ratio stays finite deep in the tail
+            # the ratio stays finite deep in the tail. V is
+            # x (p1 w1 + p2 w2) + p1 p2 (1/e1 - 1/e2) (w1 - w2), with w1 - w2
+            # from expm1 so that it keeps its digits near x = 0
             w1 = np.exp(-(e1 - emin) * x)
             w2 = np.exp(-(e2 - emin) * x)
-            v = (p1 * w1 * (x + p2 * (1.0 / e1 - 1.0 / e2))
-                 + p2 * w2 * (x + p1 * (1.0 / e2 - 1.0 / e1)))
+            dw = np.expm1(-(e1 - emin) * x) - np.expm1(-(e2 - emin) * x)
+            v = (x * (p1 * w1 + p2 * w2)
+                 + p1 * p2 * (1.0 / e1 - 1.0 / e2) * dw)
             return v / (p1 * e1 * w1 + p2 * e2 * w2)
 
         return profile
@@ -696,7 +698,6 @@ class CubicPearson(DistributionSpec):
         rate = al + be * (1.0 - a)
 
         def profile(x):
-            x = np.asarray(x, float)
             return x * (1.0 - x) * (1.0 - a * x) / rate
 
         return profile

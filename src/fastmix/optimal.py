@@ -63,7 +63,7 @@ class _ClosedVariance:
         self.lambda1 = lambda1
 
     def __call__(self, x):
-        return self.lambda1 * self._profile(x)
+        return self.lambda1 * self._profile(np.asarray(x, float))
 
 
 @dataclass(frozen=True)
@@ -178,19 +178,14 @@ class _QuadratureVariance:
                     self._g, left[i], right[i], tol=1e-300, rel_tol=1e-11,
                     singular_left=i == 0, singular_right=i == -1).value
 
-        def beyond(x0, x1, sign):
-            # V at a cut end, integrated from the infinite end
-            if x0 == x1:
-                return 0.0
-            return numerics.integrate(
-                lambda t: sign * (m1 - t) * spec._pdf(t), x0, x1,
-                tol=1e-300, rel_tol=1e-11, scale=spec._scale_hint()).value
-
+        # V at the edges, from the near side: the tail beyond a cut end
+        # plus the running sum of the cells
         v = np.where(
             edges <= m1,
-            beyond(lo, a, 1.0) + np.concatenate([[0.0], np.cumsum(cells)]),
-            beyond(b, hi, -1.0) - np.concatenate(
-                [np.cumsum(cells[::-1])[::-1], [0.0]]))
+            self._beyond(lo, a, lambda t: m1 - t)
+            + np.concatenate([[0.0], np.cumsum(cells)]),
+            self._beyond(b, hi, lambda t: t - m1)
+            - np.concatenate([np.cumsum(cells[::-1])[::-1], [0.0]]))
         # by parts, V over a cell is its width times V at the near edge plus
         # int (right - z) g from the left, int (z - left) (-g) from the right
         int_v = np.where(
@@ -198,6 +193,29 @@ class _QuadratureVariance:
             (right - left) * v[:-1] + np.sum(f * (right[:, None] - z), 1),
             (right - left) * v[1:] - np.sum(f * (z - left[:, None]), 1))
         return _VTable(edges, v, float(np.sum(int_v)))
+
+    def v_integral(self):
+        """The integral of V over the support.
+
+        The table gives it over its cells. Beyond a cut end c, V is the
+        integral of (z - m1) pi from the far side, so by parts its integral
+        there is that of (z - c)(z - m1) pi.
+        """
+        t, m1 = self.table, self.m1
+        a, b = t.edges[0], t.edges[-1]
+        return (t.integral
+                + self._beyond(self.spec.support.lower, a,
+                               lambda z: (z - a) * (z - m1))
+                + self._beyond(b, self.spec.support.upper,
+                               lambda z: (z - b) * (z - m1)))
+
+    def _beyond(self, x0, x1, g):
+        """The integral of g pi over [x0, x1], a tail beyond a cut end."""
+        if x0 == x1:
+            return 0.0
+        return numerics.integrate(
+            lambda z: g(z) * self.spec._pdf(z), x0, x1, tol=1e-300,
+            rel_tol=1e-11, scale=self.spec._scale_hint()).value
 
     def _table_v(self, x):
         t = self.table
@@ -302,12 +320,11 @@ def check_variance_mean(proc: OptimalProcess):
     """integral of (sigma^2/2) pi over the support; compare to shalf.
 
     On the quadrature route (sigma^2/2) pi is lambda1 V, so the integral is
-    lambda1 times the integral of V over the table's cells, with no division
-    by pi; a cut infinite end leaves out the tail beyond the table.
+    lambda1 times the integral of V, with no division by pi.
     """
     fn = proc.variance_fn
     if isinstance(fn, _QuadratureVariance):
-        return fn.lambda1 * fn.table.integral
+        return fn.lambda1 * fn.v_integral()
     return proc.source._integral(lambda x: np.asarray(fn(x), dtype=float),
                                  rel_tol=1e-10)
 

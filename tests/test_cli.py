@@ -326,6 +326,17 @@ class TestSimulateCommand:
         spec = _spec(tmp_path, dict(BETA_DOME, sim=[0.002]))
         assert main(["simulate", spec, "--out", str(tmp_path / "o")]) == 2
 
+    def test_run_too_large_to_allocate_exits_3(self, tmp_path, capsys):
+        """A step count no machine can hold is one line on stderr and exit
+        3; numpy refuses the allocation at once and touches no memory."""
+        spec = _spec(tmp_path, BETA_DOME)
+        rc = main(["simulate", spec, "--steps", "1000000000000000",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory:")
+        assert err.count("\n") == 1
+
     def test_strict_coarse_fit_exits_4(self, tmp_path):
         """A coarse time step biases the fit past 10 percent under
         --strict."""

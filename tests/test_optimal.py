@@ -207,6 +207,25 @@ class TestVarianceRoutes:
         mean = check_variance_mean(proc)
         assert abs(mean / proc.sigma_hat_sq_half - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("spec", [
+        StudentCauchy(2.2), FisherSnedecor(1.5, 9.0),
+    ], ids=lambda v: v.kind)
+    def test_mean_level_quadrature_takes_in_the_cut_tails(self, spec):
+        """Heavy tails: V beyond the table's cut ends counts as well."""
+        proc = synthesize(spec, variance_mode="quadrature")
+        mean = check_variance_mean(proc)
+        assert abs(mean / proc.sigma_hat_sq_half - 1.0) <= 1e-12
+
+    def test_hyperexponential_shape_near_zero(self):
+        """The closed shape keeps its digits where V is of size x: it
+        matches the table of V from 6.5e-11 to 20."""
+        spec = Hyperexponential(0.5, 0.5, 1.0, 2.0)
+        closed = synthesize(spec, variance_mode="closed")
+        quad = synthesize(spec, variance_mode="quadrature")
+        x = np.geomspace(6.5e-11, 20.0, 60)
+        rel = np.asarray(closed.variance_fn(x)) / quad.variance_fn(x) - 1.0
+        assert np.max(np.abs(rel)) <= 1e-14
+
     def test_closed_route_required_but_absent(self):
         spec = Custom(lambda x: np.ones_like(np.asarray(x, float)),
                       (0.0, 1.0))

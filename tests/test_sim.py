@@ -6,12 +6,27 @@ import math
 import numpy as np
 import pytest
 
-from fastmix.distributions import Beta
+from fastmix import sim
+from fastmix.distributions import (
+    Beta,
+    CubicPearson,
+    DistributionSpec,
+    FisherSnedecor,
+    Gamma,
+    Hyperexponential,
+    InverseGamma,
+    Jacobi,
+    Normal,
+    StudentCauchy,
+)
 from fastmix.errors import BoundaryViolation, InsufficientDecay, NonFiniteState
-from fastmix.optimal import synthesize
+from fastmix.optimal import _ClosedVariance, synthesize
 from fastmix.sim import (
+    PATH_MAJOR_MAX_PATHS,
     SimConfig,
     SimResult,
+    _path_major,
+    _step_major,
     estimate_rate,
     rate_from_acf,
     simulate,
@@ -259,6 +274,124 @@ class TestBoundaryModes:
         cfg = SimConfig(dt=1e-3, n_steps=10)
         with pytest.raises(NonFiniteState):
             simulate((mu, var, (-np.inf, np.inf)), cfg, x0=0.0)
+
+
+# one of each catalog kind with a closed variance shape
+CLOSED_KINDS = [
+    Beta(1.0, 1.0), Jacobi(0.5, 1.5), Gamma(1.0), Normal(0.3, 2.0),
+    StudentCauchy(2.2), InverseGamma(3.0), FisherSnedecor(3.0, 9.0),
+    Hyperexponential(0.5, 0.5, 1.0, 2.0), CubicPearson(1.0, 2.0, 0.5),
+]
+
+
+def _both_kernels(proc, cfg):
+    """The path-major and step-major series, or the message each raised."""
+    sup = proc.source.support
+    x0 = proc.moments.m1
+    runs = (lambda: _path_major(proc.drift, proc.variance_fn, sup.lower,
+                                sup.upper, x0, cfg),
+            lambda: _step_major(proc.drift_at, proc.variance_fn, sup.lower,
+                                sup.upper, x0, cfg))
+    out = []
+    for run in runs:
+        try:
+            out.append(run())
+        except (BoundaryViolation, NonFiniteState) as exc:
+            out.append("%s: %s" % (type(exc).__name__, exc))
+    return out
+
+
+class TestKernels:
+    """The path-major and step-major loops agree bit for bit."""
+
+    def test_every_closed_kind_is_covered(self):
+        kinds = {type(spec) for spec in CLOSED_KINDS}
+        closed = {cls for cls in DistributionSpec.__subclasses__()
+                  if cls.closed_profile is not DistributionSpec.closed_profile}
+        assert kinds == closed
+
+    @pytest.mark.parametrize("mode", ["reflect", "reject-step"])
+    @pytest.mark.parametrize("spec", CLOSED_KINDS, ids=lambda s: s.kind)
+    def test_identical_series(self, spec, mode):
+        proc = synthesize(spec)
+        for n_paths in (1, PATH_MAJOR_MAX_PATHS, PATH_MAJOR_MAX_PATHS + 1):
+            cfg = SimConfig(dt=0.05 / proc.lambda1, n_steps=1200,
+                            n_paths=n_paths, seed=3, burn_in=150,
+                            boundary_mode=mode)
+            a, b = _both_kernels(proc, cfg)
+            assert a.shape == (1050, n_paths)
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("spec", [
+        s for s in CLOSED_KINDS if math.isfinite(s.support.lower)
+        and not isinstance(s, InverseGamma)], ids=lambda s: s.kind)
+    def test_boundary_is_active(self, spec):
+        """The agreement above covers folds and re-draws: with a finite
+        end the two modes part ways. (Under InverseGamma sigma is
+        proportional to x, so no step reaches 0.)"""
+        proc = synthesize(spec)
+        runs = [_both_kernels(proc, SimConfig(
+            dt=0.05 / proc.lambda1, n_steps=1200,
+            n_paths=PATH_MAJOR_MAX_PATHS, seed=3, burn_in=150,
+            boundary_mode=mode))[0] for mode in ("reflect", "reject-step")]
+        assert not np.array_equal(*runs)
+
+    def test_simulate_picks_by_target_and_width(self, monkeypatch):
+        """Closed targets up to the crossover go path-major; wider batches,
+        quadrature targets and bare triples go step-major."""
+        seen = []
+        for name in ("_path_major", "_step_major"):
+            real = getattr(sim, name)
+
+            def spy(*args, _name=name, _real=real):
+                seen.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(sim, name, spy)
+        closed = _dome_process()
+        quad = synthesize(Beta(1.0, 1.0), variance_mode="quadrature")
+        for target, n_paths in ((closed, PATH_MAJOR_MAX_PATHS),
+                                (closed, PATH_MAJOR_MAX_PATHS + 1),
+                                (quad, 1), (_ou_target(), 1)):
+            simulate(target, SimConfig(dt=1e-2, n_steps=300,
+                                       n_paths=n_paths, seed=1), x0=0.5)
+        assert seen == ["_path_major"] + ["_step_major"] * 3
+
+    def test_same_rejection_error(self):
+        """Paths give up at different steps; both report the earliest, and
+        with 8 paths that is not the first path's."""
+        proc = synthesize(Beta(1.0, 1.0))
+        msgs = []
+        for n_paths in (4, 8):
+            a, b = _both_kernels(proc, SimConfig(
+                dt=1.0, n_steps=3000, n_paths=n_paths, seed=5,
+                boundary_mode="reject-step"))
+            assert a == b
+            msgs.append(a)
+        assert msgs[0] != msgs[1]
+        assert msgs[1].startswith("BoundaryViolation: step rejected")
+
+    @pytest.mark.parametrize("n_steps,tail", [
+        (3000, "non-finite at step 2000"), (1500, "non-finite")])
+    def test_same_non_finite_error(self, n_steps, tail):
+        """An unstable step size overflows; both kernels name the first
+        finiteness check that saw it, or none after the last check."""
+        proc = synthesize(Normal(0.0, 1.0))
+        cfg = SimConfig(dt=3.0, n_steps=n_steps, n_paths=3, seed=5)
+        with np.errstate(all="ignore"):
+            a, b = _both_kernels(proc, cfg)
+        assert a == b == "NonFiniteState: state became " + tail
+
+    @pytest.mark.parametrize("mode", ["reflect", "reject-step"])
+    def test_points_inside_are_not_folded(self, mode):
+        """Only a proposal that left the interval is folded: at rest at
+        1e-20 on (-1, 1), x stays exactly 1e-20."""
+        cfg = SimConfig(dt=0.01, n_steps=20, n_paths=2, boundary_mode=mode)
+        still = _ClosedVariance(lambda x: x * 0.0, 1.0)
+        zero = lambda x: x * 0.0
+        for series in (_path_major((0.0, 0.0), still, -1.0, 1.0, 1e-20, cfg),
+                       _step_major(zero, still, -1.0, 1.0, 1e-20, cfg)):
+            assert np.all(series == 1e-20)
 
 
 class TestRateFromAcf:
