@@ -82,7 +82,7 @@ class _QuadratureVariance:
     V/pi stays relatively accurate deep in the tails where both factors
     underflow together.
 
-    Array calls read V from a table built once, on the first call. It spans
+    Every call reads V from a table built once, on the first call. It spans
     the support, cut where an infinite end's density falls below 1e-14 of
     its peak. Its cells are uniform, split at the density's breakpoints and
     halved geometrically toward a finite end, where the pdf may be a power of
@@ -91,9 +91,8 @@ class _QuadratureVariance:
     pass gives the other cell integrals of (m1 - z) pi. Their running sums
     from the near side, plus the exact remainder beyond a cut end, give V at
     the cell edges, and V at a point is the value at its near edge plus one
-    Kronrod panel over the partial cell. Points beyond a cut end, and v,
-    take one adaptive quadrature per point: pointwise is the independent
-    route that pearson's row check uses.
+    Kronrod panel over the partial cell. A point beyond a cut end takes its
+    tail integral to that end, mapped at the density's length scale.
     """
 
     CELLS = 4096
@@ -105,34 +104,10 @@ class _QuadratureVariance:
         self.lambda1 = lambda1
         self._table = None
 
-    def v(self, x):
-        x = float(x)
-        m1 = self.m1
-        pdf = self.spec._pdf
-        left = x <= m1
-        if left:
-            a, b, g = self.spec.support.lower, x, lambda z: (m1 - z) * pdf(z)
-        else:
-            a, b, g = x, self.spec.support.upper, lambda z: (z - m1) * pdf(z)
-        if b <= a:
-            return 0.0
-        return numerics.integrate(
-            g, a, b, tol=1e-300, rel_tol=1e-11,
-            singular_left=left and self.spec.singular_left,
-            singular_right=not left and self.spec.singular_right).value
-
     def __call__(self, x):
-        return self._ratio(x, self._table_v)
-
-    def pointwise(self, x):
-        """sigma^2/2 with V from one adaptive quadrature per point."""
-        return self._ratio(x, lambda flat: np.array([self.v(t) for t in flat]))
-
-    def _ratio(self, x, v_of):
-        """lambda1 V / pi at x, with V from v_of on the flattened points."""
         arr = np.asarray(x, dtype=float)
         flat = np.atleast_1d(arr).ravel()
-        vals = v_of(flat)
+        vals = self._table_v(flat)
         dens = np.atleast_1d(np.asarray(self.spec._pdf(flat), dtype=float))
         with np.errstate(invalid="ignore", divide="ignore"):
             out = self.lambda1 * vals / dens
@@ -217,11 +192,21 @@ class _QuadratureVariance:
             lambda z: g(z) * self.spec._pdf(z), x0, x1, tol=1e-300,
             rel_tol=1e-11, scale=self.spec._scale_hint()).value
 
+    def _tail_v(self, x):
+        """V at a point beyond the table, from the support end on its side;
+        0 outside the support."""
+        m1, sup = self.m1, self.spec.support
+        if x <= m1:
+            a, b, g = sup.lower, x, lambda z: m1 - z
+        else:
+            a, b, g = x, sup.upper, lambda z: z - m1
+        return 0.0 if b < a else self._beyond(a, b, g)
+
     def _table_v(self, x):
         t = self.table
         out = np.empty_like(x)
         inside = (x >= t.edges[0]) & (x <= t.edges[-1])
-        out[~inside] = [self.v(p) for p in x[~inside]]
+        out[~inside] = [self._tail_v(p) for p in x[~inside]]
         xs = x[inside]
         k = np.clip(np.searchsorted(t.edges, xs, side="right") - 1,
                     0, t.edges.size - 2)

@@ -233,6 +233,13 @@ def eigenfunction(row_: PearsonRow, n: int, x):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
+# the row check's gates: lambda1 and the drift coefficients relative to
+# max(1, |lambda1|), sigma^2/2 absolute
+TOL_LAMBDA = 1e-10
+TOL_DRIFT = 1e-10
+TOL_VARIANCE = 1e-7
+
+
 @dataclass(frozen=True)
 class RowReport:
     name: str
@@ -244,15 +251,13 @@ class RowReport:
     ok: bool
 
 
-def verify_row_against_synthesis(row_: PearsonRow, n_points=200,
-                                tol_lambda=1e-10, tol_variance=1e-7,
-                                tol_drift=1e-10) -> RowReport:
+def verify_row_against_synthesis(row_: PearsonRow, n_points=200) -> RowReport:
     """Check the printed row against an independent synthesis.
 
     The synthesized process takes only the row's density and diffusion level;
-    its variance function goes through the quadrature route, one adaptive
-    quadrature per point, so agreement with the row's polynomial is a genuine
-    two-route check. Raises RowMismatch
+    its variance function goes through the quadrature route, the table of V
+    that every command on a non-catalog density uses, so agreement with the
+    row's polynomial is a genuine two-route check. Raises RowMismatch
     (report attached) when any deviation exceeds its tolerance.
     """
     proc = optimal.synthesize(row_.spec, row_.sigma_hat_sq_half,
@@ -270,11 +275,11 @@ def verify_row_against_synthesis(row_: PearsonRow, n_points=200,
                                     *row_.spec.truncated_support())
     pad = 1e-6 * (hi - lo)
     pts = np.linspace(lo + pad, hi - pad, int(n_points))
-    v_q = np.asarray(proc.variance_fn.pointwise(pts), dtype=float)
+    v_q = np.asarray(proc.variance_fn(pts), dtype=float)
     v_row = row_.variance_half(pts)
     dev_var = float(np.max(np.abs(v_q - v_row)))
-    ok = (dev_lambda <= tol_lambda and dev_drift <= tol_drift
-          and dev_var <= tol_variance)
+    ok = (dev_lambda <= TOL_LAMBDA and dev_drift <= TOL_DRIFT
+          and dev_var <= TOL_VARIANCE)
     report = RowReport(name=row_.name, lambda1_row=lam_row,
                        lambda1_synth=proc.lambda1, dev_lambda1=dev_lambda,
                        dev_drift=dev_drift, dev_variance=dev_var, ok=ok)

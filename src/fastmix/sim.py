@@ -217,37 +217,37 @@ def _step_major(mu_fn, var_fn, lo, hi, x0, cfg):
     sigma = np.empty(n_paths)
     kick = np.empty(n_paths)
     x = np.full(n_paths, float(x0))
-    for step in range(n_steps):
-        prop = series[step - burn] if step >= burn else burn_bufs[step % 2]
-        drift = mu_fn(x)
-        np.maximum(var_fn(x), 0.0, out=sigma)
-        np.multiply(sigma, 2.0, out=sigma)
-        np.sqrt(sigma, out=sigma)
-        np.multiply(drift, dt, out=prop)
-        np.add(x, prop, out=prop)
-        np.multiply(sigma, rootdt, out=kick)
-        np.multiply(kick, noise[step], out=kick)
-        np.add(prop, kick, out=prop)
-        # written so that a NaN fails the test: the other points still fold
-        if (low_end and not prop.min() >= lo) or \
-                (high_end and not prop.max() <= hi):
-            bad = (prop < lo) | (prop > hi)
-            if reflect:
-                prop[bad] = _reflect(prop[bad], lo, hi)
-            else:
-                drift = np.broadcast_to(drift, prop.shape)
-                tries = 0
-                while np.any(bad):
-                    tries += 1
-                    if tries > _MAX_TRIES:
-                        raise _rejected(step, dt)
+    # a diverging run overflows to inf and nan; the finiteness checks below
+    # report it, so numpy need not warn on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n_steps):
+            prop = series[step - burn] if step >= burn else burn_bufs[step % 2]
+            drift = mu_fn(x)
+            np.maximum(var_fn(x), 0.0, out=sigma)
+            np.multiply(sigma, 2.0, out=sigma)
+            np.sqrt(sigma, out=sigma)
+            np.multiply(drift, dt, out=prop)
+            np.add(x, prop, out=prop)
+            np.multiply(sigma, rootdt, out=kick)
+            np.multiply(kick, noise[step], out=kick)
+            np.add(prop, kick, out=prop)
+            # written so that a NaN fails the test: the other points still fold
+            if (low_end and not prop.min() >= lo) or \
+                    (high_end and not prop.max() <= hi):
+                bad = (prop < lo) | (prop > hi)
+                if reflect:
+                    prop[bad] = _reflect(prop[bad], lo, hi)
+                else:
+                    drift = np.broadcast_to(drift, prop.shape)
                     for i in np.nonzero(bad)[0]:
-                        xi = rngs[i].standard_normal()
-                        prop[i] = x[i] + drift[i] * dt + sigma[i] * rootdt * xi
-                    bad = (prop < lo) | (prop > hi)
-        x = prop
-        if step % _CHECK_EVERY == 0 and not np.isfinite(x).all():
-            raise _non_finite(step)
+                        p = _redraw(rngs[i], x[i], drift[i], sigma[i], dt,
+                                    rootdt, lo, hi)
+                        if p is None:
+                            raise _rejected(step, dt)
+                        prop[i] = p
+            x = prop
+            if step % _CHECK_EVERY == 0 and not np.isfinite(x).all():
+                raise _non_finite(step)
     if not np.isfinite(x).all():
         raise _non_finite(n_steps - 1)
     return series

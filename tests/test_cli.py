@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -337,6 +338,20 @@ class TestSimulateCommand:
         assert err.startswith("out of memory:")
         assert err.count("\n") == 1
 
+    def test_diverging_wide_batch_prints_one_line(self, tmp_path, capsys):
+        """dt = 3 on a standard normal overflows. At 64 paths the run steps
+        all paths at once in numpy, and still prints no numpy warning
+        before its one-line error."""
+        spec = _spec(tmp_path, STANDARD_NORMAL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["simulate", spec, "--dt", "3", "--steps", "1500",
+                       "--paths", "64", "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: state became non-finite")
+        assert err.count("\n") == 1
+
     def test_strict_coarse_fit_exits_4(self, tmp_path):
         """A coarse time step biases the fit past 10 percent under
         --strict."""
@@ -350,22 +365,22 @@ class TestSimulateCommand:
 
 
 class TestQuadratureWork:
-    """The quadrature route reads every array call from its table of V; only
-    the row check of the table command integrates point by point."""
+    """The quadrature route reads every call from its table of V, built once
+    per process: the commands and the table command's row check alike."""
 
     @pytest.fixture()
-    def v_calls(self, monkeypatch):
+    def builds(self, monkeypatch):
         calls = []
-        per_point = _QuadratureVariance.v
+        build = _QuadratureVariance._build
 
-        def counted(self, x):
-            calls.append(x)
-            return per_point(self, x)
+        def counted(self):
+            calls.append(self.spec.kind)
+            return build(self)
 
-        monkeypatch.setattr(_QuadratureVariance, "v", counted)
+        monkeypatch.setattr(_QuadratureVariance, "_build", counted)
         return calls
 
-    def test_commands_on_a_table_integrate_no_point(self, tmp_path, v_calls):
+    def test_commands_on_a_table_integrate_no_point(self, tmp_path, builds):
         x = np.linspace(0.0, 2.0, 41)
         y = x * (2.0 - x) + 0.01
         y /= PchipInterpolator(x, y).integrate(0.0, 2.0)
@@ -378,12 +393,12 @@ class TestQuadratureWork:
             assert main(argv + ["--out", str(tmp_path / argv[0])]) == 0
         assert _load(tmp_path / "optimal", "process.json")[
             "variance_route"] == "quadrature"
-        assert v_calls == []
+        assert builds == ["Custom"] * 3
 
-    def test_row_check_integrates_each_point(self, v_calls):
+    def test_row_check_builds_one_table(self, builds):
         verify_row_against_synthesis(
             row("Gamma", {"alpha": 1.5}), n_points=37)
-        assert len(v_calls) == 37
+        assert builds == ["Gamma"]
 
 
 class TestTableCommand:

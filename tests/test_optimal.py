@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from fastmix.distributions import (
     Beta,
@@ -194,12 +195,40 @@ class TestVarianceRoutes:
         (Beta(2.0, 5.0), Beta(5.0, 2.0)), (Gamma(1.0), Gamma(4.0)),
     ], ids=lambda v: v[0].kind)
     def test_table_matches_the_pointwise_route(self, specs):
-        """Mixtures have no closed shape; one adaptive quadrature per point
-        is the reference."""
+        """Mixtures have no closed shape; scipy's adaptive quadrature of V
+        from the near side, one integral per point, is the reference."""
         spec = mixture(specs, [0.4, 0.6])
-        fn = synthesize(spec, 0.5).variance_fn
+        proc = synthesize(spec, 0.5)
+        m1, sup = proc.moments.m1, spec.support
         x = np.linspace(*spec.truncated_support(), 83)[1:-1]
-        np.testing.assert_allclose(fn(x), fn.pointwise(x), rtol=1e-9)
+
+        def g(z):
+            return (m1 - z) * spec.pdf(z)
+
+        def v(t):
+            a, b, sign = (sup.lower, t, 1.0) if t <= m1 else \
+                (t, sup.upper, -1.0)
+            return sign * integrate.quad(g, a, b, epsabs=0.0, epsrel=1e-12,
+                                         limit=200)[0]
+
+        want = proc.lambda1 * np.array([v(t) for t in x]) / spec.pdf(x)
+        np.testing.assert_allclose(proc.variance_fn(x), want, rtol=1e-9)
+
+    @pytest.mark.parametrize("spec", [
+        Normal(0.0, 1e-4), Normal(5.0, 1e-3), Normal(0.0, 1.0),
+    ], ids=lambda v: "sd%g" % v.params["sigma"])
+    def test_beyond_a_cut_end_matches_the_closed_route(self, spec):
+        """Past the table's cut ends V is the tail integral, mapped at the
+        density's own length scale: a narrow normal keeps sigma^2/2."""
+        a, b = spec.truncated_support()
+        off = spec.params["sigma"] * np.array([1e-6, 1e-3, 0.5, 1.0, 2.0, 4.0])
+        x = np.concatenate([a - off, b + off])
+        x = x[spec.pdf(x) >= 1e-300]
+        assert x.size == 2 * off.size
+        closed = synthesize(spec, variance_mode="closed")
+        by_table = synthesize(spec, variance_mode="quadrature")
+        np.testing.assert_allclose(by_table.variance_fn(x),
+                                   closed.variance_fn(x), rtol=1e-9)
 
     def test_mean_level_quadrature_with_a_pole(self):
         """x^-1/2 e^-x: the mean of sigma^2/2 takes in the whole tail."""
