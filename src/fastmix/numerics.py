@@ -76,14 +76,10 @@ _WG = np.array([
 
 @dataclass(frozen=True)
 class Grid:
-    """Strictly increasing 1-d grid of at least 3 points.
-
-    kind is "uniform" (spacing deviations at most 1e-12 relative to the span)
-    or "custom".
-    """
+    """Strictly increasing, evenly spaced 1-d grid of at least 3 points
+    (spacing deviations at most 1e-12 relative to the span)."""
 
     points: np.ndarray
-    kind: str = "uniform"
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -95,12 +91,9 @@ class Grid:
         d = np.diff(pts)
         if np.any(d <= 0):
             raise ValueError("grid points must be strictly increasing")
-        if self.kind == "uniform":
-            h = (pts[-1] - pts[0]) / (pts.size - 1)
-            if np.max(np.abs(d - h)) > 1e-12 * max(1.0, pts[-1] - pts[0]):
-                raise ValueError("spacing is not uniform")
-        elif self.kind != "custom":
-            raise ValueError("kind must be 'uniform' or 'custom'")
+        h = (pts[-1] - pts[0]) / (pts.size - 1)
+        if np.max(np.abs(d - h)) > 1e-12 * max(1.0, pts[-1] - pts[0]):
+            raise ValueError("spacing is not uniform")
 
     @property
     def a(self) -> float:
@@ -116,19 +109,17 @@ class Grid:
 
     @property
     def h(self) -> float:
-        if self.kind != "uniform":
-            raise ValueError("spacing is only defined for uniform grids")
         return (self.b - self.a) / (self.n - 1)
 
     @classmethod
     def uniform(cls, a: float, b: float, n: int) -> "Grid":
-        return cls(np.linspace(a, b, n), kind="uniform")
+        return cls(np.linspace(a, b, n))
 
     @classmethod
     def cell_centers(cls, a: float, b: float, n: int) -> "Grid":
         """Midpoints of n equal cells of [a, b]; strictly interior."""
         h = (b - a) / n
-        return cls(a + h * (np.arange(n) + 0.5), kind="uniform")
+        return cls(a + h * (np.arange(n) + 0.5))
 
 
 @dataclass

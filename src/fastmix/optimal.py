@@ -23,8 +23,6 @@ from . import numerics
 from .distributions import DistributionSpec, MomentSummary, mixture
 from .errors import DegenerateDistribution, OutOfSupport
 
-_EDGE_EPS = 1e-8  # endpoint clamp, as a fraction of the support width
-
 
 def phi1_from_moments(m1, m2):
     """Slope and intercept of the standardized linear slow mode."""
@@ -261,24 +259,13 @@ def synthesize(spec: DistributionSpec, sigma_hat_sq_half=None, *,
 
 
 def variance_at(proc: OptimalProcess, x):
-    """sigma^2(x)/2, clamped to an epsilon inset at finite endpoints."""
+    """sigma^2(x)/2 at points of the closed support (0 at a finite end)."""
     arr = np.asarray(x, dtype=float)
     sup = proc.source.support
-    if np.any(np.atleast_1d(arr) < sup.lower) or \
-            np.any(np.atleast_1d(arr) > sup.upper):
+    if np.any(arr < sup.lower) or np.any(arr > sup.upper):
         raise OutOfSupport("point outside support [%g, %g]"
                            % (sup.lower, sup.upper))
-    lo, hi = sup.lower, sup.upper
-    if math.isfinite(lo) and math.isfinite(hi):
-        eps = _EDGE_EPS * (hi - lo)
-        lo, hi = lo + eps, hi - eps
-    elif math.isfinite(lo):
-        lo = lo + _EDGE_EPS * max(1.0, abs(lo))
-        hi = math.inf
-    elif math.isfinite(hi):
-        hi = hi - _EDGE_EPS * max(1.0, abs(hi))
-        lo = -math.inf
-    out = proc.variance_fn(np.clip(arr, lo, hi))
+    out = proc.variance_fn(arr)
     return float(out) if arr.ndim == 0 else np.asarray(out)
 
 

@@ -19,14 +19,19 @@ and do the same float operations, so they agree bit for bit:
 
 A proposal that leaves a finite end of the support is folded back by the
 triangle wave (reflect) or re-drawn (reject-step). Points inside are left
-untouched. The earliest failure across all paths is the one raised.
+untouched. A run fails by one rule, whichever kernel steps it:
+
+- a reject-step proposal that takes more than _MAX_TRIES draws fails the
+  run at the earliest such step across paths (BoundaryViolation);
+- otherwise the finished series is checked once: a path that is not finite
+  fails the run as NonFiniteState, naming the first kept step at which some
+  path is not finite. A diverging run steps to its last step first.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -39,7 +44,6 @@ from .errors import (
 from .numerics import Grid, RateEstimate
 from .optimal import OptimalProcess, _ClosedVariance, _QuadratureVariance
 
-_CHECK_EVERY = 1000  # steps between finiteness checks
 _MAX_TRIES = 100     # reject-step re-draws per step before giving up
 # the widest batch the path-major kernel takes. It costs about 0.4 us per
 # path-step, the step-major loop about 15 us per step below 64 paths; on
@@ -125,10 +129,14 @@ def _rejected(step, dt):
         "step rejected %d times at t=%g" % (_MAX_TRIES, step * dt))
 
 
-def _non_finite(step):
-    if step % _CHECK_EVERY == 0:
-        return NonFiniteState("state became non-finite at step %d" % step)
-    return NonFiniteState("state became non-finite")
+def _finite(series, burn):
+    """series, or NonFiniteState naming the first kept step at which some
+    path is not finite. A finite series passes on its min and max, with no
+    temporary the size of the series."""
+    if math.isfinite(series.min()) and math.isfinite(series.max()):
+        return series
+    row = int(np.argmin(np.isfinite(series).all(axis=1)))
+    raise NonFiniteState("state became non-finite by step %d" % (burn + row))
 
 
 def _redraw(rng, x, mu, sigma, dt, rootdt, lo, hi):
@@ -154,19 +162,16 @@ def _path_major(drift, variance, lo, hi, x0, cfg):
     reflect = cfg.boundary_mode == "reflect"
     sqrt = math.sqrt
     series = np.empty((n_steps - burn, cfg.n_paths))
-    # chunks end on the steps where _step_major checks finiteness
-    checks = range(1, n_steps, _CHECK_EVERY)
-    first = None  # the earliest failure: (step, order within the step, error)
+    limit = n_steps  # the earliest reject-step give-up so far
     for i in range(cfg.n_paths):
         rng = _path_rng(cfg.seed, i)
         noise = rng.standard_normal(n_steps)
         x = float(x0)
-        for s, e in zip(chain((0,), checks), chain(checks, (n_steps,))):
-            if first is not None and s > first[0]:
-                break  # nothing later in this path can fail earlier
+        # 1000-step chunks bound the float list and each write into series
+        for s in range(0, limit, 1000):
+            e = min(s + 1000, limit)
             walked = []
             append = walked.append
-            failure = None
             for xi in noise[s:e].tolist():
                 v = lam * profile(x)
                 sigma = sqrt(2.0 * (0.0 if v < 0.0 else v))
@@ -178,23 +183,18 @@ def _path_major(drift, variance, lo, hi, x0, cfg):
                     else:
                         prop = _redraw(rng, x, mu, sigma, dt, rootdt, lo, hi)
                         if prop is None:
-                            step = s + len(walked)
-                            failure = (step, 0, _rejected(step, dt))
                             break
                 x = prop
                 append(x)
-            if failure is None and not math.isfinite(x):
-                failure = (e - 1, 1, _non_finite(e - 1))
-            if failure is not None:
-                if first is None or failure[:2] < first[:2]:
-                    first = failure
+            if len(walked) < e - s:
+                limit = s + len(walked)
                 break
             if e > burn:
                 k = max(s, burn)
                 series[k - burn:e - burn, i] = walked[k - s:]
-    if first is not None:
-        raise first[2]
-    return series
+    if limit < n_steps:
+        raise _rejected(limit, dt)
+    return _finite(series, burn)
 
 
 def _step_major(mu_fn, var_fn, lo, hi, x0, cfg):
@@ -217,8 +217,8 @@ def _step_major(mu_fn, var_fn, lo, hi, x0, cfg):
     sigma = np.empty(n_paths)
     kick = np.empty(n_paths)
     x = np.full(n_paths, float(x0))
-    # a diverging run overflows to inf and nan; the finiteness checks below
-    # report it, so numpy need not warn on the way
+    # a diverging run overflows to inf and nan; the check of the finished
+    # series reports it, so numpy need not warn on the way
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(n_steps):
             prop = series[step - burn] if step >= burn else burn_bufs[step % 2]
@@ -246,11 +246,7 @@ def _step_major(mu_fn, var_fn, lo, hi, x0, cfg):
                             raise _rejected(step, dt)
                         prop[i] = p
             x = prop
-            if step % _CHECK_EVERY == 0 and not np.isfinite(x).all():
-                raise _non_finite(step)
-    if not np.isfinite(x).all():
-        raise _non_finite(n_steps - 1)
-    return series
+    return _finite(series, burn)
 
 
 def simulate(target, cfg: SimConfig, x0=None, *, n_bins=50,

@@ -420,15 +420,9 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(np.array([0.0, 1.0, 0.5]))  # not increasing
         with pytest.raises(ValueError):
-            Grid(np.array([0.0, 0.3, 1.0]))  # uneven but kind=uniform
+            Grid(np.array([0.0, 0.3, 1.0]))  # uneven
         with pytest.raises(ValueError):
             Grid(np.array([0.0, np.inf, 1.0]))
-        Grid(np.array([0.0, 0.3, 1.0]), kind="custom")  # fine
-
-    def test_h_undefined_for_custom(self):
-        g = Grid(np.array([0.0, 0.3, 1.0]), kind="custom")
-        with pytest.raises(ValueError):
-            g.h
 
 
 class TestGridFunction:

@@ -270,8 +270,7 @@ class TestVarianceRoutes:
 
     def test_variance_at_endpoint_clamp_and_domain(self):
         proc = synthesize(Beta(1.0, 1.0))
-        v0 = variance_at(proc, 0.0)
-        assert v0 > 0.0 and v0 < 1e-6  # clamped slightly inside
+        assert variance_at(proc, 0.0) == variance_at(proc, 1.0) == 0.0
         assert variance_at(proc, 0.5) > 0.1
         with pytest.raises(OutOfSupport):
             variance_at(proc, -0.01)

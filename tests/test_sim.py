@@ -371,16 +371,40 @@ class TestKernels:
         assert msgs[0] != msgs[1]
         assert msgs[1].startswith("BoundaryViolation: step rejected")
 
-    @pytest.mark.parametrize("n_steps,tail", [
-        (3000, "non-finite at step 2000"), (1500, "non-finite")])
-    def test_same_non_finite_error(self, n_steps, tail):
-        """An unstable step size overflows; both kernels name the first
-        finiteness check that saw it, or none after the last check."""
+    def test_same_early_rejection_error(self):
+        """A give-up during burn-in still fails the run, at its step."""
+        proc = synthesize(Gamma(1.0))
+        a, b = _both_kernels(proc, SimConfig(
+            dt=5.0, n_steps=3000, n_paths=4, seed=5, burn_in=10,
+            boundary_mode="reject-step"))
+        assert a == b == "BoundaryViolation: step rejected 100 times at t=5"
+
+    @pytest.mark.parametrize("n_steps,burn_in,step", [
+        (3000, 0, 1021), (1500, 0, 1021), (3000, 1500, 1500)])
+    def test_same_non_finite_error(self, n_steps, burn_in, step):
+        """An unstable step size overflows; both kernels step to the end
+        and name the first kept step at which some path is not finite."""
         proc = synthesize(Normal(0.0, 1.0))
-        cfg = SimConfig(dt=3.0, n_steps=n_steps, n_paths=3, seed=5)
-        with np.errstate(all="ignore"):
-            a, b = _both_kernels(proc, cfg)
-        assert a == b == "NonFiniteState: state became " + tail
+        cfg = SimConfig(dt=3.0, n_steps=n_steps, n_paths=3, seed=5,
+                        burn_in=burn_in)
+        a, b = _both_kernels(proc, cfg)
+        msg = "NonFiniteState: state became non-finite by step %d" % step
+        assert a == b == msg
+
+    def test_earliest_non_finite_path_is_reported(self):
+        """Alone, path 0 overflows at step 1022; with 3 paths another one
+        overflows at step 1021, and every path is finite before it."""
+        proc = synthesize(Normal(0.0, 1.0))
+        msgs = []
+        for n_paths, n_steps in ((1, 1500), (3, 1022)):
+            a, b = _both_kernels(proc, SimConfig(
+                dt=3.0, n_steps=n_steps, n_paths=n_paths, seed=5))
+            assert a == b
+            msgs.append(a)
+        assert [m.rsplit(" ", 1)[1] for m in msgs] == ["1022", "1021"]
+        a, b = _both_kernels(proc, SimConfig(dt=3.0, n_steps=1021, n_paths=3,
+                                             seed=5))
+        assert np.isfinite(a).all() and np.array_equal(a, b)
 
     @pytest.mark.parametrize("mode", ["reflect", "reject-step"])
     def test_points_inside_are_not_folded(self, mode):
