@@ -187,7 +187,7 @@ class _QuadratureVariance:
         if x0 == x1:
             return 0.0
         return numerics.integrate(
-            lambda z: g(z) * self.spec._pdf(z), x0, x1, tol=1e-300,
+            lambda z: g(z) * self.spec._pdf(z), x0, x1, tol=0.0,
             rel_tol=1e-11, scale=self.spec._scale_hint()).value
 
     def _tail_v(self, x):

@@ -2,9 +2,17 @@
 from the lag autocorrelation of the slow mode.
 
 Noise comes from counter-based Philox streams keyed by (seed, path index).
-Each path draws its n_steps normals up front; reject-step re-draws come
-after them from the same stream, in step order. So results for a given
+A path's n_steps step normals are the first n_steps draws of its stream,
+taken _CHUNK at a time; a Generator gives the same numbers in chunks as in
+one call. Reject-step re-draws are the draws after those n_steps, in step
+order: a path's first re-draw opens a second generator on the same key and
+discards its first n_steps normals, in chunks. So results for a given
 config are bit-identical across runs.
+
+A run holds one array the size of its series plus buffers of
+_CHUNK x n_paths: simulate applies the observable one path at a time and
+squares the series in place for m2_hat. A bare triple adds one centered
+copy.
 
 Two kernels run the step loop. They see the same draws in the same order
 and do the same float operations, so they agree bit for bit:
@@ -45,6 +53,7 @@ from .numerics import Grid, RateEstimate
 from .optimal import OptimalProcess, _ClosedVariance, _QuadratureVariance
 
 _MAX_TRIES = 100     # reject-step re-draws per step before giving up
+_CHUNK = 1000        # steps per noise draw and per path-major float walk
 # the widest batch the path-major kernel takes. It costs about 0.4 us per
 # path-step, the step-major loop about 15 us per step below 64 paths; on
 # Beta, Normal and Gamma targets the two meet between 32 and 40 paths
@@ -83,7 +92,8 @@ class SimResult:
 
 
 def _unpack_target(target):
-    """(mu, sigma2half, support bounds, observable, center_obs)."""
+    """(mu, sigma2half, support bounds, observable). A bare triple has no
+    observable: its slow mode is taken as x itself, centered and scaled."""
     if isinstance(target, OptimalProcess):
         var_fn = target.variance_fn
         if isinstance(var_fn, _QuadratureVariance):
@@ -99,11 +109,10 @@ def _unpack_target(target):
             return slope * x + intercept
 
         sup = target.source.support
-        return (target.drift_at, var_fn, (sup.lower, sup.upper),
-                observable, False)
+        return target.drift_at, var_fn, (sup.lower, sup.upper), observable
     mu, var_fn, support = target
     lo, hi = float(support[0]), float(support[1])
-    return mu, var_fn, (lo, hi), (lambda x: x), True
+    return mu, var_fn, (lo, hi), None
 
 
 def _reflect(x, lo, hi):
@@ -122,6 +131,15 @@ def _path_rng(seed, i):
     # two-word key: path streams stay distinct across seeds as well
     return np.random.Generator(
         np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, i]))
+
+
+def _redraw_rng(seed, i, n_steps):
+    """Path i's stream past its n_steps step normals, where its reject-step
+    re-draws start."""
+    rng = _path_rng(seed, i)
+    for s in range(0, n_steps, _CHUNK):
+        rng.standard_normal(min(_CHUNK, n_steps - s))
+    return rng
 
 
 def _rejected(step, dt):
@@ -165,14 +183,15 @@ def _path_major(drift, variance, lo, hi, x0, cfg):
     limit = n_steps  # the earliest reject-step give-up so far
     for i in range(cfg.n_paths):
         rng = _path_rng(cfg.seed, i)
-        noise = rng.standard_normal(n_steps)
+        redraws = None
         x = float(x0)
-        # 1000-step chunks bound the float list and each write into series
-        for s in range(0, limit, 1000):
-            e = min(s + 1000, limit)
+        # a chunk of noise at a time bounds the float list and each write
+        # into series
+        for s in range(0, limit, _CHUNK):
+            e = min(s + _CHUNK, limit)
             walked = []
             append = walked.append
-            for xi in noise[s:e].tolist():
+            for xi in rng.standard_normal(e - s).tolist():
                 v = lam * profile(x)
                 sigma = sqrt(2.0 * (0.0 if v < 0.0 else v))
                 mu = a0 + a1 * x
@@ -181,7 +200,10 @@ def _path_major(drift, variance, lo, hi, x0, cfg):
                     if reflect:
                         prop = float(_reflect(prop, lo, hi))
                     else:
-                        prop = _redraw(rng, x, mu, sigma, dt, rootdt, lo, hi)
+                        if redraws is None:
+                            redraws = _redraw_rng(cfg.seed, i, n_steps)
+                        prop = _redraw(redraws, x, mu, sigma, dt, rootdt,
+                                       lo, hi)
                         if prop is None:
                             break
                 x = prop
@@ -201,7 +223,8 @@ def _step_major(mu_fn, var_fn, lo, hi, x0, cfg):
     """The (kept, n_paths) series, all paths at once, one step at a time.
 
     Each step writes its proposal straight into its row of the series (or a
-    burn-in buffer) and folds or re-draws only the points that left.
+    burn-in buffer) and folds or re-draws only the points that left. Every
+    _CHUNK steps the noise buffer is refilled from each path's stream.
     """
     n_paths, n_steps, burn = cfg.n_paths, cfg.n_steps, cfg.burn_in
     dt = cfg.dt
@@ -209,10 +232,9 @@ def _step_major(mu_fn, var_fn, lo, hi, x0, cfg):
     reflect = cfg.boundary_mode == "reflect"
     low_end, high_end = math.isfinite(lo), math.isfinite(hi)
     series = np.empty((n_steps - burn, n_paths))
-    noise = np.empty((n_steps, n_paths))
+    noise = np.empty((_CHUNK, n_paths))
     rngs = [_path_rng(cfg.seed, i) for i in range(n_paths)]
-    for i, rng in enumerate(rngs):
-        noise[:, i] = rng.standard_normal(n_steps)
+    redraws = {}  # path -> its re-draw stream, opened at its first re-draw
     burn_bufs = (np.empty(n_paths), np.empty(n_paths))
     sigma = np.empty(n_paths)
     kick = np.empty(n_paths)
@@ -221,6 +243,11 @@ def _step_major(mu_fn, var_fn, lo, hi, x0, cfg):
     # series reports it, so numpy need not warn on the way
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(n_steps):
+            row = step % _CHUNK
+            if row == 0:
+                m = min(_CHUNK, n_steps - step)
+                for i, rng in enumerate(rngs):
+                    noise[:m, i] = rng.standard_normal(m)
             prop = series[step - burn] if step >= burn else burn_bufs[step % 2]
             drift = mu_fn(x)
             np.maximum(var_fn(x), 0.0, out=sigma)
@@ -229,7 +256,7 @@ def _step_major(mu_fn, var_fn, lo, hi, x0, cfg):
             np.multiply(drift, dt, out=prop)
             np.add(x, prop, out=prop)
             np.multiply(sigma, rootdt, out=kick)
-            np.multiply(kick, noise[step], out=kick)
+            np.multiply(kick, noise[row], out=kick)
             np.add(prop, kick, out=prop)
             # written so that a NaN fails the test: the other points still fold
             if (low_end and not prop.min() >= lo) or \
@@ -239,8 +266,10 @@ def _step_major(mu_fn, var_fn, lo, hi, x0, cfg):
                     prop[bad] = _reflect(prop[bad], lo, hi)
                 else:
                     drift = np.broadcast_to(drift, prop.shape)
-                    for i in np.nonzero(bad)[0]:
-                        p = _redraw(rngs[i], x[i], drift[i], sigma[i], dt,
+                    for i in np.nonzero(bad)[0].tolist():
+                        if i not in redraws:
+                            redraws[i] = _redraw_rng(cfg.seed, i, n_steps)
+                        p = _redraw(redraws[i], x[i], drift[i], sigma[i], dt,
                                     rootdt, lo, hi)
                         if p is None:
                             raise _rejected(step, dt)
@@ -258,7 +287,7 @@ def simulate(target, cfg: SimConfig, x0=None, *, n_bins=50,
     histogram, and the lag autocorrelation of the slow-mode observable over
     the retained (post burn-in) samples.
     """
-    mu_fn, var_fn, (lo, hi), observable, center = _unpack_target(target)
+    mu_fn, var_fn, (lo, hi), observable = _unpack_target(target)
     if x0 is None:
         if isinstance(target, OptimalProcess):
             x0 = target.moments.m1
@@ -273,18 +302,24 @@ def simulate(target, cfg: SimConfig, x0=None, *, n_bins=50,
     kept, n_paths = series.shape
     n_samples = kept * n_paths
     m1_hat = float(series.mean())
-    m2_hat = float(np.mean(series * series))
     freq, edges = np.histogram(series.ravel(), bins=int(n_bins), density=True)
-    obs = observable(series)
-    if center:
-        obs = obs - obs.mean()
-        sd = float(np.sqrt(np.mean(obs * obs)))
-        if sd > 0:
-            obs = obs / sd
     if max_lag is None:
         max_lag = min(kept - 1, 50000)
     max_lag = int(max_lag)
-    acf = _mean_lag_products(obs, max_lag)
+    # series is squared in place for m2_hat once its values are read; the
+    # observable is applied one path at a time
+    if observable is None:
+        # one centered copy, scaled in place; the squared series then
+        # serves as the buffer for its squares
+        obs = series - m1_hat
+        m2_hat = float(np.multiply(series, series, out=series).mean())
+        sd = float(np.sqrt(np.multiply(obs, obs, out=series).mean()))
+        if sd > 0:
+            np.divide(obs, sd, out=obs)
+        acf = _mean_lag_products(obs, max_lag, lambda y: y)
+    else:
+        acf = _mean_lag_products(series, max_lag, observable)
+        m2_hat = float(np.multiply(series, series, out=series).mean())
     if acf[0] <= 0:
         raise NonFiniteState("autocorrelation normalization is not positive")
     lags = np.arange(max_lag + 1)
@@ -293,15 +328,16 @@ def simulate(target, cfg: SimConfig, x0=None, *, n_bins=50,
                      n_samples=n_samples)
 
 
-def _mean_lag_products(obs, max_lag):
-    """Average of y_t y_(t+s) over paths and t, for s = 0..max_lag (FFT)."""
-    kept, n_paths = obs.shape
+def _mean_lag_products(series, max_lag, observable):
+    """Average of y_t y_(t+s) over paths and t, for s = 0..max_lag (FFT),
+    where y = observable(series) is taken one path at a time."""
+    kept, n_paths = series.shape
     size = 1
     while size < 2 * kept:
         size *= 2
     spec_sum = np.zeros(size // 2 + 1)
     for i in range(n_paths):
-        f = np.fft.rfft(obs[:, i], n=size)
+        f = np.fft.rfft(observable(series[:, i]), n=size)
         spec_sum += (f * f.conj()).real
     raw = np.fft.irfft(spec_sum, n=size)[:max_lag + 1]
     counts = n_paths * (kept - np.arange(max_lag + 1)).astype(float)

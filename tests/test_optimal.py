@@ -230,6 +230,19 @@ class TestVarianceRoutes:
         np.testing.assert_allclose(by_table.variance_fn(x),
                                    closed.variance_fn(x), rtol=1e-9)
 
+    @pytest.mark.parametrize("spec", [
+        Normal(0.0, 1e-4), Normal(5.0, 1e-3),
+    ], ids=lambda v: "sd%g" % v.params["sigma"])
+    def test_beyond_a_cut_end_where_v_is_tiny(self, spec):
+        """37 sd past the mean pi is about 2e-294 and V about 2e-302: the
+        tail integral is held to a relative tolerance alone."""
+        x0, sd = spec.params["x0"], spec.params["sigma"]
+        x = np.array([x0 - 37.0 * sd, x0 + 37.0 * sd])
+        closed = synthesize(spec, variance_mode="closed")
+        by_table = synthesize(spec, variance_mode="quadrature")
+        np.testing.assert_allclose(by_table.variance_fn(x),
+                                   closed.variance_fn(x), rtol=1e-11)
+
     def test_mean_level_quadrature_with_a_pole(self):
         """x^-1/2 e^-x: the mean of sigma^2/2 takes in the whole tail."""
         proc = synthesize(Gamma(-0.5), variance_mode="quadrature")

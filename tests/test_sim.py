@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from fastmix.sim import (
     SimResult,
     _path_major,
     _step_major,
+    _unpack_target,
     estimate_rate,
     rate_from_acf,
     simulate,
@@ -301,6 +303,31 @@ def _both_kernels(proc, cfg):
     return out
 
 
+def _one_call_path(proc, cfg, i):
+    """Path i stepped on draws taken in one call: its n_steps step normals,
+    then its reject-step re-draws from the same generator. Returns the kept
+    series and the steps that re-drew."""
+    rng = sim._path_rng(cfg.seed, i)
+    noise = rng.standard_normal(cfg.n_steps)
+    a0, a1 = proc.drift
+    lam, profile = proc.variance_fn.lambda1, proc.variance_fn._profile
+    lo, hi = proc.source.support.lower, proc.source.support.upper
+    dt = cfg.dt
+    rootdt = math.sqrt(dt)
+    x, walked, redrawn = float(proc.moments.m1), [], []
+    for step, xi in enumerate(noise.tolist()):
+        v = lam * profile(x)
+        sigma = math.sqrt(2.0 * (0.0 if v < 0.0 else v))
+        mu = a0 + a1 * x
+        prop = x + mu * dt + sigma * rootdt * xi
+        while prop < lo or prop > hi:
+            redrawn.append(step)
+            prop = x + mu * dt + sigma * rootdt * rng.standard_normal()
+        x = prop
+        walked.append(x)
+    return np.array(walked[cfg.burn_in:]), redrawn
+
+
 class TestKernels:
     """The path-major and step-major loops agree bit for bit."""
 
@@ -407,6 +434,38 @@ class TestKernels:
         assert np.isfinite(a).all() and np.array_equal(a, b)
 
     @pytest.mark.parametrize("mode", ["reflect", "reject-step"])
+    @pytest.mark.parametrize("n_steps,burn_in", [
+        (999, 0), (1000, 0), (1001, 0), (2001, 0), (2001, 1001)])
+    def test_identical_across_chunk_edges(self, n_steps, burn_in, mode):
+        """Noise is drawn 1000 steps at a time; runs that end or start
+        keeping on either side of a chunk edge agree in both kernels."""
+        proc = _dome_process()
+        cfg = SimConfig(dt=0.01, n_steps=n_steps, n_paths=40, seed=3,
+                        burn_in=burn_in, boundary_mode=mode)
+        a, b = _both_kernels(proc, cfg)
+        assert a.shape == (n_steps - burn_in, 40)
+        assert np.array_equal(a, b)
+
+    def test_redraws_after_a_chunk_edge(self):
+        """Re-draws after step 1000 still take a path's draws after all of
+        its step draws: the step-major series matches paths stepped on
+        draws taken in one call. Some paths first re-draw after step 1000,
+        some on both sides of it."""
+        proc = _dome_process()
+        cfg = SimConfig(dt=0.01, n_steps=2001, n_paths=40, seed=3,
+                        burn_in=1001, boundary_mode="reject-step")
+        sup = proc.source.support
+        series = _step_major(proc.drift_at, proc.variance_fn, sup.lower,
+                             sup.upper, proc.moments.m1, cfg)
+        late = both = 0
+        for i in range(cfg.n_paths):
+            want, redrawn = _one_call_path(proc, cfg, i)
+            assert np.array_equal(series[:, i], want)
+            late += bool(redrawn) and redrawn[0] >= 1000
+            both += bool(redrawn) and redrawn[0] < 1000 <= redrawn[-1]
+        assert late > 0 and both > 0
+
+    @pytest.mark.parametrize("mode", ["reflect", "reject-step"])
     def test_points_inside_are_not_folded(self, mode):
         """Only a proposal that left the interval is folded: at rest at
         1e-20 on (-1, 1), x stays exactly 1e-20."""
@@ -416,6 +475,80 @@ class TestKernels:
         for series in (_path_major((0.0, 0.0), still, -1.0, 1.0, 1e-20, cfg),
                        _step_major(zero, still, -1.0, 1.0, 1e-20, cfg)):
             assert np.all(series == 1e-20)
+
+
+def _old_post_processing(series, observable, n_bins=50):
+    """m1, m2, histogram and acf by the formulas that made temporaries the
+    size of the series; observable None centers and scales x itself."""
+    m1 = float(series.mean())
+    m2 = float(np.mean(series * series))
+    freq, edges = np.histogram(series.ravel(), bins=n_bins, density=True)
+    if observable is None:
+        obs = series - series.mean()
+        sd = float(np.sqrt(np.mean(obs * obs)))
+        obs = obs / sd
+    else:
+        obs = observable(series)
+    kept, n_paths = obs.shape
+    max_lag = min(kept - 1, 50000)
+    size = 1
+    while size < 2 * kept:
+        size *= 2
+    spec_sum = np.zeros(size // 2 + 1)
+    for i in range(n_paths):
+        f = np.fft.rfft(obs[:, i], n=size)
+        spec_sum += (f * f.conj()).real
+    raw = np.fft.irfft(spec_sum, n=size)[:max_lag + 1]
+    acf = raw / (n_paths * (kept - np.arange(max_lag + 1)).astype(float))
+    return m1, m2, freq, edges, acf / acf[0]
+
+
+def _traced_peak(fn):
+    """The peak of memory traced by tracemalloc while fn runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPostProcessing:
+    """simulate streams its series: one array the size of the series plus
+    buffers of 1000 x paths, with the old formulas' results bit for bit."""
+
+    @pytest.mark.parametrize("target", ["dome", "bare"])
+    def test_same_as_the_series_sized_formulas(self, target):
+        if target == "dome":
+            proc = _dome_process()
+            x0 = proc.moments.m1
+        else:
+            proc = _ou_target()[:2] + ((-1.5, 1.5),)
+            x0 = 0.3
+        cfg = SimConfig(dt=0.01, n_steps=2001, n_paths=40, seed=3,
+                        burn_in=501)
+        res = simulate(proc, cfg, x0=x0)
+        mu, var, (lo, hi), observable = _unpack_target(proc)
+        m1, m2, freq, edges, acf = _old_post_processing(
+            _step_major(mu, var, lo, hi, x0, cfg), observable)
+        assert res.m1_hat == m1 and res.m2_hat == m2
+        assert np.array_equal(res.hist_freq, freq)
+        assert np.array_equal(res.hist_edges, edges)
+        assert np.array_equal(res.acf, acf)
+
+    def test_closed_run_holds_one_series(self):
+        """Parent: about 2.0 x the series (noise array, then the squares)."""
+        cfg = SimConfig(dt=1e-3, n_steps=8000, n_paths=256, seed=1)
+        proc = _dome_process()
+        peak = _traced_peak(lambda: simulate(proc, cfg))
+        assert peak <= 1.15 * cfg.n_steps * cfg.n_paths * 8
+
+    def test_bare_run_holds_one_copy_beside_the_series(self):
+        """A bare triple keeps one centered copy. Parent: about 3.0 x."""
+        cfg = SimConfig(dt=1e-3, n_steps=8000, n_paths=256, seed=1)
+        target = _ou_target()[:2] + ((-1.5, 1.5),)
+        peak = _traced_peak(lambda: simulate(target, cfg, x0=0.0))
+        assert peak <= 2.15 * cfg.n_steps * cfg.n_paths * 8
 
 
 class TestRateFromAcf:
