@@ -376,16 +376,10 @@ def estimate_rate(target, cfg: SimConfig, x0=None, *,
 
 
 def write_autocorr_csv(path, lags, acf):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("lag,autocorr\n")
-        for lag, a in zip(np.asarray(lags), np.asarray(acf)):
-            fh.write("%d,%.17g\n" % (int(lag), a))
+    numerics.write_csv(path, "lag,autocorr\n", "%d,%.17g\n", lags, acf)
 
 
 def write_hist_csv(path, edges, freq):
     edges = np.asarray(edges, dtype=float)
-    freq = np.asarray(freq, dtype=float)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("bin_lo,bin_hi,freq\n")
-        for i in range(freq.size):
-            fh.write("%.17g,%.17g,%.17g\n" % (edges[i], edges[i + 1], freq[i]))
+    numerics.write_csv(path, "bin_lo,bin_hi,freq\n", "%.17g,%.17g,%.17g\n",
+                       edges, edges[1:], np.asarray(freq, dtype=float))

@@ -646,3 +646,31 @@ class TestCsvWriters:
         assert lines[0] == "bin_lo,bin_hi,freq"
         assert lines[1] == "0,0.5,0.5"
         assert lines[2] == "0.5,1,1.5"
+
+    AWKWARD = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308,
+               -1.7976931348623157e308, math.nan, math.inf, -math.inf,
+               0.1, 1.0 / 3.0, -2.5e-17]
+
+    def test_autocorr_bytes_match_the_row_format(self, tmp_path):
+        """Rows formatted from Python numbers and written in chunks are the
+        bytes the per-row format of numpy scalars wrote, across chunk
+        boundaries."""
+        acf = np.tile(self.AWKWARD, 200)
+        lags = np.arange(acf.size)
+        path = tmp_path / "autocorr.csv"
+        write_autocorr_csv(path, lags, acf)
+        rows = "".join("%d,%.17g\n" % (int(lag), a)
+                       for lag, a in zip(lags, acf))
+        assert path.read_bytes() == ("lag,autocorr\n" + rows).encode()
+
+    @pytest.mark.parametrize("n_bins", [0, 1, 11, 2100])
+    def test_hist_bytes_match_the_row_format(self, tmp_path, n_bins):
+        """Awkward edges and heights, and a histogram with no bins."""
+        edges = np.tile(self.AWKWARD, 200)[:n_bins + 1]
+        freq = np.tile(self.AWKWARD[::-1], 200)[:n_bins]
+        path = tmp_path / "hist.csv"
+        write_hist_csv(path, edges, freq)
+        rows = "".join("%.17g,%.17g,%.17g\n"
+                       % (edges[i], edges[i + 1], freq[i])
+                       for i in range(freq.size))
+        assert path.read_bytes() == ("bin_lo,bin_hi,freq\n" + rows).encode()

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from fastmix import spectral
 from fastmix.distributions import Beta, Gamma, Jacobi, Normal, StudentCauchy
 from fastmix.errors import GridTooCoarse, ZeroDenominator
 from fastmix.numerics import Grid, GridFunction
@@ -244,6 +245,109 @@ class TestEvolveFpe:
             evolve_fpe(proc, state, t_end=1.0, dt=1e-3, record_every=0)
         with pytest.raises(ValueError):
             EvolutionState(grid=g, density=np.ones(5))
+        # a non-finite t_end or dt, or a record count that overflows, is
+        # one ValueError, not an OverflowError or a nan time
+        for t_end, dt in [(math.inf, 1e-3), (-math.inf, 1e-3),
+                          (math.nan, 1e-3), (1.0, math.inf),
+                          (1.0, -math.inf), (1.0, math.nan),
+                          (math.nan, math.nan), (1e300, 1e-300)]:
+            with pytest.raises(ValueError, match="finite dt > 0"):
+                evolve_fpe(proc, state, t_end=t_end, dt=dt)
+
+
+def _full_modes(proc, state0):
+    """lambda (lambda_0 = 0), phi, the start's coefficients c, the L1
+    weights w_k = |c_k| h sum_i pi_i |phi_k(i)| and pi, from all n modes."""
+    g = state0.grid
+    disc = discretize_generator(proc, g)
+    modes = spectrum(disc, g.n)
+    lams = modes.eigenvalues.copy()
+    lams[0] = 0.0
+    phi = modes.eigenfunctions
+    coeffs = g.h * (phi @ state0.density)
+    weights = np.abs(coeffs) * (g.h * (np.abs(phi) @ disc.pi))
+    return lams, phi, coeffs, weights, disc.pi
+
+
+def _drop_tol(state0):
+    return spectral._DROP_TOL * state0.grid.h * np.sum(np.abs(state0.density))
+
+
+class TestModeTruncation:
+    """evolve_fpe sums only the modes that can still move the density; every
+    distance and the final density stay within the stated L1 bound of the
+    untruncated sum over all n modes."""
+
+    @staticmethod
+    def _starts(name):
+        dist = {"dome": Beta(1.0, 1.0), "ou": Normal(0.0, 1.0),
+                "gamma": Gamma(1.0)}[name.split("-")[0]]
+        proc = synthesize(dist)
+        g = default_grid(proc, 400)
+        mom = proc.moments
+        sd = math.sqrt(mom.variance)
+        if name.endswith("spike"):
+            p0 = np.zeros(g.n)
+            p0[g.n // 2] = 1.0 / g.h
+        elif name.endswith("pi"):
+            p0 = proc.source._pdf(g.points)
+            p0 = p0 / (np.sum(p0) * g.h)
+        else:
+            p0 = gaussian_bump(g, mom.m1 + sd, 0.5 * sd)
+        return proc, EvolutionState(grid=g, density=p0)
+
+    @pytest.mark.parametrize("name", [
+        "dome", "ou", "gamma", "dome-spike", "ou-spike", "gamma-spike",
+        "dome-pi", "ou-pi", "gamma-pi"])
+    def test_within_the_bound_of_the_full_sum(self, name):
+        proc, state0 = self._starts(name)
+        g = state0.grid
+        h = g.h
+        tau = 1.0 / proc.lambda1
+        state, times, dists = evolve_fpe(proc, state0, 8.0 * tau, 1e-2 * tau)
+        assert times.size == 801  # blocks of 8, 16, ..., 256, 256, ...
+
+        lams, phi, coeffs, weights, pi = _full_modes(proc, state0)
+        decay = np.exp(-np.outer(lams, times - times[0]))
+        p_ref = pi[:, None] * (phi.T @ (coeffs[:, None] * decay))
+        target = pi * (np.sum(state0.density) / np.sum(pi))
+        d_ref = np.sum(np.abs(p_ref - target[:, None]), axis=0) * h
+        # the bound is tol in exact arithmetic. Each sum also rounds, here by
+        # at most 0.3 unit roundoffs of its summed L1 weight
+        # sum_k w_k e^{-lambda_k t}; allow two
+        roundoff = 2 * np.finfo(float).eps * (weights @ decay)
+        allow = _drop_tol(state0) + roundoff
+        assert np.all(np.abs(dists - d_ref) <= allow)
+        assert np.sum(np.abs(state.density - p_ref[:, -1])) * h <= allow[-1]
+
+    def test_a_spike_keeps_nearly_all_modes(self):
+        """A one-cell start has coefficients that do not decay with k."""
+        proc, state0 = self._starts("dome-spike")
+        lams, _, _, weights, _ = _full_modes(proc, state0)
+        kept = spectral._modes_kept(weights, lams, 0.0, _drop_tol(state0))
+        assert kept >= 0.95 * state0.grid.n
+
+    def test_kept_prefix_is_minimal_and_bounds_its_tail(self):
+        """On the dome at n = 400 the dropped tail's weight is at most tol
+        at t and every later time, the next shorter prefix would break that,
+        and the count falls with t to at most 50 once t >= 1 / lambda1."""
+        proc, state0 = self._starts("dome")
+        g = state0.grid
+        lams, phi, coeffs, weights, pi = _full_modes(proc, state0)
+        tol = _drop_tol(state0)
+        ts = np.linspace(0.0, 8.0, 161) / proc.lambda1
+        counts = [spectral._modes_kept(weights, lams, t, tol) for t in ts]
+        assert np.all(np.diff(counts) <= 0)
+        assert counts[0] > 300
+        assert max(c for c, t in zip(counts, ts)
+                   if t >= 1.0 / proc.lambda1) <= 50
+        for m, t in zip(counts, ts):
+            tail = np.exp(-np.outer(ts[ts >= t], lams[m:])) @ weights[m:]
+            assert np.all(np.diff(tail) <= 0) and tail[0] <= tol
+            assert m == 1 or weights[m - 1:] @ np.exp(-lams[m - 1:] * t) > tol
+            # and it bounds the L1 norm of the density the tail carries
+            p_tail = pi * ((coeffs[m:] * np.exp(-lams[m:] * t)) @ phi[m:])
+            assert np.sum(np.abs(p_tail)) * g.h <= tol
 
 
 class TestFitDecayRate:
@@ -277,3 +381,21 @@ class TestCsvWriters:
         assert lines[0] == "n,lambda"
         assert lines[1].startswith("0,")
         assert float(lines[2].split(",")[1]) == 4.0
+
+    AWKWARD = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308,
+               -1.7976931348623157e308, math.nan, math.inf, -math.inf,
+               0.1, 1.0 / 3.0, -2.5e-17]
+
+    def test_bytes_match_the_row_format(self, tmp_path):
+        """Rows formatted from Python numbers are the bytes the per-row
+        format of numpy scalars wrote."""
+        vals = np.array(self.AWKWARD)
+        times = vals[::-1].copy()
+        write_decay_csv(str(tmp_path / "decay.csv"), times, vals)
+        rows = "".join("%.17g,%.17g\n" % (t, d) for t, d in zip(times, vals))
+        assert ((tmp_path / "decay.csv").read_bytes()
+                == ("t,d\n" + rows).encode())
+        write_spectrum_csv(str(tmp_path / "spec.csv"), vals)
+        rows = "".join("%d,%.17g\n" % (i, lam) for i, lam in enumerate(vals))
+        assert ((tmp_path / "spec.csv").read_bytes()
+                == ("n,lambda\n" + rows).encode())
