@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, numerics
 from .distributions import load_spec, numeric_params, parse_spec, read_json
 from .errors import (
     FastmixError,
@@ -241,11 +241,8 @@ def run_optimal(spec_file, out_dir, sigma_hat_sq_half=None, grid_points=2000,
     proc = synthesize(spec, shalf)
     grid = default_grid(proc, grid_points)
     vals = np.asarray(variance_at(proc, grid.points), dtype=float)
-    with open(os.path.join(out_dir, "variance.csv"), "w",
-              encoding="utf-8") as fh:
-        fh.write("x,sigma2half\n")
-        for x, v in zip(grid.points, vals):
-            fh.write("%.17g,%.17g\n" % (x, v))
+    numerics.write_csv(os.path.join(out_dir, "variance.csv"),
+                       "x,sigma2half\n", "%.17g,%.17g\n", grid.points, vals)
 
     mom = proc.moments
     route = ("quadrature" if isinstance(proc.variance_fn, _QuadratureVariance)

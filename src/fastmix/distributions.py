@@ -4,7 +4,8 @@ Each spec owns a normalized pdf on a fixed support, a cdf (closed form where
 one exists, quadrature otherwise), first and second moments through both a
 closed route and an independent quadrature route, and, where available, the
 closed shape of the rate-optimal diffusion coefficient (per unit relaxation
-rate). Construction always verifies unit mass to 1e-8.
+rate). Construction verifies unit mass to 1e-8; a mixture's mass is that of
+its normalized components.
 """
 
 from __future__ import annotations
@@ -125,8 +126,8 @@ class DistributionSpec:
         # of the bulk the tail taken is the one that starts at x, as a single
         # integral that ends there would step over the mass
         tol = 1e-12 if math.isfinite(lo) else 1e-300
-        s = self._scale_hint()
-        split = self._anchor() + (s if math.isfinite(lo) else 0.0)
+        c0, s = self.bulk()
+        split = c0 + (s if math.isfinite(lo) else 0.0)
         if self.support.finite or x <= split:
             r = numerics.integrate(self._pdf, lo, x, tol=tol, rel_tol=1e-11,
                                    singular_left=self.singular_left, scale=s,
@@ -155,17 +156,15 @@ class DistributionSpec:
 
     # --- quadrature helpers -----------------------------------------------
 
-    def _anchor(self) -> float:
+    def bulk(self):
+        """(centre, length scale) of where the density's mass lies: the
+        support cut, the quadrature splits and the infinite-range map all
+        start from it. A finite support gives its midpoint and a quarter of
+        its width."""
         s = self.support
         if s.finite:
-            return 0.5 * (s.lower + s.upper)
-        return 0.0
-
-    def _scale_hint(self) -> float:
-        s = self.support
-        if s.finite:
-            return 0.25 * (s.upper - s.lower)
-        return 1.0
+            return 0.5 * (s.lower + s.upper), 0.25 * (s.upper - s.lower)
+        return 0.0, 1.0
 
     def breakpoints(self):
         """Points inside the support where the pdf is only piecewise smooth
@@ -175,14 +174,13 @@ class DistributionSpec:
     def truncated_support(self):
         """Finite window holding all but ~1e-14 of the density's peak scale."""
         return numerics.truncated_interval(
-            self._pdf, self.support.lower, self.support.upper,
-            self._anchor(), self._scale_hint())
+            self._pdf, self.support.lower, self.support.upper, *self.bulk())
 
     def _integral(self, g, rel_tol=1e-11):
         """integral of g(x) pdf(x) dx over the support: core, then tails."""
         lo, hi = self.support.lower, self.support.upper
-        s = max(self._scale_hint(), 1e-6)
-        c0 = self._anchor()
+        c0, s = self.bulk()
+        s = max(s, 1e-6)
         core_lo = lo if math.isfinite(lo) else c0 - s
         core_hi = hi if math.isfinite(hi) else max(c0, core_lo) + s
 
@@ -351,11 +349,9 @@ class Gamma(DistributionSpec):
     def default_sigma_hat_sq_half(self):
         return self.params["alpha"] + 1.0
 
-    def _anchor(self):
-        return self.params["alpha"] + 1.0
-
-    def _scale_hint(self):
-        return math.sqrt(self.params["alpha"] + 1.0) + 1.0
+    def bulk(self):
+        a = self.params["alpha"]
+        return a + 1.0, math.sqrt(a + 1.0) + 1.0
 
 
 class Normal(DistributionSpec):
@@ -395,11 +391,8 @@ class Normal(DistributionSpec):
     def default_sigma_hat_sq_half(self):
         return self.params["sigma"] ** 2
 
-    def _anchor(self):
-        return self.params["x0"]
-
-    def _scale_hint(self):
-        return self.params["sigma"]
+    def bulk(self):
+        return self.params["x0"], self.params["sigma"]
 
 
 class StudentCauchy(DistributionSpec):
@@ -439,11 +432,8 @@ class StudentCauchy(DistributionSpec):
         a = self.params["alpha"]
         return (2.0 * a - 1.0) / (2.0 * (a - 1.0))
 
-    def _anchor(self):
-        return 0.0
-
-    def _scale_hint(self):
-        return 2.0
+    def bulk(self):
+        return 0.0, 2.0
 
 
 class InverseGamma(DistributionSpec):
@@ -491,11 +481,8 @@ class InverseGamma(DistributionSpec):
         a = self.params["alpha"]
         return 1.0 / (2.0 * (a - 1.0) * (2.0 * a - 1.0))
 
-    def _anchor(self):
-        return 1.0 / (2.0 * self.params["alpha"] - 1.0)
-
-    def _scale_hint(self):
-        return 1.0
+    def bulk(self):
+        return 1.0 / (2.0 * self.params["alpha"] - 1.0), 1.0
 
 
 class FisherSnedecor(DistributionSpec):
@@ -572,12 +559,10 @@ class FisherSnedecor(DistributionSpec):
             raise MomentDivergence("mean diffusion level needs nu2 > 4")
         return n2 * (n1 + n2 - 2.0) / ((n2 - 2.0) * (n2 - 4.0))
 
-    def _anchor(self):
+    def bulk(self):
         n2 = self.params["nu2"]
-        return n2 / (n2 - 2.0) if n2 > 2.0 else 1.0
-
-    def _scale_hint(self):
-        return max(1.0, 2.0 * self._anchor())
+        c0 = n2 / (n2 - 2.0) if n2 > 2.0 else 1.0
+        return c0, max(1.0, 2.0 * c0)
 
 
 class Hyperexponential(DistributionSpec):
@@ -635,12 +620,9 @@ class Hyperexponential(DistributionSpec):
 
         return profile
 
-    def _anchor(self):
+    def bulk(self):
         p1, p2, e1, e2 = (self.params[k] for k in ("p1", "p2", "eta1", "eta2"))
-        return p1 / e1 + p2 / e2
-
-    def _scale_hint(self):
-        return 1.0 / min(self.params["eta1"], self.params["eta2"])
+        return p1 / e1 + p2 / e2, 1.0 / min(e1, e2)
 
 
 class CubicPearson(DistributionSpec):
@@ -716,8 +698,7 @@ class Custom(DistributionSpec):
 
     kind = "Custom"
 
-    def __init__(self, pdf, support: Support, *, check_mass=True,
-                 anchor=None, scale_hint=None, knots=()):
+    def __init__(self, pdf, support: Support, *, knots=()):
         if not callable(pdf):
             raise ValueError("pdf must be callable")
         if not isinstance(support, Support):
@@ -726,11 +707,8 @@ class Custom(DistributionSpec):
         self.params = {}
         self.support = support
         self._pdf_fn = pdf
-        self._anchor_v = anchor
-        self._scale_v = scale_hint
         self._knots = tuple(float(k) for k in knots)
-        if check_mass:
-            self._check_normalized()
+        self._check_normalized()
 
     @classmethod
     def from_table(cls, points, values, *, rescale=False):
@@ -757,34 +735,33 @@ class Custom(DistributionSpec):
     def _pdf(self, x):
         return np.asarray(self._pdf_fn(np.asarray(x, float)), dtype=float)
 
-    def _anchor(self):
-        if self._anchor_v is not None:
-            return self._anchor_v
-        return super()._anchor()
-
-    def _scale_hint(self):
-        if self._scale_v is not None:
-            return self._scale_v
-        return super()._scale_hint()
-
     def breakpoints(self):
         return self._knots
 
 
 class Mixture(Custom):
-    """Convex combination of specs sharing one support; behaves as Custom."""
+    """Convex combination of specs sharing one support; behaves as Custom.
+
+    Its mass is that of its normalized components, so it is not checked; its
+    mass lies where the first component's does.
+    """
 
     def __init__(self, components, weights):
         self.components = list(components)
         self.weights = np.asarray(weights, dtype=float)
+        self.params = {}
+        self.support = self.components[0].support
 
-        def pdf(x):
-            return sum(w * c._pdf(x)
-                       for w, c in zip(self.weights, self.components))
+    def _pdf(self, x):
+        x = np.asarray(x, float)
+        return sum(w * c._pdf(x) for w, c in zip(self.weights, self.components))
 
-        ref = self.components[0]
-        super().__init__(pdf, ref.support, check_mass=False,
-                         anchor=ref._anchor(), scale_hint=ref._scale_hint())
+    def bulk(self):
+        return self.components[0].bulk()
+
+    def breakpoints(self):
+        knots = [np.asarray(c.breakpoints(), float) for c in self.components]
+        return tuple(np.unique(np.concatenate(knots)).tolist())
 
     def _cdf(self, x):
         parts = [c._cdf(x) for c in self.components]

@@ -309,7 +309,8 @@ def kronrod_panels(lo, hi):
 def tridiag_eigs(diag, offdiag, k=1):
     """k smallest eigenpairs of the symmetric tridiagonal (diag, offdiag).
 
-    Returns a list of (eigenvalue, unit-norm eigenvector) in ascending order.
+    Returns (eigenvalues, vectors): the k eigenvalues in ascending order and
+    an (n, k) array whose columns are the matching unit-norm eigenvectors.
     """
     d = np.asarray(diag, dtype=float)
     e = np.asarray(offdiag, dtype=float)
@@ -332,12 +333,9 @@ def tridiag_eigs(diag, offdiag, k=1):
         raise ConvergenceFailure(str(exc)) from exc
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
         raise ConvergenceFailure("eigensolver returned non-finite output")
-    out = []
-    for j in range(k):
-        vec = v[:, j]
-        vec = vec / np.linalg.norm(vec)
-        out.append((float(w[j]), vec))
-    return out
+    # column norms by einsum, which makes no temporary the size of v
+    v /= np.sqrt(np.einsum("ij,ij->j", v, v))
+    return w, v
 
 
 def _is_nonpositive_integer(x) -> bool:

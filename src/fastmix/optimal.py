@@ -188,7 +188,7 @@ class _QuadratureVariance:
             return 0.0
         return numerics.integrate(
             lambda z: g(z) * self.spec._pdf(z), x0, x1, tol=0.0,
-            rel_tol=1e-11, scale=self.spec._scale_hint()).value
+            rel_tol=1e-11, scale=self.spec.bulk()[1]).value
 
     def _tail_v(self, x):
         """V at a point beyond the table, from the support end on its side;

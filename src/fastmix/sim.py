@@ -103,13 +103,9 @@ def _unpack_target(target):
             grid = Grid.uniform(a, b, 4001)
             var_fn = numerics.GridFunction(grid, np.maximum(
                 np.asarray(target.variance_fn(grid.points), float), 0.0))
-        slope, intercept = target.phi1
-
-        def observable(x):
-            return slope * x + intercept
-
         sup = target.source.support
-        return target.drift_at, var_fn, (sup.lower, sup.upper), observable
+        return (target.drift_at, var_fn, (sup.lower, sup.upper),
+                target.phi1_at)
     mu, var_fn, support = target
     lo, hi = float(support[0]), float(support[1])
     return mu, var_fn, (lo, hi), None

@@ -110,14 +110,12 @@ def discretize_generator(target, grid: Grid) -> Discretization:
 
 def spectrum(disc: Discretization, k: int) -> SpectrumResult:
     """k smallest eigenvalues with pi-orthonormal eigenfunctions."""
-    pairs = numerics.tridiag_eigs(disc.diag, disc.offdiag, k)
-    lams = np.array([lam for lam, _ in pairs])
-    funcs = np.empty((k, disc.grid.n))
-    for j, (_, vec) in enumerate(pairs):
-        phi = vec / disc.weights
-        if phi[np.argmax(np.abs(phi))] < 0:
-            phi = -phi
-        funcs[j] = phi
+    lams, vecs = numerics.tridiag_eigs(disc.diag, disc.offdiag, k)
+    vecs /= disc.weights[:, None]
+    funcs = vecs.T
+    # each eigenfunction's largest entry is positive
+    peaks = funcs[np.arange(k), np.argmax(np.abs(funcs), axis=1)]
+    funcs[peaks < 0] *= -1.0
     return SpectrumResult(eigenvalues=lams, eigenfunctions=funcs,
                           grid=disc.grid)
 

@@ -381,6 +381,22 @@ class TestMixture:
         mix = mixture([Beta(1.0, 1.0), Beta(2.0, 2.0)], [0.5, 0.5])
         assert isinstance(mix, Mixture) and isinstance(mix, Custom)
 
+    def test_mass_lies_where_the_first_component_puts_it(self):
+        g1, g2 = Gamma(2.0), Gamma(5.0)
+        mix = mixture([g1, g2], [0.4, 0.6])
+        assert mix.bulk() == g1.bulk() == (3.0, math.sqrt(3.0) + 1.0)
+        assert mix.support == g1.support
+
+    def test_quadrature_starts_at_every_component_knot(self):
+        """A mixture of tables integrates knot by knot over the union of
+        its components' knots, so both moment routes agree to roundoff."""
+        x1, x2 = np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 13)
+        a = Custom.from_table(x1, 1.0 + 0.5 * np.sin(7.0 * x1), rescale=True)
+        b = Custom.from_table(x2, 1.0 + 0.3 * np.cos(5.0 * x2), rescale=True)
+        mix = mixture([a, b], [0.3, 0.7])
+        assert mix.breakpoints() == tuple(np.union1d(x1[1:-1], x2[1:-1]))
+        assert abs(mix.moments_quadrature().m1 - mix.moments().m1) <= 1e-15
+
 
 class TestParseSpec:
     def test_catalog_kinds_and_aliases(self):

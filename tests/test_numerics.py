@@ -220,8 +220,7 @@ class TestIntegrate:
 class TestTridiagEigs:
     def test_three_point_laplacian(self):
         """diag [2,2,2], offdiag [-1,-1] has eigenvalues 2 -+ sqrt(2), 2."""
-        pairs = tridiag_eigs([2.0, 2.0, 2.0], [-1.0, -1.0], k=3)
-        vals = [p[0] for p in pairs]
+        vals, _ = tridiag_eigs([2.0, 2.0, 2.0], [-1.0, -1.0], k=3)
         expect = [2.0 - math.sqrt(2.0), 2.0, 2.0 + math.sqrt(2.0)]
         np.testing.assert_allclose(vals, expect, rtol=0, atol=1e-13)
 
@@ -231,14 +230,14 @@ class TestTridiagEigs:
             d = rng.uniform(0.5, 3.0, n)
             e = rng.uniform(-1.0, 1.0, n - 1)
             k = min(4, n)
-            pairs = tridiag_eigs(d, e, k=k)
+            vals, vecs = tridiag_eigs(d, e, k=k)
+            assert vals.shape == (k,) and vecs.shape == (n, k)
             A = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-            vals = [p[0] for p in pairs]
             assert all(vals[i] <= vals[i + 1] + 1e-12 for i in range(k - 1))
             dense = np.linalg.eigvalsh(A)[:k]
             np.testing.assert_allclose(vals, dense, rtol=0,
                                        atol=1e-10 * max(1.0, abs(dense[-1])))
-            for lam, vec in pairs:
+            for lam, vec in zip(vals, vecs.T):
                 assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
                 resid = A @ vec - lam * vec
                 assert np.max(np.abs(resid)) < 1e-10 * max(1.0, abs(lam))
@@ -252,20 +251,19 @@ class TestTridiagEigs:
             tridiag_eigs([1.0, 2.0], [0.5], k=3)
 
     def test_single_point(self):
-        pairs = tridiag_eigs([3.5], [], k=1)
-        assert pairs[0][0] == 3.5
+        vals, vecs = tridiag_eigs([3.5], [], k=1)
+        assert vals[0] == 3.5
+        assert vecs.shape == (1, 1) and abs(vecs[0, 0]) == 1.0
 
     def test_all_pairs_agree_with_the_index_route(self):
         """k = n takes the all-pairs driver; it matches k = n - 1."""
         rng = np.random.default_rng(11)
         d = rng.uniform(0.5, 3.0, 60)
         e = rng.uniform(-1.0, 1.0, 59)
-        every = tridiag_eigs(d, e, k=60)
-        some = tridiag_eigs(d, e, k=59)
-        np.testing.assert_allclose([p[0] for p in every[:59]],
-                                   [p[0] for p in some], rtol=0, atol=1e-12)
-        vecs = np.array([p[1] for p in every])
-        np.testing.assert_allclose(vecs @ vecs.T, np.eye(60), atol=1e-12)
+        every, vecs = tridiag_eigs(d, e, k=60)
+        some, _ = tridiag_eigs(d, e, k=59)
+        np.testing.assert_allclose(every[:59], some, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(vecs.T @ vecs, np.eye(60), atol=1e-12)
 
 
 class TestHyp2f1:
