@@ -301,7 +301,7 @@ def run_spectrum(spec_file, out_dir, k=5, grid_points=2000,
     proc = synthesize(spec, shalf)
     grid = default_grid(proc, grid_points)
     disc = discretize_generator(proc, grid)
-    res = spectrum(disc, max(k, 2))
+    res = spectrum(disc, max(k, 2), vectors=False)
     write_spectrum_csv(os.path.join(out_dir, "spectrum.csv"),
                        res.eigenvalues[:k])
     lam_num = float(res.eigenvalues[1])

@@ -306,11 +306,17 @@ def kronrod_panels(lo, hi):
     return 0.5 * (lo + hi) + half * _XK, half * _WK
 
 
-def tridiag_eigs(diag, offdiag, k=1):
+def tridiag_eigs(diag, offdiag, k=1, *, vectors=True):
     """k smallest eigenpairs of the symmetric tridiagonal (diag, offdiag).
 
     Returns (eigenvalues, vectors): the k eigenvalues in ascending order and
     an (n, k) array whose columns are the matching unit-norm eigenvectors.
+    With vectors=False the second item is None. For k < n the eigenvalues
+    then come from bisection alone (LAPACK dstebz), without the inverse
+    iteration that gives the vectors; they are the same bit for bit. For
+    k == n the all-pairs driver still runs and its vectors are dropped:
+    the values-only all-pairs driver (dsterf) is a different algorithm and
+    its low eigenvalues differ.
     """
     d = np.asarray(diag, dtype=float)
     e = np.asarray(offdiag, dtype=float)
@@ -326,15 +332,21 @@ def tridiag_eigs(diag, offdiag, k=1):
         elif k == d.size:
             # the index-range driver is 10-30x slower when asked for all pairs
             w, v = scipy.linalg.eigh_tridiagonal(d, e)
-        else:
+        elif vectors:
             w, v = scipy.linalg.eigh_tridiagonal(
+                d, e, select="i", select_range=(0, k - 1))
+        else:
+            w = scipy.linalg.eigvalsh_tridiagonal(
                 d, e, select="i", select_range=(0, k - 1))
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
+    if not vectors:
+        v = None  # the n == 1 and k == n routes compute them either way
+    if not (np.all(np.isfinite(w)) and (v is None or np.all(np.isfinite(v)))):
         raise ConvergenceFailure("eigensolver returned non-finite output")
-    # column norms by einsum, which makes no temporary the size of v
-    v /= np.sqrt(np.einsum("ij,ij->j", v, v))
+    if v is not None:
+        # column norms by einsum, which makes no temporary the size of v
+        v /= np.sqrt(np.einsum("ij,ij->j", v, v))
     return w, v
 
 

@@ -47,7 +47,8 @@ class Discretization:
 @dataclass(frozen=True)
 class SpectrumResult:
     eigenvalues: np.ndarray
-    eigenfunctions: np.ndarray  # rows, pi-weighted orthonormal on the grid
+    # rows, pi-weighted orthonormal on the grid; None when vectors=False
+    eigenfunctions: np.ndarray | None
     grid: Grid
 
 
@@ -108,9 +109,18 @@ def discretize_generator(target, grid: Grid) -> Discretization:
                           weights=weights, pi=pi, faces=faces)
 
 
-def spectrum(disc: Discretization, k: int) -> SpectrumResult:
-    """k smallest eigenvalues with pi-orthonormal eigenfunctions."""
-    lams, vecs = numerics.tridiag_eigs(disc.diag, disc.offdiag, k)
+def spectrum(disc: Discretization, k: int, *,
+             vectors: bool = True) -> SpectrumResult:
+    """k smallest eigenvalues with pi-orthonormal eigenfunctions.
+
+    With vectors=False only the eigenvalues are computed (the same values,
+    bit for bit) and eigenfunctions is None.
+    """
+    lams, vecs = numerics.tridiag_eigs(disc.diag, disc.offdiag, k,
+                                       vectors=vectors)
+    if vecs is None:
+        return SpectrumResult(eigenvalues=lams, eigenfunctions=None,
+                              grid=disc.grid)
     vecs /= disc.weights[:, None]
     funcs = vecs.T
     # each eigenfunction's largest entry is positive

@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
-from fastmix import __version__, cli
+from fastmix import (
+    __version__,
+    cli,
+    default_grid,
+    discretize_generator,
+    spectrum,
+    synthesize,
+)
 from fastmix.cli import COMMANDS, _jtext, main
 from fastmix.distributions import _KINDS, Custom
 from fastmix.optimal import _QuadratureVariance
@@ -243,6 +251,42 @@ class TestSpectrumCommand:
         rc = main(["spectrum", spec, "--strict",
                    "--out", str(tmp_path / "o")])
         assert rc == 0
+
+    @pytest.mark.parametrize("doc, k, n", [(STANDARD_NORMAL, 5, 2000),
+                                           (BETA_DOME, 50, 50)],
+                             ids=["k-below-n", "k-equals-n"])
+    def test_csv_matches_the_pairs_route(self, tmp_path, capsys, doc, k, n):
+        """The command computes eigenvalues only; its spectrum.csv and
+        printed line are byte-equal to those of the eigenpairs route."""
+        spec = _spec(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["spectrum", spec, "--k", str(k), "--grid-points",
+                     str(n), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        proc = synthesize(cli.load_spec(spec))
+        pairs = spectrum(discretize_generator(proc, default_grid(proc, n)),
+                         max(k, 2))
+        assert pairs.eigenfunctions is not None
+        ref = tmp_path / "ref.csv"
+        cli.write_spectrum_csv(str(ref), pairs.eigenvalues[:k])
+        assert (out / "spectrum.csv").read_bytes() == ref.read_bytes()
+        assert "lambda1_numeric=%.17g " % pairs.eigenvalues[1] in printed
+
+    def test_memory_stays_below_the_eigenvector_route(self, tmp_path, capsys):
+        """At 20000 points the command's traced peak stays below 2.5 MB:
+        2.2 MB for the eigenvalues alone, 3.0 MB when the 5 eigenvectors
+        were computed as well."""
+        spec = _spec(tmp_path, STANDARD_NORMAL)
+        args = ["spectrum", spec, "--k", "5", "--grid-points", "20000",
+                "--out", str(tmp_path / "out")]
+        assert main(args) == 0  # imports and caches settle
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6, peak
 
 
 class TestSimulateCommand:

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 import scipy.special
 
-from fastmix import numerics
+from fastmix import default_grid, discretize_generator, numerics, synthesize
+from fastmix.distributions import Beta, Gamma, Jacobi, Normal
 from fastmix.errors import (
     ConvergenceFailure,
     FastmixError,
@@ -217,18 +218,33 @@ class TestIntegrate:
         assert res.evaluations > 0
 
 
+def _values(d, e, k):
+    """tridiag_eigs(vectors=False), checking that it returns no vectors."""
+    vals, vecs = tridiag_eigs(d, e, k, vectors=False)
+    assert vecs is None
+    return vals
+
+
 class TestTridiagEigs:
     def test_three_point_laplacian(self):
         """diag [2,2,2], offdiag [-1,-1] has eigenvalues 2 -+ sqrt(2), 2."""
         vals, _ = tridiag_eigs([2.0, 2.0, 2.0], [-1.0, -1.0], k=3)
         expect = [2.0 - math.sqrt(2.0), 2.0, 2.0 + math.sqrt(2.0)]
         np.testing.assert_allclose(vals, expect, rtol=0, atol=1e-13)
+        assert np.array_equal(_values([2.0, 2.0, 2.0], [-1.0, -1.0], 3),
+                              vals)
 
     def test_eigenpairs_satisfy_residual_and_ordering(self):
+        """The split inputs zero two offdiagonal entries, so the bisection
+        splits the matrix into blocks and orders their eigenvalues across
+        the blocks."""
         rng = np.random.default_rng(2024)
-        for n in (5, 40, 200):
+        for n, split in ((5, False), (40, False), (200, False),
+                         (40, True), (200, True)):
             d = rng.uniform(0.5, 3.0, n)
             e = rng.uniform(-1.0, 1.0, n - 1)
+            if split:
+                e[[n // 3, 2 * n // 3]] = 0.0
             k = min(4, n)
             vals, vecs = tridiag_eigs(d, e, k=k)
             assert vals.shape == (k,) and vecs.shape == (n, k)
@@ -241,6 +257,20 @@ class TestTridiagEigs:
                 assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
                 resid = A @ vec - lam * vec
                 assert np.max(np.abs(resid)) < 1e-10 * max(1.0, abs(lam))
+            assert np.array_equal(_values(d, e, k), vals)
+
+    @pytest.mark.parametrize("spec", [Beta(2.0, 3.0), Jacobi(1.0, 1.0),
+                                      Normal(0.0, 1.0), Gamma(2.0)],
+                             ids=["beta", "jacobi", "normal", "gamma"])
+    @pytest.mark.parametrize("n", [2000, 20000])
+    def test_values_only_route_matches_the_pairs_route(self, spec, n):
+        """Bisection alone gives the eigenvalues the pairs route gives, bit
+        for bit, on the generators that `fastmix spectrum` discretizes."""
+        proc = synthesize(spec)
+        disc = discretize_generator(proc, default_grid(proc, n))
+        for k in (2, 5):
+            pairs, _ = tridiag_eigs(disc.diag, disc.offdiag, k)
+            assert np.array_equal(_values(disc.diag, disc.offdiag, k), pairs)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -249,14 +279,18 @@ class TestTridiagEigs:
             tridiag_eigs([1.0, 2.0], [0.5, 0.5])
         with pytest.raises(ValueError):
             tridiag_eigs([1.0, 2.0], [0.5], k=3)
+        with pytest.raises(ValueError):
+            tridiag_eigs([1.0, 2.0], [0.5], k=3, vectors=False)
 
     def test_single_point(self):
         vals, vecs = tridiag_eigs([3.5], [], k=1)
         assert vals[0] == 3.5
         assert vecs.shape == (1, 1) and abs(vecs[0, 0]) == 1.0
+        assert np.array_equal(_values([3.5], [], 1), vals)
 
     def test_all_pairs_agree_with_the_index_route(self):
-        """k = n takes the all-pairs driver; it matches k = n - 1."""
+        """k = n takes the all-pairs driver; it matches k = n - 1. Without
+        vectors it still returns that driver's eigenvalues exactly."""
         rng = np.random.default_rng(11)
         d = rng.uniform(0.5, 3.0, 60)
         e = rng.uniform(-1.0, 1.0, 59)
@@ -264,6 +298,28 @@ class TestTridiagEigs:
         some, _ = tridiag_eigs(d, e, k=59)
         np.testing.assert_allclose(every[:59], some, rtol=0, atol=1e-12)
         np.testing.assert_allclose(vecs.T @ vecs, np.eye(60), atol=1e-12)
+        assert np.array_equal(_values(d, e, 60), every)
+
+    @pytest.mark.parametrize("k, vectors", [(2, True), (2, False),
+                                            (5, True), (5, False)],
+                             ids=["index-pairs", "index-values",
+                                  "all-pairs", "all-values"])
+    def test_non_finite_output_raises(self, monkeypatch, k, vectors):
+        """A non-finite eigenvalue from LAPACK is a ConvergenceFailure on
+        every route."""
+        def nan_pairs(d, e, **kw):
+            return np.full(5, np.nan), np.ones((5, 5))
+
+        def nan_values(d, e, **kw):
+            return np.full(k, np.nan)
+
+        monkeypatch.setattr(numerics.scipy.linalg, "eigh_tridiagonal",
+                            nan_pairs)
+        monkeypatch.setattr(numerics.scipy.linalg, "eigvalsh_tridiagonal",
+                            nan_values)
+        with pytest.raises(ConvergenceFailure):
+            tridiag_eigs(np.full(5, 2.0), np.full(4, -1.0), k,
+                         vectors=vectors)
 
 
 class TestHyp2f1:

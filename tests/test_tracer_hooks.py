@@ -9,6 +9,7 @@ tracer and checks that each hook still records.
 """
 
 import importlib.util
+import json
 import os
 
 import numpy as np
@@ -55,6 +56,19 @@ def test_traced_pipeline_records_every_hook(tracer):
         assert name in names, name
     assert tracer.total("numerics.tridiag_eigs", "n60", field=0) == 1
     assert tracer.total("sim.simulate", "w2", field=3) == 100
+
+
+def test_traced_spectrum_command_tags_its_size(tracer, tmp_path):
+    """The traced benchmark reads its spectral per-layer rows from the
+    spans of `fastmix spectrum`, tagged by grid size."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "beta",
+                                "params": {"alpha": 1.0, "beta": 1.0}}))
+    assert fastmix.cli.main(["spectrum", str(spec), "--k", "3",
+                             "--grid-points", "2000",
+                             "--out", str(tmp_path / "out")]) == 0
+    for name in ("spectral.spectrum", "numerics.tridiag_eigs"):
+        assert tracer.total(name, "n2k", field=0) == 1, name
 
 
 def test_uninstall_restores_the_originals():
