@@ -419,13 +419,13 @@ def run_table(spec_file, out_dir, rows=None, strict=False):
             try:
                 verify_row_against_synthesis(r)
                 ok = True
-            except (RowMismatch, FastmixError):
+            except (RowMismatch, FastmixError, ArithmeticError):
                 ok = False
             lines.append("%s,%s,%.17g,%.17g,%.17g,%.17g,%s"
                          % (r.name, pstr, mom.m1, mom.variance, r.lambda1,
                             r.sigma_hat_sq_half, "true" if ok else "false"))
             print("%-15s %s" % (r.name, "verified" if ok else "MISMATCH"))
-        except FastmixError as exc:
+        except (FastmixError, ArithmeticError) as exc:
             ok = False
             lines.append("%s,%s,nan,nan,nan,nan,false" % (name, pstr))
             print("%-15s failed: %s" % (name, exc))

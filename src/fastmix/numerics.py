@@ -123,6 +123,8 @@ class Grid:
     @classmethod
     def cell_centers(cls, a: float, b: float, n: int) -> "Grid":
         """Midpoints of n equal cells of [a, b]; strictly interior."""
+        if n < 3:
+            raise ValueError("grid needs at least 3 points in 1-d")
         h = (b - a) / n
         return cls(a + h * (np.arange(n) + 0.5))
 

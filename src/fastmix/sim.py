@@ -2,38 +2,36 @@
 from the lag autocorrelation of the slow mode.
 
 Noise comes from counter-based Philox streams keyed by (seed, path index).
-A path's n_steps step normals are the first n_steps draws of its stream,
-taken _CHUNK at a time; a Generator gives the same numbers in chunks as in
-one call. Reject-step re-draws are the draws after those n_steps, in step
-order: a path's first re-draw opens a second generator on the same key and
-discards its first n_steps normals, in chunks. So results for a given
-config are bit-identical across runs.
+A path's n_steps step normals are the first n_steps draws of its stream;
+its reject-step re-draws are the draws after them, in step order. So
+results for a given config are bit-identical across runs.
 
-A run holds one array the size of its series plus buffers of
-_CHUNK x n_paths: simulate applies the observable one path at a time and
-squares the series in place for m2_hat. A bare triple adds one centered
-copy.
+One chunk loop, _run, serves both kernels. It fills a (_CHUNK, n_paths)
+buffer from each path's stream (a Generator gives the same numbers in
+chunks as in one call), has a kernel walk the chunk, writing each position
+over its normal, and copies the kept rows into the series. A path's first
+re-draw opens a copy of its stream's state after that chunk, moved past the
+step normals still ahead. A run holds one array the size of its series plus
+buffers of _CHUNK x n_paths; simulate applies the observable one path at a
+time and squares the series in place for m2_hat (a bare triple adds one
+centered copy). The kernels do the same float operations on the same draws,
+so they agree bit for bit:
 
-Two kernels run the step loop. They see the same draws in the same order
-and do the same float operations, so they agree bit for bit:
-
-- path-major: one path at a time, stepped on Python floats. simulate picks
-  it for an OptimalProcess with a closed variance shape and at most
-  PATH_MAJOR_MAX_PATHS paths. Its drift is linear and its sigma^2/2 a
+- path-major walks each path's column on Python floats. simulate picks it
+  for an OptimalProcess with a closed variance shape and at most
+  PATH_MAJOR_MAX_PATHS paths: its drift is linear and its sigma^2/2 a
   polynomial, a few flops per step, where a numpy call costs microseconds.
-- step-major: all paths at once, one step at a time, in numpy with in-place
+- step-major steps all paths a row at a time in numpy with in-place
   buffers. It serves wider batches, quadrature targets and bare
   (mu, sigma2half, support) triples.
 
 A proposal that leaves a finite end of the support is folded back by the
-triangle wave (reflect) or re-drawn (reject-step). Points inside are left
-untouched. A run fails by one rule, whichever kernel steps it:
-
-- a reject-step proposal that takes more than _MAX_TRIES draws fails the
-  run at the earliest such step across paths (BoundaryViolation);
-- otherwise the finished series is checked once: a path that is not finite
-  fails the run as NonFiniteState, naming the first kept step at which some
-  path is not finite. A diverging run steps to its last step first.
+triangle wave (reflect) or re-drawn (reject-step); points inside are left
+untouched. A run fails by one rule: a reject-step proposal that takes more
+than _MAX_TRIES draws fails it at the earliest such step across paths
+(BoundaryViolation). Otherwise the finished series is checked once: a path
+that is not finite fails the run as NonFiniteState, naming the first kept
+step at which some path is not finite.
 """
 
 from __future__ import annotations
@@ -44,11 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .errors import (
-    BoundaryViolation,
-    InsufficientDecay,
-    NonFiniteState,
-)
+from .errors import BoundaryViolation, InsufficientDecay, NonFiniteState
 from .numerics import Grid, RateEstimate
 from .optimal import OptimalProcess, _ClosedVariance, _QuadratureVariance
 
@@ -129,15 +123,6 @@ def _path_rng(seed, i):
         np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, i]))
 
 
-def _redraw_rng(seed, i, n_steps):
-    """Path i's stream past its n_steps step normals, where its reject-step
-    re-draws start."""
-    rng = _path_rng(seed, i)
-    for s in range(0, n_steps, _CHUNK):
-        rng.standard_normal(min(_CHUNK, n_steps - s))
-    return rng
-
-
 def _rejected(step, dt):
     return BoundaryViolation(
         "step rejected %d times at t=%g" % (_MAX_TRIES, step * dt))
@@ -163,31 +148,67 @@ def _redraw(rng, x, mu, sigma, dt, rootdt, lo, hi):
     return None
 
 
-def _path_major(drift, variance, lo, hi, x0, cfg):
-    """The (kept, n_paths) series, one path at a time on Python floats.
+def _run(cfg, x0, walk):
+    """The (kept, n_paths) series, stepped a chunk at a time by walk.
 
-    drift is the (a0, a1) of mu = a0 + a1 x and variance a _ClosedVariance.
-    The float operations are those of _step_major, in the same order.
+    walk(chunk, x, redraws) steps every path from its state in x through
+    chunk, an (m, n_paths) buffer of step normals, writing each position
+    over its normal; redraws(i) is path i's re-draw stream. It returns how
+    many rows every path completed.
     """
+    n_steps, burn, n_paths = cfg.n_steps, cfg.burn_in, cfg.n_paths
+    series = np.empty((n_steps - burn, n_paths))
+    noise = np.empty((_CHUNK, n_paths))
+    rngs = [_path_rng(cfg.seed, i) for i in range(n_paths)]
+    streams = {}  # path -> its re-draw stream, opened at its first re-draw
+    x = np.full(n_paths, float(x0))
+
+    def redraws(i):
+        if i not in streams:
+            # a copy of the path's stream after this chunk, moved past the
+            # step normals still ahead
+            rng = streams[i] = _path_rng(cfg.seed, i)
+            rng.bit_generator.state = rngs[i].bit_generator.state
+            for s in range(drawn, n_steps, _CHUNK):
+                rng.standard_normal(min(_CHUNK, n_steps - s))
+        return streams[i]
+
+    # a diverging run overflows to inf and nan; the check of the finished
+    # series reports it, so numpy need not warn on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_steps, _CHUNK):
+            drawn = min(start + _CHUNK, n_steps)
+            chunk = noise[:drawn - start]
+            for i, rng in enumerate(rngs):
+                chunk[:, i] = rng.standard_normal(drawn - start)
+            done = walk(chunk, x, redraws)
+            if done < len(chunk):
+                raise _rejected(start + done, cfg.dt)
+            if drawn > burn:
+                keep = max(start, burn)
+                series[keep - burn:drawn - burn] = chunk[keep - start:]
+            x[:] = chunk[-1]
+    return _finite(series, burn)
+
+
+def _path_major(drift, variance, lo, hi, x0, cfg):
+    """The (kept, n_paths) series, each path walked on Python floats.
+    drift is the (a0, a1) of mu = a0 + a1 x and variance a _ClosedVariance;
+    the float operations are those of _step_major, in the same order."""
     a0, a1 = drift
     lam, profile = variance.lambda1, variance._profile
-    n_steps, burn, dt = cfg.n_steps, cfg.burn_in, cfg.dt
+    dt = cfg.dt
     rootdt = math.sqrt(dt)
     reflect = cfg.boundary_mode == "reflect"
     sqrt = math.sqrt
-    series = np.empty((n_steps - burn, cfg.n_paths))
-    limit = n_steps  # the earliest reject-step give-up so far
-    for i in range(cfg.n_paths):
-        rng = _path_rng(cfg.seed, i)
-        redraws = None
-        x = float(x0)
-        # a chunk of noise at a time bounds the float list and each write
-        # into series
-        for s in range(0, limit, _CHUNK):
-            e = min(s + _CHUNK, limit)
+
+    def walk(chunk, starts, redraws):
+        done = len(chunk)
+        # a path after another's give-up walks only up to it
+        for i, x in enumerate(starts.tolist()):
             walked = []
             append = walked.append
-            for xi in rng.standard_normal(e - s).tolist():
+            for xi in chunk[:done, i].tolist():
                 v = lam * profile(x)
                 sigma = sqrt(2.0 * (0.0 if v < 0.0 else v))
                 mu = a0 + a1 * x
@@ -196,64 +217,41 @@ def _path_major(drift, variance, lo, hi, x0, cfg):
                     if reflect:
                         prop = float(_reflect(prop, lo, hi))
                     else:
-                        if redraws is None:
-                            redraws = _redraw_rng(cfg.seed, i, n_steps)
-                        prop = _redraw(redraws, x, mu, sigma, dt, rootdt,
+                        prop = _redraw(redraws(i), x, mu, sigma, dt, rootdt,
                                        lo, hi)
                         if prop is None:
                             break
                 x = prop
                 append(x)
-            if len(walked) < e - s:
-                limit = s + len(walked)
-                break
-            if e > burn:
-                k = max(s, burn)
-                series[k - burn:e - burn, i] = walked[k - s:]
-    if limit < n_steps:
-        raise _rejected(limit, dt)
-    return _finite(series, burn)
+            done = len(walked)
+            chunk[:done, i] = walked
+        return done
+
+    return _run(cfg, x0, walk)
 
 
 def _step_major(mu_fn, var_fn, lo, hi, x0, cfg):
     """The (kept, n_paths) series, all paths at once, one step at a time.
-
-    Each step writes its proposal straight into its row of the series (or a
-    burn-in buffer) and folds or re-draws only the points that left. Every
-    _CHUNK steps the noise buffer is refilled from each path's stream.
-    """
-    n_paths, n_steps, burn = cfg.n_paths, cfg.n_steps, cfg.burn_in
+    Each step writes its proposal over its row of noise and folds or
+    re-draws only the points that left."""
     dt = cfg.dt
     rootdt = math.sqrt(dt)
     reflect = cfg.boundary_mode == "reflect"
     low_end, high_end = math.isfinite(lo), math.isfinite(hi)
-    series = np.empty((n_steps - burn, n_paths))
-    noise = np.empty((_CHUNK, n_paths))
-    rngs = [_path_rng(cfg.seed, i) for i in range(n_paths)]
-    redraws = {}  # path -> its re-draw stream, opened at its first re-draw
-    burn_bufs = (np.empty(n_paths), np.empty(n_paths))
-    sigma = np.empty(n_paths)
-    kick = np.empty(n_paths)
-    x = np.full(n_paths, float(x0))
-    # a diverging run overflows to inf and nan; the check of the finished
-    # series reports it, so numpy need not warn on the way
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(n_steps):
-            row = step % _CHUNK
-            if row == 0:
-                m = min(_CHUNK, n_steps - step)
-                for i, rng in enumerate(rngs):
-                    noise[:m, i] = rng.standard_normal(m)
-            prop = series[step - burn] if step >= burn else burn_bufs[step % 2]
+    sigma, shift = np.empty((2, cfg.n_paths))
+
+    def walk(chunk, x, redraws):
+        for row, prop in enumerate(chunk):
             drift = mu_fn(x)
             np.maximum(var_fn(x), 0.0, out=sigma)
             np.multiply(sigma, 2.0, out=sigma)
             np.sqrt(sigma, out=sigma)
-            np.multiply(drift, dt, out=prop)
-            np.add(x, prop, out=prop)
-            np.multiply(sigma, rootdt, out=kick)
-            np.multiply(kick, noise[row], out=kick)
-            np.add(prop, kick, out=prop)
+            # the kick sigma rootdt xi over the normals, then x + mu dt
+            np.multiply(sigma, rootdt, out=shift)
+            np.multiply(shift, prop, out=prop)
+            np.multiply(drift, dt, out=shift)
+            np.add(x, shift, out=shift)
+            np.add(shift, prop, out=prop)
             # written so that a NaN fails the test: the other points still fold
             if (low_end and not prop.min() >= lo) or \
                     (high_end and not prop.max() <= hi):
@@ -263,15 +261,15 @@ def _step_major(mu_fn, var_fn, lo, hi, x0, cfg):
                 else:
                     drift = np.broadcast_to(drift, prop.shape)
                     for i in np.nonzero(bad)[0].tolist():
-                        if i not in redraws:
-                            redraws[i] = _redraw_rng(cfg.seed, i, n_steps)
-                        p = _redraw(redraws[i], x[i], drift[i], sigma[i], dt,
+                        p = _redraw(redraws(i), x[i], drift[i], sigma[i], dt,
                                     rootdt, lo, hi)
                         if p is None:
-                            raise _rejected(step, dt)
+                            return row
                         prop[i] = p
             x = prop
-    return _finite(series, burn)
+        return len(chunk)
+
+    return _run(cfg, x0, walk)
 
 
 def simulate(target, cfg: SimConfig, x0=None, *, n_bins=50,

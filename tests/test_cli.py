@@ -208,6 +208,14 @@ class TestOptimalCommand:
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("points", ["0", "2", "-3"])
+    def test_too_few_grid_points_exit_2(self, tmp_path, capsys, points):
+        """A grid of fewer than 3 points is an input error, 0 included."""
+        spec = _spec(tmp_path, BETA_DOME)
+        assert main(["optimal", spec, "--grid-points", points,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "at least 3 points" in capsys.readouterr().err
+
 
 class TestSpectrumCommand:
     """Discretized-generator eigenvalues through the CLI."""
@@ -508,17 +516,20 @@ class TestTableCommand:
         assert "must be numeric" in capsys.readouterr().err
 
     def test_unknown_param_name_fails_its_row(self, tmp_path):
-        """A parameter the family does not have fails that row only."""
-        pf = tmp_path / "rows.json"
-        pf.write_text(json.dumps([{"name": "gamma", "params": {"beta": 2.0}},
-                                  {"name": "gamma",
-                                   "params": {"alpha": 2.0}}]),
-                      encoding="utf-8")
-        out = tmp_path / "out"
-        assert main(["table", "--params-file", str(pf),
-                     "--out", str(out)]) == 0
-        lines = (out / "table1.csv").read_text().strip().split("\n")
-        assert lines[1].endswith(",false") and lines[2].endswith(",true")
+        """A parameter the family does not have fails that row only, and so
+        does a parameter whose moments overflow."""
+        for bad in ({"name": "gamma", "params": {"beta": 2.0}},
+                    {"name": "Beta", "params": {"alpha": 1e308, "beta": 1}}):
+            pf = tmp_path / "rows.json"
+            pf.write_text(json.dumps([bad, {"name": "gamma",
+                                            "params": {"alpha": 2.0}}]),
+                          encoding="utf-8")
+            out = tmp_path / "out"
+            assert main(["table", "--params-file", str(pf),
+                         "--out", str(out)]) == 0
+            lines = (out / "table1.csv").read_text().strip().split("\n")
+            assert lines[1].endswith(",nan,nan,nan,nan,false")
+            assert lines[2].endswith(",true")
 
 
 # one small run per command, with arguments that exercise every field

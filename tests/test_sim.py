@@ -446,17 +446,20 @@ class TestKernels:
         assert a.shape == (n_steps - burn_in, 40)
         assert np.array_equal(a, b)
 
-    def test_redraws_after_a_chunk_edge(self):
+    @pytest.mark.parametrize("kernel", [_path_major, _step_major],
+                             ids=["path-major", "step-major"])
+    def test_redraws_after_a_chunk_edge(self, kernel):
         """Re-draws after step 1000 still take a path's draws after all of
-        its step draws: the step-major series matches paths stepped on
+        its step draws: each kernel's series matches paths stepped on
         draws taken in one call. Some paths first re-draw after step 1000,
         some on both sides of it."""
         proc = _dome_process()
         cfg = SimConfig(dt=0.01, n_steps=2001, n_paths=40, seed=3,
                         burn_in=1001, boundary_mode="reject-step")
         sup = proc.source.support
-        series = _step_major(proc.drift_at, proc.variance_fn, sup.lower,
-                             sup.upper, proc.moments.m1, cfg)
+        drift = proc.drift if kernel is _path_major else proc.drift_at
+        series = kernel(drift, proc.variance_fn, sup.lower, sup.upper,
+                        proc.moments.m1, cfg)
         late = both = 0
         for i in range(cfg.n_paths):
             want, redrawn = _one_call_path(proc, cfg, i)

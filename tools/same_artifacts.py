@@ -1,0 +1,121 @@
+"""Check that two source trees write the same CLI artifacts.
+
+Generates each workload's benchmark inputs once (perfbench/inputs.py), runs
+every CLI job of it, replay included, under both trees with
+`python3 -m fastmix.cli`, and compares each job's exit code, its stdout and
+every artifact it wrote except manifest.json, byte for byte. Library jobs
+(mixtures, density evolutions) are not CLI jobs and are skipped.
+
+    python3 tools/same_artifacts.py PARENT_CHECKOUT \\
+        --workloads paths synth spectral --seeds 1 2
+
+Exits 0 when everything matches and 1 on any difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CLI_JOBS = ("simulate", "optimal", "spectrum", "table", "replay")
+
+
+def _inputs():
+    sys.dont_write_bytecode = True  # leave perfbench/ as it is
+    sys.path.insert(0, ROOT)
+    from perfbench import inputs
+    return inputs
+
+
+def _run(tree, argv):
+    env = dict(os.environ,
+               PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    proc = subprocess.run([sys.executable, "-m", "fastmix.cli"] + argv,
+                          env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stdout
+
+
+def _run_jobs(tree, jobs, out_root):
+    """{job name: (exit code, stdout, out dir)} for the CLI jobs."""
+    done = {}
+    for job in jobs:
+        if job["type"] not in CLI_JOBS:
+            continue
+        out = os.path.join(out_root, job["name"])
+        if job["type"] == "replay":
+            first = done[job["of"]][2]
+            argv = ["replay", os.path.join(first, "manifest.json")]
+        else:
+            argv = list(job["argv"])
+        done[job["name"]] = _run(tree, argv + ["--out", out]) + (out,)
+    return done
+
+
+def _artifacts(out):
+    if not os.path.isdir(out):
+        return {}
+    found = {}
+    for base, _, files in os.walk(out):
+        for name in files:
+            path = os.path.join(base, name)
+            rel = os.path.relpath(path, out)
+            if rel != "manifest.json":
+                with open(path, "rb") as fh:
+                    found[rel] = fh.read()
+    return found
+
+
+def _differences(old, new):
+    """What differs between two (exit code, stdout, out dir) results."""
+    diffs = []
+    if old[0] != new[0]:
+        diffs.append("exit code %d != %d" % (old[0], new[0]))
+    if old[1] != new[1]:
+        diffs.append("stdout")
+    a, b = _artifacts(old[2]), _artifacts(new[2])
+    diffs += ["only in one tree: " + name for name in sorted(set(a) ^ set(b))]
+    diffs += [name for name in sorted(set(a) & set(b)) if a[name] != b[name]]
+    return diffs
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("parent", help="checkout of the tree to compare against")
+    p.add_argument("--tree", default=ROOT,
+                   help="tree under test (default: this checkout)")
+    p.add_argument("--workloads", nargs="+",
+                   help="default: every workload perfbench/inputs.py knows")
+    p.add_argument("--seeds", nargs="+", type=int, default=[1])
+    args = p.parse_args(argv)
+    inputs = _inputs()
+    work = tempfile.mkdtemp(prefix="same_artifacts-")
+    checked = failed = 0
+    try:
+        for workload in args.workloads or inputs.WORKLOADS:
+            for seed in args.seeds:
+                case = os.path.join(work, "%s-%d" % (workload, seed))
+                jobs = inputs.generate(workload, seed,
+                                       os.path.join(case, "inputs"))
+                runs = [_run_jobs(tree, jobs, os.path.join(case, side))
+                        for side, tree in (("parent", args.parent),
+                                           ("tree", args.tree))]
+                for name in runs[0]:
+                    diffs = _differences(runs[0][name], runs[1][name])
+                    checked += 1
+                    failed += bool(diffs)
+                    print("%-6s %s seed %d %s%s"
+                          % ("DIFF" if diffs else "same", workload, seed,
+                             name, ": " + ", ".join(diffs) if diffs else ""))
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    print("%d of %d CLI jobs differ" % (failed, checked))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
