@@ -73,10 +73,6 @@ class DistributionSpec:
 
     kind = "Custom"
 
-    def __init__(self):
-        self.params = {}
-        self.support = Support(0.0, 1.0)
-
     # flags for integrable endpoint singularities of the pdf
     singular_left = False
     singular_right = False

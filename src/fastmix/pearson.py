@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import hermite_e
+from numpy.polynomial import polynomial as P
 
 from . import numerics, optimal
 from .distributions import (
@@ -55,104 +57,55 @@ class PearsonRow:
         return a0 + a1 * np.asarray(x, float)
 
 
-# one standard parameter set per catalog row, in table order
-ROW_DEFAULTS = {
-    "Beta": {"alpha": 1.0, "beta": 2.0},
-    "Jacobi": {"alpha": 1.0, "beta": 1.0},
-    "Gamma": {"alpha": 1.0},
-    "Normal": {"x0": 0.0, "sigma": 1.0},
-    "StudentCauchy": {"alpha": 3.0},
-    "InverseGamma": {"alpha": 3.0},
-    "FisherSnedecor": {"nu1": 6.0, "nu2": 10.0},
+def _fisher(nu1, nu2):
+    if nu2 <= 4.0:
+        raise ParamOutOfRange("row needs nu2 > 4 for a finite diffusion level")
+    return ((0.5 * nu1, -nu1 * (nu2 - 2.0) / (2.0 * nu2)),
+            (0.0, 1.0, nu1 / nu2), int(math.floor(nu2 / 4.0)))
+
+
+# family: (standard params, params -> (drift (a0, a1), sigma^2/2 (b0, b1, b2),
+# bound of the discrete spectrum or None)), in table order
+_ROWS = {
+    "Beta": ({"alpha": 1.0, "beta": 2.0}, lambda alpha, beta: (
+        (alpha + 1.0, -(alpha + beta + 2.0)), (0.0, 1.0, -1.0), None)),
+    "Jacobi": ({"alpha": 1.0, "beta": 1.0}, lambda alpha, beta: (
+        (beta - alpha, -(alpha + beta + 2.0)), (1.0, 0.0, -1.0), None)),
+    "Gamma": ({"alpha": 1.0}, lambda alpha: (
+        (alpha + 1.0, -1.0), (0.0, 1.0, 0.0), None)),
+    "Normal": ({"x0": 0.0, "sigma": 1.0}, lambda x0, sigma: (
+        (x0, -1.0), (sigma * sigma, 0.0, 0.0), None)),
+    "StudentCauchy": ({"alpha": 3.0}, lambda alpha: (
+        (0.0, -(2.0 * alpha - 1.0)), (1.0, 0.0, 1.0), int(math.floor(alpha)))),
+    "InverseGamma": ({"alpha": 3.0}, lambda alpha: (
+        (1.0, -(2.0 * alpha - 1.0)), (0.0, 0.0, 1.0), int(math.floor(alpha)))),
+    "FisherSnedecor": ({"nu1": 6.0, "nu2": 10.0}, _fisher),
 }
 
-ROW_NAMES = tuple(ROW_DEFAULTS)
+ROW_DEFAULTS = {name: params for name, (params, _) in _ROWS.items()}
+
+ROW_NAMES = tuple(_ROWS)
 
 
 def row(name: str, params: dict) -> PearsonRow:
     """Catalog row by name or alias; params use the distribution parameter
-    names and are checked like a density file's."""
+    names and are checked like a density file's. The diffusion level is the
+    density's canonical one, so the row check tests that level too."""
     cls = kind_class(name)
-    if cls is None or cls.kind not in ROW_NAMES:
+    if cls is None or cls.kind not in _ROWS:
         raise ParamOutOfRange("unknown catalog row %r" % name)
-    canon = cls.kind
     spec = catalog_spec(cls, params)
-    if canon == "Beta":
-        a, b = spec.params["alpha"], spec.params["beta"]
-        return PearsonRow(
-            name=canon, params=spec.params, spec=spec,
-            drift_coeffs=(a + 1.0, -(a + b + 2.0)),
-            variance_coeffs=(0.0, 1.0, -1.0),
-            sigma_hat_sq_half=spec.default_sigma_hat_sq_half(),
-            n_max_discrete=None)
-    if canon == "Jacobi":
-        a, b = spec.params["alpha"], spec.params["beta"]
-        return PearsonRow(
-            name=canon, params=spec.params, spec=spec,
-            drift_coeffs=(b - a, -(a + b + 2.0)),
-            variance_coeffs=(1.0, 0.0, -1.0),
-            sigma_hat_sq_half=spec.default_sigma_hat_sq_half(),
-            n_max_discrete=None)
-    if canon == "Gamma":
-        a = spec.params["alpha"]
-        return PearsonRow(
-            name=canon, params=spec.params, spec=spec,
-            drift_coeffs=(a + 1.0, -1.0),
-            variance_coeffs=(0.0, 1.0, 0.0),
-            sigma_hat_sq_half=a + 1.0,
-            n_max_discrete=None)
-    if canon == "Normal":
-        x0, s = spec.params["x0"], spec.params["sigma"]
-        return PearsonRow(
-            name=canon, params=spec.params, spec=spec,
-            drift_coeffs=(x0, -1.0),
-            variance_coeffs=(s * s, 0.0, 0.0),
-            sigma_hat_sq_half=s * s,
-            n_max_discrete=None)
-    if canon == "StudentCauchy":
-        a = spec.params["alpha"]
-        return PearsonRow(
-            name=canon, params=spec.params, spec=spec,
-            drift_coeffs=(0.0, -(2.0 * a - 1.0)),
-            variance_coeffs=(1.0, 0.0, 1.0),
-            sigma_hat_sq_half=(2.0 * a - 1.0) / (2.0 * (a - 1.0)),
-            n_max_discrete=int(math.floor(a)))
-    if canon == "InverseGamma":
-        a = spec.params["alpha"]
-        return PearsonRow(
-            name=canon, params=spec.params, spec=spec,
-            drift_coeffs=(1.0, -(2.0 * a - 1.0)),
-            variance_coeffs=(0.0, 0.0, 1.0),
-            sigma_hat_sq_half=1.0 / (2.0 * (a - 1.0) * (2.0 * a - 1.0)),
-            n_max_discrete=int(math.floor(a)))
-    # FisherSnedecor
-    n1, n2 = spec.params["nu1"], spec.params["nu2"]
-    if n2 <= 4.0:
-        raise ParamOutOfRange("row needs nu2 > 4 for a finite diffusion level")
+    drift, variance, n_max = _ROWS[cls.kind][1](**spec.params)
     return PearsonRow(
-        name=canon, params=spec.params, spec=spec,
-        drift_coeffs=(0.5 * n1, -n1 * (n2 - 2.0) / (2.0 * n2)),
-        variance_coeffs=(0.0, 1.0, n1 / n2),
-        sigma_hat_sq_half=n2 * (n1 + n2 - 2.0) / ((n2 - 2.0) * (n2 - 4.0)),
-        n_max_discrete=int(math.floor(n2 / 4.0)))
+        name=cls.kind, params=spec.params, spec=spec, drift_coeffs=drift,
+        variance_coeffs=variance,
+        sigma_hat_sq_half=spec.default_sigma_hat_sq_half(),
+        n_max_discrete=n_max)
 
 
 def hermite_he(n: int, y):
     """Probabilists' Hermite polynomial He_n evaluated at y."""
-    n = int(n)
-    coeffs = np.zeros(n + 1)  # descending powers for polyval
-    for k in range(n // 2 + 1):
-        c = ((-1) ** k * math.factorial(n)
-             / (math.factorial(k) * math.factorial(n - 2 * k) * 2.0 ** k))
-        coeffs[2 * k] = c  # position of power n-2k in descending order
-    return np.polyval(coeffs, np.asarray(y, float))
-
-
-def _poly_derivative(p):
-    # ascending coefficients
-    if p.size <= 1:
-        return np.zeros(1)
-    return p[1:] * np.arange(1, p.size)
+    return hermite_e.hermeval(np.asarray(y, float), [0.0] * int(n) + [1.0])
 
 
 def _student_poly(n: int, alpha: float):
@@ -161,35 +114,21 @@ def _student_poly(n: int, alpha: float):
     q = n - alpha - 0.5
     p = np.array([1.0])
     for k in range(n):
-        dp = _poly_derivative(p)
-        term1 = np.convolve(dp, np.array([1.0, 0.0, 1.0]))  # (1+x^2) P'
-        term2 = 2.0 * (q - k) * np.convolve(p, np.array([0.0, 1.0]))  # 2(q-k)x P
-        size = max(term1.size, term2.size)
-        out = np.zeros(size)
-        out[:term1.size] += term1
-        out[:term2.size] += term2
-        p = out
-    return p[:n + 1]
+        p = P.polyadd(P.polymul([1.0, 0.0, 1.0], P.polyder(p)),
+                      2.0 * (q - k) * P.polymulx(p))
+    return p
 
 
 def _invgamma_poly(n: int, alpha: float):
     """Ascending coefficients of x^(2 alpha + 1) e^(1/x) times the n-th
     derivative of x^(2n - 2 alpha - 1) e^(-1/x)."""
     m0 = 2.0 * n - 2.0 * alpha - 1.0
-    # coefficient table keyed by integer offset j: term c_j x^(m0 - j) e^(-1/x)
-    c = {0: 1.0}
-    for _ in range(n):
-        nxt = {}
-        for off, v in c.items():
-            m = m0 - off
-            nxt[off + 1] = nxt.get(off + 1, 0.0) + v * m
-            nxt[off + 2] = nxt.get(off + 2, 0.0) + v
-        c = nxt
-    out = np.zeros(n + 1)
-    for off, v in c.items():
-        power = 2 * n - off  # exponent after multiplying by x^(2 alpha + 1)
-        out[power] = v
-    return out
+    # the k-th derivative is x^(m0 - 2k) S_k(x) e^(-1/x), so S_n is the answer
+    s = np.array([1.0])
+    for k in range(n):
+        x2ds = P.polymul([0.0, 0.0, 1.0], P.polyder(s))
+        s = P.polyadd(P.polyadd((m0 - 2.0 * k) * P.polymulx(s), x2ds), s)
+    return s
 
 
 def eigenfunction(row_: PearsonRow, n: int, x):
@@ -218,11 +157,9 @@ def eigenfunction(row_: PearsonRow, n: int, x):
     elif row_.name == "Normal":
         out = hermite_he(n, (flat - p["x0"]) / p["sigma"])
     elif row_.name == "StudentCauchy":
-        coeffs = _student_poly(n, p["alpha"])
-        out = np.polyval(coeffs[::-1], flat)
+        out = P.polyval(flat, _student_poly(n, p["alpha"]))
     elif row_.name == "InverseGamma":
-        coeffs = _invgamma_poly(n, p["alpha"])
-        out = np.polyval(coeffs[::-1], flat)
+        out = P.polyval(flat, _invgamma_poly(n, p["alpha"]))
     elif row_.name == "FisherSnedecor":
         n1, n2 = p["nu1"], p["nu2"]
         out = np.array([numerics.hyp2f1(-n, n - 0.5 * n2, 0.5 * n1,

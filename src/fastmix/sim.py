@@ -118,9 +118,10 @@ def _reflect(x, lo, hi):
 
 
 def _path_rng(seed, i):
-    # two-word key: path streams stay distinct across seeds as well
-    return np.random.Generator(
-        np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, i]))
+    # two-word key: path streams stay distinct across seeds as well; built
+    # as uint64, as a list of words past int64 would pass through float64
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, i], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _rejected(step, dt):

@@ -20,6 +20,7 @@ from fastmix import (
     cli,
     default_grid,
     discretize_generator,
+    pearson,
     spectrum,
     synthesize,
 )
@@ -208,11 +209,16 @@ class TestOptimalCommand:
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("points", ["0", "2", "-3"])
-    def test_too_few_grid_points_exit_2(self, tmp_path, capsys, points):
-        """A grid of fewer than 3 points is an input error, 0 included."""
+    @pytest.mark.parametrize("command, points", [
+        *(pytest.param("optimal", p, id=p) for p in ("0", "2", "-3")),
+        *(pytest.param("spectrum", p, id="spectrum" + p)
+          for p in ("0", "2", "-3"))])
+    def test_too_few_grid_points_exit_2(self, tmp_path, capsys, command,
+                                        points):
+        """A grid of fewer than 3 points is an input error, 0 included, and
+        the message names the grid size (for spectrum too, not --k)."""
         spec = _spec(tmp_path, BETA_DOME)
-        assert main(["optimal", spec, "--grid-points", points,
+        assert main([command, spec, "--grid-points", points,
                      "--out", str(tmp_path / "o")]) == 2
         assert "at least 3 points" in capsys.readouterr().err
 
@@ -243,15 +249,29 @@ class TestSpectrumCommand:
         for n in (1, 2, 3):
             assert lam[n] == pytest.approx(float(n), rel=1e-3)
 
-    def test_k_out_of_range_exits_2(self, tmp_path):
+    def test_k_out_of_range_exits_2(self, tmp_path, capsys):
         """Asking for more eigenvalues than grid points is an input error."""
         spec = _spec(tmp_path, BETA_DOME)
         rc = main(["spectrum", spec, "--k", "200", "--grid-points", "100",
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+        assert "--k must be in" in capsys.readouterr().err
         rc = main(["spectrum", spec, "--k", "0",
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+        assert "--k must be in" in capsys.readouterr().err
+
+    def test_strict_inaccurate_gap_exits_4(self, tmp_path, capsys):
+        """A 50-point grid misses Gamma(0.5)'s gap by more than 1 percent;
+        --strict turns that into exit 4, after spectrum.csv is written."""
+        spec = _spec(tmp_path, {"kind": "gamma", "params": {"alpha": 0.5}})
+        out = tmp_path / "o"
+        rc = main(["spectrum", spec, "--strict", "--grid-points", "50",
+                   "--k", "2", "--out", str(out)])
+        assert rc == 4
+        rel_err = float(capsys.readouterr().out.split("rel_err=")[1])
+        assert rel_err > 0.01
+        assert (out / "spectrum.csv").is_file()
 
     def test_strict_accurate_gap_exits_0(self, tmp_path):
         """--strict passes when the gap is inside the 1 percent band."""
@@ -390,6 +410,19 @@ class TestSimulateCommand:
         assert err.startswith("out of memory:")
         assert err.count("\n") == 1
 
+    def test_negative_seed_runs_its_own_paths(self, tmp_path):
+        """--seed -5 runs with no numpy warning and does not replay seed 0's
+        paths."""
+        spec = _spec(tmp_path, BETA_DOME)
+        args = ["--dt", "0.002", "--steps", "3000", "--paths", "2",
+                "--burn-in", "100"]
+        outs = [tmp_path / ("seed" + s) for s in ("-5", "0")]
+        for seed, out in zip(("-5", "0"), outs):
+            assert main(["simulate", spec, *args, "--seed", seed,
+                         "--out", str(out)]) == 0
+        assert ((outs[0] / "hist.csv").read_bytes()
+                != (outs[1] / "hist.csv").read_bytes())
+
     def test_diverging_wide_batch_prints_one_line(self, tmp_path, capsys):
         """dt = 3 on a standard normal overflows. At 64 paths the run steps
         all paths at once in numpy, and still prints no numpy warning
@@ -517,9 +550,10 @@ class TestTableCommand:
 
     def test_unknown_param_name_fails_its_row(self, tmp_path):
         """A parameter the family does not have fails that row only, and so
-        does a parameter whose moments overflow."""
+        does a parameter whose moments or diffusion level overflow."""
         for bad in ({"name": "gamma", "params": {"beta": 2.0}},
-                    {"name": "Beta", "params": {"alpha": 1e308, "beta": 1}}):
+                    {"name": "Beta", "params": {"alpha": 1e308, "beta": 1}},
+                    {"name": "normal", "params": {"sigma": 1e200}}):
             pf = tmp_path / "rows.json"
             pf.write_text(json.dumps([bad, {"name": "gamma",
                                             "params": {"alpha": 2.0}}]),
@@ -530,6 +564,24 @@ class TestTableCommand:
             lines = (out / "table1.csv").read_text().strip().split("\n")
             assert lines[1].endswith(",nan,nan,nan,nan,false")
             assert lines[2].endswith(",true")
+
+    def test_mismatched_row_is_recorded(self, tmp_path, capsys,
+                                        monkeypatch):
+        """A row that fails its check is written as verified=false and
+        printed as MISMATCH; the command exits 0, or 4 under --strict."""
+        monkeypatch.setattr(pearson, "TOL_VARIANCE", 0.0)
+        pf = tmp_path / "rows.json"
+        pf.write_text(json.dumps([{"name": "gamma",
+                                   "params": {"alpha": 1.0}}]),
+                      encoding="utf-8")
+        out = tmp_path / "o1"
+        assert main(["table", "--params-file", str(pf),
+                     "--out", str(out)]) == 0
+        lines = (out / "table1.csv").read_text().strip().split("\n")
+        assert lines[1] == "Gamma,alpha=1,2,2,1,2,false"
+        assert "Gamma           MISMATCH" in capsys.readouterr().out
+        assert main(["table", "--params-file", str(pf), "--strict",
+                     "--out", str(tmp_path / "o2")]) == 4
 
 
 # one small run per command, with arguments that exercise every field

@@ -249,6 +249,17 @@ class TestRowVerification:
         assert not exc.value.report.ok
         assert exc.value.report.dev_drift > 1e-10
 
+    @pytest.mark.parametrize("name", ROW_NAMES)
+    def test_wrong_density_budget_is_caught(self, name, monkeypatch):
+        """Each row runs at its density's canonical diffusion level, so a
+        level 1 percent off in the density class fails the row check."""
+        cls = distributions.kind_class(name)
+        level = cls.default_sigma_hat_sq_half
+        monkeypatch.setattr(cls, "default_sigma_hat_sq_half",
+                            lambda self: 1.01 * level(self))
+        with pytest.raises(RowMismatch):
+            verify_row_against_synthesis(default_row(name))
+
 
 class TestCubicExample:
     def test_flat_limit_reduces_to_quadratic(self):

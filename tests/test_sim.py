@@ -122,6 +122,19 @@ class TestDeterminism:
                  for s in (1, 2, 3)]
         assert len(set(means)) == 3
 
+    def test_seed_is_one_uint64_key_word(self):
+        """Negative seeds and seeds from 2^63 up each get their own stream
+        (none falls back to seed 0's), and a seed below 2^63 keeps the
+        stream of the key words (seed, path index)."""
+        draws = {tuple(sim._path_rng(s, 0).standard_normal(4))
+                 for s in (0, -1, -5, 2 ** 63, 2 ** 63 + 1)}
+        assert len(draws) == 5
+        for i in (0, 1, 17):
+            ref = np.random.Generator(np.random.Philox(key=7 + (i << 64)))
+            np.testing.assert_array_equal(
+                sim._path_rng(7, i).standard_normal(8),
+                ref.standard_normal(8))
+
 
 class TestStationaryMoments:
     """Long-run sample statistics against the target law 6x(1-x)."""
@@ -268,6 +281,24 @@ class TestBoundaryModes:
                         boundary_mode="reject-step")
         with pytest.raises(BoundaryViolation, match="rejected"):
             simulate(target, cfg, x0=0.5)
+
+    def test_reflect_with_only_an_upper_end(self):
+        """On (-inf, hi] a point above hi folds back below it, for a float
+        and an array alike."""
+        assert sim._reflect(0.5, -np.inf, 0.0) == -0.5
+        np.testing.assert_array_equal(
+            sim._reflect(np.array([-3.0, 0.0, 2.5]), -np.inf, 1.0),
+            [-3.0, 0.0, -0.5])
+
+    def test_upper_end_only_run_stays_below_it(self):
+        """A bare triple on (-inf, 0] with drift toward -0.5 crosses 0
+        often and is reflected back each time."""
+        mu = lambda x: -(np.asarray(x, dtype=float) + 0.5)
+        var = lambda x: np.ones_like(np.asarray(x, dtype=float))
+        cfg = SimConfig(dt=0.01, n_steps=5000, n_paths=2, seed=9)
+        res = simulate((mu, var, (-np.inf, 0.0)), cfg, x0=-0.5)
+        assert res.hist_edges[-1] <= 0.0
+        assert res.m1_hat < 0.0
 
     def test_non_finite_state_is_typed(self):
         """A NaN drift is reported as a simulation failure, not a crash."""

@@ -233,6 +233,18 @@ class TestEvolveFpe:
         assert np.count_nonzero(keep) > 10
         np.testing.assert_allclose(d1[keep], d2[keep], rtol=1e-12)
 
+    def test_end_off_the_recording_cadence(self):
+        """A t_end between two recordings is recorded as the last time."""
+        proc = synthesize(Beta(1.0, 1.0))
+        g = default_grid(proc, 100)
+        state0 = EvolutionState(grid=g, density=gaussian_bump(g, 0.5, 0.1))
+        state, times, dists = evolve_fpe(proc, state0, t_end=1.0, dt=0.1,
+                                         record_every=3)
+        np.testing.assert_allclose(times, [0.0, 0.3, 0.6, 0.9, 1.0],
+                                   rtol=1e-15)
+        assert times[-1] == state.time == 1.0
+        assert dists.shape == times.shape
+
     def test_argument_validation(self):
         proc = synthesize(Beta(1.0, 1.0))
         g = default_grid(proc, 100)

@@ -4,7 +4,8 @@ Generates each workload's benchmark inputs once (perfbench/inputs.py), runs
 every CLI job of it, replay included, under both trees with
 `python3 -m fastmix.cli`, and compares each job's exit code, its stdout and
 every artifact it wrote except manifest.json, byte for byte. Library jobs
-(mixtures, density evolutions) are not CLI jobs and are skipped.
+(mixtures, density evolutions) are not CLI jobs and are skipped. The default
+seven-row `fastmix table` (no params file) is run and compared once as well.
 
     python3 tools/same_artifacts.py PARENT_CHECKOUT \\
         --workloads paths synth spectral --seeds 1 2
@@ -83,6 +84,20 @@ def _differences(old, new):
     return diffs
 
 
+def _compare(trees, case, jobs, label):
+    """Run jobs under the parent and the tree under test, print one line per
+    job, and return (jobs that differ, jobs compared)."""
+    runs = [_run_jobs(tree, jobs, os.path.join(case, side))
+            for side, tree in zip(("parent", "tree"), trees)]
+    failed = 0
+    for name in runs[0]:
+        diffs = _differences(runs[0][name], runs[1][name])
+        failed += bool(diffs)
+        print("%-6s %s %s%s" % ("DIFF" if diffs else "same", label, name,
+                                ": " + ", ".join(diffs) if diffs else ""))
+    return failed, len(runs[0])
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent", help="checkout of the tree to compare against")
@@ -94,25 +109,23 @@ def main(argv=None):
     args = p.parse_args(argv)
     inputs = _inputs()
     work = tempfile.mkdtemp(prefix="same_artifacts-")
-    checked = failed = 0
+    trees = (args.parent, args.tree)
+    counts = []
     try:
         for workload in args.workloads or inputs.WORKLOADS:
             for seed in args.seeds:
                 case = os.path.join(work, "%s-%d" % (workload, seed))
                 jobs = inputs.generate(workload, seed,
                                        os.path.join(case, "inputs"))
-                runs = [_run_jobs(tree, jobs, os.path.join(case, side))
-                        for side, tree in (("parent", args.parent),
-                                           ("tree", args.tree))]
-                for name in runs[0]:
-                    diffs = _differences(runs[0][name], runs[1][name])
-                    checked += 1
-                    failed += bool(diffs)
-                    print("%-6s %s seed %d %s%s"
-                          % ("DIFF" if diffs else "same", workload, seed,
-                             name, ": " + ", ".join(diffs) if diffs else ""))
+                counts.append(_compare(trees, case, jobs,
+                                       "%s seed %d" % (workload, seed)))
+        # every catalog row, where the workloads' table jobs hold only some
+        counts.append(_compare(trees, os.path.join(work, "catalog"),
+                               [{"type": "table", "name": "table-default",
+                                 "argv": ["table"]}], "catalog"))
     finally:
         shutil.rmtree(work, ignore_errors=True)
+    failed, checked = map(sum, zip(*counts))
     print("%d of %d CLI jobs differ" % (failed, checked))
     return 1 if failed else 0
 
