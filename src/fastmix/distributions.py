@@ -205,13 +205,20 @@ class DistributionSpec:
 
     # --- optimal-diffusion hooks -------------------------------------------
 
+    # True when the closed profile calls numpy functions, not only float
+    # arithmetic: each call on a Python float then pays numpy's scalar
+    # overhead, so the sampler walks such a target path by path only when
+    # it has few paths
+    profile_calls_numpy = False
+
     def closed_profile(self):
         """Closed diffusion-coefficient shape per unit rate, or None.
 
-        When available this returns a callable p with
-        sigma^2(x)/2 = lambda1 * p(x) for the synthesized optimal process.
-        p is written as arithmetic on its argument, so a Python float and a
-        float array give the same value bit for bit.
+        When available the synthesized optimal process has
+        sigma^2(x)/2 = lambda1 * p(x), and this returns p: a float when the
+        shape is constant, else a callable written as arithmetic on its
+        argument, so that a Python float and a float array give the same
+        value bit for bit.
         """
         return None
 
@@ -381,8 +388,7 @@ class Normal(DistributionSpec):
         return x0, x0 * x0 + s * s
 
     def closed_profile(self):
-        s2 = self.params["sigma"] ** 2
-        return lambda x: x * 0.0 + s2
+        return self.params["sigma"] ** 2
 
     def default_sigma_hat_sq_half(self):
         return self.params["sigma"] ** 2
@@ -565,6 +571,7 @@ class Hyperexponential(DistributionSpec):
     """Mixture of two exponentials: p1 eta1 e^(-eta1 x) + p2 eta2 e^(-eta2 x)."""
 
     kind = "Hyperexponential"
+    profile_calls_numpy = True
 
     def __init__(self, p1, p2, eta1, eta2):
         p1 = float(p1)

@@ -54,11 +54,23 @@ class OptimalProcess:
 
 
 class _ClosedVariance:
-    """sigma^2/2 from a catalog closed shape scaled by lambda1."""
+    """sigma^2/2 from a catalog closed shape scaled by lambda1.
 
-    def __init__(self, profile, lambda1):
+    profile is the density's closed_profile(): a float s2 for a constant
+    shape, kept as constant (else None), or a callable. _profile is the
+    callable either way; a constant one is x * 0.0 + s2, so that a state
+    that is not finite still gives a value that is not finite.
+    """
+
+    def __init__(self, profile, lambda1, calls_numpy=False):
+        if isinstance(profile, float):
+            self.constant = s2 = profile
+            profile = lambda x: x * 0.0 + s2
+        else:
+            self.constant = None
         self._profile = profile
         self.lambda1 = lambda1
+        self.calls_numpy = calls_numpy
 
     def __call__(self, x):
         return self.lambda1 * self._profile(np.asarray(x, float))
@@ -243,7 +255,7 @@ def synthesize(spec: DistributionSpec, sigma_hat_sq_half=None, *,
     if variance_mode == "closed" and profile is None:
         raise ValueError("no closed variance shape for kind %r" % spec.kind)
     if profile is not None:
-        variance_fn = _ClosedVariance(profile, lam)
+        variance_fn = _ClosedVariance(profile, lam, spec.profile_calls_numpy)
     else:
         variance_fn = _QuadratureVariance(spec, mom.m1, lam)
     return OptimalProcess(

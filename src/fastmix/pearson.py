@@ -57,11 +57,17 @@ class PearsonRow:
         return a0 + a1 * np.asarray(x, float)
 
 
+def _below(bound):
+    """The largest mode degree n < bound: a polynomial mode of degree n is
+    square-integrable under a heavy tail only for n below its bound."""
+    return int(math.ceil(bound)) - 1
+
+
 def _fisher(nu1, nu2):
     if nu2 <= 4.0:
         raise ParamOutOfRange("row needs nu2 > 4 for a finite diffusion level")
     return ((0.5 * nu1, -nu1 * (nu2 - 2.0) / (2.0 * nu2)),
-            (0.0, 1.0, nu1 / nu2), int(math.floor(nu2 / 4.0)))
+            (0.0, 1.0, nu1 / nu2), _below(nu2 / 4.0))
 
 
 # family: (standard params, params -> (drift (a0, a1), sigma^2/2 (b0, b1, b2),
@@ -76,9 +82,9 @@ _ROWS = {
     "Normal": ({"x0": 0.0, "sigma": 1.0}, lambda x0, sigma: (
         (x0, -1.0), (sigma * sigma, 0.0, 0.0), None)),
     "StudentCauchy": ({"alpha": 3.0}, lambda alpha: (
-        (0.0, -(2.0 * alpha - 1.0)), (1.0, 0.0, 1.0), int(math.floor(alpha)))),
+        (0.0, -(2.0 * alpha - 1.0)), (1.0, 0.0, 1.0), _below(alpha))),
     "InverseGamma": ({"alpha": 3.0}, lambda alpha: (
-        (1.0, -(2.0 * alpha - 1.0)), (0.0, 0.0, 1.0), int(math.floor(alpha)))),
+        (1.0, -(2.0 * alpha - 1.0)), (0.0, 0.0, 1.0), _below(alpha))),
     "FisherSnedecor": ({"nu1": 6.0, "nu2": 10.0}, _fisher),
 }
 

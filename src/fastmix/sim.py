@@ -8,21 +8,33 @@ results for a given config are bit-identical across runs.
 
 One chunk loop, _run, serves both kernels. It fills a (_CHUNK, n_paths)
 buffer from each path's stream (a Generator gives the same numbers in
-chunks as in one call), has a kernel walk the chunk, writing each position
-over its normal, and copies the kept rows into the series. A path's first
-re-draw opens a copy of its stream's state after that chunk, moved past the
-step normals still ahead. A run holds one array the size of its series plus
-buffers of _CHUNK x n_paths; simulate applies the observable one path at a
+chunks as in one call), _BLOCK paths at a time through a small row buffer,
+has a kernel walk the chunk, writing each position over its normal, and
+copies the kept rows into the series. A path's first re-draw opens a copy
+of its stream's state after that chunk, moved past the step normals still
+ahead. A run holds one array the size of its series plus buffers of
+_CHUNK x n_paths; simulate applies the observable one path at a
 time and squares the series in place for m2_hat (a bare triple adds one
 centered copy). The kernels do the same float operations on the same draws,
-so they agree bit for bit:
+so they agree bit for bit.
 
-- path-major walks each path's column on Python floats. simulate picks it
-  for an OptimalProcess with a closed variance shape and at most
-  PATH_MAJOR_MAX_PATHS paths: its drift is linear and its sigma^2/2 a
-  polynomial, a few flops per step, where a numpy call costs microseconds.
-- step-major steps all paths a row at a time in numpy with in-place
-  buffers. It serves wider batches, quadrature targets and bare
+Both kernels read a closed target (an OptimalProcess with a closed variance
+shape) in one form: its drift as the (a0, a1) of mu = a0 + a1 x, and its
+sigma^2/2 as lambda1 times the density's declared profile, a float s2 when
+the shape is constant (the Normal), else a callable of float arithmetic. A
+constant sigma scales each chunk of normals once by sigma sqrt(dt), so a
+step only adds its drift and that kick:
+
+- path-major walks each path's column on Python floats, a few flops per
+  step where a numpy call costs microseconds; with no finite end it skips
+  the bounds test. simulate picks it for a closed target with at most
+  PATH_MAJOR_MAX_PATHS paths, or NUMPY_PROFILE_MAX_PATHS when the profile
+  calls numpy functions (the Hyperexponential), which a Python float pays
+  numpy's scalar overhead for.
+- step-major steps all paths a row at a time. On a closed target a step is
+  a dozen in-place ufuncs on held buffers plus one call of the profile. It
+  serves wider batches, and by its generic route, which calls mu and
+  sigma^2/2 on the state at every step, quadrature targets and bare
   (mu, sigma2half, support) triples.
 
 A proposal that leaves a finite end of the support is folded back by the
@@ -48,10 +60,21 @@ from .optimal import OptimalProcess, _ClosedVariance, _QuadratureVariance
 
 _MAX_TRIES = 100     # reject-step re-draws per step before giving up
 _CHUNK = 1000        # steps per noise draw and per path-major float walk
-# the widest batch the path-major kernel takes. It costs about 0.4 us per
-# path-step, the step-major loop about 15 us per step below 64 paths; on
-# Beta, Normal and Gamma targets the two meet between 32 and 40 paths
+# paths whose normals are drawn into rows of one small buffer, then copied
+# into the chunk's columns together: at 256 paths, a strided copy per path
+# took about a third of the time to fill a chunk
+_BLOCK = 16
+# the widest batch the path-major kernel takes, and the widest when the
+# profile calls numpy. Measured by tools/sampler_speed.py (2 cores, numpy
+# 2.4.6): path-major runs 1.5e6 to 3.3e6 path-steps/s on the plain closed
+# kinds (5.8e6 on the Normal), step-major about 2.4e6 at 32 paths and 9e6 at
+# 256 on Beta. Path-major still wins at 32 paths and loses at 64 for Beta,
+# Jacobi, Gamma, FisherSnedecor and CubicPearson; for the Normal,
+# StudentCauchy and InverseGamma it loses at 32, by 4 to 30%. The
+# Hyperexponential's profile runs at 0.3e6 to 0.4e6 path-steps/s on Python
+# floats: path-major wins at 8 paths and loses at 16.
 PATH_MAJOR_MAX_PATHS = 32
+NUMPY_PROFILE_MAX_PATHS = 8
 
 
 @dataclass(frozen=True)
@@ -86,10 +109,14 @@ class SimResult:
 
 
 def _unpack_target(target):
-    """(mu, sigma2half, support bounds, observable). A bare triple has no
-    observable: its slow mode is taken as x itself, centered and scaled."""
+    """(drift, sigma2half, support bounds, observable). drift is the
+    (a0, a1) of a closed target's linear drift, else a callable mu. A bare
+    triple has no observable: its slow mode is taken as x itself, centered
+    and scaled."""
     if isinstance(target, OptimalProcess):
         var_fn = target.variance_fn
+        drift = (target.drift if isinstance(var_fn, _ClosedVariance)
+                 else target.drift_at)
         if isinstance(var_fn, _QuadratureVariance):
             # a Kronrod panel per path and step is too slow inside the
             # loop; tabulate once and interpolate
@@ -98,8 +125,7 @@ def _unpack_target(target):
             var_fn = numerics.GridFunction(grid, np.maximum(
                 np.asarray(target.variance_fn(grid.points), float), 0.0))
         sup = target.source.support
-        return (target.drift_at, var_fn, (sup.lower, sup.upper),
-                target.phi1_at)
+        return drift, var_fn, (sup.lower, sup.upper), target.phi1_at
     mu, var_fn, support = target
     lo, hi = float(support[0]), float(support[1])
     return mu, var_fn, (lo, hi), None
@@ -160,6 +186,7 @@ def _run(cfg, x0, walk):
     n_steps, burn, n_paths = cfg.n_steps, cfg.burn_in, cfg.n_paths
     series = np.empty((n_steps - burn, n_paths))
     noise = np.empty((_CHUNK, n_paths))
+    block = np.empty((min(_BLOCK, n_paths), _CHUNK))
     rngs = [_path_rng(cfg.seed, i) for i in range(n_paths)]
     streams = {}  # path -> its re-draw stream, opened at its first re-draw
     x = np.full(n_paths, float(x0))
@@ -180,8 +207,11 @@ def _run(cfg, x0, walk):
         for start in range(0, n_steps, _CHUNK):
             drawn = min(start + _CHUNK, n_steps)
             chunk = noise[:drawn - start]
-            for i, rng in enumerate(rngs):
-                chunk[:, i] = rng.standard_normal(drawn - start)
+            for first in range(0, n_paths, len(block)):
+                rows = block[:n_paths - first, :len(chunk)]
+                for rng, row in zip(rngs[first:], rows):
+                    rng.standard_normal(out=row)
+                chunk[:, first:first + len(rows)] = rows.T
             done = walk(chunk, x, redraws)
             if done < len(chunk):
                 raise _rejected(start + done, cfg.dt)
@@ -192,38 +222,66 @@ def _run(cfg, x0, walk):
     return _finite(series, burn)
 
 
+def _constant_sigma(variance):
+    """sigma of a constant closed profile, as the kernels compute it at a
+    finite state, or None for a profile that varies."""
+    if variance.constant is None:
+        return None
+    v = variance.lambda1 * variance.constant
+    return math.sqrt(2.0 * (0.0 if v < 0.0 else v))
+
+
 def _path_major(drift, variance, lo, hi, x0, cfg):
     """The (kept, n_paths) series, each path walked on Python floats.
     drift is the (a0, a1) of mu = a0 + a1 x and variance a _ClosedVariance;
     the float operations are those of _step_major, in the same order."""
     a0, a1 = drift
     lam, profile = variance.lambda1, variance._profile
+    sigma0 = _constant_sigma(variance)
     dt = cfg.dt
     rootdt = math.sqrt(dt)
     reflect = cfg.boundary_mode == "reflect"
+    bounded = math.isfinite(lo) or math.isfinite(hi)
     sqrt = math.sqrt
 
     def walk(chunk, starts, redraws):
+        def settle(prop, x, mu, sigma, i):
+            # a proposal that left: folded back, or re-drawn (None on a
+            # give-up)
+            if reflect:
+                return float(_reflect(prop, lo, hi))
+            return _redraw(redraws(i), x, mu, sigma, dt, rootdt, lo, hi)
+
+        if sigma0 is not None:
+            # the kick sigma rootdt xi, once for the chunk
+            np.multiply(chunk, sigma0 * rootdt, out=chunk)
         done = len(chunk)
         # a path after another's give-up walks only up to it
         for i, x in enumerate(starts.tolist()):
             walked = []
             append = walked.append
-            for xi in chunk[:done, i].tolist():
-                v = lam * profile(x)
-                sigma = sqrt(2.0 * (0.0 if v < 0.0 else v))
-                mu = a0 + a1 * x
-                prop = x + mu * dt + sigma * rootdt * xi
-                if prop < lo or prop > hi:
-                    if reflect:
-                        prop = float(_reflect(prop, lo, hi))
-                    else:
-                        prop = _redraw(redraws(i), x, mu, sigma, dt, rootdt,
-                                       lo, hi)
+            if sigma0 is None:
+                for xi in chunk[:done, i].tolist():
+                    v = lam * profile(x)
+                    sigma = sqrt(2.0 * (0.0 if v < 0.0 else v))
+                    mu = a0 + a1 * x
+                    prop = x + mu * dt + sigma * rootdt * xi
+                    if prop < lo or prop > hi:
+                        prop = settle(prop, x, mu, sigma, i)
                         if prop is None:
                             break
-                x = prop
-                append(x)
+                    x = prop
+                    append(x)
+            else:
+                for kick in chunk[:done, i].tolist():
+                    mu = a0 + a1 * x
+                    prop = x + mu * dt + kick
+                    if bounded and (prop < lo or prop > hi):
+                        prop = settle(prop, x, mu, sigma0, i)
+                        if prop is None:
+                            break
+                    x = prop
+                    append(x)
             done = len(walked)
             chunk[:done, i] = walked
         return done
@@ -231,38 +289,61 @@ def _path_major(drift, variance, lo, hi, x0, cfg):
     return _run(cfg, x0, walk)
 
 
-def _step_major(mu_fn, var_fn, lo, hi, x0, cfg):
+def _step_major(drift, variance, lo, hi, x0, cfg):
     """The (kept, n_paths) series, all paths at once, one step at a time.
     Each step writes its proposal over its row of noise and folds or
-    re-draws only the points that left."""
+    re-draws only the points that left.
+
+    drift is the (a0, a1) of a closed target's mu = a0 + a1 x, with
+    variance its _ClosedVariance: each step is then a few in-place ufuncs
+    on held buffers. Otherwise drift and variance are callables of x (the
+    generic route)."""
     dt = cfg.dt
     rootdt = math.sqrt(dt)
     reflect = cfg.boundary_mode == "reflect"
     low_end, high_end = math.isfinite(lo), math.isfinite(hi)
-    sigma, shift = np.empty((2, cfg.n_paths))
+    sigma, shift, mu = np.empty((3, cfg.n_paths))
+    generic = callable(drift)
+    if not generic:
+        a0, a1 = drift
+        lam, profile = variance.lambda1, variance._profile
+    sigma0 = None if generic else _constant_sigma(variance)
+    if sigma0 is not None:
+        sigma.fill(sigma0)  # read only by re-draws
 
     def walk(chunk, x, redraws):
+        if sigma0 is not None:
+            # the kick sigma rootdt xi, once for the chunk
+            np.multiply(chunk, sigma0 * rootdt, out=chunk)
         for row, prop in enumerate(chunk):
-            drift = mu_fn(x)
-            np.maximum(var_fn(x), 0.0, out=sigma)
-            np.multiply(sigma, 2.0, out=sigma)
-            np.sqrt(sigma, out=sigma)
-            # the kick sigma rootdt xi over the normals, then x + mu dt
-            np.multiply(sigma, rootdt, out=shift)
-            np.multiply(shift, prop, out=prop)
-            np.multiply(drift, dt, out=shift)
+            if generic:
+                m = drift(x)
+                np.maximum(variance(x), 0.0, out=sigma)
+            else:
+                m = np.add(np.multiply(x, a1, out=mu), a0, out=mu)
+                if sigma0 is None:
+                    np.multiply(profile(x), lam, out=sigma)
+                    np.maximum(sigma, 0.0, out=sigma)
+            if sigma0 is None:
+                np.multiply(sigma, 2.0, out=sigma)
+                np.sqrt(sigma, out=sigma)
+                # the kick sigma rootdt xi over the normals
+                np.multiply(sigma, rootdt, out=shift)
+                np.multiply(shift, prop, out=prop)
+            # then x + mu dt
+            np.multiply(m, dt, out=shift)
             np.add(x, shift, out=shift)
             np.add(shift, prop, out=prop)
             # written so that a NaN fails the test: the other points still fold
-            if (low_end and not prop.min() >= lo) or \
-                    (high_end and not prop.max() <= hi):
+            if (low_end and not np.minimum.reduce(prop) >= lo) or \
+                    (high_end and not np.maximum.reduce(prop) <= hi):
                 bad = (prop < lo) | (prop > hi)
                 if reflect:
                     prop[bad] = _reflect(prop[bad], lo, hi)
                 else:
-                    drift = np.broadcast_to(drift, prop.shape)
+                    m = np.broadcast_to(m, prop.shape)
                     for i in np.nonzero(bad)[0].tolist():
-                        p = _redraw(redraws(i), x[i], drift[i], sigma[i], dt,
+                        p = _redraw(redraws(i), x[i], m[i], sigma[i], dt,
                                     rootdt, lo, hi)
                         if p is None:
                             return row
@@ -282,18 +363,18 @@ def simulate(target, cfg: SimConfig, x0=None, *, n_bins=50,
     histogram, and the lag autocorrelation of the slow-mode observable over
     the retained (post burn-in) samples.
     """
-    mu_fn, var_fn, (lo, hi), observable = _unpack_target(target)
+    drift, var_fn, (lo, hi), observable = _unpack_target(target)
     if x0 is None:
         if isinstance(target, OptimalProcess):
             x0 = target.moments.m1
         else:
             raise ValueError("x0 is required for a bare (mu, var) target")
-    if isinstance(target, OptimalProcess) and \
-            isinstance(var_fn, _ClosedVariance) and \
-            cfg.n_paths <= PATH_MAJOR_MAX_PATHS:
-        series = _path_major(target.drift, var_fn, lo, hi, x0, cfg)
+    closed = not callable(drift)
+    if closed and cfg.n_paths <= (NUMPY_PROFILE_MAX_PATHS if var_fn.calls_numpy
+                                  else PATH_MAJOR_MAX_PATHS):
+        series = _path_major(drift, var_fn, lo, hi, x0, cfg)
     else:
-        series = _step_major(mu_fn, var_fn, lo, hi, x0, cfg)
+        series = _step_major(drift, var_fn, lo, hi, x0, cfg)
     kept, n_paths = series.shape
     n_samples = kept * n_paths
     m1_hat = float(series.mean())

@@ -137,8 +137,10 @@ class TestRowFactory:
             row("fisher", {"nu1": 6.0, "nu2": 4.0})
 
     def test_discrete_spectrum_bounds(self):
-        assert default_row("StudentCauchy").n_max_discrete == 3
-        assert default_row("InverseGamma").n_max_discrete == 3
+        """A mode of degree n exists only for n < alpha (n < nu2/4 for the
+        F row): at alpha = 3 the top mode is 2, not 3."""
+        assert default_row("StudentCauchy").n_max_discrete == 2
+        assert default_row("InverseGamma").n_max_discrete == 2
         assert default_row("FisherSnedecor").n_max_discrete == 2
         assert default_row("Beta").n_max_discrete is None
 

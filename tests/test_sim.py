@@ -23,6 +23,7 @@ from fastmix.distributions import (
 from fastmix.errors import BoundaryViolation, InsufficientDecay, NonFiniteState
 from fastmix.optimal import _ClosedVariance, synthesize
 from fastmix.sim import (
+    NUMPY_PROFILE_MAX_PATHS,
     PATH_MAJOR_MAX_PATHS,
     SimConfig,
     SimResult,
@@ -317,21 +318,30 @@ CLOSED_KINDS = [
 ]
 
 
-def _both_kernels(proc, cfg):
-    """The path-major and step-major series, or the message each raised."""
+def _kernel_runs(proc, cfg, runs):
     sup = proc.source.support
-    x0 = proc.moments.m1
-    runs = (lambda: _path_major(proc.drift, proc.variance_fn, sup.lower,
-                                sup.upper, x0, cfg),
-            lambda: _step_major(proc.drift_at, proc.variance_fn, sup.lower,
-                                sup.upper, x0, cfg))
     out = []
-    for run in runs:
+    for kernel, drift, variance in runs:
         try:
-            out.append(run())
+            out.append(kernel(drift, variance, sup.lower, sup.upper,
+                              proc.moments.m1, cfg))
         except (BoundaryViolation, NonFiniteState) as exc:
             out.append("%s: %s" % (type(exc).__name__, exc))
     return out
+
+
+def _both_kernels(proc, cfg):
+    """The path-major and step-major series, or the message each raised."""
+    return _kernel_runs(proc, cfg, [
+        (_path_major, proc.drift, proc.variance_fn),
+        (_step_major, proc.drift, proc.variance_fn)])
+
+
+def _generic(proc, cfg):
+    """The series, or the message raised, of the generic step-major route:
+    drift and sigma^2/2 called as functions of the state at every step."""
+    return _kernel_runs(proc, cfg, [
+        (_step_major, proc.drift_at, proc.variance_fn)])[0]
 
 
 def _one_call_path(proc, cfg, i):
@@ -371,14 +381,38 @@ class TestKernels:
     @pytest.mark.parametrize("mode", ["reflect", "reject-step"])
     @pytest.mark.parametrize("spec", CLOSED_KINDS, ids=lambda s: s.kind)
     def test_identical_series(self, spec, mode):
+        """Both kernels also match the generic route, which calls the drift
+        and sigma^2/2 at every step: a constant sigma scales the normals
+        once, and neither kernel moves a rounding."""
         proc = synthesize(spec)
-        for n_paths in (1, PATH_MAJOR_MAX_PATHS, PATH_MAJOR_MAX_PATHS + 1):
+        for n_paths in (1, NUMPY_PROFILE_MAX_PATHS, PATH_MAJOR_MAX_PATHS,
+                        PATH_MAJOR_MAX_PATHS + 1, 256):
             cfg = SimConfig(dt=0.05 / proc.lambda1, n_steps=1200,
                             n_paths=n_paths, seed=3, burn_in=150,
                             boundary_mode=mode)
             a, b = _both_kernels(proc, cfg)
             assert a.shape == (1050, n_paths)
             assert np.array_equal(a, b)
+            assert np.array_equal(a, _generic(proc, cfg))
+
+    @pytest.mark.parametrize("mode", ["reflect", "reject-step"])
+    def test_constant_sigma_with_finite_ends(self, mode):
+        """A constant sigma scales the normals once even where points fold
+        or re-draw: the Normal's process walked on [-1, 1.5] gives the
+        generic route's series on both kernels, at widths on either side
+        of the crossover."""
+        proc = synthesize(Normal(0.0, 1.0))
+        for n_paths in (3, PATH_MAJOR_MAX_PATHS + 1):
+            cfg = SimConfig(dt=0.05, n_steps=1200, n_paths=n_paths, seed=3,
+                            boundary_mode=mode)
+            runs = [kernel(drift, proc.variance_fn, -1.0, 1.5, 0.0, cfg)
+                    for kernel, drift in ((_path_major, proc.drift),
+                                          (_step_major, proc.drift),
+                                          (_step_major, proc.drift_at))]
+            assert np.array_equal(runs[0], runs[1])
+            assert np.array_equal(runs[0], runs[2])
+            assert runs[0].min() >= -1.0 and runs[0].max() <= 1.5
+            assert np.any(runs[0] < -0.99) and np.any(runs[0] > 1.49)
 
     @pytest.mark.parametrize("spec", [
         s for s in CLOSED_KINDS if math.isfinite(s.support.lower)
@@ -395,25 +429,37 @@ class TestKernels:
         assert not np.array_equal(*runs)
 
     def test_simulate_picks_by_target_and_width(self, monkeypatch):
-        """Closed targets up to the crossover go path-major; wider batches,
-        quadrature targets and bare triples go step-major."""
+        """Closed targets up to the crossover go path-major, those whose
+        profile calls numpy only up to a narrower one; wider batches take
+        step-major's closed route. Quadrature targets and bare triples take
+        step-major's generic route, with the drift as a callable."""
         seen = []
         for name in ("_path_major", "_step_major"):
             real = getattr(sim, name)
 
             def spy(*args, _name=name, _real=real):
-                seen.append(_name)
+                seen.append((_name, "generic" if callable(args[0])
+                             else "closed"))
                 return _real(*args)
 
             monkeypatch.setattr(sim, name, spy)
         closed = _dome_process()
+        ou = synthesize(Normal(0.0, 1.0))
+        hyper = synthesize(Hyperexponential(0.5, 0.5, 1.0, 2.0))
         quad = synthesize(Beta(1.0, 1.0), variance_mode="quadrature")
         for target, n_paths in ((closed, PATH_MAJOR_MAX_PATHS),
+                                (ou, PATH_MAJOR_MAX_PATHS),
+                                (hyper, NUMPY_PROFILE_MAX_PATHS),
                                 (closed, PATH_MAJOR_MAX_PATHS + 1),
+                                (ou, PATH_MAJOR_MAX_PATHS + 1),
+                                (hyper, NUMPY_PROFILE_MAX_PATHS + 1),
                                 (quad, 1), (_ou_target(), 1)):
             simulate(target, SimConfig(dt=1e-2, n_steps=300,
                                        n_paths=n_paths, seed=1), x0=0.5)
-        assert seen == ["_path_major"] + ["_step_major"] * 3
+        assert seen == ([("_path_major", "closed")] * 3
+                        + [("_step_major", "closed")] * 3
+                        + [("_step_major", "generic")] * 2)
+        assert NUMPY_PROFILE_MAX_PATHS < PATH_MAJOR_MAX_PATHS
 
     def test_same_rejection_error(self):
         """Paths give up at different steps; both report the earliest, and
@@ -447,7 +493,17 @@ class TestKernels:
                         burn_in=burn_in)
         a, b = _both_kernels(proc, cfg)
         msg = "NonFiniteState: state became non-finite by step %d" % step
-        assert a == b == msg
+        assert a == b == _generic(proc, cfg) == msg
+
+    def test_same_non_finite_error_at_width(self):
+        """The overflow test above, at a width past path-major's: the
+        constant sigma of the Normal scales each chunk once on both
+        kernels, and the step named is the generic route's too."""
+        proc = synthesize(Normal(0.0, 1.0))
+        cfg = SimConfig(dt=3.0, n_steps=1500, n_paths=256, seed=5)
+        a, b = _both_kernels(proc, cfg)
+        assert a == b == _generic(proc, cfg)
+        assert a.startswith("NonFiniteState: state became non-finite by")
 
     def test_earliest_non_finite_path_is_reported(self):
         """Alone, path 0 overflows at step 1022; with 3 paths another one
@@ -460,9 +516,10 @@ class TestKernels:
             assert a == b
             msgs.append(a)
         assert [m.rsplit(" ", 1)[1] for m in msgs] == ["1022", "1021"]
-        a, b = _both_kernels(proc, SimConfig(dt=3.0, n_steps=1021, n_paths=3,
-                                             seed=5))
+        cfg = SimConfig(dt=3.0, n_steps=1021, n_paths=3, seed=5)
+        a, b = _both_kernels(proc, cfg)
         assert np.isfinite(a).all() and np.array_equal(a, b)
+        assert np.array_equal(a, _generic(proc, cfg))
 
     @pytest.mark.parametrize("mode", ["reflect", "reject-step"])
     @pytest.mark.parametrize("n_steps,burn_in", [
@@ -477,8 +534,9 @@ class TestKernels:
         assert a.shape == (n_steps - burn_in, 40)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("kernel", [_path_major, _step_major],
-                             ids=["path-major", "step-major"])
+    @pytest.mark.parametrize("kernel", ["path-major", "step-major",
+                                        "generic"],
+                             ids=["path-major", "step-major", "generic"])
     def test_redraws_after_a_chunk_edge(self, kernel):
         """Re-draws after step 1000 still take a path's draws after all of
         its step draws: each kernel's series matches paths stepped on
@@ -487,10 +545,10 @@ class TestKernels:
         proc = _dome_process()
         cfg = SimConfig(dt=0.01, n_steps=2001, n_paths=40, seed=3,
                         burn_in=1001, boundary_mode="reject-step")
-        sup = proc.source.support
-        drift = proc.drift if kernel is _path_major else proc.drift_at
-        series = kernel(drift, proc.variance_fn, sup.lower, sup.upper,
-                        proc.moments.m1, cfg)
+        if kernel == "generic":
+            series = _generic(proc, cfg)
+        else:
+            series = _both_kernels(proc, cfg)[kernel == "step-major"]
         late = both = 0
         for i in range(cfg.n_paths):
             want, redrawn = _one_call_path(proc, cfg, i)
@@ -504,11 +562,13 @@ class TestKernels:
         """Only a proposal that left the interval is folded: at rest at
         1e-20 on (-1, 1), x stays exactly 1e-20."""
         cfg = SimConfig(dt=0.01, n_steps=20, n_paths=2, boundary_mode=mode)
-        still = _ClosedVariance(lambda x: x * 0.0, 1.0)
         zero = lambda x: x * 0.0
-        for series in (_path_major((0.0, 0.0), still, -1.0, 1.0, 1e-20, cfg),
-                       _step_major(zero, still, -1.0, 1.0, 1e-20, cfg)):
-            assert np.all(series == 1e-20)
+        for still in (_ClosedVariance(zero, 1.0), _ClosedVariance(0.0, 1.0)):
+            for series in (
+                    _path_major((0.0, 0.0), still, -1.0, 1.0, 1e-20, cfg),
+                    _step_major((0.0, 0.0), still, -1.0, 1.0, 1e-20, cfg),
+                    _step_major(zero, still, -1.0, 1.0, 1e-20, cfg)):
+                assert np.all(series == 1e-20)
 
 
 def _old_post_processing(series, observable, n_bins=50):
