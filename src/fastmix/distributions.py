@@ -218,7 +218,8 @@ class DistributionSpec:
         sigma^2(x)/2 = lambda1 * p(x), and this returns p: a float when the
         shape is constant, else a callable written as arithmetic on its
         argument, so that a Python float and a float array give the same
-        value bit for bit.
+        value bit for bit. The sampler calls it at every step, so constants
+        of the shape are computed once, outside the callable.
         """
         return None
 
@@ -261,9 +262,8 @@ class Beta(DistributionSpec):
         return m1, m2
 
     def closed_profile(self):
-        a = self.params["alpha"]
-        b = self.params["beta"]
-        return lambda x: x * (1.0 - x) / (a + b + 2.0)
+        c = self.params["alpha"] + self.params["beta"] + 2.0
+        return lambda x: x * (1.0 - x) / c
 
     def default_sigma_hat_sq_half(self):
         a = self.params["alpha"]
@@ -308,9 +308,8 @@ class Jacobi(DistributionSpec):
         return m1, var + m1 * m1
 
     def closed_profile(self):
-        a = self.params["alpha"]
-        b = self.params["beta"]
-        return lambda x: (1.0 - x * x) / (a + b + 2.0)
+        c = self.params["alpha"] + self.params["beta"] + 2.0
+        return lambda x: (1.0 - x * x) / c
 
     def default_sigma_hat_sq_half(self):
         a = self.params["alpha"]
@@ -427,8 +426,8 @@ class StudentCauchy(DistributionSpec):
         return 0.0, 1.0 / (2.0 * (a - 1.0))
 
     def closed_profile(self):
-        a = self.params["alpha"]
-        return lambda x: (1.0 + x * x) / (2.0 * a - 1.0)
+        c = 2.0 * self.params["alpha"] - 1.0
+        return lambda x: (1.0 + x * x) / c
 
     def default_sigma_hat_sq_half(self):
         a = self.params["alpha"]
@@ -476,8 +475,8 @@ class InverseGamma(DistributionSpec):
         return m1, m2
 
     def closed_profile(self):
-        a = self.params["alpha"]
-        return lambda x: x * x / (2.0 * a - 1.0)
+        c = 2.0 * self.params["alpha"] - 1.0
+        return lambda x: x * x / c
 
     def default_sigma_hat_sq_half(self):
         a = self.params["alpha"]
@@ -547,12 +546,8 @@ class FisherSnedecor(DistributionSpec):
         n2 = self.params["nu2"]
         if n2 <= 2.0:
             return None
-        scale = 2.0 * n2 / (n1 * (n2 - 2.0))
-
-        def profile(x):
-            return (x + (n1 / n2) * x * x) * scale
-
-        return profile
+        ratio, scale = n1 / n2, 2.0 * n2 / (n1 * (n2 - 2.0))
+        return lambda x: (x + ratio * x * x) * scale
 
     def default_sigma_hat_sq_half(self):
         n1 = self.params["nu1"]

@@ -13,10 +13,13 @@ has a kernel walk the chunk, writing each position over its normal, and
 copies the kept rows into the series. A path's first re-draw opens a copy
 of its stream's state after that chunk, moved past the step normals still
 ahead. A run holds one array the size of its series plus buffers of
-_CHUNK x n_paths; simulate applies the observable one path at a
-time and squares the series in place for m2_hat (a bare triple adds one
-centered copy). The kernels do the same float operations on the same draws,
-so they agree bit for bit.
+_CHUNK x n_paths. The check of the finished series reads its min and max,
+which simulate passes on as the histogram's range. simulate then writes the
+slow mode of a block of paths at a time into held buffers and transforms
+them (_power_sum); those take less than the noise chunk _run has freed. It
+squares the series in place for m2_hat (a bare triple adds one centered
+copy). The kernels do the same float operations on the same draws, so they
+agree bit for bit.
 
 Both kernels read a closed target (an OptimalProcess with a closed variance
 shape) in one form: its drift as the (a0, a1) of mu = a0 + a1 x, and its
@@ -32,7 +35,9 @@ step only adds its drift and that kick:
   calls numpy functions (the Hyperexponential), which a Python float pays
   numpy's scalar overhead for.
 - step-major steps all paths a row at a time. On a closed target a step is
-  a dozen in-place ufuncs on held buffers plus one call of the profile. It
+  a dozen in-place ufuncs on held buffers plus one call of the profile;
+  their scalar operands are 0-d arrays made once, as numpy converts a
+  Python float at every call. Its cost is per call, not per path. It
   serves wider batches, and by its generic route, which calls mu and
   sigma^2/2 on the state at every step, quadrature targets and bare
   (mu, sigma2half, support) triples.
@@ -66,15 +71,22 @@ _CHUNK = 1000        # steps per noise draw and per path-major float walk
 _BLOCK = 16
 # the widest batch the path-major kernel takes, and the widest when the
 # profile calls numpy. Measured by tools/sampler_speed.py (2 cores, numpy
-# 2.4.6): path-major runs 1.5e6 to 3.3e6 path-steps/s on the plain closed
-# kinds (5.8e6 on the Normal), step-major about 2.4e6 at 32 paths and 9e6 at
-# 256 on Beta. Path-major still wins at 32 paths and loses at 64 for Beta,
-# Jacobi, Gamma, FisherSnedecor and CubicPearson; for the Normal,
-# StudentCauchy and InverseGamma it loses at 32, by 4 to 30%. The
-# Hyperexponential's profile runs at 0.3e6 to 0.4e6 path-steps/s on Python
+# 2.4.6, two runs): path-major runs 1.7e6 to 4.0e6 path-steps/s on the plain
+# closed kinds (5.3e6 to 7.1e6 on the Normal), step-major 1.0e6 to 2.3e6 at
+# 16 paths (6.4e6 on the Normal), 2.0e6 to 4.2e6 at 32 (8e6 to 1.1e7) and
+# about 1e7 at 256 on Beta. Path-major wins at 16 paths on every kind. At 32
+# it loses on 6 of the 8 kinds in one run and 7 in the other, by 3 to 35%
+# (18 to 55% on the Normal), and wins on CubicPearson in both. The
+# Hyperexponential's profile runs at 0.3e6 to 0.6e6 path-steps/s on Python
 # floats: path-major wins at 8 paths and loses at 16.
-PATH_MAJOR_MAX_PATHS = 32
+PATH_MAJOR_MAX_PATHS = 16
 NUMPY_PROFILE_MAX_PATHS = 8
+# bytes of the held blocks _power_sum transforms paths in, about 16 x the
+# FFT size per path: 4 paths at the 2500 kept steps of the paths
+# benchmark's 256-path OU and Gamma jobs, 1 at the dome job's 15875, where
+# its buffers take 0.8 MB, inside the 2 MB noise chunk that _run frees.
+# Larger blocks gain little there, where the transforms take the time
+_ACF_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -109,10 +121,10 @@ class SimResult:
 
 
 def _unpack_target(target):
-    """(drift, sigma2half, support bounds, observable). drift is the
-    (a0, a1) of a closed target's linear drift, else a callable mu. A bare
-    triple has no observable: its slow mode is taken as x itself, centered
-    and scaled."""
+    """(drift, sigma2half, support bounds, phi1). drift is the (a0, a1) of
+    a closed target's linear drift, else a callable mu; phi1 is the (slope,
+    intercept) of the slow mode. A bare triple has no phi1: its slow mode
+    is taken as x itself, centered and scaled."""
     if isinstance(target, OptimalProcess):
         var_fn = target.variance_fn
         drift = (target.drift if isinstance(var_fn, _ClosedVariance)
@@ -125,7 +137,7 @@ def _unpack_target(target):
             var_fn = numerics.GridFunction(grid, np.maximum(
                 np.asarray(target.variance_fn(grid.points), float), 0.0))
         sup = target.source.support
-        return drift, var_fn, (sup.lower, sup.upper), target.phi1_at
+        return drift, var_fn, (sup.lower, sup.upper), target.phi1
     mu, var_fn, support = target
     lo, hi = float(support[0]), float(support[1])
     return mu, var_fn, (lo, hi), None
@@ -156,11 +168,12 @@ def _rejected(step, dt):
 
 
 def _finite(series, burn):
-    """series, or NonFiniteState naming the first kept step at which some
-    path is not finite. A finite series passes on its min and max, with no
-    temporary the size of the series."""
-    if math.isfinite(series.min()) and math.isfinite(series.max()):
-        return series
+    """The (min, max) of series, or NonFiniteState naming the first kept
+    step at which some path is not finite. A finite series passes on its
+    min and max, with no temporary the size of the series."""
+    span = series.min(), series.max()
+    if math.isfinite(span[0]) and math.isfinite(span[1]):
+        return span
     row = int(np.argmin(np.isfinite(series).all(axis=1)))
     raise NonFiniteState("state became non-finite by step %d" % (burn + row))
 
@@ -176,7 +189,8 @@ def _redraw(rng, x, mu, sigma, dt, rootdt, lo, hi):
 
 
 def _run(cfg, x0, walk):
-    """The (kept, n_paths) series, stepped a chunk at a time by walk.
+    """The (kept, n_paths) series and its (min, max), stepped a chunk at a
+    time by walk.
 
     walk(chunk, x, redraws) steps every path from its state in x through
     chunk, an (m, n_paths) buffer of step normals, writing each position
@@ -219,7 +233,7 @@ def _run(cfg, x0, walk):
                 keep = max(start, burn)
                 series[keep - burn:drawn - burn] = chunk[keep - start:]
             x[:] = chunk[-1]
-    return _finite(series, burn)
+    return series, _finite(series, burn)
 
 
 def _constant_sigma(variance):
@@ -232,7 +246,8 @@ def _constant_sigma(variance):
 
 
 def _path_major(drift, variance, lo, hi, x0, cfg):
-    """The (kept, n_paths) series, each path walked on Python floats.
+    """The (kept, n_paths) series and its (min, max), each path walked on
+    Python floats.
     drift is the (a0, a1) of mu = a0 + a1 x and variance a _ClosedVariance;
     the float operations are those of _step_major, in the same order."""
     a0, a1 = drift
@@ -290,9 +305,9 @@ def _path_major(drift, variance, lo, hi, x0, cfg):
 
 
 def _step_major(drift, variance, lo, hi, x0, cfg):
-    """The (kept, n_paths) series, all paths at once, one step at a time.
-    Each step writes its proposal over its row of noise and folds or
-    re-draws only the points that left.
+    """The (kept, n_paths) series and its (min, max), all paths at once,
+    one step at a time. Each step writes its proposal over its row of noise
+    and folds or re-draws only the points that left.
 
     drift is the (a0, a1) of a closed target's mu = a0 + a1 x, with
     variance its _ClosedVariance: each step is then a few in-place ufuncs
@@ -303,10 +318,22 @@ def _step_major(drift, variance, lo, hi, x0, cfg):
     reflect = cfg.boundary_mode == "reflect"
     low_end, high_end = math.isfinite(lo), math.isfinite(hi)
     sigma, shift, mu = np.empty((3, cfg.n_paths))
+    # a step's cost is per ufunc call, so the calls are bound to local names
+    # and their scalar operands held as 0-d float64 arrays, made once: numpy
+    # converts a Python float operand at every call. At 256 paths
+    # np.multiply took 0.42 us with a 0-d operand and 0.65 us with a float,
+    # and 0.35 us called by a local name (2 cores, numpy 2.4.6). Re-draws
+    # keep the floats.
+    multiply, add, maximum, sqrt = np.multiply, np.add, np.maximum, np.sqrt
+    # np.minimum.reduce took 0.93 us by a local name, prop.min() 1.03 us
+    min_of, max_of = np.minimum.reduce, np.maximum.reduce
+    dt_, rootdt_, zero, two = (np.array(v, float)
+                               for v in (dt, rootdt, 0.0, 2.0))
     generic = callable(drift)
     if not generic:
-        a0, a1 = drift
-        lam, profile = variance.lambda1, variance._profile
+        a0, a1, lam = (np.array(v, float)
+                       for v in (*drift, variance.lambda1))
+        profile = variance._profile
     sigma0 = None if generic else _constant_sigma(variance)
     if sigma0 is not None:
         sigma.fill(sigma0)  # read only by re-draws
@@ -318,25 +345,26 @@ def _step_major(drift, variance, lo, hi, x0, cfg):
         for row, prop in enumerate(chunk):
             if generic:
                 m = drift(x)
-                np.maximum(variance(x), 0.0, out=sigma)
+                maximum(variance(x), zero, out=sigma)
             else:
-                m = np.add(np.multiply(x, a1, out=mu), a0, out=mu)
+                m = add(multiply(x, a1, out=mu), a0, out=mu)
                 if sigma0 is None:
-                    np.multiply(profile(x), lam, out=sigma)
-                    np.maximum(sigma, 0.0, out=sigma)
+                    multiply(profile(x), lam, out=sigma)
+                    maximum(sigma, zero, out=sigma)
             if sigma0 is None:
-                np.multiply(sigma, 2.0, out=sigma)
-                np.sqrt(sigma, out=sigma)
+                multiply(sigma, two, out=sigma)
+                sqrt(sigma, out=sigma)
                 # the kick sigma rootdt xi over the normals
-                np.multiply(sigma, rootdt, out=shift)
-                np.multiply(shift, prop, out=prop)
+                multiply(sigma, rootdt_, out=shift)
+                multiply(shift, prop, out=prop)
             # then x + mu dt
-            np.multiply(m, dt, out=shift)
-            np.add(x, shift, out=shift)
-            np.add(shift, prop, out=prop)
-            # written so that a NaN fails the test: the other points still fold
-            if (low_end and not np.minimum.reduce(prop) >= lo) or \
-                    (high_end and not np.maximum.reduce(prop) <= hi):
+            multiply(m, dt_, out=shift)
+            add(x, shift, out=shift)
+            add(shift, prop, out=prop)
+            # written so that a NaN fails the test: the other points still
+            # fold
+            if (low_end and not min_of(prop) >= lo) or \
+                    (high_end and not max_of(prop) <= hi):
                 bad = (prop < lo) | (prop > hi)
                 if reflect:
                     prop[bad] = _reflect(prop[bad], lo, hi)
@@ -361,9 +389,17 @@ def simulate(target, cfg: SimConfig, x0=None, *, n_bins=50,
     target is an OptimalProcess or a (mu, sigma2half, (lo, hi)) triple of
     callables plus bounds. Reports moment estimates, a density-normalized
     histogram, and the lag autocorrelation of the slow-mode observable over
-    the retained (post burn-in) samples.
+    the retained (post burn-in) samples, at lags 0..max_lag (by default
+    the kept steps less one, at most 50000).
     """
-    drift, var_fn, (lo, hi), observable = _unpack_target(target)
+    kept = cfg.n_steps - cfg.burn_in
+    if max_lag is None:
+        max_lag = min(kept - 1, 50000)
+    max_lag = int(max_lag)
+    if not 0 <= max_lag < kept:
+        raise ValueError("max_lag must be in [0, %d], the kept steps less one"
+                         % (kept - 1))
+    drift, var_fn, (lo, hi), phi1 = _unpack_target(target)
     if x0 is None:
         if isinstance(target, OptimalProcess):
             x0 = target.moments.m1
@@ -372,19 +408,15 @@ def simulate(target, cfg: SimConfig, x0=None, *, n_bins=50,
     closed = not callable(drift)
     if closed and cfg.n_paths <= (NUMPY_PROFILE_MAX_PATHS if var_fn.calls_numpy
                                   else PATH_MAJOR_MAX_PATHS):
-        series = _path_major(drift, var_fn, lo, hi, x0, cfg)
+        series, span = _path_major(drift, var_fn, lo, hi, x0, cfg)
     else:
-        series = _step_major(drift, var_fn, lo, hi, x0, cfg)
-    kept, n_paths = series.shape
-    n_samples = kept * n_paths
+        series, span = _step_major(drift, var_fn, lo, hi, x0, cfg)
+    n_samples = series.size
     m1_hat = float(series.mean())
-    freq, edges = np.histogram(series.ravel(), bins=int(n_bins), density=True)
-    if max_lag is None:
-        max_lag = min(kept - 1, 50000)
-    max_lag = int(max_lag)
-    # series is squared in place for m2_hat once its values are read; the
-    # observable is applied one path at a time
-    if observable is None:
+    freq, edges = np.histogram(series.ravel(), bins=int(n_bins), range=span,
+                               density=True)
+    # series is squared in place for m2_hat once its values are read
+    if phi1 is None:
         # one centered copy, scaled in place; the squared series then
         # serves as the buffer for its squares
         obs = series - m1_hat
@@ -392,9 +424,9 @@ def simulate(target, cfg: SimConfig, x0=None, *, n_bins=50,
         sd = float(np.sqrt(np.multiply(obs, obs, out=series).mean()))
         if sd > 0:
             np.divide(obs, sd, out=obs)
-        acf = _mean_lag_products(obs, max_lag, lambda y: y)
+        acf = _mean_lag_products(obs, max_lag)
     else:
-        acf = _mean_lag_products(series, max_lag, observable)
+        acf = _mean_lag_products(series, max_lag, phi1)
         m2_hat = float(np.multiply(series, series, out=series).mean())
     if acf[0] <= 0:
         raise NonFiniteState("autocorrelation normalization is not positive")
@@ -404,20 +436,46 @@ def simulate(target, cfg: SimConfig, x0=None, *, n_bins=50,
                      n_samples=n_samples)
 
 
-def _mean_lag_products(series, max_lag, observable):
+def _mean_lag_products(series, max_lag, phi1=None):
     """Average of y_t y_(t+s) over paths and t, for s = 0..max_lag (FFT),
-    where y = observable(series) is taken one path at a time."""
+    where y is slope x + intercept for phi1 = (slope, intercept), as
+    OptimalProcess.phi1_at computes it, or x itself when phi1 is None."""
     kept, n_paths = series.shape
     size = 1
     while size < 2 * kept:
         size *= 2
-    spec_sum = np.zeros(size // 2 + 1)
-    for i in range(n_paths):
-        f = np.fft.rfft(observable(series[:, i]), n=size)
-        spec_sum += (f * f.conj()).real
-    raw = np.fft.irfft(spec_sum, n=size)[:max_lag + 1]
+    raw = np.fft.irfft(_power_sum(series, size, phi1), n=size)[:max_lag + 1]
     counts = n_paths * (kept - np.arange(max_lag + 1)).astype(float)
     return raw / counts
+
+
+def _power_sum(series, size, phi1):
+    """The sum over paths, in path order, of |f|^2 for f the size-point
+    rfft of each path's y, as _mean_lag_products defines y.
+
+    Paths go through held buffers a block at a time. y of the block's paths
+    is written in place into the rows of one buffer, one rfft call pads and
+    transforms them all, and each f times its conjugate is formed in one
+    held row. That is the sum of one transform per path, bit for bit;
+    f.real**2 + f.imag**2 would not give those bits. The buffers are freed
+    on return, before the inverse transform."""
+    kept, n_paths = series.shape
+    rows = max(1, min(n_paths, _ACF_BYTES // (16 * size)))
+    block = np.empty((rows, kept))
+    spectra = np.empty((rows, size // 2 + 1), complex)
+    power = np.empty(size // 2 + 1, complex)
+    spec_sum = np.zeros(size // 2 + 1)
+    for first in range(0, n_paths, rows):
+        y = block[:n_paths - first]
+        x = series[:, first:first + len(y)].T
+        if phi1 is None:
+            np.copyto(y, x)
+        else:
+            np.add(np.multiply(x, phi1[0], out=y), phi1[1], out=y)
+        for f in np.fft.rfft(y, n=size, axis=1, out=spectra[:len(y)]):
+            np.multiply(f, np.conjugate(f, out=power), out=power)
+            spec_sum += power.real
+    return spec_sum
 
 
 def rate_from_acf(lags, acf, dt, window=(0.05, 0.8)) -> RateEstimate:

@@ -37,6 +37,7 @@ from fastmix.numerics import (
     moment_window,
     tridiag_eigs,
     truncated_interval,
+    write_csv,
 )
 
 
@@ -572,3 +573,23 @@ class TestChebyshevPoints:
         assert np.all(np.diff(pts) > 0)
         assert pts[0] > 0.0 and pts[-1] < 1.0
         np.testing.assert_allclose(pts + pts[::-1], 1.0, atol=1e-14)
+
+
+class TestWriteCsv:
+    """Rows are formatted 8 at a time by one %; the bytes are those of one
+    % per row, up to the shortest column."""
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 9, numerics._CSV_ROWS,
+                                   2 * numerics._CSV_ROWS + 37])
+    def test_bytes_match_one_format_per_row(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        ints = np.arange(n + 5)
+        floats = np.concatenate([[math.nan, -0.0, -math.inf],
+                                 rng.standard_normal(n + 3) * 1e-7])
+        short = rng.random(n)
+        path = tmp_path / "t.csv"
+        write_csv(path, "i,x,y\n", "%d,%.17g,%.17g\n", ints, floats, short)
+        rows = "".join("%d,%.17g,%.17g\n" % (int(i), x, y)
+                       for i, x, y in zip(ints, floats, short))
+        assert rows.count("\n") == n
+        assert path.read_bytes() == ("i,x,y\n" + rows).encode()

@@ -206,6 +206,21 @@ class TestAutocorrelation:
         assert res.acf.shape == (11,)
         assert res.acf_lags[-1] == 10
 
+    @pytest.mark.parametrize("max_lag", [20, 25, 40, -1])
+    def test_max_lag_outside_the_kept_steps(self, max_lag):
+        """20 kept steps give lags 0..19. Past them the counts are 0 or
+        negative, so any other max_lag is refused before the run."""
+        cfg = SimConfig(dt=1e-3, n_steps=30, n_paths=2, seed=5, burn_in=10)
+        with pytest.raises(ValueError, match=r"max_lag must be in \[0, 19\]"):
+            simulate(_dome_process(), cfg, max_lag=max_lag)
+
+    @pytest.mark.parametrize("max_lag", [0, 19])
+    def test_max_lag_at_the_ends_of_its_range(self, max_lag):
+        """Lags 0 and kept - 1 are the ends of the range, and both run."""
+        cfg = SimConfig(dt=1e-3, n_steps=30, n_paths=2, seed=5, burn_in=10)
+        res = simulate(_dome_process(), cfg, max_lag=max_lag)
+        assert res.acf.shape == (max_lag + 1,) and res.acf[0] == 1.0
+
 
 class TestRateRecovery:
     """Measured mixing rates against the analytic lambda1."""
@@ -324,7 +339,7 @@ def _kernel_runs(proc, cfg, runs):
     for kernel, drift, variance in runs:
         try:
             out.append(kernel(drift, variance, sup.lower, sup.upper,
-                              proc.moments.m1, cfg))
+                              proc.moments.m1, cfg)[0])
         except (BoundaryViolation, NonFiniteState) as exc:
             out.append("%s: %s" % (type(exc).__name__, exc))
     return out
@@ -405,7 +420,7 @@ class TestKernels:
         for n_paths in (3, PATH_MAJOR_MAX_PATHS + 1):
             cfg = SimConfig(dt=0.05, n_steps=1200, n_paths=n_paths, seed=3,
                             boundary_mode=mode)
-            runs = [kernel(drift, proc.variance_fn, -1.0, 1.5, 0.0, cfg)
+            runs = [kernel(drift, proc.variance_fn, -1.0, 1.5, 0.0, cfg)[0]
                     for kernel, drift in ((_path_major, proc.drift),
                                           (_step_major, proc.drift),
                                           (_step_major, proc.drift_at))]
@@ -564,25 +579,27 @@ class TestKernels:
         cfg = SimConfig(dt=0.01, n_steps=20, n_paths=2, boundary_mode=mode)
         zero = lambda x: x * 0.0
         for still in (_ClosedVariance(zero, 1.0), _ClosedVariance(0.0, 1.0)):
-            for series in (
+            for series, _ in (
                     _path_major((0.0, 0.0), still, -1.0, 1.0, 1e-20, cfg),
                     _step_major((0.0, 0.0), still, -1.0, 1.0, 1e-20, cfg),
                     _step_major(zero, still, -1.0, 1.0, 1e-20, cfg)):
                 assert np.all(series == 1e-20)
 
 
-def _old_post_processing(series, observable, n_bins=50):
+def _old_post_processing(series, phi1, n_bins=50):
     """m1, m2, histogram and acf by the formulas that made temporaries the
-    size of the series; observable None centers and scales x itself."""
+    size of the series: y = slope x + intercept for phi1 = (slope,
+    intercept), as phi1_at computes it; phi1 None centers and scales x
+    itself."""
     m1 = float(series.mean())
     m2 = float(np.mean(series * series))
     freq, edges = np.histogram(series.ravel(), bins=n_bins, density=True)
-    if observable is None:
+    if phi1 is None:
         obs = series - series.mean()
         sd = float(np.sqrt(np.mean(obs * obs)))
         obs = obs / sd
     else:
-        obs = observable(series)
+        obs = phi1[0] * series + phi1[1]
     kept, n_paths = obs.shape
     max_lag = min(kept - 1, 50000)
     size = 1
@@ -622,13 +639,47 @@ class TestPostProcessing:
         cfg = SimConfig(dt=0.01, n_steps=2001, n_paths=40, seed=3,
                         burn_in=501)
         res = simulate(proc, cfg, x0=x0)
-        mu, var, (lo, hi), observable = _unpack_target(proc)
+        mu, var, (lo, hi), phi1 = _unpack_target(proc)
         m1, m2, freq, edges, acf = _old_post_processing(
-            _step_major(mu, var, lo, hi, x0, cfg), observable)
+            _step_major(mu, var, lo, hi, x0, cfg)[0], phi1)
         assert res.m1_hat == m1 and res.m2_hat == m2
         assert np.array_equal(res.hist_freq, freq)
         assert np.array_equal(res.hist_edges, edges)
         assert np.array_equal(res.acf, acf)
+
+    @pytest.mark.parametrize("n_paths", [1, 3, 5, 17])
+    @pytest.mark.parametrize("target", ["dome", "bare", "reject"])
+    def test_same_as_the_old_formulas_at_any_width(self, target, n_paths):
+        """Widths that leave a partial block of paths in the ACF (8 paths
+        a block at 1500 kept steps) give the old results bit for bit."""
+        proc, x0, mode = _dome_process(), None, "reflect"
+        if target == "bare":
+            proc = _ou_target()[:2] + ((-1.5, 1.5),)
+            x0 = 0.3
+        elif target == "reject":
+            mode = "reject-step"
+        cfg = SimConfig(dt=0.01, n_steps=2001, n_paths=n_paths, seed=3,
+                        burn_in=501, boundary_mode=mode)
+        res = simulate(proc, cfg, x0=x0)
+        mu, var, (lo, hi), phi1 = _unpack_target(proc)
+        x0 = proc.moments.m1 if x0 is None else x0
+        m1, m2, freq, edges, acf = _old_post_processing(
+            _step_major(mu, var, lo, hi, x0, cfg)[0], phi1)
+        assert res.m1_hat == m1 and res.m2_hat == m2
+        assert np.array_equal(res.hist_freq, freq)
+        assert np.array_equal(res.hist_edges, edges)
+        assert np.array_equal(res.acf, acf)
+
+    def test_acf_blocks_fit_in_the_freed_noise_chunk(self):
+        """On the widest benchmark series (15875 kept steps of 256 paths)
+        the ACF's held blocks and temporaries peak within the 1000 x 256
+        noise chunk that _run has freed: 0.79 MB, where one path at a time
+        with fresh temporaries peaked at 0.92 MB."""
+        series = np.random.default_rng(1).random((15875, 256))
+        phi1 = _dome_process().phi1
+        peak = _traced_peak(
+            lambda: sim._mean_lag_products(series, 15874, phi1))
+        assert peak <= sim._CHUNK * 256 * 8
 
     def test_closed_run_holds_one_series(self):
         """Parent: about 2.0 x the series (noise array, then the squares)."""

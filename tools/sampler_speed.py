@@ -10,9 +10,16 @@ host falls on both. The widest width at which path-major still wins, per
 kind, is what `PATH_MAJOR_MAX_PATHS` and `NUMPY_PROFILE_MAX_PATHS` in
 `src/fastmix/sim.py` are set from.
 
+It then times what `simulate` does after the walk, on the dome (Beta(1, 1))
+at the lengths of the benchmark's `paths` jobs: 1, 16 and 256 paths, and
+the 256-path length of its OU and Gamma jobs. For each it prints the median
+of 5 readings of the seconds `simulate` spends in the autocorrelation
+(`sim._mean_lag_products`) and in `np.histogram`, and of the seconds
+`sim.write_autocorr_csv` takes to write the result.
+
     PYTHONPATH=src python3 tools/sampler_speed.py
 
-A full run takes about two minutes on one core.
+A full run takes under a minute on one core.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from __future__ import annotations
 import os
 import statistics
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -39,6 +47,10 @@ KINDS = (Beta(1.0, 1.0), Jacobi(0.5, 1.5), Gamma(1.0), Normal(0.3, 2.0),
 WIDTHS = (1, 8, 16, 32, 64, 256)
 REPEATS = 5
 PATH_STEPS = 32768  # per reading, but at least 500 steps
+# (paths, steps, burn-in) of the benchmark's paths jobs, dt = 0.01: the
+# dome's three widths, then the 256-path length of the OU and Gamma jobs
+LAYER_RUNS = ((1, 20000, 125), (16, 8000, 125), (256, 16000, 125),
+              (256, 3000, 500))
 
 
 def _reading(kernel, proc, cfg):
@@ -61,6 +73,47 @@ def _picked(proc, n_paths):
     finally:
         sim._path_major, sim._step_major = real
     return seen[0]
+
+
+def _layer_reading(proc, cfg, out_dir):
+    """{layer: seconds} of one simulate call and its autocorr.csv write."""
+    spent = {}
+
+    def timed(name, fn):
+        def call(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[name] = time.perf_counter() - t0
+        return call
+
+    real = sim._mean_lag_products, np.histogram
+    try:
+        sim._mean_lag_products = timed("acf", real[0])
+        np.histogram = timed("histogram", real[1])
+        res = sim.simulate(proc, cfg)
+    finally:
+        sim._mean_lag_products, np.histogram = real
+    timed("autocorr.csv", sim.write_autocorr_csv)(
+        os.path.join(out_dir, "autocorr.csv"), res.acf_lags, res.acf)
+    return spent
+
+
+def post_processing():
+    proc = synthesize(Beta(1.0, 1.0))
+    print("post-processing seconds on the dome, median of %d" % REPEATS)
+    print("%5s %6s %9s %9s %12s"
+          % ("paths", "steps", "acf", "histogram", "autocorr.csv"))
+    with tempfile.TemporaryDirectory() as out_dir:
+        for n_paths, n_steps, burn_in in LAYER_RUNS:
+            cfg = sim.SimConfig(dt=0.01, n_steps=n_steps, n_paths=n_paths,
+                                seed=3, burn_in=burn_in)
+            readings = [_layer_reading(proc, cfg, out_dir)
+                        for _ in range(REPEATS)]
+            print("%5d %6d %9.4f %9.4f %12.4f" % ((n_paths, n_steps) + tuple(
+                statistics.median(r[layer] for r in readings)
+                for layer in ("acf", "histogram", "autocorr.csv"))))
 
 
 def main():
@@ -91,6 +144,7 @@ def main():
                      _picked(proc, n_paths)))
         print("%-17s path-major wins at every width up to %d paths"
               % (spec.kind, widest))
+    post_processing()
 
 
 if __name__ == "__main__":
