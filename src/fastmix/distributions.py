@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.special import betainc, erf, gammainc, gammaincc
+from scipy.special import betainc, erf, gammainc, gammaincc, xlog1py, xlogy
 
 from . import numerics
 from .errors import (
@@ -69,7 +69,15 @@ class MomentSummary:
 
 
 class DistributionSpec:
-    """Base class; subclasses fill kind, params, support and _pdf."""
+    """Base class; subclasses fill kind, params, support and the density.
+
+    A closed family gives its log density, _log_pdf: a log kernel plus the
+    constant _log_norm, with a power written through xlogy or xlog1py, so
+    that a zero exponent at an end reads 0 log 0 = 0 and a pole +inf, with
+    no numpy warning. _pdf is its exp, so a density whose powers overflow
+    a float on their own (Gamma(150) near its mode) stays finite. A density
+    that is a sum (the Hyperexponential, a mixture, a table) gives _pdf.
+    """
 
     kind = "Custom"
 
@@ -83,8 +91,11 @@ class DistributionSpec:
 
     # --- evaluation -------------------------------------------------------
 
-    def _pdf(self, x):
+    def _log_pdf(self, x):
         raise NotImplementedError
+
+    def _pdf(self, x):
+        return np.exp(self._log_pdf(x))
 
     def pdf(self, x):
         arr = np.asarray(x, dtype=float)
@@ -205,21 +216,19 @@ class DistributionSpec:
 
     # --- optimal-diffusion hooks -------------------------------------------
 
-    # True when the closed profile calls numpy functions, not only float
-    # arithmetic: each call on a Python float then pays numpy's scalar
-    # overhead, so the sampler walks such a target path by path only when
-    # it has few paths
-    profile_calls_numpy = False
-
     def closed_profile(self):
         """Closed diffusion-coefficient shape per unit rate, or None.
 
         When available the synthesized optimal process has
-        sigma^2(x)/2 = lambda1 * p(x), and this returns p: a float when the
-        shape is constant, else a callable written as arithmetic on its
-        argument, so that a Python float and a float array give the same
-        value bit for bit. The sampler calls it at every step, so constants
-        of the shape are computed once, outside the callable.
+        sigma^2(x)/2 = lambda1 * p(x), and this returns p, a closed form of
+        V(x)/pi(x) that divides no density values, so it stays finite where
+        exp(_log_pdf) underflows: a float when the shape is constant, else
+        a callable written as arithmetic on its argument, so that a Python
+        float and a float array give the same value bit for bit. The
+        sampler calls it at every step, so constants of the shape are
+        computed once, outside the callable. A callable that returns a
+        numpy scalar for a float (it calls numpy functions, as the
+        Hyperexponential's does) is walked path by path only for few paths.
         """
         return None
 
@@ -239,16 +248,14 @@ class Beta(DistributionSpec):
             raise ParamOutOfRange("need alpha > -1 and beta > -1")
         self.params = {"alpha": alpha, "beta": beta}
         self.support = Support(0.0, 1.0)
-        self._norm = math.exp(-_lnbeta(alpha + 1.0, beta + 1.0))
+        self._log_norm = -_lnbeta(alpha + 1.0, beta + 1.0)
         self.singular_left = alpha < 0.0
         self.singular_right = beta < 0.0
         self._check_normalized()
 
-    def _pdf(self, x):
-        a = self.params["alpha"]
-        b = self.params["beta"]
-        with np.errstate(divide="ignore"):
-            return np.power(x, a) * np.power(1.0 - x, b) * self._norm
+    def _log_pdf(self, x):
+        return (xlogy(self.params["alpha"], x)
+                + xlog1py(self.params["beta"], -x) + self._log_norm)
 
     def _cdf(self, x):
         return betainc(self.params["alpha"] + 1.0, self.params["beta"] + 1.0,
@@ -283,17 +290,15 @@ class Jacobi(DistributionSpec):
             raise ParamOutOfRange("need alpha > -1 and beta > -1")
         self.params = {"alpha": alpha, "beta": beta}
         self.support = Support(-1.0, 1.0)
-        self._norm = math.exp(-(alpha + beta + 1.0) * math.log(2.0)
-                              - _lnbeta(alpha + 1.0, beta + 1.0))
+        self._log_norm = (-(alpha + beta + 1.0) * math.log(2.0)
+                          - _lnbeta(alpha + 1.0, beta + 1.0))
         self.singular_left = beta < 0.0
         self.singular_right = alpha < 0.0
         self._check_normalized()
 
-    def _pdf(self, x):
-        a = self.params["alpha"]
-        b = self.params["beta"]
-        with np.errstate(divide="ignore"):
-            return np.power(1.0 - x, a) * np.power(1.0 + x, b) * self._norm
+    def _log_pdf(self, x):
+        return (xlog1py(self.params["alpha"], -x)
+                + xlog1py(self.params["beta"], x) + self._log_norm)
 
     def _cdf(self, x):
         # (1+X)/2 is Beta-distributed with parameters (beta+1, alpha+1)
@@ -328,14 +333,12 @@ class Gamma(DistributionSpec):
             raise ParamOutOfRange("need alpha > -1")
         self.params = {"alpha": alpha}
         self.support = Support(0.0, math.inf)
-        self._norm = math.exp(-math.lgamma(alpha + 1.0))
+        self._log_norm = -math.lgamma(alpha + 1.0)
         self.singular_left = alpha < 0.0
         self._check_normalized()
 
-    def _pdf(self, x):
-        a = self.params["alpha"]
-        with np.errstate(divide="ignore"):
-            return np.power(x, a) * np.exp(-np.asarray(x, float)) * self._norm
+    def _log_pdf(self, x):
+        return xlogy(self.params["alpha"], x) - x + self._log_norm
 
     def _cdf(self, x):
         return gammainc(self.params["alpha"] + 1.0,
@@ -368,13 +371,12 @@ class Normal(DistributionSpec):
             raise ParamOutOfRange("need sigma > 0")
         self.params = {"x0": x0, "sigma": sigma}
         self.support = Support(-math.inf, math.inf)
+        self._log_norm = -math.log(sigma * math.sqrt(2.0 * math.pi))
         self._check_normalized()
 
-    def _pdf(self, x):
-        x0 = self.params["x0"]
-        s = self.params["sigma"]
-        z = (np.asarray(x, float) - x0) / s
-        return np.exp(-0.5 * z * z) / (s * math.sqrt(2.0 * math.pi))
+    def _log_pdf(self, x):
+        z = (x - self.params["x0"]) / self.params["sigma"]
+        return -0.5 * z * z + self._log_norm
 
     def _cdf(self, x):
         x0 = self.params["x0"]
@@ -407,13 +409,11 @@ class StudentCauchy(DistributionSpec):
             raise ParamOutOfRange("need alpha >= 2")
         self.params = {"alpha": alpha}
         self.support = Support(-math.inf, math.inf)
-        self._norm = math.exp(-_lnbeta(alpha, 0.5))
+        self._log_norm = -_lnbeta(alpha, 0.5)
         self._check_normalized()
 
-    def _pdf(self, x):
-        a = self.params["alpha"]
-        x = np.asarray(x, float)
-        return np.power(1.0 + x * x, -(a + 0.5)) * self._norm
+    def _log_pdf(self, x):
+        return -(self.params["alpha"] + 0.5) * np.log1p(x * x) + self._log_norm
 
     def _cdf(self, x):
         a = self.params["alpha"]
@@ -448,18 +448,15 @@ class InverseGamma(DistributionSpec):
             raise ParamOutOfRange("need alpha >= 2")
         self.params = {"alpha": alpha}
         self.support = Support(0.0, math.inf)
-        self._lgnorm = math.lgamma(2.0 * alpha)
+        self._log_norm = -math.lgamma(2.0 * alpha)
         self._check_normalized()
 
-    def _pdf(self, x):
-        a = self.params["alpha"]
-        scalar = np.asarray(x).ndim == 0
-        arr = np.atleast_1d(np.asarray(x, float))
-        out = np.zeros_like(arr)
-        m = arr > 0.0
-        out[m] = np.exp(-(2.0 * a + 1.0) * np.log(arr[m]) - 1.0 / arr[m]
-                        - self._lgnorm)
-        return out[0] if scalar else out
+    def _log_pdf(self, x):
+        # the density tends to 0 at x = 0, where its log terms are inf - inf
+        inside = x > 0.0
+        s = np.where(inside, x, 1.0)
+        kernel = -(2.0 * self.params["alpha"] + 1.0) * np.log(s) - 1.0 / s
+        return np.where(inside, kernel, -math.inf) + self._log_norm
 
     def _cdf(self, x):
         a = self.params["alpha"]
@@ -498,31 +495,17 @@ class FisherSnedecor(DistributionSpec):
             raise ParamOutOfRange("need nu1 > 0 and nu2 > 0")
         self.params = {"nu1": nu1, "nu2": nu2}
         self.support = Support(0.0, math.inf)
-        self._lgnorm = (0.5 * nu1 * (math.log(nu1) - math.log(nu2))
-                        - _lnbeta(0.5 * nu1, 0.5 * nu2))
+        self._log_norm = (0.5 * nu1 * (math.log(nu1) - math.log(nu2))
+                          - _lnbeta(0.5 * nu1, 0.5 * nu2))
         self.singular_left = nu1 < 2.0
         self._check_normalized()
 
-    def _pdf(self, x):
+    def _log_pdf(self, x):
         n1 = self.params["nu1"]
         n2 = self.params["nu2"]
-        x = np.asarray(x, float)
-        scalar = x.ndim == 0
-        xv = np.atleast_1d(x).astype(float)
-        out = np.empty_like(xv)
-        m = xv > 0.0
-        out[m] = np.exp((0.5 * n1 - 1.0) * np.log(xv[m])
-                        - 0.5 * (n1 + n2) * np.log1p(n1 * xv[m] / n2)
-                        + self._lgnorm)
-        if np.any(~m):
-            if n1 > 2.0:
-                at0 = 0.0
-            elif n1 == 2.0:
-                at0 = math.exp(self._lgnorm)
-            else:
-                at0 = math.inf
-            out[~m] = at0
-        return np.float64(out[0]) if scalar else out
+        return (xlogy(0.5 * n1 - 1.0, x)
+                - xlog1py(0.5 * (n1 + n2), n1 * x / n2)
+                + self._log_norm)
 
     def _cdf(self, x):
         n1 = self.params["nu1"]
@@ -566,7 +549,6 @@ class Hyperexponential(DistributionSpec):
     """Mixture of two exponentials: p1 eta1 e^(-eta1 x) + p2 eta2 e^(-eta2 x)."""
 
     kind = "Hyperexponential"
-    profile_calls_numpy = True
 
     def __init__(self, p1, p2, eta1, eta2):
         p1 = float(p1)
@@ -645,19 +627,17 @@ class CubicPearson(DistributionSpec):
         self._norm_f = numerics.hyp2f1(alpha + beta + 1.0, alpha,
                                        alpha + beta, a)
         self._ln_b = _lnbeta(alpha, beta)
-        self._norm = math.exp(self._ln_b) * self._norm_f
+        self._log_norm = -self._ln_b - math.log(self._norm_f)
         self.singular_left = alpha < 1.0
         self.singular_right = beta < 1.0
         self._check_normalized()
 
-    def _pdf(self, x):
+    def _log_pdf(self, x):
         al = self.params["alpha"]
         be = self.params["beta"]
-        a = self.params["a"]
-        x = np.asarray(x, float)
-        with np.errstate(divide="ignore"):
-            return (np.power(x, al - 1.0) * np.power(1.0 - x, be - 1.0)
-                    * np.power(1.0 - a * x, -(al + be + 1.0)) / self._norm)
+        return (xlogy(al - 1.0, x) + xlog1py(be - 1.0, -x)
+                - xlog1py(al + be + 1.0, -self.params["a"] * x)
+                + self._log_norm)
 
     def _closed_moments(self):
         al = self.params["alpha"]

@@ -59,10 +59,13 @@ class _ClosedVariance:
     profile is the density's closed_profile(): a float s2 for a constant
     shape, kept as constant (else None), or a callable. _profile is the
     callable either way; a constant one is x * 0.0 + s2, so that a state
-    that is not finite still gives a value that is not finite.
+    that is not finite still gives a value that is not finite. calls_numpy
+    is True when the profile maps a Python float to something else (a numpy
+    scalar): it calls numpy functions, whose scalar overhead each call on a
+    float pays, so the sampler walks it path by path only for few paths.
     """
 
-    def __init__(self, profile, lambda1, calls_numpy=False):
+    def __init__(self, profile, lambda1):
         if isinstance(profile, float):
             self.constant = s2 = profile
             profile = lambda x: x * 0.0 + s2
@@ -70,7 +73,8 @@ class _ClosedVariance:
             self.constant = None
         self._profile = profile
         self.lambda1 = lambda1
-        self.calls_numpy = calls_numpy
+        # not isinstance: np.float64 subclasses float
+        self.calls_numpy = type(profile(1.0)) is not float
 
     def __call__(self, x):
         return self.lambda1 * self._profile(np.asarray(x, float))
@@ -255,7 +259,7 @@ def synthesize(spec: DistributionSpec, sigma_hat_sq_half=None, *,
     if variance_mode == "closed" and profile is None:
         raise ValueError("no closed variance shape for kind %r" % spec.kind)
     if profile is not None:
-        variance_fn = _ClosedVariance(profile, lam, spec.profile_calls_numpy)
+        variance_fn = _ClosedVariance(profile, lam)
     else:
         variance_fn = _QuadratureVariance(spec, mom.m1, lam)
     return OptimalProcess(

@@ -134,6 +134,22 @@ class TestOptimalCommand:
             pytest.approx(1.0, rel=1e-12)
         assert _load(out, "checks.json")["passed"] is True
 
+    @pytest.mark.parametrize("alpha", [150.0, 200.0])
+    def test_high_shape_gamma(self, tmp_path, alpha):
+        """x**alpha overflows a float near the mode; the log density does
+        not, so optimal passes its checks, spectrum its 1 percent bound,
+        and the quadrature moments match the closed ones."""
+        spec = _spec(tmp_path, {"kind": "gamma", "params": {"alpha": alpha}})
+        out = tmp_path / "out"
+        assert main(["optimal", spec, "--out", str(out)]) == 0
+        assert _load(out, "checks.json")["passed"] is True
+        assert main(["spectrum", spec, "--strict",
+                     "--out", str(tmp_path / "s")]) == 0
+        gamma = cli.load_spec(spec)
+        closed, quad = gamma.moments(), gamma.moments_quadrature()
+        assert quad.m1 == pytest.approx(closed.m1, rel=1e-8)
+        assert quad.m2 == pytest.approx(closed.m2, rel=1e-8)
+
     def test_declared_support_keeps_the_family(self, tmp_path):
         """Declaring the family's own support changes nothing: the kind,
         the budget and the closed variance route carry over."""

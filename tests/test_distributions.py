@@ -8,6 +8,7 @@ normalizers) so a silent reparametrization cannot pass.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,93 @@ class TestMomentConventions:
         x = np.linspace(0.01, 0.99, 25)
         np.testing.assert_allclose(cub.pdf(x), bet.pdf(x), rtol=1e-12)
         assert abs(cub.moments().m1 - bet.moments().m1) < 1e-13
+
+
+def _mp_density(spec, x):
+    """spec's density at x from its closed form, in 40-digit mpmath."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        return float(_mp_closed_form(mp, spec, mp.mpf(x)))
+
+
+def _mp_closed_form(mp, spec, x):
+    p = {k: mp.mpf(v) for k, v in spec.params.items()}
+    if spec.kind == "Beta":
+        a, b = p["alpha"], p["beta"]
+        return x ** a * (1 - x) ** b / mp.beta(a + 1, b + 1)
+    if spec.kind == "Jacobi":
+        a, b = p["alpha"], p["beta"]
+        return ((1 - x) ** a * (1 + x) ** b
+                / (2 ** (a + b + 1) * mp.beta(a + 1, b + 1)))
+    if spec.kind == "Gamma":
+        return x ** p["alpha"] * mp.exp(-x) / mp.gamma(p["alpha"] + 1)
+    if spec.kind == "Normal":
+        return mp.npdf(x, p["x0"], p["sigma"])
+    if spec.kind == "StudentCauchy":
+        a = p["alpha"]
+        return (1 + x * x) ** -(a + mp.mpf(0.5)) / mp.beta(a, mp.mpf(0.5))
+    if spec.kind == "InverseGamma":
+        a = p["alpha"]
+        return x ** -(2 * a + 1) * mp.exp(-1 / x) / mp.gamma(2 * a)
+    if spec.kind == "FisherSnedecor":
+        n1, n2 = p["nu1"], p["nu2"]
+        return ((n1 / n2) ** (n1 / 2) * x ** (n1 / 2 - 1)
+                * (1 + n1 * x / n2) ** (-(n1 + n2) / 2)
+                / mp.beta(n1 / 2, n2 / 2))
+    al, be, a = p["alpha"], p["beta"], p["a"]  # CubicPearson
+
+    def kernel(t):
+        return (t ** (al - 1) * (1 - t) ** (be - 1)
+                * (1 - a * t) ** -(al + be + 1))
+
+    return kernel(x) / mp.quad(kernel, [0, 1])
+
+
+class TestDensityValues:
+    """Each closed family's exp(log density) at its ends and inside."""
+
+    @pytest.mark.parametrize("spec, x, want", [
+        (FisherSnedecor(1.5, 6.0), 0.0, math.inf),
+        (FisherSnedecor(2.0, 6.0), 0.0, 1.0),  # (nu1/nu2) / B(1, nu2/2)
+        (FisherSnedecor(6.0, 6.0), 0.0, 0.0),
+        (InverseGamma(2.0), 0.0, 0.0),
+        (Beta(0.0, 2.0), 0.0, 3.0),  # 1 / B(1, 3)
+        (Beta(2.0, 0.0), 1.0, 3.0),
+        (Jacobi(0.0, 1.0), 1.0, 1.0),  # (1 + x) / 2
+        (Jacobi(1.0, 0.0), -1.0, 1.0),
+        (CubicPearson(1.0, 2.0, 0.5), 0.0, None),
+        (CubicPearson(2.0, 1.0, 0.5), 1.0, None),
+    ], ids=lambda v: repr(v) if hasattr(v, "kind") else None)
+    def test_endpoint_limits(self, spec, x, want):
+        """A zero exponent at an end gives the finite limit, a positive one
+        0 and a negative one inf, for a scalar and inside an array, with no
+        numpy warning."""
+        if want is None:
+            want = _mp_density(spec, x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar = spec.pdf(x)
+            arr = spec.pdf(np.array([x, 0.5]))
+        assert isinstance(scalar, float)
+        assert scalar == pytest.approx(want, rel=1e-12)
+        assert arr[0] == scalar and math.isfinite(arr[1]) and arr[1] > 0.0
+
+    @pytest.mark.parametrize("spec, xs", [
+        (Gamma(300.0), (250.0, 299.0, 300.0, 330.0)),  # x**300 overflows
+        (Gamma(150.0), (120.0, 150.0, 190.0)),
+        (Beta(2.5, 0.5), (1e-6, 0.3, 0.999)),
+        (Jacobi(0.5, 2.0), (-0.9, 0.0, 0.7)),
+        (Normal(-2.0, 0.5), (-2.0, -1.1, 0.5)),
+        (StudentCauchy(3.0), (0.0, 2.0, 40.0)),
+        (InverseGamma(3.0), (0.05, 0.2, 3.0)),
+        (FisherSnedecor(6.0, 10.0), (0.01, 1.3, 9.0)),
+        (CubicPearson(2.0, 3.0, -0.3), (0.05, 0.4, 0.95)),
+    ], ids=lambda v: repr(v) if hasattr(v, "kind") else None)
+    def test_interior_matches_mpmath(self, spec, xs):
+        want = np.array([_mp_density(spec, x) for x in xs])
+        np.testing.assert_allclose(spec.pdf(np.array(xs)), want, rtol=1e-12)
+        for x, w in zip(xs, want):
+            assert spec.pdf(x) == pytest.approx(w, rel=1e-12)
 
 
 class TestClosedVsQuadrature:

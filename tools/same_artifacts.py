@@ -6,6 +6,8 @@ every CLI job of it, replay included, under both trees with
 every artifact it wrote except manifest.json, byte for byte. Library jobs
 (mixtures, density evolutions) are not CLI jobs and are skipped. The default
 seven-row `fastmix table` (no params file) is run and compared once as well.
+A differing stdout or CSV/JSON artifact is named with how far its numbers,
+paired in order of appearance, moved.
 
     python3 tools/same_artifacts.py PARENT_CHECKOUT \\
         --workloads paths synth spectral --seeds 1 2
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -24,6 +27,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CLI_JOBS = ("simulate", "optimal", "spectrum", "table", "replay")
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def _inputs():
@@ -71,16 +75,45 @@ def _artifacts(out):
     return found
 
 
+def _moves(a, b):
+    """How the numbers of two texts, paired in order, differ: how many
+    moved, the largest relative move with its pair, and the largest
+    absolute move of a number below 1e-6 of the texts' largest (a residual
+    or an eigenvalue that is 0 but for roundoff, whose relative move says
+    nothing); or how many numbers each holds when the counts differ."""
+    x, y = NUMBER.findall(a), NUMBER.findall(b)
+    if len(x) != len(y):
+        return "%d vs %d numbers" % (len(x), len(y))
+    x, y = [float(v) for v in x], [float(v) for v in y]
+    moved = [(s, t) for s, t in zip(x, y) if s != t]
+    floor = 1e-6 * max(map(abs, x + y), default=0.0)
+    rel = max(((abs(s - t) / max(abs(s), abs(t)), s, t) for s, t in moved
+               if max(abs(s), abs(t)) >= floor), default=None)
+    tiny = max((abs(s - t) for s, t in moved
+                if max(abs(s), abs(t)) < floor), default=None)
+    out = ["%d of %d numbers differ" % (len(moved), len(x))]
+    if rel:
+        out.append("max rel %.2g at %.17g -> %.17g" % rel)
+    if tiny is not None:
+        out.append("near 0 max abs %.2g" % tiny)
+    return ", ".join(out)
+
+
 def _differences(old, new):
     """What differs between two (exit code, stdout, out dir) results."""
     diffs = []
     if old[0] != new[0]:
         diffs.append("exit code %d != %d" % (old[0], new[0]))
     if old[1] != new[1]:
-        diffs.append("stdout")
+        diffs.append("stdout (%s)" % _moves(old[1], new[1]))
     a, b = _artifacts(old[2]), _artifacts(new[2])
     diffs += ["only in one tree: " + name for name in sorted(set(a) ^ set(b))]
-    diffs += [name for name in sorted(set(a) & set(b)) if a[name] != b[name]]
+    for name in sorted(set(a) & set(b)):
+        if a[name] == b[name]:
+            continue
+        if name.endswith((".csv", ".json")):
+            name += " (%s)" % _moves(a[name].decode(), b[name].decode())
+        diffs.append(name)
     return diffs
 
 
