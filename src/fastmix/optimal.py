@@ -21,7 +21,7 @@ import numpy as np
 
 from . import numerics
 from .distributions import DistributionSpec, MomentSummary, mixture
-from .errors import DegenerateDistribution, OutOfSupport
+from .errors import DegenerateDistribution, NumericalFailure, OutOfSupport
 
 
 def phi1_from_moments(m1, m2):
@@ -85,6 +85,8 @@ class _VTable:
     edges: np.ndarray
     v: np.ndarray     # V at the edges, summed from the near side
     integral: float   # of V over [edges[0], edges[-1]]
+    cells: int        # cells between the edges
+    evaluations: int  # of (m1 - z) pi by the build: panels plus end cells
 
 
 class _QuadratureVariance:
@@ -107,6 +109,14 @@ class _QuadratureVariance:
     the cell edges, and V at a point is the value at its near edge plus one
     Kronrod panel over the partial cell. A point beyond a cut end takes its
     tail integral to that end, mapped at the density's length scale.
+
+    An end cell converges to an absolute tolerance at the table's own scale:
+    1e-11 of the summed |integrals| of the other cells, about the integral
+    of |m1 - z| pi and so the scale of V. A tolerance relative to the end
+    cell's own value would not do: at an end b away from 0, the cell after
+    GRADING halvings is a few ulps wide, so b - u*u rounds onto a few
+    floats, and bisection would chase that staircase for hundreds of panels
+    toward a value far below anything V can resolve.
     """
 
     CELLS = 4096
@@ -161,11 +171,17 @@ class _QuadratureVariance:
         z, w = numerics.kronrod_panels(left, right)
         f = w * self._g(z)
         cells = f.sum(axis=1)
-        for i, at_end in ((0, a == lo), (-1, b == hi)):
-            if at_end:
-                cells[i] = numerics.integrate(
-                    self._g, left[i], right[i], tol=1e-300, rel_tol=1e-11,
-                    singular_left=i == 0, singular_right=i == -1).value
+        ends = [i for i, at_end in ((0, a == lo), (-1, b == hi)) if at_end]
+        tol = 1e-11 * float(np.sum(np.abs(np.delete(cells, ends))))
+        if not math.isfinite(tol):
+            raise NumericalFailure("V table cells sum to %g" % tol)
+        evaluations = z.size
+        for i in ends:
+            r = numerics.integrate(
+                self._g, left[i], right[i], tol=tol, rel_tol=1e-11,
+                singular_left=i == 0, singular_right=i == -1)
+            cells[i] = r.value
+            evaluations += r.evaluations
 
         # V at the edges, from the near side: the tail beyond a cut end
         # plus the running sum of the cells
@@ -181,7 +197,8 @@ class _QuadratureVariance:
             left <= m1,
             (right - left) * v[:-1] + np.sum(f * (right[:, None] - z), 1),
             (right - left) * v[1:] - np.sum(f * (z - left[:, None]), 1))
-        return _VTable(edges, v, float(np.sum(int_v)))
+        return _VTable(edges, v, float(np.sum(int_v)), cells.size,
+                       evaluations)
 
     def v_integral(self):
         """The integral of V over the support.

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from fastmix import numerics
 from fastmix.distributions import (
     Beta,
     Custom,
@@ -17,12 +18,17 @@ from fastmix.distributions import (
     Gamma,
     Hyperexponential,
     InverseGamma,
+    Jacobi,
     Normal,
     StudentCauchy,
     Support,
     mixture,
 )
-from fastmix.errors import DegenerateDistribution, OutOfSupport
+from fastmix.errors import (
+    DegenerateDistribution,
+    NumericalFailure,
+    OutOfSupport,
+)
 from fastmix.numerics import Grid
 from fastmix.optimal import (
     OptimalProcess,
@@ -156,6 +162,13 @@ class TestVarianceRoutes:
         (StudentCauchy(3.0), "support"),
         (InverseGamma(3.0), "support"),
         (FisherSnedecor(5.0, 12.0), "support"),
+        # vanishing ends away from 0, where the graded end cell is a few
+        # ulps wide
+        pytest.param(Beta(1.5, 1.5), "support", id="Beta(1.5,1.5)"),
+        pytest.param(Jacobi(1.5, 1.5), "support", id="Jacobi(1.5,1.5)"),
+        pytest.param(Jacobi(0.3, 2.0), "support", id="Jacobi(0.3,2)"),
+        pytest.param(Jacobi(3.0, 1.0), "support", id="Jacobi(3,1)"),
+        pytest.param(Beta(3.0, 0.2), "support", id="Beta(3,0.2)"),
     ], ids=lambda v: getattr(v, "kind", str(v)))
     def test_closed_and_quadrature_agree(self, spec, window):
         closed = synthesize(spec, variance_mode="closed")
@@ -178,6 +191,55 @@ class TestVarianceRoutes:
         bulk = pi > 1e-8 * np.max(pi)
         assert np.max(rel[bulk]) <= 1e-9
         assert np.max(rel[~bulk], initial=0.0) <= 1e-7
+
+    @pytest.mark.parametrize("spec", [
+        Beta(1.5, 1.5), Jacobi(1.5, 1.5), Jacobi(0.3, 2.0),
+        mixture([Jacobi(1.0, 3.0), Jacobi(3.0, 1.0)], [0.4, 0.6]),
+    ], ids=["Beta(1.5,1.5)", "Jacobi(1.5,1.5)", "Jacobi(0.3,2)",
+            "Jacobi-mixture"])
+    def test_end_cells_converge_at_the_table_scale(self, spec, monkeypatch):
+        """Each finite end's graded cell takes at most 2 Kronrod panels.
+        Held to a tolerance relative to its own value, the cell at an end
+        away from 0, a few ulps wide, took 75 to 277 panels chasing the
+        rounding of b - u*u."""
+        proc = synthesize(spec, variance_mode="quadrature")
+        spent = []
+        integrate_ = numerics.integrate
+
+        def counted(*args, **kwargs):
+            r = integrate_(*args, **kwargs)
+            spent.append(r.evaluations)
+            return r
+
+        monkeypatch.setattr(numerics, "integrate", counted)
+        table = proc.variance_fn.table
+        assert len(spent) == 2
+        assert max(spent) <= 2 * 15
+        assert table.cells == table.edges.size - 1
+        assert table.evaluations == 15 * table.cells + sum(spent)
+
+    @pytest.mark.parametrize("spec,where", [
+        (Jacobi(-0.5, -0.5), "2.10734e-08"), (Beta(0.5, -0.5), "1.49012e-08"),
+    ], ids=lambda v: getattr(v, "kind", v))
+    def test_a_pole_at_an_end_away_from_0_is_a_typed_failure(self, spec,
+                                                              where):
+        """b - u*u rounds onto the pole, so the end cell sees inf; the table
+        scale must not turn that into a non-finite sigma^2/2."""
+        proc = synthesize(spec, variance_mode="quadrature")
+        with pytest.raises(NumericalFailure,
+                           match=r"non-finite values on \(0, %s\)" % where):
+            proc.variance_fn(0.5)
+
+    def test_non_finite_cells_are_a_typed_failure(self, monkeypatch):
+        """A table whose other cells do not sum to a finite scale is not
+        built."""
+        spec = mixture([Beta(2.0, 5.0), Beta(5.0, 2.0)], [0.4, 0.6])
+        proc = synthesize(spec, variance_mode="quadrature")
+        pdf = spec._pdf
+        monkeypatch.setattr(spec, "_pdf", lambda x: np.where(
+            (x > 0.1) & (x < 0.2), np.inf, pdf(x)))
+        with pytest.raises(NumericalFailure, match="V table"):
+            proc.variance_fn(0.5)
 
     def test_table_matches_exact_pchip_integration(self):
         pts = np.linspace(0.0, 4.0, 81)

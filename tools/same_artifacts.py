@@ -3,11 +3,14 @@
 Generates each workload's benchmark inputs once (perfbench/inputs.py), runs
 every CLI job of it, replay included, under both trees with
 `python3 -m fastmix.cli`, and compares each job's exit code, its stdout and
-every artifact it wrote except manifest.json, byte for byte. Library jobs
-(mixtures, density evolutions) are not CLI jobs and are skipped. The default
-seven-row `fastmix table` (no params file) is run and compared once as well.
-A differing stdout or CSV/JSON artifact is named with how far its numbers,
-paired in order of appearance, moved.
+every artifact it wrote except manifest.json, byte for byte. The library
+jobs run in one subprocess per tree, making the benchmark's library calls,
+and are compared by the repr of what they compute: a mixture's lambda1,
+positivity and its minimum, budget and spectral gap; an evolution's
+recorded times and distances. The default seven-row `fastmix table` (no
+params file) is run and compared once as well. A differing stdout, library
+result or CSV/JSON artifact is named with how far its numbers, paired in
+order of appearance, moved.
 
     python3 tools/same_artifacts.py PARENT_CHECKOUT \\
         --workloads paths synth spectral --seeds 1 2
@@ -18,6 +21,8 @@ Exits 0 when everything matches and 1 on any difference.
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import os
 import re
 import shutil
@@ -45,8 +50,72 @@ def _run(tree, argv):
     return proc.returncode, proc.stdout
 
 
+def _library_values(job):
+    """The repr of each value a library job computes, one per line; the
+    calls are those of perfbench/workload.py."""
+    import fastmix
+    from perfbench import checks
+
+    if job["type"] == "mixture":
+        ref = job["ref"]
+        spec = fastmix.mixture([fastmix.parse_spec({"kind": k, "params": p})
+                                for k, p in ref["mixture"]], ref["weights"])
+        proc = fastmix.synthesize(spec, ref["sigma_hat"])
+        positive, vmin = fastmix.optimal.check_variance_positivity(proc)
+        budget = fastmix.optimal.check_variance_mean(proc)
+        disc = fastmix.discretize_generator(
+            proc, fastmix.default_grid(proc, job["grid_points"]))
+        gap = fastmix.spectrum(disc, 2).eigenvalues[1]
+        values = (("lambda1", proc.lambda1), ("positive", positive),
+                  ("min", vmin), ("budget", budget), ("gap", gap))
+    else:
+        ref = checks.reference(job["ref"])
+        proc = fastmix.synthesize(fastmix.parse_spec(
+            {"kind": job["ref"]["catalog"], "params": job["ref"]["params"]}))
+        sd = math.sqrt(ref["var"])
+        grid = fastmix.default_grid(proc, job["grid_points"])
+        start = fastmix.spectral.EvolutionState(
+            grid=grid, density=fastmix.spectral.gaussian_bump(
+                grid, ref["m1"] + job["offset_sd"] * sd, job["width_sd"] * sd))
+        tau = 1.0 / proc.lambda1
+        _, times, dists = fastmix.evolve_fpe(
+            proc, start, job["t_end_tau"] * tau, job["dt_tau"] * tau)
+        values = (("times", times.tolist()), ("distances", dists.tolist()))
+    return "".join("%s %r\n" % (name, value) for name, value in values)
+
+
+def _library_child():
+    """Run the library jobs read as JSON from stdin, under the fastmix on
+    PYTHONPATH; print {job name: [failed?, values]} as JSON."""
+    out = {}
+    for job in json.load(sys.stdin):
+        try:
+            out[job["name"]] = [0, _library_values(job)]
+        except Exception as exc:  # a failure is a result to compare
+            out[job["name"]] = [1, "%s: %s\n" % (type(exc).__name__, exc)]
+    json.dump(out, sys.stdout)
+
+
+def _run_library(tree, jobs):
+    """{job name: (1 if it raised else 0, values, None)} for the library
+    jobs, run in one subprocess under tree's sources."""
+    jobs = [job for job in jobs if job["type"] not in CLI_JOBS]
+    if not jobs:
+        return {}
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.abspath(tree), "src"), ROOT]))
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c",
+         "from tools import same_artifacts; same_artifacts._library_child()"],
+        input=json.dumps(jobs), env=env, capture_output=True, text=True,
+        check=True)
+    return {name: (code, values, None)
+            for name, (code, values) in json.loads(proc.stdout).items()}
+
+
 def _run_jobs(tree, jobs, out_root):
-    """{job name: (exit code, stdout, out dir)} for the CLI jobs."""
+    """{job name: (exit code, stdout, out dir)} for the CLI jobs, then
+    (failed?, values, None) for the library jobs."""
     done = {}
     for job in jobs:
         if job["type"] not in CLI_JOBS:
@@ -58,11 +127,12 @@ def _run_jobs(tree, jobs, out_root):
         else:
             argv = list(job["argv"])
         done[job["name"]] = _run(tree, argv + ["--out", out]) + (out,)
+    done.update(_run_library(tree, jobs))
     return done
 
 
 def _artifacts(out):
-    if not os.path.isdir(out):
+    if out is None or not os.path.isdir(out):
         return {}
     found = {}
     for base, _, files in os.walk(out):
@@ -105,7 +175,8 @@ def _differences(old, new):
     if old[0] != new[0]:
         diffs.append("exit code %d != %d" % (old[0], new[0]))
     if old[1] != new[1]:
-        diffs.append("stdout (%s)" % _moves(old[1], new[1]))
+        diffs.append("%s (%s)" % ("values" if old[2] is None else "stdout",
+                                  _moves(old[1], new[1])))
     a, b = _artifacts(old[2]), _artifacts(new[2])
     diffs += ["only in one tree: " + name for name in sorted(set(a) ^ set(b))]
     for name in sorted(set(a) & set(b)):
@@ -159,7 +230,7 @@ def main(argv=None):
     finally:
         shutil.rmtree(work, ignore_errors=True)
     failed, checked = map(sum, zip(*counts))
-    print("%d of %d CLI jobs differ" % (failed, checked))
+    print("%d of %d jobs differ" % (failed, checked))
     return 1 if failed else 0
 
 
