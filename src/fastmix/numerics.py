@@ -394,12 +394,12 @@ def hyp2f1(a, b, c, z) -> float:
     """Gauss hypergeometric series sum_r (a)_r (b)_r z^r / ((c)_r r!).
 
     Terminating cases (a or b a nonpositive integer) are polynomials and are
-    evaluated for any z; otherwise |z| >= 1 raises SeriesDivergence. The
-    sum stops as described in _series; near z = 1 it can exhaust the term
-    budget and raise NonConvergence.
+    evaluated for any z; otherwise |z| >= 1 raises SeriesDivergence, and
+    z < 0 sums Pfaff's (1 - z)^-a 2F1(a, c - b; c; z/(z - 1)), a = min(a, b)
+    (DLMF 15.8.1), which does not alternate. The sum stops as in _series;
+    near z = 1 it can exhaust the term budget and raise NonConvergence.
     """
-    a = float(a)
-    b = float(b)
+    a, b = sorted((float(a), float(b)))
     c = float(c)
     z = float(z)
     if _is_nonpositive_integer(c):
@@ -407,6 +407,8 @@ def hyp2f1(a, b, c, z) -> float:
     terminating = _is_nonpositive_integer(a) or _is_nonpositive_integer(b)
     if not terminating and abs(z) >= 1.0:
         raise SeriesDivergence("series needs |z| < 1, got z=%g" % z)
+    if not terminating and z < 0.0:
+        return (1.0 - z) ** -a * hyp2f1(a, c - b, c, z / (z - 1.0))
     return _series(lambda r: (a + r) * (b + r) / ((c + r) * (r + 1.0)) * z,
                    "hyp2f1", z)
 
@@ -459,9 +461,11 @@ def truncated_interval(pdf, lower, upper, anchor, scale):
 
     Infinite endpoints are pushed out by doubling the distance from the
     anchor until the density on the newly added segment falls below
-    1e-14 * (running max). A finite endpoint is kept unless the density
-    underflows there (an essential zero), in which case it is pulled inward
-    by bisection to where the density becomes representable again.
+    1e-14 * (running max). A finite endpoint where the density is below
+    1e-14 of the probed peak is pulled inward by bisection to where it
+    reaches that level, whether it underflows (InverseGamma at 0), vanishes
+    (Beta(2, 5) at 0 moves to 1.2e-8) or is a true zero (Beta(1, 1) gives
+    [5.68e-14, 1 - 5.68e-14]); any other finite end, a pole's too, is kept.
     """
     rel = 1e-14
     scale = max(float(scale), 1e-12)

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial import hermite_e
 from numpy.polynomial import polynomial as P
 
-from . import numerics, optimal
+from . import numerics, optimal, spectral
 from .distributions import (
     CubicPearson,
     Hyperexponential,
@@ -210,14 +210,7 @@ def verify_row_against_synthesis(row_: PearsonRow, n_points=200) -> RowReport:
     a0_s, a1_s = proc.drift
     a0_r, a1_r = row_.drift_coeffs
     dev_drift = max(abs(a0_s - a0_r), abs(a1_s - a1_r)) / max(1.0, abs(lam_row))
-    # inside the truncated support the density stays representable, so the
-    # quadrature V/pi is 0/0-free
-    mom = row_.spec.moments()
-    lo, hi = numerics.moment_window(row_.spec._pdf, mom.m1,
-                                    math.sqrt(mom.variance),
-                                    *row_.spec.truncated_support())
-    pad = 1e-6 * (hi - lo)
-    pts = np.linspace(lo + pad, hi - pad, int(n_points))
+    pts = spectral.default_grid(proc, int(n_points)).points
     v_q = np.asarray(proc.variance_fn(pts), dtype=float)
     v_row = row_.variance_half(pts)
     dev_var = float(np.max(np.abs(v_q - v_row)))

@@ -76,12 +76,14 @@ def _target_functions(target):
 
 
 def default_grid(proc: OptimalProcess, n: int) -> Grid:
-    """Cell-center grid on numerics.moment_window within the support."""
+    """Cell-center grid on numerics.moment_window within the truncated
+    support: the one window of every generator grid and the row check."""
     mom = proc.moments
-    sup = proc.source.support
+    # inside the truncated support the density stays representable, so the
+    # quadrature V/pi is 0/0-free
     lo, hi = numerics.moment_window(proc.source._pdf, mom.m1,
                                     math.sqrt(mom.variance),
-                                    sup.lower, sup.upper)
+                                    *proc.source.truncated_support())
     return Grid.cell_centers(lo, hi, n)
 
 

@@ -150,6 +150,20 @@ class TestOptimalCommand:
         assert quad.m1 == pytest.approx(closed.m1, rel=1e-8)
         assert quad.m2 == pytest.approx(closed.m2, rel=1e-8)
 
+    def test_cubic_pearson_with_negative_a(self, tmp_path):
+        """CubicPearson's normalizer and moments are 2F1 values at z = a.
+        At a = -0.99 the alternating series lost digits (mass 1.000075,
+        exit 2); through Pfaff's transformation optimal passes its checks
+        at the closed rate alpha + beta (1 - a) = 6.99."""
+        doc = {"kind": "CubicPearson",
+               "params": {"alpha": 5.0, "beta": 1.0, "a": -0.99}}
+        out = tmp_path / "out"
+        assert main(["optimal", _spec(tmp_path, doc), "--strict",
+                     "--out", str(out)]) == 0
+        assert _load(out, "checks.json")["passed"] is True
+        assert _load(out, "process.json")["lambda1"] == \
+            pytest.approx(6.99, rel=1e-12)
+
     def test_declared_support_keeps_the_family(self, tmp_path):
         """Declaring the family's own support changes nothing: the kind,
         the budget and the closed variance route carry over."""
@@ -295,6 +309,27 @@ class TestSpectrumCommand:
         rc = main(["spectrum", spec, "--strict",
                    "--out", str(tmp_path / "o")])
         assert rc == 0
+
+    @pytest.mark.parametrize("name", pearson.ROW_NAMES)
+    def test_strict_passes_on_every_table_row(self, tmp_path, name):
+        """At the default 2000 points the gap is within 1 percent on every
+        default row of `fastmix table`. The grid ends where the density is
+        representable: InverseGamma(3)'s cells near 0, where pi underflows,
+        once put lambda1 at 2e25 against 5."""
+        doc = {"kind": name, "params": pearson.ROW_DEFAULTS[name]}
+        assert main(["spectrum", _spec(tmp_path, doc), "--strict",
+                     "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("alpha, n", [(10.0, 2000), (2.0, 20000)])
+    def test_inverse_gamma_gap_within_one_percent(self, tmp_path, capsys,
+                                                  alpha, n):
+        """InverseGamma(10) at 2000 points had cells where pi is 0 (exit
+        2); InverseGamma(2) at 20000 points had lambda1 wrong by 5e76."""
+        doc = {"kind": "inversegamma", "params": {"alpha": alpha}}
+        assert main(["spectrum", _spec(tmp_path, doc), "--strict",
+                     "--grid-points", str(n), "--k", "2",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert float(capsys.readouterr().out.split("rel_err=")[1]) <= 0.01
 
     @pytest.mark.parametrize("doc, k, n", [(STANDARD_NORMAL, 5, 2000),
                                            (BETA_DOME, 50, 50)],

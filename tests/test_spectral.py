@@ -9,7 +9,19 @@ import numpy as np
 import pytest
 
 from fastmix import spectral
-from fastmix.distributions import Beta, Gamma, Jacobi, Normal, StudentCauchy
+from fastmix.distributions import (
+    _KINDS,
+    Beta,
+    CubicPearson,
+    Custom,
+    FisherSnedecor,
+    Gamma,
+    Hyperexponential,
+    InverseGamma,
+    Jacobi,
+    Normal,
+    StudentCauchy,
+)
 from fastmix.errors import GridTooCoarse, ZeroDenominator
 from fastmix.numerics import Grid, GridFunction
 from fastmix.optimal import synthesize
@@ -62,6 +74,18 @@ class TestDiscretization:
         assert d.grid is g
 
 
+# catalog targets, among them ends where the density vanishes (Beta(2, 5),
+# Gamma(3)), underflows (InverseGamma at 0) or has a pole (Gamma(-0.5))
+CATALOG_TARGETS = [
+    Beta(1.0, 1.0), Beta(2.0, 5.0), Jacobi(0.5, 1.5), Jacobi(-0.5, -0.5),
+    Gamma(1.0), Gamma(3.0), Gamma(-0.5), Normal(0.0, 1.0),
+    StudentCauchy(3.0), InverseGamma(2.0), InverseGamma(3.0),
+    InverseGamma(10.0), FisherSnedecor(6.0, 10.0), FisherSnedecor(1.5, 9.0),
+    Hyperexponential(0.5, 0.5, 1.0, 2.0), CubicPearson(1.0, 2.0, 0.5),
+    CubicPearson(2.0, 0.5, -0.5),
+]
+
+
 class TestDefaultGrid:
     def test_clipped_to_finite_support(self):
         proc = synthesize(Beta(1.0, 1.0))
@@ -79,6 +103,26 @@ class TestDefaultGrid:
         s = math.sqrt(proc.moments.variance)
         g = default_grid(proc, 100)
         assert g.b > 8.0 * s  # density at 8 sd still above the cutoff
+
+    def test_every_catalog_kind_is_covered(self):
+        kinds = {type(s) for s in CATALOG_TARGETS}
+        assert kinds == set(_KINDS.values()) - {Custom}
+
+    @pytest.mark.parametrize("spec", [
+        s for s in CATALOG_TARGETS
+        if math.isfinite(s.support.lower) or math.isfinite(s.support.upper)],
+        ids=lambda s: "%s%s" % (s.kind, tuple(s.params.values())))
+    def test_inside_the_truncated_support(self, spec):
+        """The grid lies where the density is representable, the
+        precondition of discretize_generator."""
+        proc = synthesize(spec)
+        lo, hi = spec.truncated_support()
+        for n in (2000, 20000):
+            grid = default_grid(proc, n)
+            assert lo <= grid.a and grid.b <= hi
+            pi = spec._pdf(grid.points)
+            assert np.all(np.isfinite(pi)) and np.all(pi > 0.0)
+            discretize_generator(proc, grid)
 
 
 class TestSpectrum:
