@@ -18,6 +18,7 @@ failure under --strict.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -476,6 +477,7 @@ def run_replay(manifest, out_dir=None):
 
 # --- argument parsing -------------------------------------------------------
 
+@functools.cache  # one parser per process, however many commands main runs
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="fastmix",

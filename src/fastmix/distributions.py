@@ -84,6 +84,7 @@ class DistributionSpec:
     # flags for integrable endpoint singularities of the pdf
     singular_left = False
     singular_right = False
+    _window = None  # truncated_support(), once searched
 
     def __repr__(self):
         inner = ", ".join("%s=%g" % kv for kv in self.params.items())
@@ -179,9 +180,16 @@ class DistributionSpec:
         return ()
 
     def truncated_support(self):
-        """Finite window holding all but ~1e-14 of the density's peak scale."""
-        return numerics.truncated_interval(
-            self._pdf, self.support.lower, self.support.upper, *self.bulk())
+        """Finite window holding all but ~1e-14 of the density's peak scale.
+
+        The search runs once per density, on the first call; the grids, the
+        positivity check, the V table and the sampler all read its result.
+        """
+        if self._window is None:
+            self._window = numerics.truncated_interval(
+                self._pdf, self.support.lower, self.support.upper,
+                *self.bulk())
+        return self._window
 
     def _integral(self, g, rel_tol=1e-11):
         """integral of g(x) pdf(x) dx over the support: core, then tails."""

@@ -84,6 +84,9 @@ _WG = np.array([
     0.279705391489276667901467771423780,
     0.129484966168869693270611432679082,
 ])
+# K15 minus the embedded G7, weight by weight on the 15 Kronrod nodes.
+_WKG = _WK.copy()
+_WKG[1::2] -= _WG
 
 
 @dataclass(frozen=True)
@@ -313,6 +316,18 @@ def kronrod_panels(lo, hi):
     hi = np.asarray(hi, dtype=float)[:, None]
     half = 0.5 * (hi - lo)
     return 0.5 * (lo + hi) + half * _XK, half * _WK
+
+
+def kronrod_error_weights(lo, hi):
+    """Weights on the kronrod_panels nodes of K15 minus its embedded G7.
+
+    sum(weights * f(nodes), axis=1) is each panel's raw error estimate
+    K15 - G7 (QUADPACK's, before its scaling), formed as one weighted sum
+    rather than as the difference of two rounded integrals.
+    """
+    lo = np.asarray(lo, dtype=float)[:, None]
+    hi = np.asarray(hi, dtype=float)[:, None]
+    return 0.5 * (hi - lo) * _WKG
 
 
 def tridiag_eigs(diag, offdiag, k=1, *, vectors=True):

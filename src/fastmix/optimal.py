@@ -21,7 +21,8 @@ import numpy as np
 
 from . import numerics
 from .distributions import DistributionSpec, MomentSummary, mixture
-from .errors import DegenerateDistribution, NumericalFailure, OutOfSupport
+from .errors import (DegenerateDistribution, NonConvergence, NumericalFailure,
+                     OutOfSupport)
 
 
 def phi1_from_moments(m1, m2):
@@ -86,6 +87,7 @@ class _VTable:
     v: np.ndarray     # V at the edges, summed from the near side
     integral: float   # of V over [edges[0], edges[-1]]
     cells: int        # cells between the edges
+    splits: int       # cells halved on the way: each took 2 more panels
     evaluations: int  # of (m1 - z) pi by the build: panels plus end cells
 
 
@@ -100,27 +102,44 @@ class _QuadratureVariance:
 
     Every call reads V from a table built once, on the first call. It spans
     the support, cut where an infinite end's density falls below 1e-14 of
-    its peak. Its cells are uniform, split at the density's breakpoints and
-    halved geometrically toward a finite end, where the pdf may be a power of
-    the distance (a root or a pole); the last cell there is integrated
-    adaptively with the endpoint substitution. One vectorized Gauss-Kronrod
-    pass gives the other cell integrals of (m1 - z) pi. Their running sums
-    from the near side, plus the exact remainder beyond a cut end, give V at
-    the cell edges, and V at a point is the value at its near edge plus one
-    Kronrod panel over the partial cell. A point beyond a cut end takes its
-    tail integral to that end, mapped at the density's length scale.
+    its peak. It starts from START_CELLS uniform cells, split at the
+    density's breakpoints. At a finite end, where the pdf may be a power of
+    the distance (a root or a pole), the first 1/GRADED_SPAN of the table
+    is halved GRADING times toward the end instead; the last cell there is
+    integrated adaptively with the endpoint substitution. Every other cell
+    takes one 15-point Kronrod panel of g = (m1 - z) pi, all cells at once.
+    A cell outside the graded ends whose K15 and embedded G7 differ by more
+    than CELL_TOL of its integral of |g| (QUADPACK's error estimate,
+    unscaled) is halved, and its halves take a panel each, round after
+    round, until no cell is. The bound is relative to |g|, not to g, which
+    nearly cancels on the cell that holds m1, and not to the whole table,
+    which would leave the cells of a far tail inexact. A cell too narrow to
+    halve in floating point is kept, as in numerics.integrate. More than
+    MAX_SPLITS halvings or MAX_ROUNDS rounds raise NonConvergence, and a
+    non-finite g outside an end cell raises NumericalFailure. The running
+    sums of the cell integrals from the near side, plus the exact remainder
+    beyond a cut end, give V at the cell edges, and V at a point is the
+    value at its near edge plus one Kronrod panel over the partial cell. A
+    point beyond a cut end takes its tail integral to that end, mapped at
+    the density's length scale.
 
-    An end cell converges to an absolute tolerance at the table's own scale:
-    1e-11 of the summed |integrals| of the other cells, about the integral
-    of |m1 - z| pi and so the scale of V. A tolerance relative to the end
-    cell's own value would not do: at an end b away from 0, the cell after
-    GRADING halvings is a few ulps wide, so b - u*u rounds onto a few
-    floats, and bisection would chase that staircase for hundreds of panels
-    toward a value far below anything V can resolve.
+    The graded cells are never halved: at an end b away from 0 they are a
+    few ulps wide, so b - u*u rounds onto a few floats. For the same reason
+    an end cell converges to an absolute tolerance at the table's own
+    scale: 1e-11 of the summed |integrals| of the other cells, about the
+    integral of |m1 - z| pi and so the scale of V. A tolerance relative to
+    the end cell's own value would make bisection chase that staircase for
+    hundreds of panels toward a value far below anything V can resolve.
     """
 
-    CELLS = 4096
-    GRADING = 40  # halvings of the cell next to a finite support end
+    # from 64 or 128 start cells, no node came near enough to see a mixture
+    # component of sd 1e-4 centred on a cell edge, and it was missed
+    START_CELLS = 256
+    CELL_TOL = 1e-10
+    MAX_ROUNDS = 64
+    MAX_SPLITS = 1 << 15
+    GRADED_SPAN = 4096
+    GRADING = 40
 
     def __init__(self, spec, m1, lambda1):
         self.spec = spec
@@ -157,25 +176,73 @@ class _QuadratureVariance:
         a = lo if math.isfinite(lo) else cut_lo
         b = hi if math.isfinite(hi) else cut_hi
         knots = np.asarray(spec.breakpoints(), dtype=float)
-        edges = np.union1d(np.linspace(a, b, self.CELLS + 1),
+        edges = np.union1d(np.linspace(a, b, self.START_CELLS + 1),
                            knots[(knots > a) & (knots < b)])
+        # a finite end is graded across the first of GRADED_SPAN uniform
+        # cells, or up to the nearest knot
+        step = (b - a) / self.GRADED_SPAN
         halves = 0.5 ** np.arange(self.GRADING, 0, -1)
+        first, last = a, b
         if a == lo:
-            edges = np.concatenate([[a], a + (edges[1] - a) * halves,
-                                    edges[1:]])
+            first = min(a + step, edges[1])
+            edges = np.concatenate([[a], a + (first - a) * halves, [first],
+                                    edges[edges > first]])
         if b == hi:
-            edges = np.concatenate([edges[:-1],
-                                    b - (b - edges[-2]) * halves[::-1], [b]])
+            last = max(a + (self.GRADED_SPAN - 1) * step, edges[-2])
+            edges = np.concatenate([edges[edges < last], [last],
+                                    b - (b - last) * halves[::-1], [b]])
         edges = np.unique(edges)
-        left, right = edges[:-1], edges[1:]
-        z, w = numerics.kronrod_panels(left, right)
-        f = w * self._g(z)
-        cells = f.sum(axis=1)
         ends = [i for i, at_end in ((0, a == lo), (-1, b == hi)) if at_end]
+
+        # one panel per cell, each round; only the free cells are halved
+        left, right = edges[:-1], edges[1:]
+        free = (left >= first) & (right <= last)
+        checked = np.ones(left.size, dtype=bool)
+        checked[ends] = False  # an end cell's failure is its integral's
+        parts = []
+        panels = splits = 0
+        for _ in range(self.MAX_ROUNDS):
+            z, w = numerics.kronrod_panels(left, right)
+            y = self._g(z)
+            panels += left.size
+            bad = checked & ~np.all(np.isfinite(y), axis=1)
+            if np.any(bad):
+                i = np.argmax(bad)
+                raise NumericalFailure(
+                    "V table: non-finite values of (m1 - z) pi on "
+                    "(%.6g, %.6g)" % (left[i], right[i]))
+            f = w * y
+            split = np.zeros(left.size, dtype=bool)
+            split[free] = (
+                np.abs(np.sum(numerics.kronrod_error_weights(
+                    left[free], right[free]) * y[free], axis=1))
+                > self.CELL_TOL * np.sum(np.abs(f[free]), axis=1))
+            mid = 0.5 * (left + right)
+            split &= (left < mid) & (mid < right)  # else out of resolution
+            parts.append((left[~split], right[~split], z[~split],
+                          f[~split]))
+            if not np.any(split):
+                break
+            splits += int(np.count_nonzero(split))
+            if splits > self.MAX_SPLITS:
+                raise NonConvergence(
+                    "V table needs more than %d halved cells"
+                    % self.MAX_SPLITS)
+            left, right = (np.concatenate([left[split], mid[split]]),
+                           np.concatenate([mid[split], right[split]]))
+            free = checked = np.ones(left.size, dtype=bool)
+        else:
+            raise NonConvergence("V table cells still halving after %d "
+                                 "rounds" % self.MAX_ROUNDS)
+        left, right, z, f = (np.concatenate(p) for p in zip(*parts))
+        order = np.argsort(left)
+        left, right, z, f = left[order], right[order], z[order], f[order]
+        edges = np.append(left, right[-1])
+        cells = f.sum(axis=1)
         tol = 1e-11 * float(np.sum(np.abs(np.delete(cells, ends))))
         if not math.isfinite(tol):
             raise NumericalFailure("V table cells sum to %g" % tol)
-        evaluations = z.size
+        evaluations = 15 * panels
         for i in ends:
             r = numerics.integrate(
                 self._g, left[i], right[i], tol=tol, rel_tol=1e-11,
@@ -197,7 +264,7 @@ class _QuadratureVariance:
             left <= m1,
             (right - left) * v[:-1] + np.sum(f * (right[:, None] - z), 1),
             (right - left) * v[1:] - np.sum(f * (z - left[:, None]), 1))
-        return _VTable(edges, v, float(np.sum(int_v)), cells.size,
+        return _VTable(edges, v, float(np.sum(int_v)), cells.size, splits,
                        evaluations)
 
     def v_integral(self):

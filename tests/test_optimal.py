@@ -9,10 +9,12 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import ndtr
 
 from fastmix import numerics
 from fastmix.distributions import (
     Beta,
+    CubicPearson,
     Custom,
     FisherSnedecor,
     Gamma,
@@ -26,12 +28,14 @@ from fastmix.distributions import (
 )
 from fastmix.errors import (
     DegenerateDistribution,
+    NonConvergence,
     NumericalFailure,
     OutOfSupport,
 )
 from fastmix.numerics import Grid
 from fastmix.optimal import (
     OptimalProcess,
+    _QuadratureVariance,
     check_variance_mean,
     check_variance_positivity,
     mixture_tau_concavity,
@@ -191,6 +195,9 @@ class TestVarianceRoutes:
         bulk = pi > 1e-8 * np.max(pi)
         assert np.max(rel[bulk]) <= 1e-9
         assert np.max(rel[~bulk], initial=0.0) <= 1e-7
+        # the table's cell bound holds both well inside those gates
+        assert np.max(rel[bulk]) <= 1e-10
+        assert np.max(rel[~bulk], initial=0.0) <= 3e-10
 
     @pytest.mark.parametrize("spec", [
         Beta(1.5, 1.5), Jacobi(1.5, 1.5), Jacobi(0.3, 2.0),
@@ -216,7 +223,9 @@ class TestVarianceRoutes:
         assert len(spent) == 2
         assert max(spent) <= 2 * 15
         assert table.cells == table.edges.size - 1
-        assert table.evaluations == 15 * table.cells + sum(spent)
+        # one panel per cell, and two more per halved cell
+        assert table.evaluations == \
+            15 * (table.cells + table.splits) + sum(spent)
 
     @pytest.mark.parametrize("spec,where", [
         (Jacobi(-0.5, -0.5), "2.10734e-08"), (Beta(0.5, -0.5), "1.49012e-08"),
@@ -239,6 +248,94 @@ class TestVarianceRoutes:
         monkeypatch.setattr(spec, "_pdf", lambda x: np.where(
             (x > 0.1) & (x < 0.2), np.inf, pdf(x)))
         with pytest.raises(NumericalFailure, match="V table"):
+            proc.variance_fn(0.5)
+
+    @pytest.mark.parametrize("spec", [
+        Beta(2.0, 3.0), Jacobi(0.3, 2.0), Gamma(2.0), Normal(0.0, 1.0),
+        StudentCauchy(3.0), InverseGamma(3.0), FisherSnedecor(5.0, 12.0),
+        Hyperexponential(0.5, 0.5, 1.0, 2.0), CubicPearson(2.0, 3.0, -0.5),
+    ], ids=lambda v: v.kind)
+    def test_a_table_costs_a_quarter_of_4096_cells(self, spec):
+        """Cells are halved only where K15 and G7 disagree: every closed
+        family's table spends at most a quarter of the 15 * 4096
+        evaluations of 4096 uniform cells."""
+        table = synthesize(spec, variance_mode="quadrature").variance_fn.table
+        assert table.evaluations <= 15 * 4096 // 4
+
+    def test_a_narrow_component_is_resolved(self):
+        """0.3 N(0.5, 1e-4) on 0.7 N(0, 1). 0.5 is an edge of the start
+        cells, where the Kronrod nodes crowd: the nearest lie about 5 sd
+        from it, so K15 and G7 disagree there and the cells around it are
+        halved until it is resolved. 4096 fixed cells, never checked, put
+        sigma^2/2 off by up to 1.7e-2. V is
+        sum_i w_i [(m1 - mu_i) Phi(t_i) + s_i phi(t_i)], t_i = (x - mu_i)/s_i,
+        written from the right above m1."""
+        parts = ((0.7, 0.0, 1.0), (0.3, 0.5, 1e-4))
+        spec = mixture([Normal(mu, sd) for _, mu, sd in parts],
+                       [w for w, _, _ in parts])
+        proc = synthesize(spec, variance_mode="quadrature")
+        m1 = proc.moments.m1
+        x = np.concatenate([np.linspace(*spec.truncated_support(), 801)[1:-1],
+                            np.linspace(0.4, 0.6, 401)])
+        v = sum(w * (np.where(x <= m1, (m1 - mu) * ndtr((x - mu) / sd),
+                              (mu - m1) * ndtr((mu - x) / sd))
+                     + sd * np.exp(-0.5 * ((x - mu) / sd) ** 2)
+                     / math.sqrt(2.0 * math.pi))
+                for w, mu, sd in parts)
+        want = proc.lambda1 * v / spec.pdf(x)
+        rel = np.abs(np.asarray(proc.variance_fn(x)) / want - 1.0)
+        assert np.max(rel) <= 1e-10
+
+    @pytest.mark.parametrize("spec", [
+        Beta(1.5, 1.5), Jacobi(0.3, 2.0), Gamma(-0.5),
+    ], ids=lambda v: v.kind)
+    def test_graded_end_cells_are_never_split(self, spec):
+        """A finite end keeps GRADING halvings of the first of GRADED_SPAN
+        uniform cells: split further, b - u*u would round onto a few
+        floats."""
+        table = synthesize(spec, variance_mode="quadrature").variance_fn.table
+        span, n = _QuadratureVariance.GRADED_SPAN, _QuadratureVariance.GRADING
+        a, b = table.edges[0], table.edges[-1]
+        step = (b - a) / span
+        grading = 0.5 ** np.arange(n, -1, -1)
+        np.testing.assert_array_equal(table.edges[1:n + 2], a + step * grading)
+        if b == spec.support.upper:
+            np.testing.assert_array_equal(
+                table.edges[-n - 2:-1],
+                b - (b - (a + (span - 1) * step)) * grading[::-1])
+
+    def test_a_jump_is_halved_down_to_resolution(self):
+        """K15 and G7 never agree on a cell that holds a jump of the pdf: it
+        is halved until it is one float wide, then kept, as adaptive
+        quadrature keeps it. V of the step density is exact."""
+        c1, c2 = 0.5, 0.85 / 0.7
+        spec = Custom(lambda x: np.where(np.asarray(x) < 0.3, c1, c2),
+                      (0.0, 1.0))
+        proc = synthesize(spec, 0.1)
+        table = proc.variance_fn.table
+        assert np.min(np.diff(table.edges)) == np.spacing(0.3)
+        m1 = proc.moments.m1
+        x = np.linspace(0.01, 0.95, 95)
+        v = np.where(x < 0.3, c1 * (m1 * x - x ** 2 / 2),
+                     c1 * (0.3 * m1 - 0.045)
+                     + c2 * (m1 * (x - 0.3) - (x ** 2 - 0.09) / 2))
+        np.testing.assert_allclose(proc.variance_fn(x),
+                                   proc.lambda1 * v / spec.pdf(x), rtol=1e-10)
+
+    def test_a_table_that_keeps_halving_is_an_error(self, monkeypatch):
+        """A density whose cells never settle exhausts the halving budget;
+        one that needs more rounds than allowed exhausts the round budget.
+        Neither gives an inexact table."""
+        spec = Normal(0.0, 1.0)
+        proc = synthesize(spec, variance_mode="quadrature")
+        pdf = spec._pdf
+        monkeypatch.setattr(spec, "_pdf", lambda x: pdf(x) * (
+            1.0 + 0.5 * np.sin(1e9 * np.asarray(x))))
+        with pytest.raises(NonConvergence, match="halved cells"):
+            proc.variance_fn(0.5)
+        monkeypatch.setattr(spec, "_pdf", pdf)
+        monkeypatch.setattr(_QuadratureVariance, "MAX_ROUNDS", 1)
+        with pytest.raises(NonConvergence, match="after 1 rounds"):
             proc.variance_fn(0.5)
 
     def test_table_matches_exact_pchip_integration(self):
