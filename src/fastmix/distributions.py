@@ -130,20 +130,12 @@ class DistributionSpec:
             return 0.0
         if x >= hi:
             return 1.0
-        # from -inf only a relative tolerance keeps a far tail's digits; right
-        # of the bulk the tail taken is the one that starts at x, as a single
-        # integral that ends there would step over the mass
-        tol = 1e-12 if math.isfinite(lo) else 1e-300
+        # right of the bulk, 1 minus the tail from x: a finite range from
+        # the left end is one piece, whose first panels can miss the mass
         c0, s = self.bulk()
-        split = c0 + (s if math.isfinite(lo) else 0.0)
-        if self.support.finite or x <= split:
-            r = numerics.integrate(self._pdf, lo, x, tol=tol, rel_tol=1e-11,
-                                   singular_left=self.singular_left, scale=s,
-                                   points=self.breakpoints())
-            return min(max(r.value, 0.0), 1.0)
-        r = numerics.integrate(self._pdf, x, hi, tol=tol, rel_tol=1e-11,
-                               singular_right=self.singular_right, scale=s)
-        return min(max(1.0 - r.value, 0.0), 1.0)
+        if self.support.finite or x <= c0 + (s if math.isfinite(lo) else 0.0):
+            return min(max(self._integral(np.ones_like, lo, x), 0.0), 1.0)
+        return min(max(1.0 - self._integral(np.ones_like, x, hi), 0.0), 1.0)
 
     # --- moments ----------------------------------------------------------
 
@@ -191,34 +183,41 @@ class DistributionSpec:
                 *self.bulk())
         return self._window
 
-    def _integral(self, g, rel_tol=1e-11):
-        """integral of g(x) pdf(x) dx over the support: core, then tails."""
-        lo, hi = self.support.lower, self.support.upper
+    def _integral(self, g, lo=None, hi=None):
+        """The integral of g(x) pdf(x) over [lo, hi], the support by default.
+
+        The one split rule of the density's quadrature: an infinite end is
+        cut at c0 -+ s of bulk() where that falls inside the range, and the
+        tail beyond is mapped at s. The finite core takes the endpoint
+        substitution at a singular support end and starts from the
+        breakpoints. Each piece converges to 1e-11 of the sum of its
+        panels' |integrals|, the density's own scale: no absolute tolerance.
+        """
+        sup = self.support
+        lo = sup.lower if lo is None else lo
+        hi = sup.upper if hi is None else hi
         c0, s = self.bulk()
-        s = max(s, 1e-6)
-        core_lo = lo if math.isfinite(lo) else c0 - s
-        core_hi = hi if math.isfinite(hi) else max(c0, core_lo) + s
+        core_lo = c0 - s if math.isinf(lo) and c0 - s < hi else lo
+        core_hi = c0 + s if math.isinf(hi) and lo < c0 + s else hi
 
         def weighted(x):
             return g(x) * self._pdf(x)
 
         total = 0.0
-        r = numerics.integrate(
-            weighted, core_lo, core_hi, tol=1e-13, rel_tol=rel_tol,
-            singular_left=self.singular_left and math.isfinite(lo),
-            singular_right=self.singular_right and math.isfinite(hi),
-            points=self.breakpoints())
-        total += r.value
-        if not math.isfinite(hi):
-            total += numerics.integrate(weighted, core_hi, hi, tol=1e-13,
-                                        rel_tol=rel_tol, scale=s).value
-        if not math.isfinite(lo):
-            total += numerics.integrate(weighted, lo, core_lo, tol=1e-13,
-                                        rel_tol=rel_tol, scale=s).value
+        for a, b in ((core_lo, core_hi), (core_hi, hi), (lo, core_lo)):
+            if a < b:  # an empty range or piece adds nothing
+                finite = math.isfinite(a) and math.isfinite(b)
+                total += numerics.integrate(
+                    weighted, a, b, tol=0.0, rel_tol=1e-11, scale=s,
+                    singular_left=(finite and self.singular_left
+                                   and a == sup.lower),
+                    singular_right=(finite and self.singular_right
+                                    and b == sup.upper),
+                    points=self.breakpoints() if finite else ()).value
         return total
 
     def _check_normalized(self):
-        mass = self._integral(lambda x: np.ones_like(x))
+        mass = self._integral(np.ones_like)
         if not math.isfinite(mass) or abs(mass - 1.0) > _MASS_TOL:
             raise NotNormalized("density mass is %.12g, not 1" % mass)
 
@@ -709,9 +708,7 @@ class Custom(DistributionSpec):
             raise ValueError("pdf samples must be finite and nonnegative")
         interp = PchipInterpolator(pts, vals)
         if rescale:
-            mass = numerics.integrate(interp, pts[0], pts[-1],
-                                      tol=1e-13, rel_tol=1e-12,
-                                      points=pts[1:-1]).value
+            mass = float(interp.integrate(pts[0], pts[-1]))
             if mass <= 0:
                 raise ValueError("table has zero mass")
             interp = PchipInterpolator(pts, vals / mass)

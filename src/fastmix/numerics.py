@@ -202,17 +202,18 @@ def _adaptive(f, edges, tol, rel_tol, max_intervals):
     """Bisect the worst panel until the summed error estimate is small; the
     heap starts with one panel per piece between consecutive edges."""
     heap = []
-    total_val = total_err = 0.0
+    total_val = total_abs = total_err = 0.0
     n_eval = 0
     for a, b in zip(edges[:-1], edges[1:]):
         val, err, k = _gk15(f, a, b)
         total_val += val
+        total_abs += abs(val)
         total_err += err
         n_eval += k
         heap.append((-err, a, b, val))
     heapq.heapify(heap)
     count = len(heap)
-    while total_err > max(tol, rel_tol * abs(total_val)):
+    while total_err > max(tol, rel_tol * total_abs):
         if count >= max_intervals:
             raise NonConvergence(
                 "quadrature error %.3e above tolerance after %d intervals"
@@ -228,6 +229,7 @@ def _adaptive(f, edges, tol, rel_tol, max_intervals):
         v1, e1, k1 = _gk15(f, lo, mid)
         v2, e2, k2 = _gk15(f, mid, hi)
         total_val += v1 + v2 - old_val
+        total_abs += abs(v1) + abs(v2) - abs(old_val)
         total_err += e1 + e2 + neg_err
         n_eval += k1 + k2
         heapq.heappush(heap, (-e1, lo, mid, v1))
@@ -242,7 +244,9 @@ def integrate(f, a, b, tol=1e-10, *, rel_tol=1e-12, singular_left=False,
     """Adaptive Gauss-Kronrod integral of a vectorized f over [a, b].
 
     Refinement bisects the interval with the largest error estimate until the
-    summed estimate drops below max(tol, rel_tol * |value|). One end may be
+    summed estimate drops below max(tol, rel_tol * S), S the sum of the
+    panels' |K15| values (QUADPACK's integral of |f|): |value| for an f of
+    one sign, and a zero integral still converges with tol=0. One end may be
     infinite: [a, inf) is mapped onto [0, 1) by x = a + scale t/(1-t), and
     (-inf, b] by x = b - scale t/(1-t), as in QUADPACK's QAGI, which keeps
     polynomially decaying tails integrable to full precision; scale should be
@@ -483,7 +487,7 @@ def truncated_interval(pdf, lower, upper, anchor, scale):
     [5.68e-14, 1 - 5.68e-14]); any other finite end, a pole's too, is kept.
     """
     rel = 1e-14
-    scale = max(float(scale), 1e-12)
+    scale = float(scale)
     lo = float(lower)
     hi = float(upper)
     x0 = float(anchor)

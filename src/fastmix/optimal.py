@@ -120,8 +120,9 @@ class _QuadratureVariance:
     sums of the cell integrals from the near side, plus the exact remainder
     beyond a cut end, give V at the cell edges, and V at a point is the
     value at its near edge plus one Kronrod panel over the partial cell. A
-    point beyond a cut end takes its tail integral to that end, mapped at
-    the density's length scale.
+    point beyond a cut end takes its tail integral from the support end,
+    and the tails beyond the cut ends are the density's own integrals
+    (DistributionSpec._integral).
 
     The graded cells are never halved: at an end b away from 0 they are a
     few ulps wide, so b - u*u rounds onto a few floats. For the same reason
@@ -254,9 +255,9 @@ class _QuadratureVariance:
         # plus the running sum of the cells
         v = np.where(
             edges <= m1,
-            self._beyond(lo, a, lambda t: m1 - t)
+            spec._integral(lambda t: m1 - t, lo, a)
             + np.concatenate([[0.0], np.cumsum(cells)]),
-            self._beyond(b, hi, lambda t: t - m1)
+            spec._integral(lambda t: t - m1, b, hi)
             - np.concatenate([np.cumsum(cells[::-1])[::-1], [0.0]]))
         # by parts, V over a cell is its width times V at the near edge plus
         # int (right - z) g from the left, int (z - left) (-g) from the right
@@ -274,31 +275,19 @@ class _QuadratureVariance:
         integral of (z - m1) pi from the far side, so by parts its integral
         there is that of (z - c)(z - m1) pi.
         """
-        t, m1 = self.table, self.m1
+        t, m1, spec = self.table, self.m1, self.spec
         a, b = t.edges[0], t.edges[-1]
         return (t.integral
-                + self._beyond(self.spec.support.lower, a,
-                               lambda z: (z - a) * (z - m1))
-                + self._beyond(b, self.spec.support.upper,
-                               lambda z: (z - b) * (z - m1)))
-
-    def _beyond(self, x0, x1, g):
-        """The integral of g pi over [x0, x1], a tail beyond a cut end."""
-        if x0 == x1:
-            return 0.0
-        return numerics.integrate(
-            lambda z: g(z) * self.spec._pdf(z), x0, x1, tol=0.0,
-            rel_tol=1e-11, scale=self.spec.bulk()[1]).value
+                + spec._integral(lambda z: (z - a) * (z - m1), None, a)
+                + spec._integral(lambda z: (z - b) * (z - m1), b))
 
     def _tail_v(self, x):
         """V at a point beyond the table, from the support end on its side;
         0 outside the support."""
-        m1, sup = self.m1, self.spec.support
+        m1 = self.m1
         if x <= m1:
-            a, b, g = sup.lower, x, lambda z: m1 - z
-        else:
-            a, b, g = x, sup.upper, lambda z: z - m1
-        return 0.0 if b < a else self._beyond(a, b, g)
+            return self.spec._integral(lambda z: m1 - z, None, x)
+        return self.spec._integral(lambda z: z - m1, x)
 
     def _table_v(self, x):
         t = self.table
@@ -397,8 +386,7 @@ def check_variance_mean(proc: OptimalProcess):
     fn = proc.variance_fn
     if isinstance(fn, _QuadratureVariance):
         return fn.lambda1 * fn.v_integral()
-    return proc.source._integral(lambda x: np.asarray(fn(x), dtype=float),
-                                 rel_tol=1e-10)
+    return proc.source._integral(lambda x: np.asarray(fn(x), dtype=float))
 
 
 def mixture_tau_concavity(specs, weights, sigma_hat_sq_half):

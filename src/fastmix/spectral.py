@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .errors import GridTooCoarse, ZeroDenominator
+from .errors import GridTooCoarse, NumericalFailure, ZeroDenominator
 from .numerics import Grid, GridFunction
 from .optimal import OptimalProcess
 
@@ -90,7 +90,8 @@ def default_grid(proc: OptimalProcess, n: int) -> Grid:
 def discretize_generator(target, grid: Grid) -> Discretization:
     """Symmetric tridiagonal of the (negated) generator on cell centers.
 
-    target is an OptimalProcess or a (pdf, variance) pair of callables.
+    target is an OptimalProcess or a (pdf, variance) pair of callables. An
+    entry that is not finite (pi h^2 underflows) raises NumericalFailure.
     """
     pdf, var = _target_functions(target)
     if grid.n < 50:
@@ -104,8 +105,12 @@ def discretize_generator(target, grid: Grid) -> Discretization:
     faces = 0.5 * (g[:-1] + g[1:])
     w_left = np.concatenate([[0.0], faces])   # zero-flux outer faces
     w_right = np.concatenate([faces, [0.0]])
-    diag = (w_left + w_right) / (pi * h * h)
-    offdiag = -faces / (h * h * np.sqrt(pi[:-1] * pi[1:]))
+    with np.errstate(all="ignore"):
+        diag = (w_left + w_right) / (pi * h * h)
+        offdiag = -faces / (h * h * np.sqrt(pi[:-1] * pi[1:]))
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(offdiag))):
+        raise NumericalFailure("generator entries are not finite on (%.6g,"
+                               " %.6g)" % (grid.a, grid.b))
     weights = np.sqrt(pi * h)
     return Discretization(grid=grid, diag=diag, offdiag=offdiag,
                           weights=weights, pi=pi, faces=faces)

@@ -25,13 +25,26 @@ TABLES = {"bimodal", "skewed", "mixture-beta", "mixture-jacobi",
           "mixture-gamma"}
 
 
+LAYERS = {"numerics.quadrature", "optimal.synthesis", "optimal.table_build"}
+
+
 def _check_schema(doc):
+    """Every layer a file holds has its schema; a file written before the
+    quadrature layer was timed lacks only that one."""
     assert set(doc) == {"pr", "repeats", "nproc", "python", "numpy",
                         "scipy", "layers"}
     assert isinstance(doc["pr"], int)
     assert doc["repeats"] >= 5 and doc["nproc"] >= 1
     assert all(isinstance(doc[k], str) for k in ("python", "numpy", "scipy"))
-    assert set(doc["layers"]) == {"optimal.synthesis", "optimal.table_build"}
+    assert LAYERS - {"numerics.quadrature"} <= set(doc["layers"]) <= LAYERS
+    for e in doc["layers"].get("numerics.quadrature", ()):
+        assert set(e) == {"target", "call", "median_s", "times_s",
+                          "evaluations"}
+        assert len(e["times_s"]) == doc["repeats"]
+        assert all(t > 0.0 for t in e["times_s"])
+        assert e["median_s"] == statistics.median(e["times_s"])
+        # at least one 15-point Kronrod panel per integral
+        assert e["evaluations"] >= 15 and e["evaluations"] % 15 == 0
     synthesis = doc["layers"]["optimal.synthesis"]
     assert len({(e["target"], e["route"]) for e in synthesis}) == \
         len(synthesis) == 2 * len(bench.CATALOG)
@@ -55,6 +68,25 @@ def test_a_short_run_has_the_schema():
     doc = bench.run(0)
     _check_schema(json.loads(json.dumps(doc)))
     assert doc["pr"] == 0 and doc["repeats"] == 5
+    assert set(doc["layers"]) == LAYERS
+    quadrature = doc["layers"]["numerics.quadrature"]
+    assert [(e["target"], e["call"]) for e in quadrature] == [
+        (e["target"], "construct") for e in
+        doc["layers"]["optimal.synthesis"][::2]] + [
+        (name, "moments_quadrature") for name in
+        [e["target"] for e in doc["layers"]["optimal.table_build"]]]
+
+
+def test_quadrature_evaluations_are_counted_per_call():
+    """Beta(2, 3)'s mass check is one exact Kronrod panel; the count is
+    read from the QuadratureResults and leaves numerics.integrate as it
+    was."""
+    fastmix = bench._fastmix()
+    integrate = fastmix.numerics.integrate
+    doc = {"kind": "beta", "params": {"alpha": 2.0, "beta": 3.0}}
+    assert bench._evaluations(fastmix,
+                              lambda: fastmix.parse_spec(doc)) == 15
+    assert fastmix.numerics.integrate is integrate
 
 
 def test_fewer_than_five_repeats_are_refused():

@@ -134,6 +134,28 @@ class TestOptimalCommand:
             pytest.approx(1.0, rel=1e-12)
         assert _load(out, "checks.json")["passed"] is True
 
+    @pytest.mark.parametrize("sd", [1e-100, 1e-30, 1e-12, 1e-8, 1e-6, 1.0,
+                                    1e30, 1e100])
+    def test_normal_passes_strict_at_any_scale(self, tmp_path, sd):
+        """x -> c x scales every integral of the density; the budget check
+        holds to 1e-12 from sd 1e-100 to 1e100."""
+        doc = {"kind": "normal", "params": {"x0": 0.0, "sigma": sd}}
+        out = tmp_path / "out"
+        assert main(["optimal", _spec(tmp_path, doc), "--strict",
+                     "--grid-points", "200", "--out", str(out)]) == 0
+        assert _load(out, "checks.json")["variance_mean_rel_err"] <= 1e-12
+
+    @pytest.mark.parametrize("support", [["-inf", 1e6], [-1e6, "inf"]])
+    def test_a_far_declared_end_keeps_the_mass(self, tmp_path, support):
+        """Student t (alpha 3) cut at 1e6 on one side: the core out to the
+        far end misses the peak in its first panel, and a relative
+        tolerance, unlike an absolute one, does not stop there."""
+        doc = {"kind": "student", "params": {"alpha": 3.0},
+               "support": support}
+        assert main(["optimal", _spec(tmp_path, doc), "--strict",
+                     "--grid-points", "200",
+                     "--out", str(tmp_path / "out")]) == 0
+
     @pytest.mark.parametrize("alpha", [150.0, 200.0])
     def test_high_shape_gamma(self, tmp_path, alpha):
         """x**alpha overflows a float near the mode; the log density does
@@ -309,6 +331,26 @@ class TestSpectrumCommand:
         rc = main(["spectrum", spec, "--strict",
                    "--out", str(tmp_path / "o")])
         assert rc == 0
+
+    @pytest.mark.parametrize("sd", [1e-60, 1e-100])
+    def test_a_grid_too_narrow_for_floats_exits_3(self, tmp_path, capsys,
+                                                  sd):
+        """sd 1e-60 and 1e-100 load, but pi h^2 underflows at the grid's
+        edges: a typed failure and exit 3, with no numpy warning."""
+        doc = {"kind": "normal", "params": {"x0": 0.0, "sigma": sd}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["spectrum", _spec(tmp_path, doc), "--strict",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_strict_passes_at_a_tiny_scale(self, tmp_path):
+        """sd 1e-30 keeps its grid's entries finite, and lambda1 within the
+        1 percent band."""
+        doc = {"kind": "normal", "params": {"x0": 0.0, "sigma": 1e-30}}
+        assert main(["spectrum", _spec(tmp_path, doc), "--strict",
+                     "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("name", pearson.ROW_NAMES)
     def test_strict_passes_on_every_table_row(self, tmp_path, name):

@@ -12,7 +12,8 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import betainc
+from scipy.interpolate import PchipInterpolator
+from scipy.special import betainc, gammainc, gammaincc, ndtr
 
 from fastmix.distributions import (
     Beta,
@@ -235,6 +236,43 @@ class TestClosedVsQuadrature:
         assert abs(mass - 1.0) <= 1e-8
 
 
+# a normal's length scale from 1e-100 to 1e100; x -> c x changes no
+# relative accuracy of the density's own quadrature
+SCALES = [1e-100, 1e-30, 1e-12, 1e-8, 1e-6, 1.0, 1e30, 1e100]
+
+
+class TestIntegralAtTheDensityScale:
+    @pytest.mark.parametrize("sd", SCALES)
+    def test_normal_moments_at_any_scale(self, sd):
+        """The mass check passes, m2 is sd^2 to 1e-12 and m1 is 0 to 1e-12
+        of sd: no absolute tolerance or scale floor sets the accuracy."""
+        mom = Normal(0.0, sd).moments_quadrature()
+        assert abs(mom.m2 / (sd * sd) - 1.0) <= 1e-12
+        assert abs(mom.m1) <= 1e-12 * sd
+
+    def test_an_empty_range_is_zero(self):
+        spec = Normal(0.0, 1.0)
+        assert spec._integral(np.ones_like, 1.0, 1.0) == 0.0
+        assert spec._integral(np.ones_like, 2.0, -3.0) == 0.0
+        assert Beta(1.0, 2.0)._integral(np.ones_like, None, 0.0) == 0.0
+
+    @pytest.mark.parametrize("spec, lo, hi, want", [
+        (Normal(0.0, 1.0), -math.inf, -9.0, ndtr(-9.0)),
+        (Normal(0.0, 1.0), -math.inf, 0.5, ndtr(0.5)),
+        (Normal(0.0, 1.0), -0.5, 2.0, ndtr(2.0) - ndtr(-0.5)),
+        (Normal(0.0, 1.0), 3.0, math.inf, ndtr(-3.0)),
+        (Gamma(-0.5), 0.0, 0.25, gammainc(0.5, 0.25)),
+        (Gamma(-0.5), 20.0, math.inf, gammaincc(0.5, 20.0)),
+        (Beta(-0.5, -0.5), 0.0, 0.3, betainc(0.5, 0.5, 0.3)),
+        (Beta(-0.5, -0.5), 0.3, 1.0, betainc(0.5, 0.5, 0.7)),
+    ], ids=str)
+    def test_a_range_matches_the_closed_mass(self, spec, lo, hi, want):
+        """Over a range, with its infinite ends mapped and its singular
+        support ends substituted, the mass is the closed one."""
+        got = spec._integral(np.ones_like, lo, hi)
+        assert abs(got / want - 1.0) < 1e-10
+
+
 class TestCdf:
     def test_uniform_cdf_is_identity(self):
         u = Beta(0.0, 0.0)
@@ -375,6 +413,16 @@ class TestCustom:
         spec = Custom.from_table(pts, vals, rescale=True)
         mass = spec._integral(lambda t: np.ones_like(t))
         assert abs(mass - 1.0) < 1e-9
+
+    def test_from_table_rescale_uses_the_exact_mass(self):
+        """The rescaled table is the samples over the interpolant's own
+        integral, which the quadrature reproduces to roundoff."""
+        pts = np.linspace(0.0, 3.0, 31)
+        vals = 1.0 + np.sin(2.0 * pts) ** 2
+        spec = Custom.from_table(pts, vals, rescale=True)
+        mass = PchipInterpolator(pts, vals).integrate(0.0, 3.0)
+        np.testing.assert_allclose(spec.pdf(pts), vals / mass, rtol=1e-15)
+        assert abs(spec._integral(np.ones_like) - 1.0) < 1e-14
 
     def test_table_moments_are_exact(self):
         """A PCHIP table is integrated knot by knot: mass, m1 and m2 match

@@ -107,6 +107,26 @@ class TestIntegrate:
         truth = big * (math.e - 1.0)
         assert abs(res.value - truth) / truth < 1e-11
 
+    def test_a_zero_integral_converges(self):
+        """An odd integrand over a symmetric range integrates to 0; the
+        relative target is measured against the panels' |integrals|, so
+        with no absolute tol it still converges, in a few panels."""
+        res = integrate(lambda x: x * np.exp(-0.5 * x * x), -6.0, 6.0,
+                        tol=0.0, points=[0.3])
+        assert abs(res.value) < 1e-15
+        assert res.evaluations <= 300
+
+    def test_relative_target_does_not_depend_on_the_scale(self):
+        """The same odd integrand at x -> c x: the evaluations do not move
+        and the value stays at roundoff of the integral of |f|."""
+        counts = set()
+        for c in (1e-100, 1e-8, 1.0, 1e30):
+            res = integrate(lambda x: x / c * np.exp(-0.5 * (x / c) ** 2),
+                            -6.0 * c, 6.0 * c, tol=0.0, points=[0.3 * c])
+            assert abs(res.value) < 1e-15 * c
+            counts.add(res.evaluations)
+        assert len(counts) == 1
+
     def test_invalid_interval(self):
         for a, b in [(1.0, 1.0), (2.0, 1.0), (-math.inf, math.inf),
                      (-math.inf, -math.inf), (math.nan, 1.0)]:
@@ -584,6 +604,13 @@ class TestTruncatedInterval:
         a, b = truncated_interval(pdf, 0.0, math.inf, 0.5, 1.7)
         assert a == 0.0
         assert b > 30.0 and float(pdf(np.asarray(b))) < 1e-13
+
+    def test_a_tiny_scale_gives_a_window_at_that_scale(self):
+        """A normal with sd 1e-100 is cut at tens of sd, as one of sd 1."""
+        sd = 1e-100
+        pdf = lambda x: np.exp(-0.5 * (np.asarray(x) / sd) ** 2)
+        a, b = truncated_interval(pdf, -math.inf, math.inf, 0.0, sd)
+        assert -40.0 * sd < a < -8.0 * sd and 8.0 * sd < b < 40.0 * sd
 
     def test_zero_density_probe_fails(self):
         with pytest.raises(NumericalFailure):

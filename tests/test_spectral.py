@@ -22,7 +22,7 @@ from fastmix.distributions import (
     Normal,
     StudentCauchy,
 )
-from fastmix.errors import GridTooCoarse, ZeroDenominator
+from fastmix.errors import GridTooCoarse, NumericalFailure, ZeroDenominator
 from fastmix.numerics import Grid, GridFunction
 from fastmix.optimal import synthesize
 from fastmix.spectral import (
@@ -65,6 +65,14 @@ class TestDiscretization:
         proc = synthesize(Beta(1.0, 1.0))
         with pytest.raises(GridTooCoarse):
             discretize_generator(proc, Grid.cell_centers(0.0, 1.0, 49))
+
+    @pytest.mark.parametrize("sd", [1e-60, 1e-100])
+    def test_entries_that_underflow_are_a_typed_failure(self, sd):
+        """On a grid a few 1e-100 wide pi h^2 underflows at the edges: a
+        NumericalFailure, not a division warning."""
+        proc = synthesize(Normal(0.0, sd))
+        with pytest.raises(NumericalFailure):
+            discretize_generator(proc, default_grid(proc, 2000))
 
     def test_accepts_pdf_variance_pair(self):
         spec = Beta(1.0, 1.0)

@@ -1,21 +1,28 @@
-"""Time fastmix's synthesis layer on fixed inputs and write BENCH_<pr>.json.
+"""Time fastmix's quadrature and synthesis layers on fixed inputs and write
+BENCH_<pr>.json.
 
     python3 tools/bench_layers.py --pr N [--repeats 5]
 
 Times, under the fastmix of this tree (src/ beside tools/):
+- the density's adaptive quadrature: the construction of one density of
+  every catalog kind, which is its mass check, and moments_quadrature() of
+  the `synth` benchmark workload's tables and mixtures (perfbench/inputs.py,
+  seed 1);
 - synthesis plus the first variance_fn call, for one density of every
   catalog kind on both variance routes ("closed" and "quadrature"); the
   call is at 64 Chebyshev points of the density's truncated support;
-- the build of the quadrature route's V table on the `synth` benchmark
-  workload's tables and mixtures (perfbench/inputs.py, seed 1).
+- the build of the quadrature route's V table on the same tables and
+  mixtures.
 
 Every repeat starts from a freshly parsed density, so nothing the library
 computes once per density carries over; one untimed run before them lets
 the process's lazy imports finish. Each entry records every repeat's raw
-wall time, their median and, on the quadrature route, the table's cell
-count and its evaluations of the integrand. The file also records nproc
-and the Python, numpy and scipy versions. It is written at the root of the
-tree.
+wall time and their median. A quadrature entry records its evaluations of
+the integrand, summed from the QuadratureResult of every
+numerics.integrate call of the untimed run; a synthesis entry on the
+quadrature route records the table's cell count and evaluations. The file
+also records nproc and the Python, numpy and scipy versions. It is written
+at the root of the tree.
 """
 
 from __future__ import annotations
@@ -88,6 +95,40 @@ def _synth_densities(fastmix):
     return makers
 
 
+def _evaluations(fastmix, call):
+    """The integrand evaluations of every numerics.integrate call made by
+    call(), summed from their QuadratureResults."""
+    numerics = fastmix.numerics
+    integrate, count = numerics.integrate, [0]
+
+    def counted(*args, **kwargs):
+        res = integrate(*args, **kwargs)
+        count[0] += res.evaluations
+        return res
+
+    numerics.integrate = counted
+    try:
+        call()
+    finally:
+        numerics.integrate = integrate
+    return count[0]
+
+
+def _quadrature_entry(fastmix, name, call_name, call, make, repeats):
+    """call(make()) counted once untimed, then timed on fresh arguments
+    (make() is not timed)."""
+    evaluations = _evaluations(fastmix, lambda: call(make()))
+    times = []
+    for _ in range(repeats):
+        arg = make()
+        t0 = time.perf_counter()
+        call(arg)
+        times.append(time.perf_counter() - t0)
+    return {"target": name, "call": call_name,
+            "median_s": statistics.median(times), "times_s": times,
+            "evaluations": evaluations}
+
+
 def _table_counts(proc):
     table = proc.variance_fn.table
     return {"cells": int(table.cells), "evaluations": int(table.evaluations)}
@@ -104,6 +145,18 @@ def run(pr, repeats=MIN_REPEATS):
     if repeats < MIN_REPEATS:
         raise ValueError("need at least %d repeats" % MIN_REPEATS)
     fastmix = _fastmix()
+    synth = _synth_densities(fastmix)
+    quadrature = []
+    for kind, params in CATALOG:
+        doc = {"kind": kind, "params": params}
+        quadrature.append(_quadrature_entry(
+            fastmix, repr(fastmix.parse_spec(doc)), "construct",
+            fastmix.parse_spec, lambda doc=doc: doc, repeats))
+    for name, make in synth.items():
+        quadrature.append(_quadrature_entry(
+            fastmix, name, "moments_quadrature",
+            lambda spec: spec.moments_quadrature(), make, repeats))
+
     synthesis = []
     for kind, params in CATALOG:
         doc = {"kind": kind, "params": params}
@@ -124,7 +177,7 @@ def run(pr, repeats=MIN_REPEATS):
             synthesis.append(_entry(name, route, times, counts))
 
     table_build = []
-    for name, make in _synth_densities(fastmix).items():
+    for name, make in synth.items():
         times = []
         for _ in range(1 + repeats):
             proc = fastmix.synthesize(make(), variance_mode="quadrature")
@@ -142,7 +195,8 @@ def run(pr, repeats=MIN_REPEATS):
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "layers": {"optimal.synthesis": synthesis,
+        "layers": {"numerics.quadrature": quadrature,
+                   "optimal.synthesis": synthesis,
                    "optimal.table_build": table_build},
     }
 
@@ -163,9 +217,9 @@ def main(argv=None):
         fh.write("\n")
     for layer, entries in doc["layers"].items():
         for e in entries:
-            print("%-20s %-52s %-10s %9.3f ms  cells %s" % (
-                layer, e["target"], e["route"], 1e3 * e["median_s"],
-                e["cells"]))
+            print("%-20s %-52s %-18s %9.3f ms  evaluations %s" % (
+                layer, e["target"], e.get("route", e.get("call")),
+                1e3 * e["median_s"], e["evaluations"]))
     print("wrote %s" % path)
     return 0
 
