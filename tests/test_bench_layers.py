@@ -38,8 +38,12 @@ def _check_schema(doc):
     assert all(isinstance(doc[k], str) for k in ("python", "numpy", "scipy"))
     assert LAYERS - {"numerics.quadrature"} <= set(doc["layers"]) <= LAYERS
     for e in doc["layers"].get("numerics.quadrature", ()):
-        assert set(e) == {"target", "call", "median_s", "times_s",
-                          "evaluations"}
+        # files written before the integrand's calls were counted lack them
+        assert set(e) - {"calls"} == {"target", "call", "median_s",
+                                      "times_s", "evaluations"}
+        if "calls" in e:
+            # each call of an integrand evaluates at least one panel
+            assert 1 <= e["calls"] <= e["evaluations"] // 15
         assert len(e["times_s"]) == doc["repeats"]
         assert all(t > 0.0 for t in e["times_s"])
         assert e["median_s"] == statistics.median(e["times_s"])
@@ -70,6 +74,7 @@ def test_a_short_run_has_the_schema():
     assert doc["pr"] == 0 and doc["repeats"] == 5
     assert set(doc["layers"]) == LAYERS
     quadrature = doc["layers"]["numerics.quadrature"]
+    assert all("calls" in e for e in quadrature)
     assert [(e["target"], e["call"]) for e in quadrature] == [
         (e["target"], "construct") for e in
         doc["layers"]["optimal.synthesis"][::2]] + [
@@ -78,14 +83,14 @@ def test_a_short_run_has_the_schema():
 
 
 def test_quadrature_evaluations_are_counted_per_call():
-    """Beta(2, 3)'s mass check is one exact Kronrod panel; the count is
-    read from the QuadratureResults and leaves numerics.integrate as it
-    was."""
+    """Beta(2, 3)'s mass check is one exact Kronrod panel, one call of its
+    integrand; the count is read from the QuadratureResults and leaves
+    numerics.integrate as it was."""
     fastmix = bench._fastmix()
     integrate = fastmix.numerics.integrate
     doc = {"kind": "beta", "params": {"alpha": 2.0, "beta": 3.0}}
-    assert bench._evaluations(fastmix,
-                              lambda: fastmix.parse_spec(doc)) == 15
+    assert bench._counts(fastmix, lambda: fastmix.parse_spec(doc)) == \
+        {"evaluations": 15, "calls": 1}
     assert fastmix.numerics.integrate is integrate
 
 

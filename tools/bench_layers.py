@@ -19,10 +19,11 @@ computes once per density carries over; one untimed run before them lets
 the process's lazy imports finish. Each entry records every repeat's raw
 wall time and their median. A quadrature entry records its evaluations of
 the integrand, summed from the QuadratureResult of every
-numerics.integrate call of the untimed run; a synthesis entry on the
-quadrature route records the table's cell count and evaluations. The file
-also records nproc and the Python, numpy and scipy versions. It is written
-at the root of the tree.
+numerics.integrate call of the untimed run, and the calls of the
+integrand that made them; a synthesis entry on the quadrature route
+records the table's cell count and evaluations. The file also records
+nproc and the Python, numpy and scipy versions. It is written at the root
+of the tree.
 """
 
 from __future__ import annotations
@@ -95,15 +96,21 @@ def _synth_densities(fastmix):
     return makers
 
 
-def _evaluations(fastmix, call):
+def _counts(fastmix, call):
     """The integrand evaluations of every numerics.integrate call made by
-    call(), summed from their QuadratureResults."""
+    call(), summed from their QuadratureResults, and the calls of those
+    integrands."""
     numerics = fastmix.numerics
-    integrate, count = numerics.integrate, [0]
+    integrate = numerics.integrate
+    count = {"evaluations": 0, "calls": 0}
 
-    def counted(*args, **kwargs):
-        res = integrate(*args, **kwargs)
-        count[0] += res.evaluations
+    def counted(f, *args, **kwargs):
+        def g(x):
+            count["calls"] += 1
+            return f(x)
+
+        res = integrate(g, *args, **kwargs)
+        count["evaluations"] += res.evaluations
         return res
 
     numerics.integrate = counted
@@ -111,22 +118,22 @@ def _evaluations(fastmix, call):
         call()
     finally:
         numerics.integrate = integrate
-    return count[0]
+    return count
 
 
 def _quadrature_entry(fastmix, name, call_name, call, make, repeats):
     """call(make()) counted once untimed, then timed on fresh arguments
     (make() is not timed)."""
-    evaluations = _evaluations(fastmix, lambda: call(make()))
+    counts = _counts(fastmix, lambda: call(make()))
     times = []
     for _ in range(repeats):
         arg = make()
         t0 = time.perf_counter()
         call(arg)
         times.append(time.perf_counter() - t0)
-    return {"target": name, "call": call_name,
-            "median_s": statistics.median(times), "times_s": times,
-            "evaluations": evaluations}
+    return dict({"target": name, "call": call_name,
+                 "median_s": statistics.median(times), "times_s": times},
+                **counts)
 
 
 def _table_counts(proc):
@@ -217,9 +224,10 @@ def main(argv=None):
         fh.write("\n")
     for layer, entries in doc["layers"].items():
         for e in entries:
-            print("%-20s %-52s %-18s %9.3f ms  evaluations %s" % (
+            print("%-20s %-52s %-18s %9.3f ms  evaluations %s%s" % (
                 layer, e["target"], e.get("route", e.get("call")),
-                1e3 * e["median_s"], e["evaluations"]))
+                1e3 * e["median_s"], e["evaluations"],
+                "  calls %d" % e["calls"] if "calls" in e else ""))
     print("wrote %s" % path)
     return 0
 
