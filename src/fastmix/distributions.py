@@ -168,7 +168,10 @@ class DistributionSpec:
 
     def breakpoints(self):
         """Points inside the support where the pdf is only piecewise smooth
-        (the knots of a table); quadrature starts with one panel per piece."""
+        (the knots of a table) or where its length scale changes (the
+        decay lengths of a Hyperexponential's two rates, and a geometric
+        ladder between them): the density's quadrature and the V table
+        start with one panel per piece."""
         return ()
 
     def truncated_support(self):
@@ -487,7 +490,8 @@ class InverseGamma(DistributionSpec):
         return 1.0 / (2.0 * (a - 1.0) * (2.0 * a - 1.0))
 
     def bulk(self):
-        return 1.0 / (2.0 * self.params["alpha"] - 1.0), 1.0
+        m1 = 1.0 / (2.0 * self.params["alpha"] - 1.0)
+        return m1, m1
 
 
 class FisherSnedecor(DistributionSpec):
@@ -610,6 +614,15 @@ class Hyperexponential(DistributionSpec):
     def bulk(self):
         p1, p2, e1, e2 = (self.params[k] for k in ("p1", "p2", "eta1", "eta2"))
         return p1 / e1 + p2 / e2, 1.0 / min(e1, e2)
+
+    def breakpoints(self):
+        # both decay lengths and a geometric ladder between them, each rung
+        # at most 4 times the last, so that a fast rate's mass near 0 is not
+        # lost in panels sized for the slow one
+        short, long_ = sorted((1.0 / self.params["eta1"],
+                               1.0 / self.params["eta2"]))
+        rungs = math.ceil(math.log(long_ / short) / math.log(4.0))
+        return tuple(np.geomspace(short, long_, rungs + 1).tolist())
 
 
 class CubicPearson(DistributionSpec):

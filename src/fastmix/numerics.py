@@ -1,13 +1,12 @@
 """Shared numeric kernels: grids, adaptive quadrature, tridiagonal eigenpairs,
 hypergeometric series, log-linear decay fits, and the CSV table writer.
 
-Integrands passed to :func:`integrate` are evaluated on numpy arrays of nodes
-(15 at a time), so they must be vectorized.
+Integrands passed to :func:`integrate` are evaluated on one numpy array of
+the nodes of every panel of a refinement round, so they must be vectorized.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -84,9 +83,6 @@ _WG = np.array([
     0.279705391489276667901467771423780,
     0.129484966168869693270611432679082,
 ])
-# K15 minus the embedded G7, weight by weight on the 15 Kronrod nodes.
-_WKG = _WK.copy()
-_WKG[1::2] -= _WG
 
 
 @dataclass(frozen=True)
@@ -175,67 +171,83 @@ class RateEstimate:
     fit_window: tuple
 
 
-def _gk15(f, a, b):
-    """One Gauss-Kronrod panel: (kronrod, error estimate, evaluations)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = mid + half * _XK
-    y = f(x)
-    y = np.asarray(y, dtype=float)
-    if y.shape != x.shape:
-        raise ValueError("integrand must return one value per node")
-    if not np.all(np.isfinite(y)):
-        raise NumericalFailure(
-            "integrand returned non-finite values on (%.6g, %.6g)" % (a, b))
-    resk = half * float(_WK @ y)
-    resg = half * float(_WG @ y[1::2])
-    # QUADPACK-style error scaling keeps the estimate honest when the
-    # plain |K - G| difference is accidentally tiny.
-    resasc = half * float(_WK @ np.abs(y - (resk / (b - a) if b != a else 0.0)))
-    err = abs(resk - resg)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return resk, err, x.size
+@dataclass(frozen=True)
+class _Cells:
+    """The converged cells of _kronrod_cells, in order along the range."""
+
+    left: np.ndarray
+    right: np.ndarray
+    nodes: np.ndarray   # (n, 15) Kronrod nodes of each cell
+    values: np.ndarray  # (n, 15) weight times integrand: rows sum to K15
+    error: float        # summed error estimate of the cells
+    evaluations: int
 
 
-def _adaptive(f, edges, tol, rel_tol, max_intervals):
-    """Bisect the worst panel until the summed error estimate is small; the
-    heap starts with one panel per piece between consecutive edges."""
-    heap = []
-    total_val = total_abs = total_err = 0.0
-    n_eval = 0
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, err, k = _gk15(f, a, b)
-        total_val += val
-        total_abs += abs(val)
-        total_err += err
-        n_eval += k
-        heap.append((-err, a, b, val))
-    heapq.heapify(heap)
-    count = len(heap)
-    while total_err > max(tol, rel_tol * total_abs):
-        if count >= max_intervals:
+def _kronrod_cells(f, edges, tol, rel_tol, max_cells=4096, frozen=None):
+    """Adaptive 15-point Kronrod cells of a vectorized f between the edges.
+
+    Each round calls f once, on the nodes of every panel the round needs:
+    first one panel per pair of consecutive edges, then both halves of
+    every cell whose error estimate (QUADPACK's scaled |K15 - G7|) is above
+    an equal share of the target max(tol, rel_tol * S), S the sum of the
+    cells' |K15| values. Refinement stops when the summed estimate is below
+    the target. A cell too narrow to halve in floating point is accepted
+    and its estimate dropped, as QUADPACK accepts it; so is the panel of
+    every pair of edges that frozen, a mask over those pairs, marks. A
+    non-finite value of f raises NumericalFailure, and a target still unmet
+    with max_cells cells spent raises NonConvergence.
+    """
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1], edges[1:]  # the panels of a round
+    # one row per cell: left, right, K15, error estimate, then the 15 nodes
+    # and the 15 weighted values
+    cells = np.empty((0, 34))
+    evaluations = 0
+    while True:
+        z, w = kronrod_panels(lo, hi)
+        y = np.asarray(f(z.ravel()), dtype=float)
+        if y.shape != (z.size,):
+            raise ValueError("integrand must return one value per node")
+        y = y.reshape(z.shape)
+        if not np.isfinite(y).all():
+            i = np.argmin(np.isfinite(y).all(axis=1))
+            raise NumericalFailure(
+                "integrand returned non-finite values on (%.6g, %.6g)"
+                % (lo[i], hi[i]))
+        evaluations += y.size
+        fw = w * y
+        k15 = fw.sum(axis=1)
+        raw = np.abs(k15 - 0.5 * (hi - lo) * (y[:, 1::2] @ _WG))
+        # QUADPACK's scaling by the integral of |f - mean| keeps the estimate
+        # honest when the plain difference is accidentally tiny
+        asc = np.abs(fw - 0.5 * k15[:, None] * _WK).sum(axis=1)
+        err = np.where(asc > 0.0, asc * np.minimum(
+            1.0, (200.0 * raw / np.where(asc > 0.0, asc, 1.0)) ** 1.5), raw)
+        mid = 0.5 * (lo + hi)
+        accepted = (mid <= lo) | (mid >= hi)  # too narrow to halve
+        if frozen is not None:  # the first round's panels are the pairs
+            accepted |= frozen
+            frozen = None
+        err[accepted] = 0.0
+        cells = np.concatenate([cells, np.column_stack(
+            [lo, hi, k15, err, z, fw])])
+
+        target = max(tol, rel_tol * float(np.abs(cells[:, 2]).sum()))
+        total = float(cells[:, 3].sum())
+        if total <= target:
+            break
+        if len(cells) >= max_cells:
             raise NonConvergence(
                 "quadrature error %.3e above tolerance after %d intervals"
-                % (total_err, count))
-        neg_err, lo, hi, old_val = heapq.heappop(heap)
+                % (total, len(cells)))
+        split = cells[:, 3] > target / len(cells)
+        lo, hi = cells[split, 0], cells[split, 1]
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # interval exhausted floating point resolution; accept it
-            total_err += neg_err  # removes this interval's error from the sum
-            if not heap:
-                break
-            continue
-        v1, e1, k1 = _gk15(f, lo, mid)
-        v2, e2, k2 = _gk15(f, mid, hi)
-        total_val += v1 + v2 - old_val
-        total_abs += abs(v1) + abs(v2) - abs(old_val)
-        total_err += e1 + e2 + neg_err
-        n_eval += k1 + k2
-        heapq.heappush(heap, (-e1, lo, mid, v1))
-        heapq.heappush(heap, (-e2, mid, hi, v2))
-        count += 1
-    return total_val, max(total_err, 0.0), n_eval
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        cells = cells[~split]
+    cells = cells[np.argsort(cells[:, 0])]
+    return _Cells(cells[:, 0], cells[:, 1], cells[:, 4:19], cells[:, 19:],
+                  total, evaluations)
 
 
 def integrate(f, a, b, tol=1e-10, *, rel_tol=1e-12, singular_left=False,
@@ -243,14 +255,16 @@ def integrate(f, a, b, tol=1e-10, *, rel_tol=1e-12, singular_left=False,
               points=()) -> QuadratureResult:
     """Adaptive Gauss-Kronrod integral of a vectorized f over [a, b].
 
-    Refinement bisects the interval with the largest error estimate until the
-    summed estimate drops below max(tol, rel_tol * S), S the sum of the
-    panels' |K15| values (QUADPACK's integral of |f|): |value| for an f of
-    one sign, and a zero integral still converges with tol=0. One end may be
-    infinite: [a, inf) is mapped onto [0, 1) by x = a + scale t/(1-t), and
-    (-inf, b] by x = b - scale t/(1-t), as in QUADPACK's QAGI, which keeps
-    polynomially decaying tails integrable to full precision; scale should be
-    the length over which the tail's mass lies. On a finite interval,
+    Refinement halves, round by round, every panel whose error estimate is
+    above an equal share of max(tol, rel_tol * S), S the sum of the panels'
+    |K15| values (QUADPACK's integral of |f|), until the summed estimate
+    drops below it: S is |value| for an f of one sign, and a zero integral
+    still converges with tol=0. Each round calls f once, on the nodes of all
+    the panels it needs. One end may be infinite: [a, inf) is mapped onto
+    [0, 1) by x = a + scale t/(1-t), and (-inf, b] by x = b - scale t/(1-t),
+    as in QUADPACK's QAGI, which keeps polynomially decaying tails
+    integrable to full precision; scale should be the length over which the
+    tail's mass lies. On a finite interval,
     integrable endpoint singularities are handled by the substitution
     x = a + u**2 (resp. x = b - u**2) when the corresponding flag is set; the
     Kronrod nodes themselves never touch the endpoints. Breakpoints inside a
@@ -274,7 +288,7 @@ def integrate(f, a, b, tol=1e-10, *, rel_tol=1e-12, singular_left=False,
     pieces = []
     if infinite:
         def mapped(t):
-            if t[-1] == 1.0:  # bisection ran out of resolution at infinity
+            if np.max(t) == 1.0:  # halving ran out of resolution at infinity
                 raise NumericalFailure("integrand does not decay at infinity")
             st = s * t / (1.0 - t)
             return s * f(a + st if math.isinf(b) else b - st) / (1.0 - t) ** 2
@@ -293,16 +307,12 @@ def integrate(f, a, b, tol=1e-10, *, rel_tol=1e-12, singular_left=False,
                        _cuts(np.sqrt(b - inner)[::-1], b - a)))
     else:
         pieces.append((f, [a] + inner.tolist() + [b]))
-    value = err = 0.0
-    n_eval = 0
-    per_tol = tol / len(pieces)
-    for g, edges in pieces:
-        v, e, k = _adaptive(g, edges, per_tol, rel_tol, max_intervals)
-        value += v
-        err += e
-        n_eval += k
-    return QuadratureResult(value=value, abs_error_estimate=err,
-                            evaluations=n_eval)
+    cells = [_kronrod_cells(g, edges, tol / len(pieces), rel_tol,
+                            max_intervals) for g, edges in pieces]
+    return QuadratureResult(
+        value=sum(float(np.sum(c.values)) for c in cells),
+        abs_error_estimate=sum(c.error for c in cells),
+        evaluations=sum(c.evaluations for c in cells))
 
 
 def _cuts(inner_u, width):
@@ -320,18 +330,6 @@ def kronrod_panels(lo, hi):
     hi = np.asarray(hi, dtype=float)[:, None]
     half = 0.5 * (hi - lo)
     return 0.5 * (lo + hi) + half * _XK, half * _WK
-
-
-def kronrod_error_weights(lo, hi):
-    """Weights on the kronrod_panels nodes of K15 minus its embedded G7.
-
-    sum(weights * f(nodes), axis=1) is each panel's raw error estimate
-    K15 - G7 (QUADPACK's, before its scaling), formed as one weighted sum
-    rather than as the difference of two rounded integrals.
-    """
-    lo = np.asarray(lo, dtype=float)[:, None]
-    hi = np.asarray(hi, dtype=float)[:, None]
-    return 0.5 * (hi - lo) * _WKG
 
 
 def tridiag_eigs(diag, offdiag, k=1, *, vectors=True):

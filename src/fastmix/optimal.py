@@ -21,8 +21,7 @@ import numpy as np
 
 from . import numerics
 from .distributions import DistributionSpec, MomentSummary, mixture
-from .errors import (DegenerateDistribution, NonConvergence, NumericalFailure,
-                     OutOfSupport)
+from .errors import DegenerateDistribution, OutOfSupport
 
 
 def phi1_from_moments(m1, m2):
@@ -106,39 +105,39 @@ class _QuadratureVariance:
     density's breakpoints. At a finite end, where the pdf may be a power of
     the distance (a root or a pole), the first 1/GRADED_SPAN of the table
     is halved GRADING times toward the end instead; the last cell there is
-    integrated adaptively with the endpoint substitution. Every other cell
-    takes one 15-point Kronrod panel of g = (m1 - z) pi, all cells at once.
-    A cell outside the graded ends whose K15 and embedded G7 differ by more
-    than CELL_TOL of its integral of |g| (QUADPACK's error estimate,
-    unscaled) is halved, and its halves take a panel each, round after
-    round, until no cell is. The bound is relative to |g|, not to g, which
-    nearly cancels on the cell that holds m1, and not to the whole table,
-    which would leave the cells of a far tail inexact. A cell too narrow to
-    halve in floating point is kept, as in numerics.integrate. More than
-    MAX_SPLITS halvings or MAX_ROUNDS rounds raise NonConvergence, and a
-    non-finite g outside an end cell raises NumericalFailure. The running
-    sums of the cell integrals from the near side, plus the exact remainder
-    beyond a cut end, give V at the cell edges, and V at a point is the
-    value at its near edge plus one Kronrod panel over the partial cell. A
-    point beyond a cut end takes its tail integral from the support end,
-    and the tails beyond the cut ends are the density's own integrals
+    integrated adaptively with the endpoint substitution. The cells of
+    g = (m1 - z) pi come from numerics._kronrod_cells, the adaptive Kronrod
+    refinement that numerics.integrate runs too. Every other graded cell
+    is frozen there: it takes one 15-point panel, and its estimate is
+    dropped. The cells between the graded ends are refined to 1e-11 of the
+    cells' summed |integrals|, the density's own tolerance: each round
+    evaluates g once on every panel it needs, and halves the cells whose
+    error estimate is above an equal share of that target. The target is
+    set on the whole table, not on each cell, so a far tail's cells are
+    held to the scale of V, not to their own. A non-finite g
+    outside an end cell raises NumericalFailure, and a target still unmet
+    after the cell budget raises NonConvergence. The running sums of the
+    cell integrals from the near side, plus the exact remainder beyond a
+    cut end, give V at the cell edges, and V at a point is the value at its
+    near edge plus one Kronrod panel over the partial cell. A point beyond
+    a cut end takes its tail integral from the support end, and the tails
+    beyond the cut ends are the density's own integrals
     (DistributionSpec._integral).
 
     The graded cells are never halved: at an end b away from 0 they are a
-    few ulps wide, so b - u*u rounds onto a few floats. For the same reason
-    an end cell converges to an absolute tolerance at the table's own
-    scale: 1e-11 of the summed |integrals| of the other cells, about the
-    integral of |m1 - z| pi and so the scale of V. A tolerance relative to
-    the end cell's own value would make bisection chase that staircase for
-    hundreds of panels toward a value far below anything V can resolve.
+    few ulps wide, so b - u*u rounds onto a few floats, and beside a pole
+    their K15 - G7 is that rounding, which halving does not reduce. For the
+    same reason an end cell converges to an absolute tolerance at the
+    table's own scale: 1e-11 of the summed |integrals| of the cells, about
+    the integral of |m1 - z| pi and so the scale of V. A tolerance relative
+    to the end cell's own value would make bisection chase that staircase
+    for hundreds of panels toward a value far below anything V can
+    resolve.
     """
 
     # from 64 or 128 start cells, no node came near enough to see a mixture
     # component of sd 1e-4 centred on a cell edge, and it was missed
     START_CELLS = 256
-    CELL_TOL = 1e-10
-    MAX_ROUNDS = 64
-    MAX_SPLITS = 1 << 15
     GRADED_SPAN = 4096
     GRADING = 40
 
@@ -195,55 +194,19 @@ class _QuadratureVariance:
         edges = np.unique(edges)
         ends = [i for i, at_end in ((0, a == lo), (-1, b == hi)) if at_end]
 
-        # one panel per cell, each round; only the free cells are halved
-        left, right = edges[:-1], edges[1:]
-        free = (left >= first) & (right <= last)
-        checked = np.ones(left.size, dtype=bool)
-        checked[ends] = False  # an end cell's failure is its integral's
-        parts = []
-        panels = splits = 0
-        for _ in range(self.MAX_ROUNDS):
-            z, w = numerics.kronrod_panels(left, right)
-            y = self._g(z)
-            panels += left.size
-            bad = checked & ~np.all(np.isfinite(y), axis=1)
-            if np.any(bad):
-                i = np.argmax(bad)
-                raise NumericalFailure(
-                    "V table: non-finite values of (m1 - z) pi on "
-                    "(%.6g, %.6g)" % (left[i], right[i]))
-            f = w * y
-            split = np.zeros(left.size, dtype=bool)
-            split[free] = (
-                np.abs(np.sum(numerics.kronrod_error_weights(
-                    left[free], right[free]) * y[free], axis=1))
-                > self.CELL_TOL * np.sum(np.abs(f[free]), axis=1))
-            mid = 0.5 * (left + right)
-            split &= (left < mid) & (mid < right)  # else out of resolution
-            parts.append((left[~split], right[~split], z[~split],
-                          f[~split]))
-            if not np.any(split):
-                break
-            splits += int(np.count_nonzero(split))
-            if splits > self.MAX_SPLITS:
-                raise NonConvergence(
-                    "V table needs more than %d halved cells"
-                    % self.MAX_SPLITS)
-            left, right = (np.concatenate([left[split], mid[split]]),
-                           np.concatenate([mid[split], right[split]]))
-            free = checked = np.ones(left.size, dtype=bool)
-        else:
-            raise NonConvergence("V table cells still halving after %d "
-                                 "rounds" % self.MAX_ROUNDS)
-        left, right, z, f = (np.concatenate(p) for p in zip(*parts))
-        order = np.argsort(left)
-        left, right, z, f = left[order], right[order], z[order], f[order]
+        # a graded cell takes one panel and is never halved; an end cell
+        # sees g at its inner edge, a finite constant, and its own integral
+        # at the table's scale replaces it below
+        inner = (edges[1] if a == lo else a, edges[-2] if b == hi else b)
+        start = edges.size - 1
+        c = numerics._kronrod_cells(
+            lambda z: self._g(np.clip(z, *inner)), edges, 0.0, 1e-11,
+            frozen=(edges[:-1] < first) | (edges[1:] > last))
+        left, right, z, f = c.left, c.right, c.nodes, c.values
         edges = np.append(left, right[-1])
         cells = f.sum(axis=1)
-        tol = 1e-11 * float(np.sum(np.abs(np.delete(cells, ends))))
-        if not math.isfinite(tol):
-            raise NumericalFailure("V table cells sum to %g" % tol)
-        evaluations = 15 * panels
+        tol = 1e-11 * float(np.sum(np.abs(cells)))
+        evaluations = c.evaluations
         for i in ends:
             r = numerics.integrate(
                 self._g, left[i], right[i], tol=tol, rel_tol=1e-11,
@@ -265,7 +228,8 @@ class _QuadratureVariance:
             left <= m1,
             (right - left) * v[:-1] + np.sum(f * (right[:, None] - z), 1),
             (right - left) * v[1:] - np.sum(f * (z - left[:, None]), 1))
-        return _VTable(edges, v, float(np.sum(int_v)), cells.size, splits,
+        return _VTable(edges, v, float(np.sum(int_v)), cells.size,
+                       cells.size - start,
                        evaluations)
 
     def v_integral(self):

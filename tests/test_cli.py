@@ -156,6 +156,18 @@ class TestOptimalCommand:
                      "--grid-points", "200",
                      "--out", str(tmp_path / "out")]) == 0
 
+    @pytest.mark.parametrize("doc", [
+        {"kind": "inversegamma", "params": {"alpha": 200.0}},
+        {"kind": "hyperexponential",
+         "params": {"p1": 0.5, "p2": 0.5, "eta1": 1e3, "eta2": 1e-3}},
+    ], ids=["InverseGamma(200)", "Hyperexponential(1e3,1e-3)"])
+    def test_a_density_far_from_unit_scale_passes_strict(self, tmp_path, doc):
+        """The density's quadrature starts from its own length scales, not
+        from 1: both mass checks failed (exit 2) when it did."""
+        assert main(["optimal", _spec(tmp_path, doc), "--strict",
+                     "--grid-points", "200",
+                     "--out", str(tmp_path / "out")]) == 0
+
     @pytest.mark.parametrize("alpha", [150.0, 200.0])
     def test_high_shape_gamma(self, tmp_path, alpha):
         """x**alpha overflows a float near the mode; the log density does

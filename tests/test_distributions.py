@@ -272,6 +272,50 @@ class TestIntegralAtTheDensityScale:
         got = spec._integral(np.ones_like, lo, hi)
         assert abs(got / want - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("alpha", [2.0, 3.0, 10.0, 100.0, 200.0, 1000.0])
+    def test_inverse_gamma_at_its_own_width(self, alpha):
+        """bulk() gives the scale m1 = 1/(2 alpha - 1), near which the mass
+        lies: at scale 1 the core's first panels missed it, and the mass
+        check read 0 for alpha >= 100."""
+        spec = InverseGamma(alpha)  # the mass check passes
+        quad, closed = spec.moments_quadrature(), spec.moments()
+        assert abs(quad.m1 / closed.m1 - 1.0) <= 1e-10
+        assert abs(quad.variance / closed.variance - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("eta1, eta2", [
+        (1.0, 2.0), (1e3, 1e-3), (1e-3, 1e3), (1e6, 1.0)])
+    def test_hyperexponential_with_rates_far_apart(self, eta1, eta2):
+        """The breakpoints run from the short decay length to the long one
+        in steps of at most 4, so the fast rate's mass near 0 is seen: with
+        only the slow length, the mass check read 0.5 at rates 1e3, 1e-3."""
+        spec = Hyperexponential(0.5, 0.5, eta1, eta2)
+        knots = np.asarray(spec.breakpoints())
+        assert knots[0] == pytest.approx(1.0 / max(eta1, eta2), rel=1e-15)
+        assert knots[-1] == pytest.approx(1.0 / min(eta1, eta2), rel=1e-15)
+        assert np.all(knots[1:] / knots[:-1] <= 4.0 * (1.0 + 1e-15))
+        quad, closed = spec.moments_quadrature(), spec.moments()
+        assert abs(quad.m1 / closed.m1 - 1.0) <= 1e-10
+        assert abs(quad.variance / closed.variance - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("cls, args, per_panel_calls, evaluations", [
+        (Normal, (0.0, 1.0), 29, 435), (Jacobi, (0.3, 2.0), 57, 855)],
+        ids=["Normal", "Jacobi"])
+    def test_the_density_is_called_once_per_round(
+            self, monkeypatch, cls, args, per_panel_calls, evaluations):
+        """The mass check evaluates the density once per refinement round,
+        on the nodes of every panel the round needs: fewer calls than one
+        per panel would make, for the same panels and evaluations."""
+        pdf, sizes = cls._pdf, []
+
+        def counted(self, x):
+            sizes.append(np.size(x))
+            return pdf(self, x)
+
+        monkeypatch.setattr(cls, "_pdf", counted)
+        cls(*args)
+        assert len(sizes) < per_panel_calls
+        assert sum(sizes) == evaluations
+
 
 class TestCdf:
     def test_uniform_cdf_is_identity(self):

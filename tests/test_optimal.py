@@ -240,14 +240,14 @@ class TestVarianceRoutes:
             proc.variance_fn(0.5)
 
     def test_non_finite_cells_are_a_typed_failure(self, monkeypatch):
-        """A table whose other cells do not sum to a finite scale is not
-        built."""
+        """A table with a non-finite value of (m1 - z) pi outside its end
+        cells is not built."""
         spec = mixture([Beta(2.0, 5.0), Beta(5.0, 2.0)], [0.4, 0.6])
         proc = synthesize(spec, variance_mode="quadrature")
         pdf = spec._pdf
         monkeypatch.setattr(spec, "_pdf", lambda x: np.where(
             (x > 0.1) & (x < 0.2), np.inf, pdf(x)))
-        with pytest.raises(NumericalFailure, match="V table"):
+        with pytest.raises(NumericalFailure, match="non-finite values"):
             proc.variance_fn(0.5)
 
     @pytest.mark.parametrize("spec", [
@@ -286,6 +286,33 @@ class TestVarianceRoutes:
         rel = np.abs(np.asarray(proc.variance_fn(x)) / want - 1.0)
         assert np.max(rel) <= 1e-10
 
+    @pytest.mark.parametrize("weight,mu", [(1e-9, 6.0), (1e-11, 7.0)])
+    def test_a_faint_far_component_is_resolved(self, weight, mu):
+        """A component of N(mu, 1e-2) with a tiny weight, far out in the
+        tail of N(0, 1): the table's target is set on the whole table, yet
+        sigma^2/2 there, where that component is all of V's change, keeps
+        the gates of test_closed_and_quadrature_agree against the closed V
+        of the mixture."""
+        parts = ((1.0 - weight, 0.0, 1.0), (weight, mu, 1e-2))
+        spec = mixture([Normal(m, sd) for _, m, sd in parts],
+                       [w for w, _, _ in parts])
+        proc = synthesize(spec, variance_mode="quadrature")
+        m1 = proc.moments.m1
+        a, b = spec.truncated_support()
+        x = np.concatenate([np.linspace(a, b, 801)[1:-1],
+                            np.linspace(mu - 0.08, mu + 0.08, 401)])
+        v = sum(w * (np.where(x <= m1, (m1 - m) * ndtr((x - m) / sd),
+                              (m - m1) * ndtr((m - x) / sd))
+                     + sd * np.exp(-0.5 * ((x - m) / sd) ** 2)
+                     / math.sqrt(2.0 * math.pi))
+                for w, m, sd in parts)
+        pi = spec.pdf(x)
+        rel = np.abs(np.asarray(proc.variance_fn(x))
+                     / (proc.lambda1 * v / pi) - 1.0)
+        bulk = pi > 1e-8 * np.max(pi)
+        assert np.max(rel[bulk]) <= 1e-10
+        assert np.max(rel[~bulk], initial=0.0) <= 3e-10
+
     @pytest.mark.parametrize("spec", [
         Beta(1.5, 1.5), Jacobi(0.3, 2.0), Gamma(-0.5),
     ], ids=lambda v: v.kind)
@@ -304,16 +331,38 @@ class TestVarianceRoutes:
                 table.edges[-n - 2:-1],
                 b - (b - (a + (span - 1) * step)) * grading[::-1])
 
+    @pytest.mark.parametrize("spec", [
+        Jacobi(-0.5, -0.5), Beta(0.5, -0.5),
+    ], ids=["Jacobi(-0.5,-0.5)", "Beta(0.5,-0.5)"])
+    def test_graded_cells_beside_a_pole_are_never_split(self, spec,
+                                                        monkeypatch):
+        """Beside a pole at an end away from 0, the graded cells are a few
+        ulps wide and K15 - G7 there is the rounding of their nodes, which
+        halving does not reduce: refined, they were cut into ulp cells by
+        the hundred. The end cells, which see the pole, are left out."""
+        proc = synthesize(spec, variance_mode="quadrature")
+        monkeypatch.setattr(numerics, "integrate", lambda *args, **kwargs:
+                            numerics.QuadratureResult(0.0, 0.0, 0))
+        table = proc.variance_fn.table
+        span, n = _QuadratureVariance.GRADED_SPAN, _QuadratureVariance.GRADING
+        a, b = table.edges[0], table.edges[-1]
+        step = (b - a) / span
+        grading = 0.5 ** np.arange(n, -1, -1)
+        np.testing.assert_array_equal(table.edges[1:n + 2], a + step * grading)
+        np.testing.assert_array_equal(
+            table.edges[-n - 2:-1],
+            b - (b - (a + (span - 1) * step)) * grading[::-1])
+        assert table.splits <= 16
+
     def test_a_jump_is_halved_down_to_resolution(self):
         """K15 and G7 never agree on a cell that holds a jump of the pdf: it
-        is halved until it is one float wide, then kept, as adaptive
-        quadrature keeps it. V of the step density is exact."""
+        is halved until its error estimate is below its share of the
+        table's, or it is too narrow to halve. V of the step density is
+        exact."""
         c1, c2 = 0.5, 0.85 / 0.7
         spec = Custom(lambda x: np.where(np.asarray(x) < 0.3, c1, c2),
                       (0.0, 1.0))
         proc = synthesize(spec, 0.1)
-        table = proc.variance_fn.table
-        assert np.min(np.diff(table.edges)) == np.spacing(0.3)
         m1 = proc.moments.m1
         x = np.linspace(0.01, 0.95, 95)
         v = np.where(x < 0.3, c1 * (m1 * x - x ** 2 / 2),
@@ -323,19 +372,14 @@ class TestVarianceRoutes:
                                    proc.lambda1 * v / spec.pdf(x), rtol=1e-10)
 
     def test_a_table_that_keeps_halving_is_an_error(self, monkeypatch):
-        """A density whose cells never settle exhausts the halving budget;
-        one that needs more rounds than allowed exhausts the round budget.
-        Neither gives an inexact table."""
+        """A density whose cells never settle exhausts the cell budget
+        rather than give an inexact table."""
         spec = Normal(0.0, 1.0)
         proc = synthesize(spec, variance_mode="quadrature")
         pdf = spec._pdf
         monkeypatch.setattr(spec, "_pdf", lambda x: pdf(x) * (
             1.0 + 0.5 * np.sin(1e9 * np.asarray(x))))
-        with pytest.raises(NonConvergence, match="halved cells"):
-            proc.variance_fn(0.5)
-        monkeypatch.setattr(spec, "_pdf", pdf)
-        monkeypatch.setattr(_QuadratureVariance, "MAX_ROUNDS", 1)
-        with pytest.raises(NonConvergence, match="after 1 rounds"):
+        with pytest.raises(NonConvergence, match="above tolerance"):
             proc.variance_fn(0.5)
 
     def test_table_matches_exact_pchip_integration(self):
