@@ -30,18 +30,7 @@ import numpy as np
 
 from . import __version__, numerics
 from .distributions import load_spec, numeric_params, parse_spec, read_json
-from .errors import (
-    FastmixError,
-    BadWeights,
-    GridTooCoarse,
-    InvalidInterval,
-    NotNormalized,
-    OutOfSupport,
-    ParamOutOfRange,
-    RowMismatch,
-    SpecFileError,
-    SupportMismatch,
-)
+from .errors import FastmixError, InputError, RowMismatch, SpecFileError
 from .optimal import (
     _QuadratureVariance,
     check_variance_mean,
@@ -69,21 +58,6 @@ _EXIT_OK = 0
 _EXIT_INPUT = 2
 _EXIT_NUMERICAL = 3
 _EXIT_VERIFY = 4
-
-# anything the user can fix by changing arguments or the input file
-_INPUT_ERRORS = (
-    SpecFileError,
-    ParamOutOfRange,
-    BadWeights,
-    SupportMismatch,
-    NotNormalized,
-    OutOfSupport,
-    InvalidInterval,
-    GridTooCoarse,
-    OSError,
-    ValueError,
-)
-
 
 def _arg(*flags, **kw):
     return flags, kw
@@ -509,7 +483,7 @@ def main(argv=None):
     try:
         # looked up when called, so a rebound run_<command> is the one run
         return globals()["run_" + args.pop("command")](**args)
-    except _INPUT_ERRORS as exc:
+    except (InputError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return _EXIT_INPUT
     except (FastmixError, ArithmeticError) as exc:

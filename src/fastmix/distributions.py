@@ -236,9 +236,7 @@ class DistributionSpec:
         a callable written as arithmetic on its argument, so that a Python
         float and a float array give the same value bit for bit. The
         sampler calls it at every step, so constants of the shape are
-        computed once, outside the callable. A callable that returns a
-        numpy scalar for a float (it calls numpy functions, as the
-        Hyperexponential's does) is walked path by path only for few paths.
+        computed once, outside the callable.
         """
         return None
 

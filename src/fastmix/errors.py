@@ -9,9 +9,14 @@ class FastmixError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InputError(FastmixError):
+    """Bad input: anything the user can fix by changing the arguments or the
+    input file. The CLI exits with code 2 on these."""
+
+
 # --- numerics ---------------------------------------------------------------
 
-class InvalidInterval(FastmixError):
+class InvalidInterval(InputError):
     """Quadrature interval is empty, reversed, or non-finite."""
 
 
@@ -41,11 +46,11 @@ class NumericalFailure(FastmixError):
 
 # --- distributions ----------------------------------------------------------
 
-class ParamOutOfRange(FastmixError):
+class ParamOutOfRange(InputError):
     """Distribution parameters violate the admissible region."""
 
 
-class OutOfSupport(FastmixError):
+class OutOfSupport(InputError):
     """Point lies outside the closed support."""
 
 
@@ -53,19 +58,19 @@ class MomentDivergence(FastmixError):
     """Requested moment does not exist for these parameters."""
 
 
-class SupportMismatch(FastmixError):
+class SupportMismatch(InputError):
     """Mixture components do not share a common support."""
 
 
-class BadWeights(FastmixError):
+class BadWeights(InputError):
     """Mixture weights are negative or do not sum to one."""
 
 
-class NotNormalized(FastmixError):
+class NotNormalized(InputError):
     """Density failed the unit-mass check at construction."""
 
 
-class SpecFileError(FastmixError):
+class SpecFileError(InputError):
     """Distribution spec file is malformed."""
 
 
@@ -77,7 +82,7 @@ class DegenerateDistribution(FastmixError):
 
 # --- spectral ---------------------------------------------------------------
 
-class GridTooCoarse(FastmixError):
+class GridTooCoarse(InputError):
     """Discretization grid has too few points."""
 
 

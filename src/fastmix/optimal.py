@@ -59,10 +59,7 @@ class _ClosedVariance:
     profile is the density's closed_profile(): a float s2 for a constant
     shape, kept as constant (else None), or a callable. _profile is the
     callable either way; a constant one is x * 0.0 + s2, so that a state
-    that is not finite still gives a value that is not finite. calls_numpy
-    is True when the profile maps a Python float to something else (a numpy
-    scalar): it calls numpy functions, whose scalar overhead each call on a
-    float pays, so the sampler walks it path by path only for few paths.
+    that is not finite still gives a value that is not finite.
     """
 
     def __init__(self, profile, lambda1):
@@ -73,8 +70,6 @@ class _ClosedVariance:
             self.constant = None
         self._profile = profile
         self.lambda1 = lambda1
-        # not isinstance: np.float64 subclasses float
-        self.calls_numpy = type(profile(1.0)) is not float
 
     def __call__(self, x):
         return self.lambda1 * self._profile(np.asarray(x, float))

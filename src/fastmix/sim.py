@@ -31,9 +31,7 @@ step only adds its drift and that kick:
 - path-major walks each path's column on Python floats, a few flops per
   step where a numpy call costs microseconds; with no finite end it skips
   the bounds test. simulate picks it for a closed target with at most
-  PATH_MAJOR_MAX_PATHS paths, or NUMPY_PROFILE_MAX_PATHS when the profile
-  calls numpy functions (the Hyperexponential), which a Python float pays
-  numpy's scalar overhead for.
+  PATH_MAJOR_MAX_PATHS paths.
 - step-major steps all paths a row at a time. On a closed target a step is
   a dozen in-place ufuncs on held buffers plus one call of the profile;
   their scalar operands are 0-d arrays made once, as numpy converts a
@@ -69,18 +67,16 @@ _CHUNK = 1000        # steps per noise draw and per path-major float walk
 # into the chunk's columns together: at 256 paths, a strided copy per path
 # took about a third of the time to fill a chunk
 _BLOCK = 16
-# the widest batch the path-major kernel takes, and the widest when the
-# profile calls numpy. Measured by tools/sampler_speed.py (2 cores, numpy
-# 2.4.6, two runs): path-major runs 1.7e6 to 4.0e6 path-steps/s on the plain
-# closed kinds (5.3e6 to 7.1e6 on the Normal), step-major 1.0e6 to 2.3e6 at
-# 16 paths (6.4e6 on the Normal), 2.0e6 to 4.2e6 at 32 (8e6 to 1.1e7) and
-# about 1e7 at 256 on Beta. Path-major wins at 16 paths on every kind. At 32
-# it loses on 6 of the 8 kinds in one run and 7 in the other, by 3 to 35%
-# (18 to 55% on the Normal), and wins on CubicPearson in both. The
-# Hyperexponential's profile runs at 0.3e6 to 0.6e6 path-steps/s on Python
-# floats: path-major wins at 8 paths and loses at 16.
+# the widest batch the path-major kernel takes, for every closed kind. The
+# sim.kernels layer of tools/bench_layers.py (BENCH_24.json; 2 shared cores,
+# numpy 2.4.6) read path-major against step-major in path-steps/s: at 16
+# paths 2.2e6-4.2e6 against 1.2e6-2.7e6 (path-major 54-93% ahead) on seven
+# kinds, 7.4e6 each on the Normal; at 32 paths step-major ahead by 2-41% on
+# seven kinds (Normal 6.4e6 against 1.1e7), path-major by 6% on
+# CubicPearson. The Hyperexponential's profile calls numpy: path-major is
+# 13% ahead at 8 paths but at 16 reads 3.9e5 against 5.7e5, and no
+# benchmark job samples it.
 PATH_MAJOR_MAX_PATHS = 16
-NUMPY_PROFILE_MAX_PATHS = 8
 # bytes of the held blocks _power_sum transforms paths in, about 16 x the
 # FFT size per path: 4 paths at the 2500 kept steps of the paths
 # benchmark's 256-path OU and Gamma jobs, 1 at the dome job's 15875, where
@@ -406,8 +402,7 @@ def simulate(target, cfg: SimConfig, x0=None, *, n_bins=50,
         else:
             raise ValueError("x0 is required for a bare (mu, var) target")
     closed = not callable(drift)
-    if closed and cfg.n_paths <= (NUMPY_PROFILE_MAX_PATHS if var_fn.calls_numpy
-                                  else PATH_MAJOR_MAX_PATHS):
+    if closed and cfg.n_paths <= PATH_MAJOR_MAX_PATHS:
         series, span = _path_major(drift, var_fn, lo, hi, x0, cfg)
     else:
         series, span = _step_major(drift, var_fn, lo, hi, x0, cfg)

@@ -1,5 +1,5 @@
 """The schema of BENCH_<pr>.json, as tools/bench_layers.py writes it: on a
-short run, and on the file at the root of the tree."""
+short run, and on the files at the root of the tree."""
 
 import glob
 import importlib.util
@@ -8,6 +8,8 @@ import os
 import statistics
 
 import pytest
+
+from fastmix import sim
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -25,18 +27,64 @@ TABLES = {"bimodal", "skewed", "mixture-beta", "mixture-jacobi",
           "mixture-gamma"}
 
 
-LAYERS = {"numerics.quadrature", "optimal.synthesis", "optimal.table_build"}
+LAYERS = {"numerics.quadrature", "optimal.synthesis", "optimal.table_build",
+          "sim.kernels", "sim.post_processing"}
+# layers that files written before they were timed lack
+LATER = {"numerics.quadrature", "sim.kernels", "sim.post_processing"}
+KERNELS = {"path-major", "step-major"}
+
+
+def _check_times(e, repeats):
+    assert len(e["times_s"]) == repeats
+    assert all(t > 0.0 for t in e["times_s"])
+    assert e["median_s"] == statistics.median(e["times_s"])
+
+
+def _check_sim_layers(layers, repeats):
+    """Both kernels on every kind at every width, each entry naming the
+    faster of its pair and the kernel simulate's rule gives; then each
+    post-processing call at every run length."""
+    kernels = layers.get("sim.kernels", ())
+    pairs = {}
+    for e in kernels:
+        assert set(e) == {"target", "kernel", "paths", "steps", "median_s",
+                          "times_s", "faster", "picked"}
+        _check_times(e, repeats)
+        assert e["kernel"] in KERNELS
+        assert e["steps"] == max(500, bench.PATH_STEPS // e["paths"])
+        assert e["picked"] == ("path-major" if e["paths"]
+                               <= sim.PATH_MAJOR_MAX_PATHS else "step-major")
+        pairs.setdefault((e["target"], e["paths"]), {})[e["kernel"]] = e
+    if kernels:
+        assert len(kernels) == 2 * len(pairs) == \
+            2 * len(bench.CATALOG) * len(bench.WIDTHS)
+        assert {paths for _, paths in pairs} == set(bench.WIDTHS)
+    for pair in pairs.values():
+        assert set(pair) == KERNELS
+        faster = min(pair, key=lambda k: pair[k]["median_s"])
+        assert all(e["faster"] == faster for e in pair.values())
+    post = layers.get("sim.post_processing", ())
+    for e in post:
+        assert set(e) == {"target", "call", "paths", "steps", "burn_in",
+                          "median_s", "times_s"}
+        _check_times(e, repeats)
+    if post:
+        assert sorted((e["paths"], e["steps"], e["burn_in"], e["call"])
+                      for e in post) == sorted(
+            run + (call,) for run in bench.SIM_RUNS
+            for call in ("acf", "histogram", "autocorr.csv"))
 
 
 def _check_schema(doc):
-    """Every layer a file holds has its schema; a file written before the
-    quadrature layer was timed lacks only that one."""
+    """Every layer a file holds has its schema; a file written before a
+    layer of LATER was timed lacks it."""
     assert set(doc) == {"pr", "repeats", "nproc", "python", "numpy",
                         "scipy", "layers"}
     assert isinstance(doc["pr"], int)
     assert doc["repeats"] >= 5 and doc["nproc"] >= 1
     assert all(isinstance(doc[k], str) for k in ("python", "numpy", "scipy"))
-    assert LAYERS - {"numerics.quadrature"} <= set(doc["layers"]) <= LAYERS
+    assert LAYERS - LATER <= set(doc["layers"]) <= LAYERS
+    _check_sim_layers(doc["layers"], doc["repeats"])
     for e in doc["layers"].get("numerics.quadrature", ()):
         # files written before the integrand's calls were counted lack them
         assert set(e) - {"calls"} == {"target", "call", "median_s",
@@ -44,9 +92,7 @@ def _check_schema(doc):
         if "calls" in e:
             # each call of an integrand evaluates at least one panel
             assert 1 <= e["calls"] <= e["evaluations"] // 15
-        assert len(e["times_s"]) == doc["repeats"]
-        assert all(t > 0.0 for t in e["times_s"])
-        assert e["median_s"] == statistics.median(e["times_s"])
+        _check_times(e, doc["repeats"])
         # at least one 15-point Kronrod panel per integral
         assert e["evaluations"] >= 15 and e["evaluations"] % 15 == 0
     synthesis = doc["layers"]["optimal.synthesis"]
@@ -57,9 +103,7 @@ def _check_schema(doc):
     for e in synthesis + builds:
         assert set(e) == {"target", "route", "median_s", "times_s", "cells",
                           "evaluations"}
-        assert len(e["times_s"]) == doc["repeats"]
-        assert all(t > 0.0 for t in e["times_s"])
-        assert e["median_s"] == statistics.median(e["times_s"])
+        _check_times(e, doc["repeats"])
         if e["route"] == "quadrature":
             assert e["cells"] > 0
             assert e["evaluations"] >= 15 * e["cells"]
@@ -68,7 +112,13 @@ def _check_schema(doc):
             assert e["cells"] is None and e["evaluations"] is None
 
 
-def test_a_short_run_has_the_schema():
+def test_a_short_run_has_the_schema(monkeypatch):
+    """One kind, and the sampler at 1 and 16 paths on short runs: the full
+    sampler sweep takes about 30 s."""
+    monkeypatch.setattr(bench, "CATALOG", bench.CATALOG[:1])
+    monkeypatch.setattr(bench, "WIDTHS", (1, 16))
+    monkeypatch.setattr(bench, "PATH_STEPS", 2048)
+    monkeypatch.setattr(bench, "SIM_RUNS", ((16, 1000, 100),))
     doc = bench.run(0)
     _check_schema(json.loads(json.dumps(doc)))
     assert doc["pr"] == 0 and doc["repeats"] == 5

@@ -145,10 +145,11 @@ class TestOptimalCommand:
                      "--grid-points", "200", "--out", str(out)]) == 0
         assert _load(out, "checks.json")["variance_mean_rel_err"] <= 1e-12
 
-    @pytest.mark.parametrize("support", [["-inf", 1e6], [-1e6, "inf"]])
+    @pytest.mark.parametrize("support", [["-inf", 1e6], [-1e6, "inf"],
+                                         [-1e6, 1e6]])
     def test_a_far_declared_end_keeps_the_mass(self, tmp_path, support):
-        """Student t (alpha 3) cut at 1e6 on one side: the core out to the
-        far end misses the peak in its first panel, and a relative
+        """Student t (alpha 3) cut at 1e6 on one side or on both: the core
+        out to a far end misses the peak in its first panel, and a relative
         tolerance, unlike an absolute one, does not stop there."""
         doc = {"kind": "student", "params": {"alpha": 3.0},
                "support": support}
@@ -954,6 +955,63 @@ def _density_documents(draw):
     if not draw(st.integers(0, 3)):
         doc["support"] = [draw(_BOUND), draw(_BOUND)]
     return doc
+
+
+def _open_row(reason, raises=AssertionError):
+    return pytest.mark.xfail(strict=True, raises=raises, reason=reason)
+
+
+_POLE = _open_row("ROADMAP item 2: b - u*u rounds onto the pole at b; exit 3, "
+                  "non-finite values on (0, 1.3487e-06)")
+_HYP2F1 = _open_row("ROADMAP item 2: hyp2f1 does not converge in 10000 "
+                    "terms at z = 0.999; exit 3")
+_OVERFLOW = _open_row("ROADMAP item 2: the density overflows at subnormal "
+                      "nodes near 0; 'overflow encountered in exp' escapes "
+                      "main", raises=RuntimeWarning)
+_TWO_SCALES = _open_row("ROADMAP item 9: 2000 uniform cells miss lambda1 by "
+                        "more than 1 percent; exit 4")
+
+
+class TestOpenRows:
+    """Inputs the CLI fails on today, each pinned as a strict xfail that
+    asserts the right outcome: a fix turns its xfail into a failure, and
+    the mark goes with the fix."""
+
+    @pytest.mark.parametrize("command,doc", [
+        pytest.param("optimal", {"kind": "beta",
+                                 "params": {"alpha": -0.5, "beta": -0.3}},
+                     marks=_POLE, id="Beta(-0.5,-0.3)"),
+        pytest.param("optimal", {"kind": "jacobi",
+                                 "params": {"alpha": -0.3, "beta": 2.0}},
+                     marks=_POLE, id="Jacobi(-0.3,2)"),
+        pytest.param("optimal", {"kind": "cubicpearson", "params": {
+            "alpha": 2.0, "beta": 2.0, "a": 0.999}},
+            marks=_HYP2F1, id="CubicPearson(2,2,0.999)"),
+        pytest.param("optimal", {"kind": "cubicpearson", "params": {
+            "alpha": 1.0, "beta": 0.3, "a": 0.999}},
+            marks=_HYP2F1, id="CubicPearson(1,0.3,0.999)"),
+        pytest.param("optimal", {"kind": "beta",
+                                 "params": {"alpha": -0.999999, "beta": 1.0}},
+                     marks=_OVERFLOW, id="Beta(-0.999999,1)"),
+        pytest.param("optimal", {"kind": "gamma",
+                                 "params": {"alpha": -0.999999}},
+                     marks=_OVERFLOW, id="Gamma(-0.999999)"),
+        pytest.param("spectrum", {"kind": "hyperexponential", "params": {
+            "p1": 0.5, "p2": 0.5, "eta1": 1e3, "eta2": 1e-3}},
+            marks=_TWO_SCALES, id="Hyperexponential(1e3,1e-3)"),
+        pytest.param("spectrum", {"kind": "fisher",
+                                  "params": {"nu1": 5.0, "nu2": 4.5}},
+                     marks=_TWO_SCALES, id="FisherSnedecor(5,4.5)"),
+        pytest.param("spectrum", {"kind": "gamma", "params": {"alpha": -0.5}},
+                     marks=_TWO_SCALES, id="Gamma(-0.5)"),
+    ])
+    def test_passes_strict(self, tmp_path, command, doc):
+        """optimal or spectrum --strict at the default 2000 points exits 0,
+        with no numpy warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, _spec(tmp_path, doc), "--strict",
+                         "--out", str(tmp_path / "o")]) == 0
 
 
 class TestFuzzedDensityFiles:

@@ -154,6 +154,28 @@ def _exact_table_v(spec, m1, x):
     return np.array(out)
 
 
+def _normal_mixture_errors(parts, lo, hi):
+    """The relative error of the quadrature route's sigma^2/2 for the
+    mixture of w N(mu, sd) over parts (w, mu, sd), and the density, at 799
+    points inside its truncated support and 401 on [lo, hi]. The closed V
+    is sum_i w_i [(m1 - mu_i) Phi(t_i) + s_i phi(t_i)], t_i = (x - mu_i)/s_i,
+    written from the right above m1."""
+    spec = mixture([Normal(mu, sd) for _, mu, sd in parts],
+                   [w for w, _, _ in parts])
+    proc = synthesize(spec, variance_mode="quadrature")
+    m1 = proc.moments.m1
+    x = np.concatenate([np.linspace(*spec.truncated_support(), 801)[1:-1],
+                        np.linspace(lo, hi, 401)])
+    v = sum(w * (np.where(x <= m1, (m1 - mu) * ndtr((x - mu) / sd),
+                          (mu - m1) * ndtr((mu - x) / sd))
+                 + sd * np.exp(-0.5 * ((x - mu) / sd) ** 2)
+                 / math.sqrt(2.0 * math.pi))
+            for w, mu, sd in parts)
+    pi = spec.pdf(x)
+    return np.abs(np.asarray(proc.variance_fn(x))
+                  / (proc.lambda1 * v / pi) - 1.0), pi
+
+
 class TestVarianceRoutes:
     @pytest.mark.parametrize("spec,window", [
         (Beta(1.0, 2.0), (0.02, 0.98)),
@@ -267,23 +289,21 @@ class TestVarianceRoutes:
         cells, where the Kronrod nodes crowd: the nearest lie about 5 sd
         from it, so K15 and G7 disagree there and the cells around it are
         halved until it is resolved. 4096 fixed cells, never checked, put
-        sigma^2/2 off by up to 1.7e-2. V is
-        sum_i w_i [(m1 - mu_i) Phi(t_i) + s_i phi(t_i)], t_i = (x - mu_i)/s_i,
-        written from the right above m1."""
-        parts = ((0.7, 0.0, 1.0), (0.3, 0.5, 1e-4))
-        spec = mixture([Normal(mu, sd) for _, mu, sd in parts],
-                       [w for w, _, _ in parts])
-        proc = synthesize(spec, variance_mode="quadrature")
-        m1 = proc.moments.m1
-        x = np.concatenate([np.linspace(*spec.truncated_support(), 801)[1:-1],
-                            np.linspace(0.4, 0.6, 401)])
-        v = sum(w * (np.where(x <= m1, (m1 - mu) * ndtr((x - mu) / sd),
-                              (mu - m1) * ndtr((mu - x) / sd))
-                     + sd * np.exp(-0.5 * ((x - mu) / sd) ** 2)
-                     / math.sqrt(2.0 * math.pi))
-                for w, mu, sd in parts)
-        want = proc.lambda1 * v / spec.pdf(x)
-        rel = np.abs(np.asarray(proc.variance_fn(x)) / want - 1.0)
+        sigma^2/2 off by up to 1.7e-2."""
+        rel, _ = _normal_mixture_errors(((0.7, 0.0, 1.0), (0.3, 0.5, 1e-4)),
+                                        0.4, 0.6)
+        assert np.max(rel) <= 1e-10
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 2: no start edge at a mixture's narrow component; "
+        "sigma^2/2 is off by up to 0.14 within 5e-4 of 0.4937, and by up "
+        "to 0.32 across the support"))
+    def test_a_narrow_component_off_the_start_edges_is_resolved(self):
+        """As above with the component at 0.4937: no Kronrod node of the
+        start cells sees it, so nothing halves the cells around it."""
+        mu = 0.4937
+        rel, _ = _normal_mixture_errors(((0.7, 0.0, 1.0), (0.3, mu, 1e-4)),
+                                        mu - 5e-4, mu + 5e-4)
         assert np.max(rel) <= 1e-10
 
     @pytest.mark.parametrize("weight,mu", [(1e-9, 6.0), (1e-11, 7.0)])
@@ -293,22 +313,9 @@ class TestVarianceRoutes:
         sigma^2/2 there, where that component is all of V's change, keeps
         the gates of test_closed_and_quadrature_agree against the closed V
         of the mixture."""
-        parts = ((1.0 - weight, 0.0, 1.0), (weight, mu, 1e-2))
-        spec = mixture([Normal(m, sd) for _, m, sd in parts],
-                       [w for w, _, _ in parts])
-        proc = synthesize(spec, variance_mode="quadrature")
-        m1 = proc.moments.m1
-        a, b = spec.truncated_support()
-        x = np.concatenate([np.linspace(a, b, 801)[1:-1],
-                            np.linspace(mu - 0.08, mu + 0.08, 401)])
-        v = sum(w * (np.where(x <= m1, (m1 - m) * ndtr((x - m) / sd),
-                              (m - m1) * ndtr((m - x) / sd))
-                     + sd * np.exp(-0.5 * ((x - m) / sd) ** 2)
-                     / math.sqrt(2.0 * math.pi))
-                for w, m, sd in parts)
-        pi = spec.pdf(x)
-        rel = np.abs(np.asarray(proc.variance_fn(x))
-                     / (proc.lambda1 * v / pi) - 1.0)
+        rel, pi = _normal_mixture_errors(
+            ((1.0 - weight, 0.0, 1.0), (weight, mu, 1e-2)),
+            mu - 0.08, mu + 0.08)
         bulk = pi > 1e-8 * np.max(pi)
         assert np.max(rel[bulk]) <= 1e-10
         assert np.max(rel[~bulk], initial=0.0) <= 3e-10

@@ -23,7 +23,6 @@ from fastmix.distributions import (
 from fastmix.errors import BoundaryViolation, InsufficientDecay, NonFiniteState
 from fastmix.optimal import _ClosedVariance, synthesize
 from fastmix.sim import (
-    NUMPY_PROFILE_MAX_PATHS,
     PATH_MAJOR_MAX_PATHS,
     SimConfig,
     SimResult,
@@ -400,8 +399,8 @@ class TestKernels:
         and sigma^2/2 at every step: a constant sigma scales the normals
         once, and neither kernel moves a rounding."""
         proc = synthesize(spec)
-        for n_paths in (1, NUMPY_PROFILE_MAX_PATHS, PATH_MAJOR_MAX_PATHS,
-                        PATH_MAJOR_MAX_PATHS + 1, 256):
+        for n_paths in (1, 8, PATH_MAJOR_MAX_PATHS, PATH_MAJOR_MAX_PATHS + 1,
+                        256):
             cfg = SimConfig(dt=0.05 / proc.lambda1, n_steps=1200,
                             n_paths=n_paths, seed=3, burn_in=150,
                             boundary_mode=mode)
@@ -444,10 +443,10 @@ class TestKernels:
         assert not np.array_equal(*runs)
 
     def test_simulate_picks_by_target_and_width(self, monkeypatch):
-        """Closed targets up to the crossover go path-major, those whose
-        profile calls numpy only up to a narrower one; wider batches take
-        step-major's closed route. Quadrature targets and bare triples take
-        step-major's generic route, with the drift as a callable."""
+        """Closed targets up to the crossover go path-major, whatever their
+        profile calls (the Hyperexponential's calls numpy); wider batches
+        take step-major's closed route. Quadrature targets and bare triples
+        take step-major's generic route, with the drift as a callable."""
         seen = []
         for name in ("_path_major", "_step_major"):
             real = getattr(sim, name)
@@ -464,17 +463,16 @@ class TestKernels:
         quad = synthesize(Beta(1.0, 1.0), variance_mode="quadrature")
         for target, n_paths in ((closed, PATH_MAJOR_MAX_PATHS),
                                 (ou, PATH_MAJOR_MAX_PATHS),
-                                (hyper, NUMPY_PROFILE_MAX_PATHS),
+                                (hyper, PATH_MAJOR_MAX_PATHS),
                                 (closed, PATH_MAJOR_MAX_PATHS + 1),
                                 (ou, PATH_MAJOR_MAX_PATHS + 1),
-                                (hyper, NUMPY_PROFILE_MAX_PATHS + 1),
+                                (hyper, PATH_MAJOR_MAX_PATHS + 1),
                                 (quad, 1), (_ou_target(), 1)):
             simulate(target, SimConfig(dt=1e-2, n_steps=300,
                                        n_paths=n_paths, seed=1), x0=0.5)
         assert seen == ([("_path_major", "closed")] * 3
                         + [("_step_major", "closed")] * 3
                         + [("_step_major", "generic")] * 2)
-        assert NUMPY_PROFILE_MAX_PATHS < PATH_MAJOR_MAX_PATHS
 
     def test_same_rejection_error(self):
         """Paths give up at different steps; both report the earliest, and

@@ -1,5 +1,5 @@
-"""Time fastmix's quadrature and synthesis layers on fixed inputs and write
-BENCH_<pr>.json.
+"""Time fastmix's quadrature, synthesis and sampler layers on fixed inputs
+and write BENCH_<pr>.json.
 
     python3 tools/bench_layers.py --pr N [--repeats 5]
 
@@ -12,23 +12,38 @@ Times, under the fastmix of this tree (src/ beside tools/):
   catalog kind on both variance routes ("closed" and "quadrature"); the
   call is at 64 Chebyshev points of the density's truncated support;
 - the build of the quadrature route's V table on the same tables and
-  mixtures.
+  mixtures;
+- the sampler's two kernels, sim._path_major and sim._step_major, on the
+  optimal process of every catalog kind (all have a closed variance shape;
+  reflect mode, dt = 0.01 / lambda1) at each width in WIDTHS, PATH_STEPS
+  path-steps a reading but at least 500 steps. The readings alternate
+  between the kernels, so that a slow stretch of a shared host falls on
+  both. Each entry names the kernel with the lower median and the one
+  simulate picks, read off its routing; the widest width at which
+  path-major still wins, per kind, is what sim.PATH_MAJOR_MAX_PATHS is set
+  from;
+- what simulate does after the walk, on the dome (Beta(1, 1)) at the
+  lengths of the `paths` workload's jobs (SIM_RUNS): the autocorrelation
+  (sim._mean_lag_products) and np.histogram within one simulate call, then
+  sim.write_autocorr_csv of its result.
 
-Every repeat starts from a freshly parsed density, so nothing the library
-computes once per density carries over; one untimed run before them lets
-the process's lazy imports finish. Each entry records every repeat's raw
-wall time and their median. A quadrature entry records its evaluations of
-the integrand, summed from the QuadratureResult of every
+Every repeat of the first three starts from a freshly parsed density, so
+nothing the library computes once per density carries over; one untimed
+run before them lets the process's lazy imports finish. Each entry records
+every repeat's raw wall time and their median. A quadrature entry records
+its evaluations of the integrand, summed from the QuadratureResult of every
 numerics.integrate call of the untimed run, and the calls of the
 integrand that made them; a synthesis entry on the quadrature route
 records the table's cell count and evaluations. The file also records
 nproc and the Python, numpy and scipy versions. It is written at the root
-of the tree.
+of the tree. A full run takes about 30 s on two cores, most of it in the
+sampler's kernels.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -57,6 +72,13 @@ CATALOG = (
     ("hyperexponential", {"p1": 0.5, "p2": 0.5, "eta1": 1.0, "eta2": 2.0}),
     ("cubicpearson", {"alpha": 2.0, "beta": 3.0, "a": -0.5}),
 )
+WIDTHS = (1, 8, 16, 32, 64, 256)
+PATH_STEPS = 32768
+DOME = {"kind": "beta", "params": {"alpha": 1.0, "beta": 1.0}}
+# (paths, steps, burn-in) of the paths workload's jobs, dt = 0.01: the
+# dome's three widths, then the 256-path length of the OU and Gamma jobs
+SIM_RUNS = ((1, 20000, 125), (16, 8000, 125), (256, 16000, 125),
+            (256, 3000, 500))
 
 
 def _fastmix():
@@ -96,29 +118,42 @@ def _synth_densities(fastmix):
     return makers
 
 
+@contextlib.contextmanager
+def _wrapped(owner, name, wrap):
+    """owner.<name> replaced by wrap(<the original>) inside the block."""
+    real = getattr(owner, name)
+    setattr(owner, name, wrap(real))
+    try:
+        yield
+    finally:
+        setattr(owner, name, real)
+
+
 def _counts(fastmix, call):
     """The integrand evaluations of every numerics.integrate call made by
     call(), summed from their QuadratureResults, and the calls of those
     integrands."""
-    numerics = fastmix.numerics
-    integrate = numerics.integrate
     count = {"evaluations": 0, "calls": 0}
 
-    def counted(f, *args, **kwargs):
-        def g(x):
-            count["calls"] += 1
-            return f(x)
+    def counted(integrate):
+        def run(f, *args, **kwargs):
+            def g(x):
+                count["calls"] += 1
+                return f(x)
 
-        res = integrate(g, *args, **kwargs)
-        count["evaluations"] += res.evaluations
-        return res
+            res = integrate(g, *args, **kwargs)
+            count["evaluations"] += res.evaluations
+            return res
+        return run
 
-    numerics.integrate = counted
-    try:
+    with _wrapped(fastmix.numerics, "integrate", counted):
         call()
-    finally:
-        numerics.integrate = integrate
     return count
+
+
+def _entry(target, times, **fields):
+    return dict(target=target, **fields, median_s=statistics.median(times),
+                times_s=times)
 
 
 def _quadrature_entry(fastmix, name, call_name, call, make, repeats):
@@ -131,9 +166,7 @@ def _quadrature_entry(fastmix, name, call_name, call, make, repeats):
         t0 = time.perf_counter()
         call(arg)
         times.append(time.perf_counter() - t0)
-    return dict({"target": name, "call": call_name,
-                 "median_s": statistics.median(times), "times_s": times},
-                **counts)
+    return _entry(name, times, call=call_name, **counts)
 
 
 def _table_counts(proc):
@@ -141,10 +174,88 @@ def _table_counts(proc):
     return {"cells": int(table.cells), "evaluations": int(table.evaluations)}
 
 
-def _entry(name, route, times, counts):
-    return dict({"target": name, "route": route,
-                 "median_s": statistics.median(times), "times_s": times},
-                **counts)
+def _picked(sim, proc, n_paths):
+    """The kernel simulate runs for proc at n_paths, read off its routing."""
+    seen = []
+
+    def spy(kernel):
+        return lambda real: lambda *a: seen.append(kernel) or real(*a)
+
+    with _wrapped(sim, "_path_major", spy("path-major")), \
+            _wrapped(sim, "_step_major", spy("step-major")):
+        sim.simulate(proc, sim.SimConfig(dt=0.01 / proc.lambda1, n_steps=2,
+                                         n_paths=n_paths))
+    return seen[0]
+
+
+def _kernels(fastmix, repeats):
+    sim = fastmix.sim
+    kernels = {"path-major": sim._path_major, "step-major": sim._step_major}
+    entries = []
+    for kind, params in CATALOG:
+        proc = fastmix.synthesize(fastmix.parse_spec(
+            {"kind": kind, "params": params}))
+        sup = proc.source.support
+        for n_paths in WIDTHS:
+            cfg = sim.SimConfig(dt=0.01 / proc.lambda1,
+                                n_steps=max(500, PATH_STEPS // n_paths),
+                                n_paths=n_paths, seed=3)
+            picked = _picked(sim, proc, n_paths)
+            times = {name: [] for name in kernels}
+            for _ in range(repeats):
+                for name, kernel in kernels.items():
+                    t0 = time.perf_counter()
+                    kernel(proc.drift, proc.variance_fn, sup.lower,
+                           sup.upper, proc.moments.m1, cfg)
+                    times[name].append(time.perf_counter() - t0)
+            faster = min(times, key=lambda name: statistics.median(
+                times[name]))
+            entries += [_entry(repr(proc.source), times[name], kernel=name,
+                               paths=n_paths, steps=cfg.n_steps,
+                               faster=faster, picked=picked)
+                        for name in kernels]
+    return entries
+
+
+def _post_processing_reading(sim, proc, cfg, path):
+    """{call: seconds} of the autocorrelation and the histogram in one
+    simulate call, and of writing its autocorr.csv to path."""
+    spent = {}
+
+    def timed(name):
+        def wrap(fn):
+            def call(*args, **kwargs):
+                t0 = time.perf_counter()
+                out = fn(*args, **kwargs)
+                spent[name] = time.perf_counter() - t0
+                return out
+            return call
+        return wrap
+
+    with _wrapped(sim, "_mean_lag_products", timed("acf")), \
+            _wrapped(np, "histogram", timed("histogram")):
+        res = sim.simulate(proc, cfg)
+    timed("autocorr.csv")(sim.write_autocorr_csv)(path, res.acf_lags,
+                                                  res.acf)
+    return spent
+
+
+def _post_processing(fastmix, repeats):
+    sim = fastmix.sim
+    proc = fastmix.synthesize(fastmix.parse_spec(DOME))
+    entries = []
+    with tempfile.TemporaryDirectory() as out_dir:
+        path = os.path.join(out_dir, "autocorr.csv")
+        for n_paths, n_steps, burn_in in SIM_RUNS:
+            cfg = sim.SimConfig(dt=0.01, n_steps=n_steps, n_paths=n_paths,
+                                seed=3, burn_in=burn_in)
+            readings = [_post_processing_reading(sim, proc, cfg, path)
+                        for _ in range(repeats)]
+            entries += [_entry(repr(proc.source), [r[call] for r in readings],
+                               call=call, paths=n_paths, steps=n_steps,
+                               burn_in=burn_in)
+                        for call in ("acf", "histogram", "autocorr.csv")]
+    return entries
 
 
 def run(pr, repeats=MIN_REPEATS):
@@ -181,7 +292,7 @@ def run(pr, repeats=MIN_REPEATS):
             times = times[1:]
             if route == "quadrature":
                 counts = _table_counts(proc)
-            synthesis.append(_entry(name, route, times, counts))
+            synthesis.append(_entry(name, times, route=route, **counts))
 
     table_build = []
     for name, make in synth.items():
@@ -192,8 +303,8 @@ def run(pr, repeats=MIN_REPEATS):
             proc.variance_fn.table
             times.append(time.perf_counter() - t0)
         times = times[1:]
-        table_build.append(_entry(name, "quadrature", times,
-                                  _table_counts(proc)))
+        table_build.append(_entry(name, times, route="quadrature",
+                                  **_table_counts(proc)))
 
     return {
         "pr": int(pr),
@@ -204,7 +315,10 @@ def run(pr, repeats=MIN_REPEATS):
         "scipy": scipy.__version__,
         "layers": {"numerics.quadrature": quadrature,
                    "optimal.synthesis": synthesis,
-                   "optimal.table_build": table_build},
+                   "optimal.table_build": table_build,
+                   "sim.kernels": _kernels(fastmix, repeats),
+                   "sim.post_processing": _post_processing(fastmix,
+                                                           repeats)},
     }
 
 
@@ -224,10 +338,10 @@ def main(argv=None):
         fh.write("\n")
     for layer, entries in doc["layers"].items():
         for e in entries:
-            print("%-20s %-52s %-18s %9.3f ms  evaluations %s%s" % (
-                layer, e["target"], e.get("route", e.get("call")),
-                1e3 * e["median_s"], e["evaluations"],
-                "  calls %d" % e["calls"] if "calls" in e else ""))
+            print("%-20s %-52s %9.3f ms  %s" % (
+                layer, e["target"], 1e3 * e["median_s"], "  ".join(
+                    "%s %s" % kv for kv in e.items()
+                    if kv[0] not in ("target", "median_s", "times_s"))))
     print("wrote %s" % path)
     return 0
 
