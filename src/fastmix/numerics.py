@@ -88,7 +88,8 @@ _WG = np.array([
 @dataclass(frozen=True)
 class Grid:
     """Strictly increasing, evenly spaced 1-d grid of at least 3 points
-    (spacing deviations at most 1e-12 relative to the span)."""
+    (spacing deviations at most 1e-12 of max(1, span), plus 4 ulps of the
+    largest coordinate: the rounding of points far from 0)."""
 
     points: np.ndarray
 
@@ -103,7 +104,8 @@ class Grid:
         if np.any(d <= 0):
             raise ValueError("grid points must be strictly increasing")
         h = (pts[-1] - pts[0]) / (pts.size - 1)
-        if np.max(np.abs(d - h)) > 1e-12 * max(1.0, pts[-1] - pts[0]):
+        if np.max(np.abs(d - h)) > 1e-12 * max(1.0, pts[-1] - pts[0]) \
+                + 4.0 * np.spacing(max(abs(pts[0]), abs(pts[-1]))):
             raise ValueError("spacing is not uniform")
 
     @property
@@ -428,23 +430,6 @@ def hyp2f1(a, b, c, z) -> float:
         return (1.0 - z) ** -a * hyp2f1(a, c - b, c, z / (z - 1.0))
     return _series(lambda r: (a + r) * (b + r) / ((c + r) * (r + 1.0)) * z,
                    "hyp2f1", z)
-
-
-def hyp1f1(a, c, z) -> float:
-    """Confluent hypergeometric series sum_r (a)_r z^r / ((c)_r r!).
-
-    Unless a is a nonpositive integer (a polynomial), z < 0 goes through
-    Kummer's 1F1(a; c; z) = e^z 1F1(c - a; c; -z), which does not cancel.
-    The sum stops as described in _series; |z| beyond about 700 overflows.
-    """
-    a = float(a)
-    c = float(c)
-    z = float(z)
-    if _is_nonpositive_integer(c):
-        raise PoleAtC("lower parameter c=%g is a nonpositive integer" % c)
-    if z < 0.0 and not _is_nonpositive_integer(a):
-        return math.exp(z) * hyp1f1(c - a, c, -z)
-    return _series(lambda r: (a + r) / ((c + r) * (r + 1.0)) * z, "hyp1f1", z)
 
 
 def fit_exponential_decay(times, values) -> RateEstimate:

@@ -3,8 +3,10 @@ an (at most) quadratic diffusion coefficient, with their discrete spectra and
 eigenfunctions, plus two worked non-quadratic examples (a cubic diffusion
 coefficient on [0,1] and the hyperexponential family on [0,inf)).
 
-Eigenfunctions are returned un-normalized, pinned to phi_0 = 1; callers who
-need pi-orthonormal modes normalize numerically.
+Every row's mode n is the degree-n polynomial monic in x - m1 (m1 the mean),
+which one recurrence gives from the row's own drift and sigma^2/2
+coefficients: phi_0 = 1 and phi_1 = x - m1. Callers who need pi-orthonormal
+modes normalize numerically.
 """
 
 from __future__ import annotations
@@ -13,10 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import hermite_e
-from numpy.polynomial import polynomial as P
 
-from . import numerics, optimal, spectral
+from . import optimal, spectral
 from .distributions import (
     CubicPearson,
     Hyperexponential,
@@ -109,36 +109,13 @@ def row(name: str, params: dict) -> PearsonRow:
         n_max_discrete=n_max)
 
 
-def hermite_he(n: int, y):
-    """Probabilists' Hermite polynomial He_n evaluated at y."""
-    return hermite_e.hermeval(np.asarray(y, float), [0.0] * int(n) + [1.0])
-
-
-def _student_poly(n: int, alpha: float):
-    """Ascending coefficients of the degree-n Rodrigues polynomial P_n with
-    d^n/dx^n (1+x^2)^(n-alpha-1/2) = P_n(x) (1+x^2)^(-alpha-1/2)."""
-    q = n - alpha - 0.5
-    p = np.array([1.0])
-    for k in range(n):
-        p = P.polyadd(P.polymul([1.0, 0.0, 1.0], P.polyder(p)),
-                      2.0 * (q - k) * P.polymulx(p))
-    return p
-
-
-def _invgamma_poly(n: int, alpha: float):
-    """Ascending coefficients of x^(2 alpha + 1) e^(1/x) times the n-th
-    derivative of x^(2n - 2 alpha - 1) e^(-1/x)."""
-    m0 = 2.0 * n - 2.0 * alpha - 1.0
-    # the k-th derivative is x^(m0 - 2k) S_k(x) e^(-1/x), so S_n is the answer
-    s = np.array([1.0])
-    for k in range(n):
-        x2ds = P.polymul([0.0, 0.0, 1.0], P.polyder(s))
-        s = P.polyadd(P.polyadd((m0 - 2.0 * k) * P.polymulx(s), x2ds), s)
-    return s
-
-
 def eigenfunction(row_: PearsonRow, n: int, x):
-    """Un-normalized eigenfunction of mode n at x; eigenfunction(row, 0) = 1."""
+    """Mode n at x: the degree-n polynomial sum c_k y^k, y = x - c, c =
+    -a0/a1 the mean. With mu = a1 y and sigma^2/2 = s0 + s1 y + b2 y^2, the
+    generator gives c_n = 1, c_{n+1} = 0 and, for k = n-1 down to 0,
+    c_k = -[s1 k(k+1) c_{k+1} + s0 (k+1)(k+2) c_{k+2}]
+          / [(k - n)(a1 + b2 (k + n - 1))],
+    whose denominator is nonzero below the discrete spectrum's bound."""
     n = int(n)
     if n < 0:
         raise ValueError("mode index must be >= 0")
@@ -146,34 +123,22 @@ def eigenfunction(row_: PearsonRow, n: int, x):
         raise BeyondDiscreteSpectrum(
             "mode %d exceeds the discrete spectrum bound %d"
             % (n, row_.n_max_discrete))
-    arr = np.asarray(x, dtype=float)
-    flat = np.atleast_1d(arr).astype(float)
-    p = row_.params
-    if row_.name == "Beta":
-        a, b = p["alpha"], p["beta"]
-        out = np.array([numerics.hyp2f1(-n, n + a + b + 1.0, a + 1.0, t)
-                        for t in flat])
-    elif row_.name == "Jacobi":
-        a, b = p["alpha"], p["beta"]
-        out = np.array([numerics.hyp2f1(-n, n + a + b + 1.0, a + 1.0,
-                                        0.5 * (1.0 - t)) for t in flat])
-    elif row_.name == "Gamma":
-        a = p["alpha"]
-        out = np.array([numerics.hyp1f1(-n, a + 1.0, t) for t in flat])
-    elif row_.name == "Normal":
-        out = hermite_he(n, (flat - p["x0"]) / p["sigma"])
-    elif row_.name == "StudentCauchy":
-        out = P.polyval(flat, _student_poly(n, p["alpha"]))
-    elif row_.name == "InverseGamma":
-        out = P.polyval(flat, _invgamma_poly(n, p["alpha"]))
-    elif row_.name == "FisherSnedecor":
-        n1, n2 = p["nu1"], p["nu2"]
-        out = np.array([numerics.hyp2f1(-n, n - 0.5 * n2, 0.5 * n1,
-                                        -n1 * t / n2) for t in flat])
-    else:
-        raise ParamOutOfRange("no eigenfunctions for row %r" % row_.name)
-    out = np.asarray(out, dtype=float)
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    a0, a1 = row_.drift_coeffs
+    b0, b1, b2 = row_.variance_coeffs
+    c = -a0 / a1
+    s0 = b0 + (b1 + b2 * c) * c
+    s1 = b1 + 2.0 * b2 * c
+    coeffs = [0.0] * (n + 2)
+    coeffs[n] = 1.0
+    for k in range(n - 1, -1, -1):
+        coeffs[k] = -(s1 * k * (k + 1) * coeffs[k + 1]
+                      + s0 * (k + 1) * (k + 2) * coeffs[k + 2]) \
+            / ((k - n) * (a1 + b2 * (k + n - 1)))
+    y = np.asarray(x, dtype=float) - c
+    out = np.zeros_like(y)
+    for ck in reversed(coeffs[:n + 1]):
+        out = out * y + ck
+    return float(out) if out.ndim == 0 else out
 
 
 # the row check's gates: lambda1 and the drift coefficients relative to

@@ -28,9 +28,11 @@ TABLES = {"bimodal", "skewed", "mixture-beta", "mixture-jacobi",
 
 
 LAYERS = {"numerics.quadrature", "optimal.synthesis", "optimal.table_build",
-          "sim.kernels", "sim.post_processing"}
+          "sim.kernels", "sim.post_processing", "spectral.generator"}
 # layers that files written before they were timed lack
-LATER = {"numerics.quadrature", "sim.kernels", "sim.post_processing"}
+LATER = {"numerics.quadrature", "sim.kernels", "sim.post_processing",
+         "spectral.generator"}
+GENERATOR_CALLS = ("discretize_generator", "spectrum")
 KERNELS = {"path-major", "step-major"}
 
 
@@ -75,6 +77,20 @@ def _check_sim_layers(layers, repeats):
             for call in ("acf", "histogram", "autocorr.csv"))
 
 
+def _check_generator_layer(layers, repeats):
+    """Both calls at every run of SPECTRAL_RUNS, one target per run."""
+    entries = layers.get("spectral.generator", ())
+    for e in entries:
+        assert set(e) == {"target", "call", "points", "median_s", "times_s"}
+        _check_times(e, repeats)
+    if entries:
+        assert [(e["points"], e["call"]) for e in entries] == [
+            (n, call) for _, n in bench.SPECTRAL_RUNS
+            for call in GENERATOR_CALLS]
+        assert all(a["target"] == b["target"]
+                   for a, b in zip(entries[::2], entries[1::2]))
+
+
 def _check_schema(doc):
     """Every layer a file holds has its schema; a file written before a
     layer of LATER was timed lacks it."""
@@ -85,6 +101,7 @@ def _check_schema(doc):
     assert all(isinstance(doc[k], str) for k in ("python", "numpy", "scipy"))
     assert LAYERS - LATER <= set(doc["layers"]) <= LAYERS
     _check_sim_layers(doc["layers"], doc["repeats"])
+    _check_generator_layer(doc["layers"], doc["repeats"])
     for e in doc["layers"].get("numerics.quadrature", ()):
         # files written before the integrand's calls were counted lack them
         assert set(e) - {"calls"} == {"target", "call", "median_s",
@@ -113,12 +130,13 @@ def _check_schema(doc):
 
 
 def test_a_short_run_has_the_schema(monkeypatch):
-    """One kind, and the sampler at 1 and 16 paths on short runs: the full
-    sampler sweep takes about 30 s."""
+    """One kind, the sampler at 1 and 16 paths on short runs and one
+    2000-point generator: the full sampler sweep takes about 30 s."""
     monkeypatch.setattr(bench, "CATALOG", bench.CATALOG[:1])
     monkeypatch.setattr(bench, "WIDTHS", (1, 16))
     monkeypatch.setattr(bench, "PATH_STEPS", 2048)
     monkeypatch.setattr(bench, "SIM_RUNS", ((16, 1000, 100),))
+    monkeypatch.setattr(bench, "SPECTRAL_RUNS", (("beta", 2000),))
     doc = bench.run(0)
     _check_schema(json.loads(json.dumps(doc)))
     assert doc["pr"] == 0 and doc["repeats"] == 5

@@ -145,6 +145,14 @@ class TestOptimalCommand:
                      "--grid-points", "200", "--out", str(out)]) == 0
         assert _load(out, "checks.json")["variance_mean_rel_err"] <= 1e-12
 
+    def test_normal_far_from_zero_passes_strict(self, tmp_path):
+        """The grid's cell centres near 1.2e6 deviate from even spacing by
+        1.4e-10, their rounding; the grid check used to refuse them (exit 2,
+        "spacing is not uniform")."""
+        doc = {"kind": "normal", "params": {"x0": 1234567.89, "sigma": 0.5}}
+        assert main(["optimal", _spec(tmp_path, doc), "--strict",
+                     "--out", str(tmp_path / "out")]) == 0
+
     @pytest.mark.parametrize("support", [["-inf", 1e6], [-1e6, "inf"],
                                          [-1e6, 1e6]])
     def test_a_far_declared_end_keeps_the_mass(self, tmp_path, support):

@@ -32,7 +32,6 @@ from fastmix.numerics import (
     RateEstimate,
     chebyshev_points,
     fit_exponential_decay,
-    hyp1f1,
     hyp2f1,
     integrate,
     moment_window,
@@ -427,42 +426,11 @@ class TestHyp2f1:
             truth = scipy.special.hyp2f1(a, b, c, 0.99)
             assert abs(hyp2f1(a, b, c, 0.99) - truth) <= 1e-12 * abs(truth)
 
-
-class TestHyp1f1:
-    def test_exponential(self):
-        assert abs(hyp1f1(1.0, 1.0, 1.0) - math.e) < 1e-14
-
-    def test_expm1_family(self):
-        # 1F1(1; 2; z) = (e^z - 1)/z
-        for z in (0.25, 1.0, -2.0, 5.0):
-            truth = math.expm1(z) / z
-            assert abs(hyp1f1(1.0, 2.0, z) - truth) <= 1e-13 * abs(truth)
-
-    def test_negative_z_by_kummer_transformation(self):
-        # 1F1(1; 2; -40) = (1 - e^-40)/40; the plain series cancels to 0.0145
-        assert abs(hyp1f1(1.0, 2.0, -40.0) - 0.025) <= 1e-14
-        # scipy.special.hyp1f1(2.5, 3, -60); the plain series gave 2.5e8
-        truth = 4.13471648163733e-05
-        assert abs(hyp1f1(2.5, 3.0, -60.0) - truth) <= 1e-13 * truth
-
-    def test_terminating_series_is_summed_as_is(self):
-        # 1F1(-3; 2; z) = 1 - 3z/2 + z^2/2 - z^3/24, at z = -40
-        assert abs(hyp1f1(-3.0, 2.0, -40.0) - 10583.0 / 3.0) <= 1e-12
-
     def test_overflow_is_an_error(self):
-        """e^1000 does not fit a float; the sum used to return inf."""
-        with pytest.raises(NumericalFailure):
-            hyp1f1(1.0, 2.0, 1000.0)
-
-    def test_pole(self):
-        with pytest.raises(PoleAtC):
-            hyp1f1(1.0, -2.0, 0.5)
-
-    def test_series_budget_is_an_error(self, monkeypatch):
-        """e = 1F1(1; 1; 1) needs about 18 terms; a 5-term budget raises."""
-        monkeypatch.setattr(numerics, "_SERIES_BUDGET", 5)
-        with pytest.raises(NonConvergence):
-            hyp1f1(1.0, 1.0, 1.0)
+        """A terminating sum whose partial sums leave the float range
+        raises, never returns inf."""
+        with pytest.raises(NumericalFailure, match="overflowed"):
+            hyp2f1(-200.0, 200.0, 1.0, 1e300)
 
 
 class TestFitExponentialDecay:
@@ -524,6 +492,19 @@ class TestGrid:
             Grid(np.array([0.0, 0.3, 1.0]))  # uneven
         with pytest.raises(ValueError):
             Grid(np.array([0.0, np.inf, 1.0]))
+
+    @pytest.mark.parametrize("offset,span", [
+        (1234567.89, 7.0), (-3e5, 7.0), (1e5, 7.0), (4.2e12, 1e3)])
+    def test_cell_centers_far_from_zero(self, offset, span):
+        """Cell centres far from 0 deviate from even spacing by the
+        rounding of their coordinates (1.4e-10 near 1.2e6 on a span of 7),
+        which the check allows; an uneven grid there is still refused."""
+        g = Grid.cell_centers(offset - span / 2, offset + span / 2, 2000)
+        assert g.n == 2000 and abs(g.h - span / 2000) < 1e-3 * g.h
+        pts = g.points.copy()
+        pts[1000] += 0.1 * g.h
+        with pytest.raises(ValueError, match="not uniform"):
+            Grid(pts)
 
 
 class TestGridFunction:

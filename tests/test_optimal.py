@@ -84,6 +84,16 @@ class TestRateFormula:
                                        k * np.asarray(base.variance_fn(x)),
                                        rtol=1e-13)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "closed moments travel as raw (m1, m2) and MomentSummary.from_raw "
+        "forms the variance m2 - m1^2, which cancels when |m1| >> sd: "
+        "Normal(1e5, 0.01) gives lambda1 = 1.0082461538461538"))
+    def test_rate_far_from_zero(self):
+        """Normal(x0, sd) at its own budget sd^2 relaxes at rate 1
+        wherever x0 is."""
+        assert synthesize(Normal(1e5, 0.01)).lambda1 == \
+            pytest.approx(1.0, rel=1e-12)
+
     def test_bad_budget(self):
         with pytest.raises(ValueError):
             synthesize(Beta(1.0, 1.0), 0.0)

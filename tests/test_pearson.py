@@ -23,7 +23,6 @@ from fastmix.pearson import (
     ROW_NAMES,
     cubic_example,
     eigenfunction,
-    hermite_he,
     hyperexp_example,
     row,
     verify_row_against_synthesis,
@@ -161,34 +160,58 @@ class TestEigenfunctions:
             r.spec.moments().variance)))
         assert abs(eigenfunction(r, 1, m1)) <= 1e-10 * max(1.0, scale)
 
-    def test_flat_beta_mode_one_is_one_minus_two_x(self):
+    def test_flat_beta_mode_one_is_x_minus_half(self):
+        """Every mode is monic in x - m1; the flat Beta has m1 = 0.5."""
         r = row("beta", {"alpha": 0.0, "beta": 0.0})
         x = np.linspace(0.0, 1.0, 11)
-        np.testing.assert_allclose(eigenfunction(r, 1, x), 1.0 - 2.0 * x,
+        np.testing.assert_allclose(eigenfunction(r, 1, x), x - 0.5,
                                    atol=1e-14)
 
-    def test_exponential_mode_one_is_one_minus_x(self):
+    def test_exponential_mode_one_is_x_minus_one(self):
         r = row("gamma", {"alpha": 0.0})
         x = np.linspace(0.0, 5.0, 11)
-        np.testing.assert_allclose(eigenfunction(r, 1, x), 1.0 - x,
+        np.testing.assert_allclose(eigenfunction(r, 1, x), x - 1.0,
                                    atol=1e-13)
 
     def test_hermite_values(self):
-        y = np.array([-1.0, 0.0, 2.0])
-        np.testing.assert_allclose(hermite_he(2, y), y * y - 1.0, atol=1e-14)
-        np.testing.assert_allclose(hermite_he(3, y), y ** 3 - 3.0 * y,
-                                   atol=1e-14)
+        """Normal(x0, sigma) modes are sigma^n He_n((x - x0)/sigma), the
+        probabilists' Hermite polynomials made monic in x - x0; a scalar
+        gives a float."""
+        r = row("normal", {"x0": 1.5, "sigma": 2.0})
+        x = np.linspace(-4.0, 7.0, 23)
+        for n in range(7):
+            he = np.polynomial.hermite_e.hermeval((x - 1.5) / 2.0,
+                                                  [0.0] * n + [1.0])
+            np.testing.assert_allclose(eigenfunction(r, n, x),
+                                       2.0 ** n * he, rtol=1e-13,
+                                       atol=1e-13 * 2.0 ** n)
+        assert type(eigenfunction(r, 3, 0.5)) is float
 
-    @pytest.mark.parametrize("name", ("Beta", "Jacobi", "Gamma", "Normal"))
+    def test_chebyshev_modes_of_the_arcsine_jacobi(self):
+        """Jacobi(-1/2, -1/2) modes are the Chebyshev T_n made monic,
+        T_n = 2^(n-1) phi_n; high degrees catch an evaluation that
+        cancels."""
+        r = row("jacobi", {"alpha": -0.5, "beta": -0.5})
+        x = np.linspace(-1.0, 1.0, 101)
+        for n in range(1, 11):
+            t_n = np.polynomial.chebyshev.chebval(x, [0.0] * n + [1.0])
+            err = np.max(np.abs(2.0 ** (n - 1) * eigenfunction(r, n, x)
+                                - t_n))
+            assert err <= 1e-12, (n, err)
+
+    @pytest.mark.parametrize("name", ROW_NAMES)
     def test_orthogonality_under_pi(self, name):
-        """Distinct modes are pi-orthogonal (checked by quadrature)."""
+        """Distinct modes are pi-orthogonal (checked by quadrature), up to
+        degree 4 or the discrete spectrum's bound: the check of each row
+        that does not go through its own coefficients."""
         r = default_row(name)
+        top = 4 if r.n_max_discrete is None else min(4, r.n_max_discrete)
         norms = {}
-        for n in range(5):
+        for n in range(top + 1):
             norms[n] = r.spec._integral(
                 lambda x, n=n: eigenfunction(r, n, x) ** 2)
-        for m in range(5):
-            for n in range(m + 1, 5):
+        for m in range(top + 1):
+            for n in range(m + 1, top + 1):
                 inner = r.spec._integral(
                     lambda x, m=m, n=n: eigenfunction(r, m, x)
                     * eigenfunction(r, n, x))

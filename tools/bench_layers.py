@@ -1,7 +1,11 @@
-"""Time fastmix's quadrature, synthesis and sampler layers on fixed inputs
-and write BENCH_<pr>.json.
+"""Time fastmix's quadrature, synthesis, sampler and generator layers on
+fixed inputs and write BENCH_<pr>.json.
 
-    python3 tools/bench_layers.py --pr N [--repeats 5]
+    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 \
+        python3 tools/bench_layers.py --pr N [--repeats 5]
+
+The thread counts are pinned as perfbench/run.py pins them, so that the
+eigensolver runs on one thread as it does in the benchmark's jobs.
 
 Times, under the fastmix of this tree (src/ beside tools/):
 - the density's adaptive quadrature: the construction of one density of
@@ -25,7 +29,11 @@ Times, under the fastmix of this tree (src/ beside tools/):
 - what simulate does after the walk, on the dome (Beta(1, 1)) at the
   lengths of the `paths` workload's jobs (SIM_RUNS): the autocorrelation
   (sim._mean_lag_products) and np.histogram within one simulate call, then
-  sim.write_autocorr_csv of its result.
+  sim.write_autocorr_csv of its result;
+- the discretized generator of the `spectral` workload's spectrum jobs
+  (SPECTRAL_RUNS, parameters from perfbench/inputs.py, seed 1): the grid
+  and discretize_generator on it, then spectrum(disc, 5, vectors=False),
+  each timed on its own after one untimed run.
 
 Every repeat of the first three starts from a freshly parsed density, so
 nothing the library computes once per density carries over; one untimed
@@ -79,6 +87,9 @@ DOME = {"kind": "beta", "params": {"alpha": 1.0, "beta": 1.0}}
 # dome's three widths, then the 256-path length of the OU and Gamma jobs
 SIM_RUNS = ((1, 20000, 125), (16, 8000, 125), (256, 16000, 125),
             (256, 3000, 500))
+# (kind, grid points) of the spectral workload's spectrum jobs
+SPECTRAL_RUNS = (("beta", 20000), ("jacobi", 20000), ("normal", 20000),
+                 ("gamma", 20000), ("normal", 200000))
 
 
 def _fastmix():
@@ -89,9 +100,8 @@ def _fastmix():
     return fastmix
 
 
-def _synth_densities(fastmix):
-    """{name: zero-argument maker of a fresh density} for the synth
-    workload's tables and mixtures."""
+def _workload_jobs(workload, tmp):
+    """The jobs of a benchmark workload at INPUT_SEED, inputs under tmp."""
     if ROOT not in sys.path:
         sys.path.insert(0, ROOT)
     write_bytecode = sys.dont_write_bytecode
@@ -100,10 +110,15 @@ def _synth_densities(fastmix):
         from perfbench import inputs
     finally:
         sys.dont_write_bytecode = write_bytecode
+    return inputs.generate(workload, INPUT_SEED, tmp)
 
+
+def _synth_densities(fastmix):
+    """{name: zero-argument maker of a fresh density} for the synth
+    workload's tables and mixtures."""
     makers = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for job in inputs.generate("synth", INPUT_SEED, tmp):
+        for job in _workload_jobs("synth", tmp):
             ref = job.get("ref") or {}
             if "table" in ref:
                 with open(ref["table"]) as fh:
@@ -258,6 +273,31 @@ def _post_processing(fastmix, repeats):
     return entries
 
 
+def _generator(fastmix, repeats):
+    """discretize_generator, with its grid, and spectrum at every run of
+    SPECTRAL_RUNS, on the optimal process of the run's target."""
+    with tempfile.TemporaryDirectory() as tmp:
+        params = {job["ref"]["catalog"]: job["ref"]["params"]
+                  for job in _workload_jobs("spectral", tmp)
+                  if job["type"] == "spectrum"}
+    entries = []
+    for kind, n in SPECTRAL_RUNS:
+        proc = fastmix.synthesize(fastmix.parse_spec(
+            {"kind": kind, "params": params[kind]}))
+        times = {"discretize_generator": [], "spectrum": []}
+        for _ in range(1 + repeats):
+            t0 = time.perf_counter()
+            disc = fastmix.discretize_generator(
+                proc, fastmix.default_grid(proc, n))
+            t1 = time.perf_counter()
+            fastmix.spectrum(disc, 5, vectors=False)
+            times["discretize_generator"].append(t1 - t0)
+            times["spectrum"].append(time.perf_counter() - t1)
+        entries += [_entry(repr(proc.source), readings[1:], call=call,
+                           points=n) for call, readings in times.items()]
+    return entries
+
+
 def run(pr, repeats=MIN_REPEATS):
     """The benchmark document, as written to BENCH_<pr>.json."""
     if repeats < MIN_REPEATS:
@@ -318,7 +358,8 @@ def run(pr, repeats=MIN_REPEATS):
                    "optimal.table_build": table_build,
                    "sim.kernels": _kernels(fastmix, repeats),
                    "sim.post_processing": _post_processing(fastmix,
-                                                           repeats)},
+                                                           repeats),
+                   "spectral.generator": _generator(fastmix, repeats)},
     }
 
 
