@@ -416,6 +416,22 @@ class TestHyp2f1:
             with pytest.raises(PoleAtC):
                 hyp2f1(0.5, 0.5, c, 0.3)
 
+    def test_pole_at_any_z(self):
+        """The pole is reported before any other test on z: inside the
+        unit disk, outside it, and below z = 0, where Pfaff's transformation
+        keeps c."""
+        for z in (0.5, 1.5, -0.5, -3.0):
+            with pytest.raises(PoleAtC):
+                hyp2f1(1.0, 0.5, -2.0, z)
+
+    def test_small_series_budget_is_an_error(self, monkeypatch):
+        """1/(1 - z) = 2F1(1, 1; 1; z) at z = 0.5 needs about 50 terms; a
+        5-term budget raises, never returns the truncated sum."""
+        assert abs(hyp2f1(1.0, 1.0, 1.0, 0.5) - 2.0) <= 1e-14
+        monkeypatch.setattr(numerics, "_SERIES_BUDGET", 5)
+        with pytest.raises(NonConvergence, match="did not converge"):
+            hyp2f1(1.0, 1.0, 1.0, 0.5)
+
     def test_series_budget_is_an_error(self):
         """Near z = 1 the 10000-term budget runs out before the terms
         fall below 1e-15 of the sum: an error, never a truncated sum. Just
