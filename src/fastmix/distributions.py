@@ -240,6 +240,17 @@ class DistributionSpec:
         """
         return None
 
+    def profile_coeffs(self):
+        """The closed profile as (p0, p1, p2), p(x) = p0 + p1 x + p2 x^2,
+        when it is a polynomial of degree one or two, else None.
+
+        The same shape as closed_profile(), declared once more for the
+        sampler, which folds it into one Euler step per run. The factored
+        callable stays the variance route: near a root of the support the
+        expanded polynomial cancels and loses digits that it keeps.
+        """
+        return None
+
     def default_sigma_hat_sq_half(self) -> float:
         return self.moments().variance
 
@@ -279,6 +290,10 @@ class Beta(DistributionSpec):
     def closed_profile(self):
         c = self.params["alpha"] + self.params["beta"] + 2.0
         return lambda x: x * (1.0 - x) / c
+
+    def profile_coeffs(self):
+        c = 1.0 / (self.params["alpha"] + self.params["beta"] + 2.0)
+        return 0.0, c, -c
 
     def default_sigma_hat_sq_half(self):
         a = self.params["alpha"]
@@ -324,6 +339,10 @@ class Jacobi(DistributionSpec):
         c = self.params["alpha"] + self.params["beta"] + 2.0
         return lambda x: (1.0 - x * x) / c
 
+    def profile_coeffs(self):
+        c = 1.0 / (self.params["alpha"] + self.params["beta"] + 2.0)
+        return c, 0.0, -c
+
     def default_sigma_hat_sq_half(self):
         a = self.params["alpha"]
         b = self.params["beta"]
@@ -358,6 +377,9 @@ class Gamma(DistributionSpec):
 
     def closed_profile(self):
         return lambda x: x * 1.0
+
+    def profile_coeffs(self):
+        return 0.0, 1.0, 0.0
 
     def default_sigma_hat_sq_half(self):
         return self.params["alpha"] + 1.0
@@ -437,6 +459,10 @@ class StudentCauchy(DistributionSpec):
         c = 2.0 * self.params["alpha"] - 1.0
         return lambda x: (1.0 + x * x) / c
 
+    def profile_coeffs(self):
+        c = 1.0 / (2.0 * self.params["alpha"] - 1.0)
+        return c, 0.0, c
+
     def default_sigma_hat_sq_half(self):
         a = self.params["alpha"]
         return (2.0 * a - 1.0) / (2.0 * (a - 1.0))
@@ -482,6 +508,9 @@ class InverseGamma(DistributionSpec):
     def closed_profile(self):
         c = 2.0 * self.params["alpha"] - 1.0
         return lambda x: x * x / c
+
+    def profile_coeffs(self):
+        return 0.0, 0.0, 1.0 / (2.0 * self.params["alpha"] - 1.0)
 
     def default_sigma_hat_sq_half(self):
         a = self.params["alpha"]
@@ -540,6 +569,14 @@ class FisherSnedecor(DistributionSpec):
             return None
         ratio, scale = n1 / n2, 2.0 * n2 / (n1 * (n2 - 2.0))
         return lambda x: (x + ratio * x * x) * scale
+
+    def profile_coeffs(self):
+        n1 = self.params["nu1"]
+        n2 = self.params["nu2"]
+        if n2 <= 2.0:
+            return None
+        scale = 2.0 * n2 / (n1 * (n2 - 2.0))
+        return 0.0, scale, n1 / n2 * scale
 
     def default_sigma_hat_sq_half(self):
         n1 = self.params["nu1"]

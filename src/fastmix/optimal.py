@@ -21,7 +21,7 @@ import numpy as np
 
 from . import numerics
 from .distributions import DistributionSpec, MomentSummary, mixture
-from .errors import DegenerateDistribution, OutOfSupport
+from .errors import DegenerateDistribution, NumericalFailure, OutOfSupport
 
 
 def phi1_from_moments(m1, m2):
@@ -59,10 +59,13 @@ class _ClosedVariance:
     profile is the density's closed_profile(): a float s2 for a constant
     shape, kept as constant (else None), or a callable. _profile is the
     callable either way; a constant one is x * 0.0 + s2, so that a state
-    that is not finite still gives a value that is not finite.
+    that is not finite still gives a value that is not finite. coeffs is
+    the density's profile_coeffs(), (p0, p1, p2) or None: the sampler's
+    form of a polynomial shape. Calls read the callable.
     """
 
-    def __init__(self, profile, lambda1):
+    def __init__(self, profile, lambda1, coeffs=None):
+        self.coeffs = coeffs
         if isinstance(profile, float):
             self.constant = s2 = profile
             profile = lambda x: x * 0.0 + s2
@@ -286,19 +289,24 @@ def synthesize(spec: DistributionSpec, sigma_hat_sq_half=None, *,
         raise DegenerateDistribution("density variance %g is not positive"
                                      % mom.variance)
     lam = shalf / mom.variance
+    drift = (lam * mom.m1, -lam)
+    if not (math.isfinite(lam) and math.isfinite(drift[0])):
+        raise NumericalFailure(
+            "lambda1 = budget / variance = %g / %g, or the drift it scales, "
+            "overflows" % (shalf, mom.variance))
     slope, intercept = phi1_from_moments(mom.m1, mom.m2)
     profile = spec.closed_profile() if variance_mode in ("auto", "closed") else None
     if variance_mode == "closed" and profile is None:
         raise ValueError("no closed variance shape for kind %r" % spec.kind)
     if profile is not None:
-        variance_fn = _ClosedVariance(profile, lam)
+        variance_fn = _ClosedVariance(profile, lam, spec.profile_coeffs())
     else:
         variance_fn = _QuadratureVariance(spec, mom.m1, lam)
     return OptimalProcess(
         lambda1=lam,
         tau=1.0 / lam,
         phi1=(slope, intercept),
-        drift=(lam * mom.m1, -lam),
+        drift=drift,
         variance_fn=variance_fn,
         sigma_hat_sq_half=shalf,
         source=spec,
@@ -318,14 +326,19 @@ def variance_at(proc: OptimalProcess, x):
 
 
 def verify_detailed_balance(proc: OptimalProcess, grid: numerics.Grid):
-    """Max residual of mu pi - d/dx[(sigma^2/2) pi] on the grid (centered)."""
+    """Max residual of mu pi - d/dx[(sigma^2/2) pi] on the grid (centered).
+    A residual that overflows raises NumericalFailure."""
     pts = grid.points
     h = grid.h
     pi = proc.source._pdf(pts)
-    g = np.asarray(proc.variance_fn(pts), dtype=float) * pi
-    mu = proc.drift_at(pts)
-    resid = mu[1:-1] * pi[1:-1] - (g[2:] - g[:-2]) / (2.0 * h)
-    return float(np.max(np.abs(resid)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.asarray(proc.variance_fn(pts), dtype=float) * pi
+        mu = proc.drift_at(pts)
+        resid = np.max(np.abs(mu[1:-1] * pi[1:-1]
+                              - (g[2:] - g[:-2]) / (2.0 * h)))
+    if not math.isfinite(resid):
+        raise NumericalFailure("the detailed-balance residual overflows")
+    return float(resid)
 
 
 def check_variance_positivity(proc: OptimalProcess, n_points=64):

@@ -23,22 +23,34 @@ agree bit for bit.
 
 Both kernels read a closed target (an OptimalProcess with a closed variance
 shape) in one form: its drift as the (a0, a1) of mu = a0 + a1 x, and its
-sigma^2/2 as lambda1 times the density's declared profile, a float s2 when
-the shape is constant (the Normal), else a callable of float arithmetic. A
-constant sigma scales each chunk of normals once by sigma sqrt(dt), so a
-step only adds its drift and that kick:
+sigma^2/2 as lambda1 times the density's declared profile. The profile
+picks one of three closed routes, which the two kernels share:
+
+- folded: the Pearson kinds whose profile is a polynomial of degree one or
+  two (Beta, Jacobi, Gamma, StudentCauchy, InverseGamma, FisherSnedecor)
+  declare it as (p0, p1, p2). The drift, lambda1 and dt fold into
+  constants formed once per run (_folded), and a step is
+  x <- c0 + c1 x + sqrt(max((q2 x + q1) x + q0, 0)) xi. Folding moves
+  roundings: a step is the unfolded one within a few ulps of the size of
+  its terms, fewer digits of the kick near a root of sigma^2 away from 0.
+- constant: the Normal's profile is a float s2. sigma sqrt(dt) scales each
+  chunk of normals once, so a step only adds its drift and that kick.
+- callable: the Hyperexponential and CubicPearson profiles are callables
+  of float arithmetic, called on the state at every step.
+
+Two kernels walk a chunk:
 
 - path-major walks each path's column on Python floats, a few flops per
   step where a numpy call costs microseconds; with no finite end it skips
   the bounds test. simulate picks it for a closed target with at most
   PATH_MAJOR_MAX_PATHS paths.
 - step-major steps all paths a row at a time. On a closed target a step is
-  a dozen in-place ufuncs on held buffers plus one call of the profile;
-  their scalar operands are 0-d arrays made once, as numpy converts a
-  Python float at every call. Its cost is per call, not per path. It
-  serves wider batches, and by its generic route, which calls mu and
-  sigma^2/2 on the state at every step, quadrature targets and bare
-  (mu, sigma2half, support) triples.
+  about a dozen in-place ufuncs on held buffers (plus one call of the
+  profile on the callable route); their scalar operands are 0-d arrays
+  made once, as numpy converts a Python float at every call. Its cost is
+  per call, not per path. It serves wider batches, and by its generic
+  route, which calls mu and sigma^2/2 on the state at every step,
+  quadrature targets and bare (mu, sigma2half, support) triples.
 
 A proposal that leaves a finite end of the support is folded back by the
 triangle wave (reflect) or re-drawn (reject-step); points inside are left
@@ -68,14 +80,15 @@ _CHUNK = 1000        # steps per noise draw and per path-major float walk
 # took about a third of the time to fill a chunk
 _BLOCK = 16
 # the widest batch the path-major kernel takes, for every closed kind. The
-# sim.kernels layer of tools/bench_layers.py (BENCH_24.json; 2 shared cores,
-# numpy 2.4.6) read path-major against step-major in path-steps/s: at 16
-# paths 2.2e6-4.2e6 against 1.2e6-2.7e6 (path-major 54-93% ahead) on seven
-# kinds, 7.4e6 each on the Normal; at 32 paths step-major ahead by 2-41% on
-# seven kinds (Normal 6.4e6 against 1.1e7), path-major by 6% on
-# CubicPearson. The Hyperexponential's profile calls numpy: path-major is
-# 13% ahead at 8 paths but at 16 reads 3.9e5 against 5.7e5, and no
-# benchmark job samples it.
+# sim.kernels layer of tools/bench_layers.py (BENCH_26.json; 2 shared cores,
+# numpy 2.4.6) read path-major against step-major in path-steps/s. On the
+# six folded kinds: at 16 paths 5.1e6-6.8e6 against 3.2e6-5.4e6 (path-major
+# 26-78% ahead), at 32 paths step-major ahead by 5-30%. At 16 paths the
+# Normal reads 7.9e6 against 8.0e6 and CubicPearson 3.6e6 against 1.9e6;
+# at 32 step-major leads on the Normal by 40% and CubicPearson is even.
+# The Hyperexponential's profile calls numpy: path-major is 7% ahead at 8
+# paths but at 16 reads 7.8e5 against 1.4e6, and no benchmark job samples
+# it.
 PATH_MAJOR_MAX_PATHS = 16
 # bytes of the held blocks _power_sum transforms paths in, about 16 x the
 # FFT size per path: 4 paths at the 2500 kept steps of the paths
@@ -174,11 +187,12 @@ def _finite(series, burn):
     raise NonFiniteState("state became non-finite by step %d" % (burn + row))
 
 
-def _redraw(rng, x, mu, sigma, dt, rootdt, lo, hi):
-    """A reject-step proposal re-drawn into [lo, hi], or None if it takes
-    more than _MAX_TRIES draws."""
+def _redraw(rng, det, s, lo, hi):
+    """A reject-step proposal det + s xi re-drawn into [lo, hi], or None if
+    it takes more than _MAX_TRIES draws. det is the step's deterministic
+    part and s its noise scale, as the kernel's step forms them."""
     for _ in range(_MAX_TRIES):
-        prop = x + mu * dt + sigma * rootdt * rng.standard_normal()
+        prop = det + s * rng.standard_normal()
         if not (prop < lo or prop > hi):
             return prop
     return None
@@ -241,6 +255,21 @@ def _constant_sigma(variance):
     return math.sqrt(2.0 * (0.0 if v < 0.0 else v))
 
 
+def _folded(drift, variance, dt):
+    """The constants (c0, c1, q0, q1, q2) of the folded Euler step
+    x <- c0 + c1 x + sqrt(max((q2 x + q1) x + q0, 0)) xi, or None for a
+    profile without declared coefficients.
+
+    With mu = a0 + a1 x and sigma^2/2 = lambda1 (p0 + p1 x + p2 x^2), the
+    step x + mu dt + sqrt(2 lambda1 p(x) dt) xi is c0 = a0 dt, c1 = 1 +
+    a1 dt and qk = 2 lambda1 dt pk, formed once per run."""
+    if variance.coeffs is None:
+        return None
+    a0, a1 = drift
+    scale = 2.0 * variance.lambda1 * dt
+    return (a0 * dt, 1.0 + a1 * dt, *(scale * p for p in variance.coeffs))
+
+
 def _path_major(drift, variance, lo, hi, x0, cfg):
     """The (kept, n_paths) series and its (min, max), each path walked on
     Python floats.
@@ -251,17 +280,20 @@ def _path_major(drift, variance, lo, hi, x0, cfg):
     sigma0 = _constant_sigma(variance)
     dt = cfg.dt
     rootdt = math.sqrt(dt)
+    folded = _folded(drift, variance, dt)
+    if folded is not None:
+        c0, c1, q0, q1, q2 = folded
     reflect = cfg.boundary_mode == "reflect"
     bounded = math.isfinite(lo) or math.isfinite(hi)
     sqrt = math.sqrt
 
     def walk(chunk, starts, redraws):
-        def settle(prop, x, mu, sigma, i):
-            # a proposal that left: folded back, or re-drawn (None on a
-            # give-up)
+        def settle(prop, det, s, i):
+            # a proposal det + s xi that left: folded back, or re-drawn
+            # (None on a give-up)
             if reflect:
                 return float(_reflect(prop, lo, hi))
-            return _redraw(redraws(i), x, mu, sigma, dt, rootdt, lo, hi)
+            return _redraw(redraws(i), det, s, lo, hi)
 
         if sigma0 is not None:
             # the kick sigma rootdt xi, once for the chunk
@@ -271,14 +303,25 @@ def _path_major(drift, variance, lo, hi, x0, cfg):
         for i, x in enumerate(starts.tolist()):
             walked = []
             append = walked.append
-            if sigma0 is None:
+            if folded is not None:
+                for xi in chunk[:done, i].tolist():
+                    v = (q2 * x + q1) * x + q0
+                    prop = c0 + c1 * x + sqrt(0.0 if v < 0.0 else v) * xi
+                    if bounded and (prop < lo or prop > hi):
+                        prop = settle(prop, c0 + c1 * x,
+                                      sqrt(0.0 if v < 0.0 else v), i)
+                        if prop is None:
+                            break
+                    x = prop
+                    append(x)
+            elif sigma0 is None:
                 for xi in chunk[:done, i].tolist():
                     v = lam * profile(x)
                     sigma = sqrt(2.0 * (0.0 if v < 0.0 else v))
                     mu = a0 + a1 * x
                     prop = x + mu * dt + sigma * rootdt * xi
                     if prop < lo or prop > hi:
-                        prop = settle(prop, x, mu, sigma, i)
+                        prop = settle(prop, x + mu * dt, sigma * rootdt, i)
                         if prop is None:
                             break
                     x = prop
@@ -288,7 +331,7 @@ def _path_major(drift, variance, lo, hi, x0, cfg):
                     mu = a0 + a1 * x
                     prop = x + mu * dt + kick
                     if bounded and (prop < lo or prop > hi):
-                        prop = settle(prop, x, mu, sigma0, i)
+                        prop = settle(prop, x + mu * dt, sigma0 * rootdt, i)
                         if prop is None:
                             break
                     x = prop
@@ -308,12 +351,13 @@ def _step_major(drift, variance, lo, hi, x0, cfg):
     drift is the (a0, a1) of a closed target's mu = a0 + a1 x, with
     variance its _ClosedVariance: each step is then a few in-place ufuncs
     on held buffers. Otherwise drift and variance are callables of x (the
-    generic route)."""
+    generic route). Each step leaves its deterministic part in det and its
+    noise scale in s, which re-draws read."""
     dt = cfg.dt
     rootdt = math.sqrt(dt)
     reflect = cfg.boundary_mode == "reflect"
     low_end, high_end = math.isfinite(lo), math.isfinite(hi)
-    sigma, shift, mu = np.empty((3, cfg.n_paths))
+    s, det, mu = np.empty((3, cfg.n_paths))
     # a step's cost is per ufunc call, so the calls are bound to local names
     # and their scalar operands held as 0-d float64 arrays, made once: numpy
     # converts a Python float operand at every call. At 256 paths
@@ -326,37 +370,54 @@ def _step_major(drift, variance, lo, hi, x0, cfg):
     dt_, rootdt_, zero, two = (np.array(v, float)
                                for v in (dt, rootdt, 0.0, 2.0))
     generic = callable(drift)
+    folded = sigma0 = None
     if not generic:
         a0, a1, lam = (np.array(v, float)
                        for v in (*drift, variance.lambda1))
         profile = variance._profile
-    sigma0 = None if generic else _constant_sigma(variance)
+        sigma0 = _constant_sigma(variance)
+        folded = _folded(drift, variance, dt)
+    if folded is not None:
+        c0, c1, q0, q1, q2 = (np.array(v, float) for v in folded)
     if sigma0 is not None:
-        sigma.fill(sigma0)  # read only by re-draws
+        s.fill(sigma0 * rootdt)  # read only by re-draws
 
     def walk(chunk, x, redraws):
         if sigma0 is not None:
             # the kick sigma rootdt xi, once for the chunk
             np.multiply(chunk, sigma0 * rootdt, out=chunk)
         for row, prop in enumerate(chunk):
-            if generic:
-                m = drift(x)
-                maximum(variance(x), zero, out=sigma)
+            if folded is not None:
+                # s = sqrt(max((q2 x + q1) x + q0, 0)), the kick s xi over
+                # the normals, then det = c0 + c1 x
+                multiply(x, q2, out=s)
+                add(s, q1, out=s)
+                multiply(s, x, out=s)
+                add(s, q0, out=s)
+                maximum(s, zero, out=s)
+                sqrt(s, out=s)
+                multiply(s, prop, out=prop)
+                multiply(x, c1, out=det)
+                add(det, c0, out=det)
             else:
-                m = add(multiply(x, a1, out=mu), a0, out=mu)
+                if generic:
+                    m = drift(x)
+                    maximum(variance(x), zero, out=s)
+                else:
+                    m = add(multiply(x, a1, out=mu), a0, out=mu)
+                    if sigma0 is None:
+                        multiply(profile(x), lam, out=s)
+                        maximum(s, zero, out=s)
                 if sigma0 is None:
-                    multiply(profile(x), lam, out=sigma)
-                    maximum(sigma, zero, out=sigma)
-            if sigma0 is None:
-                multiply(sigma, two, out=sigma)
-                sqrt(sigma, out=sigma)
-                # the kick sigma rootdt xi over the normals
-                multiply(sigma, rootdt_, out=shift)
-                multiply(shift, prop, out=prop)
-            # then x + mu dt
-            multiply(m, dt_, out=shift)
-            add(x, shift, out=shift)
-            add(shift, prop, out=prop)
+                    multiply(s, two, out=s)
+                    sqrt(s, out=s)
+                    # the kick sigma rootdt xi over the normals
+                    multiply(s, rootdt_, out=s)
+                    multiply(s, prop, out=prop)
+                # det = x + mu dt
+                multiply(m, dt_, out=det)
+                add(x, det, out=det)
+            add(det, prop, out=prop)
             # written so that a NaN fails the test: the other points still
             # fold
             if (low_end and not min_of(prop) >= lo) or \
@@ -365,10 +426,8 @@ def _step_major(drift, variance, lo, hi, x0, cfg):
                 if reflect:
                     prop[bad] = _reflect(prop[bad], lo, hi)
                 else:
-                    m = np.broadcast_to(m, prop.shape)
                     for i in np.nonzero(bad)[0].tolist():
-                        p = _redraw(redraws(i), x[i], m[i], sigma[i], dt,
-                                    rootdt, lo, hi)
+                        p = _redraw(redraws(i), det[i], s[i], lo, hi)
                         if p is None:
                             return row
                         prop[i] = p

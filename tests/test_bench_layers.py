@@ -6,6 +6,7 @@ import importlib.util
 import json
 import os
 import statistics
+import tempfile
 
 import pytest
 
@@ -28,10 +29,11 @@ TABLES = {"bimodal", "skewed", "mixture-beta", "mixture-jacobi",
 
 
 LAYERS = {"numerics.quadrature", "optimal.synthesis", "optimal.table_build",
-          "sim.kernels", "sim.post_processing", "spectral.generator"}
+          "sim.kernels", "sim.post_processing", "spectral.generator",
+          "spectral.evolution"}
 # layers that files written before they were timed lack
 LATER = {"numerics.quadrature", "sim.kernels", "sim.post_processing",
-         "spectral.generator"}
+         "spectral.generator", "spectral.evolution"}
 GENERATOR_CALLS = ("discretize_generator", "spectrum")
 KERNELS = {"path-major", "step-major"}
 
@@ -91,6 +93,27 @@ def _check_generator_layer(layers, repeats):
                    for a, b in zip(entries[::2], entries[1::2]))
 
 
+def _evolve_jobs():
+    """(name, grid points) of the spectral workload's evolve jobs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return [(job["name"], job["grid_points"])
+                for job in bench._workload_jobs("spectral", tmp)
+                if job["type"] == "evolve"]
+
+
+def _check_evolution_layer(layers, repeats):
+    """One entry per evolve job of the spectral workload, in its order,
+    each with the records evolve_fpe returned."""
+    entries = layers.get("spectral.evolution", ())
+    for e in entries:
+        assert set(e) == {"target", "job", "points", "records", "median_s",
+                          "times_s"}
+        _check_times(e, repeats)
+        assert e["records"] >= 2
+    if entries:
+        assert [(e["job"], e["points"]) for e in entries] == _evolve_jobs()
+
+
 def _check_schema(doc):
     """Every layer a file holds has its schema; a file written before a
     layer of LATER was timed lacks it."""
@@ -102,6 +125,7 @@ def _check_schema(doc):
     assert LAYERS - LATER <= set(doc["layers"]) <= LAYERS
     _check_sim_layers(doc["layers"], doc["repeats"])
     _check_generator_layer(doc["layers"], doc["repeats"])
+    _check_evolution_layer(doc["layers"], doc["repeats"])
     for e in doc["layers"].get("numerics.quadrature", ()):
         # files written before the integrand's calls were counted lack them
         assert set(e) - {"calls"} == {"target", "call", "median_s",
@@ -130,8 +154,9 @@ def _check_schema(doc):
 
 
 def test_a_short_run_has_the_schema(monkeypatch):
-    """One kind, the sampler at 1 and 16 paths on short runs and one
-    2000-point generator: the full sampler sweep takes about 30 s."""
+    """One kind, the sampler at 1 and 16 paths on short runs, one
+    2000-point generator and every evolution: the full sampler sweep takes
+    about 30 s."""
     monkeypatch.setattr(bench, "CATALOG", bench.CATALOG[:1])
     monkeypatch.setattr(bench, "WIDTHS", (1, 16))
     monkeypatch.setattr(bench, "PATH_STEPS", 2048)

@@ -931,6 +931,31 @@ class TestTopLevel:
         assert main([]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("sigma_hat", ["1e307", "1e308"])
+    @pytest.mark.parametrize("doc", [BETA_DOME, STANDARD_NORMAL],
+                             ids=["dome", "normal"])
+    @pytest.mark.parametrize("command", ["optimal", "spectrum", "simulate"])
+    def test_a_huge_budget_is_a_typed_failure(self, tmp_path, capsys,
+                                              command, doc, sigma_hat):
+        """With numpy's warnings as errors, a budget near the float range
+        ends in exit 3 and no warning. On the dome lambda1 = S / 0.05
+        overflows, and synthesize says so; on the Normal lambda1 = S is
+        finite, and the detailed-balance residual (optimal at 1e308), the
+        generator or the paths overflow. The one exception is optimal on
+        the Normal at 1e307: lambda1 = 1e307 and every check is finite, so
+        it passes."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([command, _spec(tmp_path, doc), "--sigma-hat",
+                         sigma_hat, "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert "Warning" not in out + err
+        if (command, doc, sigma_hat) == ("optimal", STANDARD_NORMAL,
+                                         "1e307"):
+            assert code == 0 and "checks: pass" in out
+        else:
+            assert code == 3 and err.startswith("numerical failure: ")
+
 
 # edge values for params, table entries and support bounds
 _EDGE = st.sampled_from([

@@ -236,6 +236,42 @@ class TestClosedVsQuadrature:
         assert abs(mass - 1.0) <= 1e-8
 
 
+POLYNOMIAL_KINDS = {Beta, Jacobi, Gamma, StudentCauchy, InverseGamma,
+                    FisherSnedecor}
+
+
+class TestProfileCoefficients:
+    """profile_coeffs() declares the closed profile once more, expanded to
+    p0 + p1 x + p2 x^2, for the sampler's folded step."""
+
+    def test_declared_by_the_polynomial_kinds_only(self):
+        """The Normal's constant shape, the Hyperexponential's and the
+        cubic CubicPearson's declare none; nor does an F density without a
+        closed shape (nu2 <= 2)."""
+        declared = {type(s) for s in CATALOG_SWEEP
+                    if s.profile_coeffs() is not None}
+        assert declared == POLYNOMIAL_KINDS
+        assert all(s.profile_coeffs() is None for s in CATALOG_SWEEP
+                   if type(s) not in POLYNOMIAL_KINDS)
+        f = FisherSnedecor(3.0, 2.0)
+        assert f.closed_profile() is None and f.profile_coeffs() is None
+
+    @pytest.mark.parametrize("spec", [
+        s for s in CATALOG_SWEEP if type(s) in POLYNOMIAL_KINDS] + [
+        Beta(7.0, 0.2), Jacobi(-0.5, 3.0), FisherSnedecor(0.5, 2.5)],
+        ids=lambda s: "%s%s" % (s.kind, s.params))
+    def test_same_polynomial_as_the_factored_callable(self, spec):
+        """At 1001 points across the truncated support, and at the finite
+        ends, p0 + p1 x + p2 x^2 is the factored closed_profile() within 4
+        ulps of the sum of its terms' sizes."""
+        p0, p1, p2 = spec.profile_coeffs()
+        a, b = spec.truncated_support()
+        x = np.linspace(a, b, 1001)
+        terms = abs(p0) + np.abs(p1 * x) + np.abs(p2 * x * x)
+        err = np.abs(p0 + p1 * x + p2 * x * x - spec.closed_profile()(x))
+        assert np.all(err <= 4.0 * np.spacing(terms))
+
+
 # a normal's length scale from 1e-100 to 1e100; x -> c x changes no
 # relative accuracy of the density's own quadrature
 SCALES = [1e-100, 1e-30, 1e-12, 1e-8, 1e-6, 1.0, 1e30, 1e100]

@@ -102,6 +102,25 @@ class TestRateFormula:
         with pytest.raises(ValueError):
             synthesize(Beta(1.0, 1.0), math.inf)
 
+    def test_a_rate_or_drift_that_overflows_is_a_typed_failure(self):
+        """A finite budget over a small variance can overflow lambda1 (the
+        dome's 0.05), and a finite lambda1 times a large mean the drift's
+        a0; synthesize refuses both."""
+        with pytest.raises(NumericalFailure, match="overflows"):
+            synthesize(Beta(1.0, 1.0), 1e307)
+        with pytest.raises(NumericalFailure, match="overflows"):
+            synthesize(Normal(1e6, 1.0), 1e303)
+        assert synthesize(Normal(0.0, 1.0), 1e307).lambda1 == 1e307
+
+    def test_a_residual_that_overflows_is_a_typed_failure(self):
+        """On the Normal at lambda1 = 1e308 the drift at the grid's ends
+        overflows: the residual raises, and numpy does not warn."""
+        proc = synthesize(Normal(0.0, 1.0), 1e308)
+        grid = Grid.uniform(-8.0, 8.0, 101)
+        with np.errstate(all="raise"):
+            with pytest.raises(NumericalFailure, match="overflows"):
+                verify_detailed_balance(proc, grid)
+
 
 class TestSlowMode:
     @pytest.mark.parametrize("spec,shalf", SWEEP, ids=lambda v: str(v))

@@ -324,6 +324,9 @@ class TestBoundaryModes:
             simulate((mu, var, (-np.inf, np.inf)), cfg, x0=0.0)
 
 
+# the folded step against the generic one, in ulps of |x| + |mu dt| + |kick|
+FOLDED_ULPS = 6
+
 # one of each catalog kind with a closed variance shape
 CLOSED_KINDS = [
     Beta(1.0, 1.0), Jacobi(0.5, 1.5), Gamma(1.0), Normal(0.3, 2.0),
@@ -358,10 +361,26 @@ def _generic(proc, cfg):
         (_step_major, proc.drift_at, proc.variance_fn)])[0]
 
 
-def _one_call_path(proc, cfg, i):
+# the kinds whose sigma^2/2 shape is a declared polynomial: the kernels
+# take the folded step on them
+FOLDED_KINDS = [s for s in CLOSED_KINDS if s.profile_coeffs() is not None]
+
+
+def _folded_parts(k, x):
+    """(det, s) of the folded step from x, k = (c0, c1, q0, q1, q2) as
+    sim._folded forms them: the proposal is det + s xi."""
+    c0, c1, q0, q1, q2 = k
+    v = (q2 * x + q1) * x + q0
+    return c0 + c1 * x, math.sqrt(0.0 if v < 0.0 else v)
+
+
+def _one_call_path(proc, cfg, i, fold=True):
     """Path i stepped on draws taken in one call: its n_steps step normals,
-    then its reject-step re-draws from the same generator. Returns the kept
-    series and the steps that re-drew."""
+    then its reject-step re-draws from the same generator. A step is the
+    folded one where the kernels fold it (and fold holds), else x + mu dt +
+    sigma sqrt(dt) xi from the drift and the profile; a proposal that left
+    is folded back in reflect mode. Returns the kept series and the steps
+    that re-drew."""
     rng = sim._path_rng(cfg.seed, i)
     noise = rng.standard_normal(cfg.n_steps)
     a0, a1 = proc.drift
@@ -369,15 +388,21 @@ def _one_call_path(proc, cfg, i):
     lo, hi = proc.source.support.lower, proc.source.support.upper
     dt = cfg.dt
     rootdt = math.sqrt(dt)
+    k = sim._folded(proc.drift, proc.variance_fn, dt) if fold else None
     x, walked, redrawn = float(proc.moments.m1), [], []
     for step, xi in enumerate(noise.tolist()):
-        v = lam * profile(x)
-        sigma = math.sqrt(2.0 * (0.0 if v < 0.0 else v))
-        mu = a0 + a1 * x
-        prop = x + mu * dt + sigma * rootdt * xi
+        if k is None:
+            v = lam * profile(x)
+            det = x + (a0 + a1 * x) * dt
+            s = math.sqrt(2.0 * (0.0 if v < 0.0 else v)) * rootdt
+        else:
+            det, s = _folded_parts(k, x)
+        prop = det + s * xi
+        if cfg.boundary_mode == "reflect" and (prop < lo or prop > hi):
+            prop = float(sim._reflect(prop, lo, hi))
         while prop < lo or prop > hi:
             redrawn.append(step)
-            prop = x + mu * dt + sigma * rootdt * rng.standard_normal()
+            prop = det + s * rng.standard_normal()
         x = prop
         walked.append(x)
     return np.array(walked[cfg.burn_in:]), redrawn
@@ -395,10 +420,15 @@ class TestKernels:
     @pytest.mark.parametrize("mode", ["reflect", "reject-step"])
     @pytest.mark.parametrize("spec", CLOSED_KINDS, ids=lambda s: s.kind)
     def test_identical_series(self, spec, mode):
-        """Both kernels also match the generic route, which calls the drift
-        and sigma^2/2 at every step: a constant sigma scales the normals
-        once, and neither kernel moves a rounding."""
+        """On a folded kind every path of both kernels is the folded step's
+        path, stepped on its own; on the others both kernels match the
+        generic route, which calls the drift and sigma^2/2 at every step: a
+        constant sigma scales the normals once, and neither kernel moves a
+        rounding. A path's draws do not depend on the width, so one
+        reference per path serves every width."""
         proc = synthesize(spec)
+        folded = spec in FOLDED_KINDS
+        refs = {}
         for n_paths in (1, 8, PATH_MAJOR_MAX_PATHS, PATH_MAJOR_MAX_PATHS + 1,
                         256):
             cfg = SimConfig(dt=0.05 / proc.lambda1, n_steps=1200,
@@ -407,7 +437,48 @@ class TestKernels:
             a, b = _both_kernels(proc, cfg)
             assert a.shape == (1050, n_paths)
             assert np.array_equal(a, b)
-            assert np.array_equal(a, _generic(proc, cfg))
+            if not folded:
+                assert np.array_equal(a, _generic(proc, cfg))
+                continue
+            for i in range(n_paths):
+                if i not in refs:
+                    refs[i] = _one_call_path(proc, cfg, i)[0]
+                assert np.array_equal(a[:, i], refs[i])
+
+    @pytest.mark.parametrize("spec", FOLDED_KINDS, ids=lambda s: s.kind)
+    def test_folded_step_is_the_generic_step(self, spec):
+        """One folded step c0 + c1 x + sqrt(max(q(x), 0)) xi is the generic
+        step x + mu dt + kick, kick = sqrt(2 sigma^2/2 dt) xi from drift_at
+        and variance_fn, within FOLDED_ULPS ulps of |x| + |mu dt| + |kick|,
+        the size of the terms the step sums. It holds at 2000 random states
+        across the truncated support, each with both signs of xi, at two
+        step sizes. Near a root of sigma^2 away from 0 (Beta's 1, Jacobi's
+        -1 and 1) the expanded polynomial cancels, and the kick keeps fewer
+        digits than the factored profile's: a sweep toward those roots at
+        |xi| = 4 read 4.5 ulps at 1e-3 from one, 91 at 1e-6 and 1.3e3 at
+        1e-8. So the states keep 1e-3 from a finite end."""
+        proc = synthesize(spec)
+        lo, hi = spec.truncated_support()
+        rng = np.random.default_rng(17)
+        x = rng.uniform(lo, hi, 4000)
+        x = x[(np.abs(x - spec.support.lower) >= 1e-3)
+              & (np.abs(x - spec.support.upper) >= 1e-3)][:2000]
+        assert x.size == 2000
+        z = np.abs(rng.standard_normal(x.size))
+        for dt in (0.05 / proc.lambda1, 1e-3 / proc.lambda1):
+            k = sim._folded(proc.drift, proc.variance_fn, dt)
+            scale = (np.sqrt(2.0 * np.maximum(proc.variance_fn(x), 0.0))
+                     * math.sqrt(dt))
+            drift = proc.drift_at(x) * dt
+            parts = [_folded_parts(k, p) for p in x.tolist()]
+            for sign in (1.0, -1.0):
+                xi = sign * z
+                kick = scale * xi
+                folded = np.array([det + s * e for (det, s), e in
+                                   zip(parts, xi.tolist())])
+                err = np.abs(folded - (x + drift + kick))
+                terms = np.abs(x) + np.abs(drift) + np.abs(kick)
+                assert np.all(err <= FOLDED_ULPS * np.spacing(terms))
 
     @pytest.mark.parametrize("mode", ["reflect", "reject-step"])
     def test_constant_sigma_with_finite_ends(self, mode):
@@ -553,8 +624,9 @@ class TestKernels:
     def test_redraws_after_a_chunk_edge(self, kernel):
         """Re-draws after step 1000 still take a path's draws after all of
         its step draws: each kernel's series matches paths stepped on
-        draws taken in one call. Some paths first re-draw after step 1000,
-        some on both sides of it."""
+        draws taken in one call, by the folded step for the two kernels
+        and by the drift and profile for the generic route. Some paths
+        first re-draw after step 1000, some on both sides of it."""
         proc = _dome_process()
         cfg = SimConfig(dt=0.01, n_steps=2001, n_paths=40, seed=3,
                         burn_in=1001, boundary_mode="reject-step")
@@ -564,7 +636,8 @@ class TestKernels:
             series = _both_kernels(proc, cfg)[kernel == "step-major"]
         late = both = 0
         for i in range(cfg.n_paths):
-            want, redrawn = _one_call_path(proc, cfg, i)
+            want, redrawn = _one_call_path(proc, cfg, i,
+                                           fold=kernel != "generic")
             assert np.array_equal(series[:, i], want)
             late += bool(redrawn) and redrawn[0] >= 1000
             both += bool(redrawn) and redrawn[0] < 1000 <= redrawn[-1]

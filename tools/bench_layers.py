@@ -1,5 +1,5 @@
-"""Time fastmix's quadrature, synthesis, sampler and generator layers on
-fixed inputs and write BENCH_<pr>.json.
+"""Time fastmix's quadrature, synthesis, sampler, generator and evolution
+layers on fixed inputs and write BENCH_<pr>.json.
 
     OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 \
         python3 tools/bench_layers.py --pr N [--repeats 5]
@@ -33,7 +33,11 @@ Times, under the fastmix of this tree (src/ beside tools/):
 - the discretized generator of the `spectral` workload's spectrum jobs
   (SPECTRAL_RUNS, parameters from perfbench/inputs.py, seed 1): the grid
   and discretize_generator on it, then spectrum(disc, 5, vectors=False),
-  each timed on its own after one untimed run.
+  each timed on its own after one untimed run;
+- density evolution: evolve_fpe on each evolve job of the `spectral`
+  workload (seed 1), as perfbench/workload.py calls it, timed after one
+  untimed run. The grid and the start bump are built untimed; the bump's
+  centre and width read the process's own moments.
 
 Every repeat of the first three starts from a freshly parsed density, so
 nothing the library computes once per density carries over; one untimed
@@ -44,7 +48,7 @@ numerics.integrate call of the untimed run, and the calls of the
 integrand that made them; a synthesis entry on the quadrature route
 records the table's cell count and evaluations. The file also records
 nproc and the Python, numpy and scipy versions. It is written at the root
-of the tree. A full run takes about 30 s on two cores, most of it in the
+of the tree. A full run takes about 40 s on two cores, most of it in the
 sampler's kernels.
 """
 
@@ -53,6 +57,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import platform
 import statistics
@@ -298,6 +303,37 @@ def _generator(fastmix, repeats):
     return entries
 
 
+def _evolution(fastmix, repeats):
+    """evolve_fpe on every evolve job of the spectral workload: a Gaussian
+    bump offset_sd standard deviations from the mean, width_sd wide, on
+    grid_points cells, evolved to t_end_tau relaxation times with records
+    dt_tau apart."""
+    with tempfile.TemporaryDirectory() as tmp:
+        jobs = [job for job in _workload_jobs("spectral", tmp)
+                if job["type"] == "evolve"]
+    spectral = fastmix.spectral
+    entries = []
+    for job in jobs:
+        proc = fastmix.synthesize(fastmix.parse_spec(
+            {"kind": job["ref"]["catalog"], "params": job["ref"]["params"]}))
+        m1, sd = proc.moments.m1, math.sqrt(proc.moments.variance)
+        grid = fastmix.default_grid(proc, job["grid_points"])
+        start = spectral.EvolutionState(grid=grid, density=(
+            spectral.gaussian_bump(grid, m1 + job["offset_sd"] * sd,
+                                   job["width_sd"] * sd)))
+        tau = 1.0 / proc.lambda1
+        times = []
+        for _ in range(1 + repeats):
+            t0 = time.perf_counter()
+            _, recorded, _ = fastmix.evolve_fpe(
+                proc, start, job["t_end_tau"] * tau, job["dt_tau"] * tau)
+            times.append(time.perf_counter() - t0)
+        entries.append(_entry(repr(proc.source), times[1:], job=job["name"],
+                              points=job["grid_points"],
+                              records=len(recorded)))
+    return entries
+
+
 def run(pr, repeats=MIN_REPEATS):
     """The benchmark document, as written to BENCH_<pr>.json."""
     if repeats < MIN_REPEATS:
@@ -359,7 +395,8 @@ def run(pr, repeats=MIN_REPEATS):
                    "sim.kernels": _kernels(fastmix, repeats),
                    "sim.post_processing": _post_processing(fastmix,
                                                            repeats),
-                   "spectral.generator": _generator(fastmix, repeats)},
+                   "spectral.generator": _generator(fastmix, repeats),
+                   "spectral.evolution": _evolution(fastmix, repeats)},
     }
 
 
