@@ -232,17 +232,17 @@ class DistributionSpec:
         When available the synthesized optimal process has
         sigma^2(x)/2 = lambda1 * p(x), and this returns p, a closed form of
         V(x)/pi(x) that divides no density values, so it stays finite where
-        exp(_log_pdf) underflows: a float when the shape is constant, else
-        a callable written as arithmetic on its argument, so that a Python
-        float and a float array give the same value bit for bit. The
-        sampler calls it at every step, so constants of the shape are
+        exp(_log_pdf) underflows. p is a callable written as arithmetic on
+        its argument, so that a Python float and a float array give the
+        same value bit for bit. The sampler calls it at every step when the
+        shape declares no profile_coeffs(), so constants of the shape are
         computed once, outside the callable.
         """
         return None
 
     def profile_coeffs(self):
         """The closed profile as (p0, p1, p2), p(x) = p0 + p1 x + p2 x^2,
-        when it is a polynomial of degree one or two, else None.
+        when it is a polynomial of degree at most two, else None.
 
         The same shape as closed_profile(), declared once more for the
         sampler, which folds it into one Euler step per run. The factored
@@ -419,7 +419,13 @@ class Normal(DistributionSpec):
         return x0, x0 * x0 + s * s
 
     def closed_profile(self):
-        return self.params["sigma"] ** 2
+        s2 = self.params["sigma"] ** 2
+        # x * 0.0 + s2, not s2: at a state that is not finite the value
+        # is not finite either
+        return lambda x: x * 0.0 + s2
+
+    def profile_coeffs(self):
+        return self.params["sigma"] ** 2, 0.0, 0.0
 
     def default_sigma_hat_sq_half(self):
         return self.params["sigma"] ** 2

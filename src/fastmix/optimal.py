@@ -56,23 +56,16 @@ class OptimalProcess:
 class _ClosedVariance:
     """sigma^2/2 from a catalog closed shape scaled by lambda1.
 
-    profile is the density's closed_profile(): a float s2 for a constant
-    shape, kept as constant (else None), or a callable. _profile is the
-    callable either way; a constant one is x * 0.0 + s2, so that a state
-    that is not finite still gives a value that is not finite. coeffs is
-    the density's profile_coeffs(), (p0, p1, p2) or None: the sampler's
-    form of a polynomial shape. Calls read the callable.
+    _profile is the density's closed_profile(), a callable of float
+    arithmetic, and calls read it. coeffs is the density's
+    profile_coeffs(), (p0, p1, p2) or None: the sampler's form of a
+    polynomial shape, read only by simulate.
     """
 
     def __init__(self, profile, lambda1, coeffs=None):
-        self.coeffs = coeffs
-        if isinstance(profile, float):
-            self.constant = s2 = profile
-            profile = lambda x: x * 0.0 + s2
-        else:
-            self.constant = None
         self._profile = profile
         self.lambda1 = lambda1
+        self.coeffs = coeffs
 
     def __call__(self, x):
         return self.lambda1 * self._profile(np.asarray(x, float))

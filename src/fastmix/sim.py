@@ -21,36 +21,42 @@ squares the series in place for m2_hat (a bare triple adds one centered
 copy). The kernels do the same float operations on the same draws, so they
 agree bit for bit.
 
-Both kernels read a closed target (an OptimalProcess with a closed variance
-shape) in one form: its drift as the (a0, a1) of mu = a0 + a1 x, and its
-sigma^2/2 as lambda1 times the density's declared profile. The profile
-picks one of three closed routes, which the two kernels share:
+Both kernels take one Euler step, x <- det + s xi. The optimal drift is
+linear for every target, mu = a0 + a1 x, so every synthesized target,
+closed or quadrature route, steps by det = c0 + c1 x with c0 = a0 dt and
+c1 = 1 + a1 dt; only a bare (mu, sigma2half, support) triple's callable mu
+keeps det = x + mu(x) dt. The kick scale is s = sqrt(max(v, 0)) with
+v = 2 dt sigma^2/2, and the target's sigma^2/2 declaration picks one of
+three kick rules. _step_rule folds the constants of all of them once per
+run:
 
-- folded: the Pearson kinds whose profile is a polynomial of degree one or
-  two (Beta, Jacobi, Gamma, StudentCauchy, InverseGamma, FisherSnedecor)
-  declare it as (p0, p1, p2). The drift, lambda1 and dt fold into
-  constants formed once per run (_folded), and a step is
-  x <- c0 + c1 x + sqrt(max((q2 x + q1) x + q0, 0)) xi. Folding moves
-  roundings: a step is the unfolded one within a few ulps of the size of
-  its terms, fewer digits of the kick near a root of sigma^2 away from 0.
-- constant: the Normal's profile is a float s2. sigma sqrt(dt) scales each
-  chunk of normals once, so a step only adds its drift and that kick.
-- callable: the Hyperexponential and CubicPearson profiles are callables
-  of float arithmetic, called on the state at every step.
+- quadratic: the Pearson kinds whose profile is a polynomial of degree one
+  or two (Beta, Jacobi, Gamma, StudentCauchy, InverseGamma,
+  FisherSnedecor) declare it as (p0, p1, p2), and
+  v = (q2 x + q1) x + q0 with qk = 2 lambda1 dt pk.
+- constant: the Normal declares (s2, 0, 0). With q1 = q2 = 0 the kick
+  sqrt(q0) xi scales each chunk of normals once.
+- profile: v = q profile(x), the profile called on the state at every
+  step: q = 2 lambda1 dt for a closed callable profile (the
+  Hyperexponential, CubicPearson), 2 dt for a quadrature target's
+  tabulated sigma^2/2 or a bare triple's sigma2half.
+
+Folding moves roundings: a step is the unfolded x + mu dt +
+sqrt(2 sigma^2/2 dt) xi within a few ulps of the size of its terms, fewer
+digits of the kick near a root of sigma^2 away from 0.
 
 Two kernels walk a chunk:
 
-- path-major walks each path's column on Python floats, a few flops per
-  step where a numpy call costs microseconds; with no finite end it skips
-  the bounds test. simulate picks it for a closed target with at most
-  PATH_MAJOR_MAX_PATHS paths.
-- step-major steps all paths a row at a time. On a closed target a step is
-  about a dozen in-place ufuncs on held buffers (plus one call of the
-  profile on the callable route); their scalar operands are 0-d arrays
-  made once, as numpy converts a Python float at every call. Its cost is
-  per call, not per path. It serves wider batches, and by its generic
-  route, which calls mu and sigma^2/2 on the state at every step,
-  quadrature targets and bare (mu, sigma2half, support) triples.
+- path-major walks each path's column on Python floats, one loop per kick
+  rule, a few flops per step where a numpy call costs microseconds; with
+  no finite end it skips the bounds test. simulate picks it for a target
+  with a closed variance shape and at most PATH_MAJOR_MAX_PATHS paths.
+- step-major steps all paths a row at a time: a step is about ten
+  in-place ufuncs on held buffers, plus a call of the profile on the
+  profile rule and of mu on a bare triple. Their scalar operands are 0-d
+  arrays made once, as numpy converts a Python float at every call. Its
+  cost is per call, not per path. It serves wider batches, quadrature
+  targets (whose table is a scipy PCHIP) and bare triples.
 
 A proposal that leaves a finite end of the support is folded back by the
 triangle wave (reflect) or re-drawn (reject-step); points inside are left
@@ -80,15 +86,15 @@ _CHUNK = 1000        # steps per noise draw and per path-major float walk
 # took about a third of the time to fill a chunk
 _BLOCK = 16
 # the widest batch the path-major kernel takes, for every closed kind. The
-# sim.kernels layer of tools/bench_layers.py (BENCH_26.json; 2 shared cores,
-# numpy 2.4.6) read path-major against step-major in path-steps/s. On the
-# six folded kinds: at 16 paths 5.1e6-6.8e6 against 3.2e6-5.4e6 (path-major
-# 26-78% ahead), at 32 paths step-major ahead by 5-30%. At 16 paths the
-# Normal reads 7.9e6 against 8.0e6 and CubicPearson 3.6e6 against 1.9e6;
-# at 32 step-major leads on the Normal by 40% and CubicPearson is even.
-# The Hyperexponential's profile calls numpy: path-major is 7% ahead at 8
-# paths but at 16 reads 7.8e5 against 1.4e6, and no benchmark job samples
-# it.
+# sim.kernels layer of tools/bench_layers.py (BENCH_27.json; 2 shared cores,
+# numpy 2.4.6) read path-major against step-major. On the six quadratic
+# kinds and CubicPearson path-major leads at 16 paths by 26-114%; at 32 it
+# leads by 6-13% on Beta, Jacobi and CubicPearson and trails by 16-41% on
+# the others; step-major leads from 64 paths on all seven. The constant
+# rule made the Normal's step-major cheaper still: it leads by 25% at 16
+# paths, path-major by 39% at 8. The Hyperexponential's profile calls
+# numpy: path-major leads by 5% at 8 paths, step-major by 85% at 16, and
+# no benchmark job samples it. One limit for every kind keeps one rule.
 PATH_MAJOR_MAX_PATHS = 16
 # bytes of the held blocks _power_sum transforms paths in, about 16 x the
 # FFT size per path: 4 paths at the 2500 kept steps of the paths
@@ -108,8 +114,8 @@ class SimConfig:
     boundary_mode: str = "reflect"
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError("dt must be finite and positive")
         if self.n_steps < 1 or self.n_paths < 1:
             raise ValueError("n_steps and n_paths must be >= 1")
         if not 0 <= self.burn_in < self.n_steps:
@@ -131,13 +137,11 @@ class SimResult:
 
 def _unpack_target(target):
     """(drift, sigma2half, support bounds, phi1). drift is the (a0, a1) of
-    a closed target's linear drift, else a callable mu; phi1 is the (slope,
-    intercept) of the slow mode. A bare triple has no phi1: its slow mode
-    is taken as x itself, centered and scaled."""
+    a synthesized target's linear drift, else a bare triple's callable mu;
+    phi1 is the (slope, intercept) of the slow mode. A bare triple has no
+    phi1: its slow mode is taken as x itself, centered and scaled."""
     if isinstance(target, OptimalProcess):
         var_fn = target.variance_fn
-        drift = (target.drift if isinstance(var_fn, _ClosedVariance)
-                 else target.drift_at)
         if isinstance(var_fn, _QuadratureVariance):
             # a Kronrod panel per path and step is too slow inside the
             # loop; tabulate once and interpolate
@@ -146,7 +150,7 @@ def _unpack_target(target):
             var_fn = numerics.GridFunction(grid, np.maximum(
                 np.asarray(target.variance_fn(grid.points), float), 0.0))
         sup = target.source.support
-        return drift, var_fn, (sup.lower, sup.upper), target.phi1
+        return target.drift, var_fn, (sup.lower, sup.upper), target.phi1
     mu, var_fn, support = target
     lo, hi = float(support[0]), float(support[1])
     return mu, var_fn, (lo, hi), None
@@ -246,43 +250,40 @@ def _run(cfg, x0, walk):
     return series, _finite(series, burn)
 
 
-def _constant_sigma(variance):
-    """sigma of a constant closed profile, as the kernels compute it at a
-    finite state, or None for a profile that varies."""
-    if variance.constant is None:
-        return None
-    v = variance.lambda1 * variance.constant
-    return math.sqrt(2.0 * (0.0 if v < 0.0 else v))
-
-
-def _folded(drift, variance, dt):
-    """The constants (c0, c1, q0, q1, q2) of the folded Euler step
-    x <- c0 + c1 x + sqrt(max((q2 x + q1) x + q0, 0)) xi, or None for a
-    profile without declared coefficients.
-
-    With mu = a0 + a1 x and sigma^2/2 = lambda1 (p0 + p1 x + p2 x^2), the
-    step x + mu dt + sqrt(2 lambda1 p(x) dt) xi is c0 = a0 dt, c1 = 1 +
-    a1 dt and qk = 2 lambda1 dt pk, formed once per run."""
-    if variance.coeffs is None:
-        return None
-    a0, a1 = drift
+def _step_rule(drift, variance, dt):
+    """The constants of a run's Euler step x <- det + s xi (the module
+    docstring), folded once: (fold, rule, k). fold is (c0, c1), or None
+    for a callable mu. rule names the kick rule: "quadratic" with k =
+    (q0, q1, q2), "constant" with k = s, or "profile" with k = (q,
+    profile)."""
+    fold = None
+    if not callable(drift):
+        a0, a1 = drift
+        fold = (a0 * dt, 1.0 + a1 * dt)
+    if not isinstance(variance, _ClosedVariance):
+        return fold, "profile", (2.0 * dt, variance)
     scale = 2.0 * variance.lambda1 * dt
-    return (a0 * dt, 1.0 + a1 * dt, *(scale * p for p in variance.coeffs))
+    if variance.coeffs is None:
+        return fold, "profile", (scale, variance._profile)
+    q0, q1, q2 = (scale * p for p in variance.coeffs)
+    if q1 == q2 == 0.0:
+        return fold, "constant", math.sqrt(0.0 if q0 < 0.0 else q0)
+    return fold, "quadratic", (q0, q1, q2)
 
 
 def _path_major(drift, variance, lo, hi, x0, cfg):
     """The (kept, n_paths) series and its (min, max), each path walked on
     Python floats.
+
     drift is the (a0, a1) of mu = a0 + a1 x and variance a _ClosedVariance;
-    the float operations are those of _step_major, in the same order."""
-    a0, a1 = drift
-    lam, profile = variance.lambda1, variance._profile
-    sigma0 = _constant_sigma(variance)
-    dt = cfg.dt
-    rootdt = math.sqrt(dt)
-    folded = _folded(drift, variance, dt)
-    if folded is not None:
-        c0, c1, q0, q1, q2 = folded
+    the float operations are those of _step_major, in the same order. Each
+    kick rule has its own loop: one loop that branched on the rule at
+    every step made the dome 5% slower at 1 and 16 paths."""
+    (c0, c1), rule, k = _step_rule(drift, variance, cfg.dt)
+    if rule == "quadratic":
+        q0, q1, q2 = k
+    elif rule == "profile":
+        q, profile = k
     reflect = cfg.boundary_mode == "reflect"
     bounded = math.isfinite(lo) or math.isfinite(hi)
     sqrt = math.sqrt
@@ -295,15 +296,15 @@ def _path_major(drift, variance, lo, hi, x0, cfg):
                 return float(_reflect(prop, lo, hi))
             return _redraw(redraws(i), det, s, lo, hi)
 
-        if sigma0 is not None:
-            # the kick sigma rootdt xi, once for the chunk
-            np.multiply(chunk, sigma0 * rootdt, out=chunk)
+        if rule == "constant":
+            # the kick s xi, once for the chunk
+            np.multiply(chunk, k, out=chunk)
         done = len(chunk)
         # a path after another's give-up walks only up to it
         for i, x in enumerate(starts.tolist()):
             walked = []
             append = walked.append
-            if folded is not None:
+            if rule == "quadratic":
                 for xi in chunk[:done, i].tolist():
                     v = (q2 * x + q1) * x + q0
                     prop = c0 + c1 * x + sqrt(0.0 if v < 0.0 else v) * xi
@@ -314,24 +315,22 @@ def _path_major(drift, variance, lo, hi, x0, cfg):
                             break
                     x = prop
                     append(x)
-            elif sigma0 is None:
-                for xi in chunk[:done, i].tolist():
-                    v = lam * profile(x)
-                    sigma = sqrt(2.0 * (0.0 if v < 0.0 else v))
-                    mu = a0 + a1 * x
-                    prop = x + mu * dt + sigma * rootdt * xi
-                    if prop < lo or prop > hi:
-                        prop = settle(prop, x + mu * dt, sigma * rootdt, i)
+            elif rule == "constant":
+                for kick in chunk[:done, i].tolist():
+                    prop = c0 + c1 * x + kick
+                    if bounded and (prop < lo or prop > hi):
+                        prop = settle(prop, c0 + c1 * x, k, i)
                         if prop is None:
                             break
                     x = prop
                     append(x)
             else:
-                for kick in chunk[:done, i].tolist():
-                    mu = a0 + a1 * x
-                    prop = x + mu * dt + kick
+                for xi in chunk[:done, i].tolist():
+                    v = q * profile(x)
+                    s = sqrt(0.0 if v < 0.0 else v)
+                    prop = c0 + c1 * x + s * xi
                     if bounded and (prop < lo or prop > hi):
-                        prop = settle(prop, x + mu * dt, sigma0 * rootdt, i)
+                        prop = settle(prop, c0 + c1 * x, s, i)
                         if prop is None:
                             break
                     x = prop
@@ -348,16 +347,14 @@ def _step_major(drift, variance, lo, hi, x0, cfg):
     one step at a time. Each step writes its proposal over its row of noise
     and folds or re-draws only the points that left.
 
-    drift is the (a0, a1) of a closed target's mu = a0 + a1 x, with
-    variance its _ClosedVariance: each step is then a few in-place ufuncs
-    on held buffers. Otherwise drift and variance are callables of x (the
-    generic route). Each step leaves its deterministic part in det and its
-    noise scale in s, which re-draws read."""
-    dt = cfg.dt
-    rootdt = math.sqrt(dt)
+    drift is the (a0, a1) of mu = a0 + a1 x or a bare triple's callable mu,
+    and variance a _ClosedVariance or a callable sigma^2/2. Each step
+    leaves its deterministic part in det and its kick scale in s, which
+    re-draws read."""
+    fold, rule, k = _step_rule(drift, variance, cfg.dt)
     reflect = cfg.boundary_mode == "reflect"
     low_end, high_end = math.isfinite(lo), math.isfinite(hi)
-    s, det, mu = np.empty((3, cfg.n_paths))
+    s, det = np.empty((2, cfg.n_paths))
     # a step's cost is per ufunc call, so the calls are bound to local names
     # and their scalar operands held as 0-d float64 arrays, made once: numpy
     # converts a Python float operand at every call. At 256 paths
@@ -367,56 +364,43 @@ def _step_major(drift, variance, lo, hi, x0, cfg):
     multiply, add, maximum, sqrt = np.multiply, np.add, np.maximum, np.sqrt
     # np.minimum.reduce took 0.93 us by a local name, prop.min() 1.03 us
     min_of, max_of = np.minimum.reduce, np.maximum.reduce
-    dt_, rootdt_, zero, two = (np.array(v, float)
-                               for v in (dt, rootdt, 0.0, 2.0))
-    generic = callable(drift)
-    folded = sigma0 = None
-    if not generic:
-        a0, a1, lam = (np.array(v, float)
-                       for v in (*drift, variance.lambda1))
-        profile = variance._profile
-        sigma0 = _constant_sigma(variance)
-        folded = _folded(drift, variance, dt)
-    if folded is not None:
-        c0, c1, q0, q1, q2 = (np.array(v, float) for v in folded)
-    if sigma0 is not None:
-        s.fill(sigma0 * rootdt)  # read only by re-draws
+    zero, dt_ = np.array(0.0), np.array(float(cfg.dt))
+    if fold is not None:
+        c0, c1 = (np.array(v, float) for v in fold)
+    quadratic, varying = rule == "quadratic", rule != "constant"
+    if quadratic:
+        q0, q1, q2 = (np.array(v, float) for v in k)
+    elif varying:
+        q, profile = np.array(k[0], float), k[1]
+    else:
+        s.fill(k)  # read only by re-draws
 
     def walk(chunk, x, redraws):
-        if sigma0 is not None:
-            # the kick sigma rootdt xi, once for the chunk
-            np.multiply(chunk, sigma0 * rootdt, out=chunk)
+        if not varying:
+            # the kick s xi, once for the chunk
+            np.multiply(chunk, k, out=chunk)
         for row, prop in enumerate(chunk):
-            if folded is not None:
-                # s = sqrt(max((q2 x + q1) x + q0, 0)), the kick s xi over
-                # the normals, then det = c0 + c1 x
+            if quadratic:
+                # v = (q2 x + q1) x + q0
                 multiply(x, q2, out=s)
                 add(s, q1, out=s)
                 multiply(s, x, out=s)
                 add(s, q0, out=s)
+            elif varying:
+                multiply(profile(x), q, out=s)
+            if varying:
+                # s = sqrt(max(v, 0)), the kick s xi over the normals
                 maximum(s, zero, out=s)
                 sqrt(s, out=s)
                 multiply(s, prop, out=prop)
+            if fold is None:
+                # det = x + mu dt
+                multiply(drift(x), dt_, out=det)
+                add(x, det, out=det)
+            else:
+                # det = c0 + c1 x
                 multiply(x, c1, out=det)
                 add(det, c0, out=det)
-            else:
-                if generic:
-                    m = drift(x)
-                    maximum(variance(x), zero, out=s)
-                else:
-                    m = add(multiply(x, a1, out=mu), a0, out=mu)
-                    if sigma0 is None:
-                        multiply(profile(x), lam, out=s)
-                        maximum(s, zero, out=s)
-                if sigma0 is None:
-                    multiply(s, two, out=s)
-                    sqrt(s, out=s)
-                    # the kick sigma rootdt xi over the normals
-                    multiply(s, rootdt_, out=s)
-                    multiply(s, prop, out=prop)
-                # det = x + mu dt
-                multiply(m, dt_, out=det)
-                add(x, det, out=det)
             add(det, prop, out=prop)
             # written so that a NaN fails the test: the other points still
             # fold
@@ -460,7 +444,7 @@ def simulate(target, cfg: SimConfig, x0=None, *, n_bins=50,
             x0 = target.moments.m1
         else:
             raise ValueError("x0 is required for a bare (mu, var) target")
-    closed = not callable(drift)
+    closed = isinstance(var_fn, _ClosedVariance) and not callable(drift)
     if closed and cfg.n_paths <= PATH_MAJOR_MAX_PATHS:
         series, span = _path_major(drift, var_fn, lo, hi, x0, cfg)
     else:

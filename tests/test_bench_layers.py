@@ -45,24 +45,30 @@ def _check_times(e, repeats):
 
 
 def _check_sim_layers(layers, repeats):
-    """Both kernels on every kind at every width, each entry naming the
-    faster of its pair and the kernel simulate's rule gives; then each
-    post-processing call at every run length."""
+    """Both kernels on every kind at every width, and step-major on each
+    table of SIM_TABLES (files written before they were timed lack them),
+    each entry naming the faster of its kernels and the kernel simulate's
+    rule gives; then each post-processing call at every run length."""
     kernels = layers.get("sim.kernels", ())
-    pairs = {}
+    pairs, tables = {}, {}
     for e in kernels:
         assert set(e) == {"target", "kernel", "paths", "steps", "median_s",
                           "times_s", "faster", "picked"}
         _check_times(e, repeats)
         assert e["kernel"] in KERNELS
         assert e["steps"] == max(500, bench.PATH_STEPS // e["paths"])
+        if e["target"] in bench.SIM_TABLES:
+            assert e["kernel"] == e["faster"] == e["picked"] == "step-major"
+            tables[(e["target"], e["paths"])] = e
+            continue
         assert e["picked"] == ("path-major" if e["paths"]
                                <= sim.PATH_MAJOR_MAX_PATHS else "step-major")
         pairs.setdefault((e["target"], e["paths"]), {})[e["kernel"]] = e
     if kernels:
-        assert len(kernels) == 2 * len(pairs) == \
+        assert len(kernels) - len(tables) == 2 * len(pairs) == \
             2 * len(bench.CATALOG) * len(bench.WIDTHS)
         assert {paths for _, paths in pairs} == set(bench.WIDTHS)
+        assert len(tables) in (0, len(bench.SIM_TABLES) * len(bench.WIDTHS))
     for pair in pairs.values():
         assert set(pair) == KERNELS
         faster = min(pair, key=lambda k: pair[k]["median_s"])
@@ -154,11 +160,12 @@ def _check_schema(doc):
 
 
 def test_a_short_run_has_the_schema(monkeypatch):
-    """One kind, the sampler at 1 and 16 paths on short runs, one
-    2000-point generator and every evolution: the full sampler sweep takes
-    about 30 s."""
+    """One kind and one table, the sampler at 1 and 16 paths on short
+    runs, one 2000-point generator and every evolution: the full sampler
+    sweep takes about 30 s."""
     monkeypatch.setattr(bench, "CATALOG", bench.CATALOG[:1])
     monkeypatch.setattr(bench, "WIDTHS", (1, 16))
+    monkeypatch.setattr(bench, "SIM_TABLES", ("bimodal",))
     monkeypatch.setattr(bench, "PATH_STEPS", 2048)
     monkeypatch.setattr(bench, "SIM_RUNS", ((16, 1000, 100),))
     monkeypatch.setattr(bench, "SPECTRAL_RUNS", (("beta", 2000),))
@@ -166,6 +173,8 @@ def test_a_short_run_has_the_schema(monkeypatch):
     _check_schema(json.loads(json.dumps(doc)))
     assert doc["pr"] == 0 and doc["repeats"] == 5
     assert set(doc["layers"]) == LAYERS
+    assert [(e["target"], e["paths"]) for e in doc["layers"]["sim.kernels"]
+            if e["target"] == "bimodal"] == [("bimodal", 1), ("bimodal", 16)]
     quadrature = doc["layers"]["numerics.quadrature"]
     assert all("calls" in e for e in quadrature)
     assert [(e["target"], e["call"]) for e in quadrature] == [

@@ -551,6 +551,22 @@ class TestSimulateCommand:
         assert err.startswith("numerical failure: state became non-finite")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("dt", ["inf", "nan"])
+    def test_non_finite_dt_exits_2(self, tmp_path, capsys, dt):
+        """A time step that is not finite is bad input: one line on stderr
+        and exit 2, with no numpy warning and no run. --dt inf used to
+        step and fail as a non-finite state (exit 3)."""
+        spec = _spec(tmp_path, BETA_DOME)
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["simulate", spec, "--dt", dt, "--steps", "100",
+                       "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: dt must be finite and positive\n"
+        assert not out.exists()
+
     def test_strict_coarse_fit_exits_4(self, tmp_path):
         """A coarse time step biases the fit past 10 percent under
         --strict."""

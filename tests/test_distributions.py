@@ -236,8 +236,8 @@ class TestClosedVsQuadrature:
         assert abs(mass - 1.0) <= 1e-8
 
 
-POLYNOMIAL_KINDS = {Beta, Jacobi, Gamma, StudentCauchy, InverseGamma,
-                    FisherSnedecor}
+POLYNOMIAL_KINDS = {Beta, Jacobi, Gamma, Normal, StudentCauchy,
+                    InverseGamma, FisherSnedecor}
 
 
 class TestProfileCoefficients:
@@ -245,14 +245,16 @@ class TestProfileCoefficients:
     p0 + p1 x + p2 x^2, for the sampler's folded step."""
 
     def test_declared_by_the_polynomial_kinds_only(self):
-        """The Normal's constant shape, the Hyperexponential's and the
-        cubic CubicPearson's declare none; nor does an F density without a
-        closed shape (nu2 <= 2)."""
+        """The six Pearson kinds with a quadratic or linear shape and the
+        Normal, whose shape is the constant (sigma^2, 0, 0), declare it;
+        the Hyperexponential and the cubic CubicPearson declare none, nor
+        does an F density without a closed shape (nu2 <= 2)."""
         declared = {type(s) for s in CATALOG_SWEEP
                     if s.profile_coeffs() is not None}
         assert declared == POLYNOMIAL_KINDS
         assert all(s.profile_coeffs() is None for s in CATALOG_SWEEP
                    if type(s) not in POLYNOMIAL_KINDS)
+        assert Normal(0.3, 2.0).profile_coeffs() == (4.0, 0.0, 0.0)
         f = FisherSnedecor(3.0, 2.0)
         assert f.closed_profile() is None and f.profile_coeffs() is None
 

@@ -76,6 +76,13 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(dt=-1e-3, n_steps=100)
 
+    @pytest.mark.parametrize("dt", [math.inf, -math.inf, math.nan])
+    def test_non_finite_dt_rejected(self, dt):
+        """A time step that is not finite is a configuration error, not a
+        run that fails at its first step."""
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(dt=dt, n_steps=100)
+
     def test_step_and_path_counts_validated(self):
         """At least one step and one path are required."""
         with pytest.raises(ValueError):
@@ -324,8 +331,13 @@ class TestBoundaryModes:
             simulate((mu, var, (-np.inf, np.inf)), cfg, x0=0.0)
 
 
-# the folded step against the generic one, in ulps of |x| + |mu dt| + |kick|
+# the folded step against the unfolded one, in ulps of |x| + |mu dt| +
+# |kick|
 FOLDED_ULPS = 6
+
+# the step at which Normal(0, 1)'s process at dt = 3 (c1 = -2) leaves the
+# floats, seed 5: on path 0 alone, and on the earliest of 3 paths
+STEP_1, STEP_3 = 1023, 1022
 
 # one of each catalog kind with a closed variance shape
 CLOSED_KINDS = [
@@ -335,77 +347,103 @@ CLOSED_KINDS = [
 ]
 
 
-def _kernel_runs(proc, cfg, runs):
+def _bare(proc):
+    """proc as a bare (mu, sigma2half, support) triple of callables: the
+    kernels step it by x + mu(x) dt and v = 2 dt sigma^2/2."""
     sup = proc.source.support
+    return (proc.drift_at, lambda x: proc.variance_fn(x),
+            (sup.lower, sup.upper))
+
+
+def _kernel_runs(proc, cfg, runs, bounds=None, x0=None):
+    sup = proc.source.support
+    lo, hi = bounds or (sup.lower, sup.upper)
+    x0 = proc.moments.m1 if x0 is None else x0
     out = []
     for kernel, drift, variance in runs:
         try:
-            out.append(kernel(drift, variance, sup.lower, sup.upper,
-                              proc.moments.m1, cfg)[0])
+            out.append(kernel(drift, variance, lo, hi, x0, cfg)[0])
         except (BoundaryViolation, NonFiniteState) as exc:
             out.append("%s: %s" % (type(exc).__name__, exc))
     return out
 
 
-def _both_kernels(proc, cfg):
+def _both_kernels(proc, cfg, bounds=None, x0=None):
     """The path-major and step-major series, or the message each raised."""
     return _kernel_runs(proc, cfg, [
         (_path_major, proc.drift, proc.variance_fn),
-        (_step_major, proc.drift, proc.variance_fn)])
+        (_step_major, proc.drift, proc.variance_fn)], bounds, x0)
 
 
-def _generic(proc, cfg):
-    """The series, or the message raised, of the generic step-major route:
-    drift and sigma^2/2 called as functions of the state at every step."""
-    return _kernel_runs(proc, cfg, [
-        (_step_major, proc.drift_at, proc.variance_fn)])[0]
+def _bare_run(proc, cfg):
+    """The step-major series, or the message raised, of proc's bare
+    triple."""
+    return _kernel_runs(proc, cfg, [(_step_major,) + _bare(proc)[:2]])[0]
 
 
-# the kinds whose sigma^2/2 shape is a declared polynomial: the kernels
-# take the folded step on them
-FOLDED_KINDS = [s for s in CLOSED_KINDS if s.profile_coeffs() is not None]
+def _step_parts(drift, variance, dt):
+    """The step from a float x as (det, s), the proposal being det + s xi,
+    formed from sim._step_rule's constants one float at a time."""
+    fold, rule, k = sim._step_rule(drift, variance, dt)
+
+    def parts(x):
+        if fold is None:
+            det = x + float(drift(x)) * dt
+        else:
+            det = fold[0] + fold[1] * x
+        if rule == "constant":
+            return det, k
+        if rule == "quadratic":
+            q0, q1, q2 = k
+            v = (q2 * x + q1) * x + q0
+        else:
+            v = k[0] * float(k[1](x))
+        return det, math.sqrt(0.0 if v < 0.0 else v)
+
+    return parts
 
 
-def _folded_parts(k, x):
-    """(det, s) of the folded step from x, k = (c0, c1, q0, q1, q2) as
-    sim._folded forms them: the proposal is det + s xi."""
-    c0, c1, q0, q1, q2 = k
-    v = (q2 * x + q1) * x + q0
-    return c0 + c1 * x, math.sqrt(0.0 if v < 0.0 else v)
-
-
-def _one_call_path(proc, cfg, i, fold=True):
+def _one_call_path(proc, cfg, i, bare=False, bounds=None, x0=None):
     """Path i stepped on draws taken in one call: its n_steps step normals,
     then its reject-step re-draws from the same generator. A step is the
-    folded one where the kernels fold it (and fold holds), else x + mu dt +
-    sigma sqrt(dt) xi from the drift and the profile; a proposal that left
-    is folded back in reflect mode. Returns the kept series and the steps
-    that re-drew."""
+    one the kernels take on proc (on its bare triple if bare), on [lo, hi]
+    = bounds, by default the support, from x0, by default m1; a proposal
+    that left is folded back in reflect mode. Returns the kept series and
+    the steps that re-drew."""
     rng = sim._path_rng(cfg.seed, i)
     noise = rng.standard_normal(cfg.n_steps)
-    a0, a1 = proc.drift
-    lam, profile = proc.variance_fn.lambda1, proc.variance_fn._profile
-    lo, hi = proc.source.support.lower, proc.source.support.upper
-    dt = cfg.dt
-    rootdt = math.sqrt(dt)
-    k = sim._folded(proc.drift, proc.variance_fn, dt) if fold else None
-    x, walked, redrawn = float(proc.moments.m1), [], []
-    for step, xi in enumerate(noise.tolist()):
-        if k is None:
-            v = lam * profile(x)
-            det = x + (a0 + a1 * x) * dt
-            s = math.sqrt(2.0 * (0.0 if v < 0.0 else v)) * rootdt
-        else:
-            det, s = _folded_parts(k, x)
+    target = _bare(proc) if bare else proc
+    step = _step_parts(*_unpack_target(target)[:2], cfg.dt)
+    sup = proc.source.support
+    lo, hi = bounds or (sup.lower, sup.upper)
+    x = float(proc.moments.m1 if x0 is None else x0)
+    walked, redrawn = [], []
+    for n, xi in enumerate(noise.tolist()):
+        det, s = step(x)
         prop = det + s * xi
         if cfg.boundary_mode == "reflect" and (prop < lo or prop > hi):
             prop = float(sim._reflect(prop, lo, hi))
         while prop < lo or prop > hi:
-            redrawn.append(step)
+            redrawn.append(n)
             prop = det + s * rng.standard_normal()
         x = prop
         walked.append(x)
     return np.array(walked[cfg.burn_in:]), redrawn
+
+
+def _references(proc, cfg, **kwargs):
+    """The (kept, n_paths) series of _one_call_path's paths."""
+    return np.column_stack([_one_call_path(proc, cfg, i, **kwargs)[0]
+                            for i in range(cfg.n_paths)])
+
+
+def _non_finite(proc, cfg):
+    """The message of a run whose references leave the finite floats:
+    the first kept step at which some path is not finite."""
+    finite = np.isfinite(_references(proc, cfg)).all(axis=1)
+    assert not finite.all()
+    return ("NonFiniteState: state became non-finite by step %d"
+            % (cfg.burn_in + int(np.argmin(finite))))
 
 
 class TestKernels:
@@ -420,14 +458,11 @@ class TestKernels:
     @pytest.mark.parametrize("mode", ["reflect", "reject-step"])
     @pytest.mark.parametrize("spec", CLOSED_KINDS, ids=lambda s: s.kind)
     def test_identical_series(self, spec, mode):
-        """On a folded kind every path of both kernels is the folded step's
-        path, stepped on its own; on the others both kernels match the
-        generic route, which calls the drift and sigma^2/2 at every step: a
-        constant sigma scales the normals once, and neither kernel moves a
-        rounding. A path's draws do not depend on the width, so one
-        reference per path serves every width."""
+        """Every path of both kernels is the folded step's path, stepped on
+        its own: c0 + c1 x plus the kick of the kind's rule (quadratic,
+        constant or profile). A path's draws do not depend on the width,
+        so one reference per path serves every width."""
         proc = synthesize(spec)
-        folded = spec in FOLDED_KINDS
         refs = {}
         for n_paths in (1, 8, PATH_MAJOR_MAX_PATHS, PATH_MAJOR_MAX_PATHS + 1,
                         256):
@@ -437,27 +472,30 @@ class TestKernels:
             a, b = _both_kernels(proc, cfg)
             assert a.shape == (1050, n_paths)
             assert np.array_equal(a, b)
-            if not folded:
-                assert np.array_equal(a, _generic(proc, cfg))
-                continue
             for i in range(n_paths):
                 if i not in refs:
                     refs[i] = _one_call_path(proc, cfg, i)[0]
                 assert np.array_equal(a[:, i], refs[i])
 
-    @pytest.mark.parametrize("spec", FOLDED_KINDS, ids=lambda s: s.kind)
-    def test_folded_step_is_the_generic_step(self, spec):
-        """One folded step c0 + c1 x + sqrt(max(q(x), 0)) xi is the generic
+    @pytest.mark.parametrize("spec,route", [
+        (s, "closed") for s in CLOSED_KINDS] + [
+        (Beta(1.0, 1.0), "quadrature")],
+        ids=lambda v: getattr(v, "kind", v))
+    def test_folded_step_is_the_generic_step(self, spec, route):
+        """One folded step c0 + c1 x + sqrt(max(v, 0)) xi is the unfolded
         step x + mu dt + kick, kick = sqrt(2 sigma^2/2 dt) xi from drift_at
-        and variance_fn, within FOLDED_ULPS ulps of |x| + |mu dt| + |kick|,
-        the size of the terms the step sums. It holds at 2000 random states
-        across the truncated support, each with both signs of xi, at two
-        step sizes. Near a root of sigma^2 away from 0 (Beta's 1, Jacobi's
-        -1 and 1) the expanded polynomial cancels, and the kick keeps fewer
-        digits than the factored profile's: a sweep toward those roots at
-        |xi| = 4 read 4.5 ulps at 1e-3 from one, 91 at 1e-6 and 1.3e3 at
-        1e-8. So the states keep 1e-3 from a finite end."""
-        proc = synthesize(spec)
+        and the sigma^2/2 the kernels read (variance_fn, or on the
+        quadrature route its table), within FOLDED_ULPS ulps of |x| +
+        |mu dt| + |kick|, the size of the terms the step sums. It holds at
+        2000 random states across the truncated support, each with both
+        signs of xi, at two step sizes, on every kick rule. Near a root of
+        sigma^2 away from 0 (Beta's 1, Jacobi's -1 and 1) the expanded
+        polynomial cancels, and the kick keeps fewer digits than the
+        factored profile's: a sweep toward those roots at |xi| = 4 read 4.5
+        ulps at 1e-3 from one, 91 at 1e-6 and 1.3e3 at 1e-8. So the states
+        keep 1e-3 from a finite end."""
+        proc = synthesize(spec, variance_mode=route)
+        drift, var = _unpack_target(proc)[:2]
         lo, hi = spec.truncated_support()
         rng = np.random.default_rng(17)
         x = rng.uniform(lo, hi, 4000)
@@ -466,38 +504,36 @@ class TestKernels:
         assert x.size == 2000
         z = np.abs(rng.standard_normal(x.size))
         for dt in (0.05 / proc.lambda1, 1e-3 / proc.lambda1):
-            k = sim._folded(proc.drift, proc.variance_fn, dt)
-            scale = (np.sqrt(2.0 * np.maximum(proc.variance_fn(x), 0.0))
-                     * math.sqrt(dt))
-            drift = proc.drift_at(x) * dt
-            parts = [_folded_parts(k, p) for p in x.tolist()]
+            step = _step_parts(drift, var, dt)
+            scale = np.sqrt(2.0 * np.maximum(var(x), 0.0)) * math.sqrt(dt)
+            drift_dt = proc.drift_at(x) * dt
+            parts = [step(p) for p in x.tolist()]
             for sign in (1.0, -1.0):
                 xi = sign * z
                 kick = scale * xi
                 folded = np.array([det + s * e for (det, s), e in
                                    zip(parts, xi.tolist())])
-                err = np.abs(folded - (x + drift + kick))
-                terms = np.abs(x) + np.abs(drift) + np.abs(kick)
+                err = np.abs(folded - (x + drift_dt + kick))
+                terms = np.abs(x) + np.abs(drift_dt) + np.abs(kick)
                 assert np.all(err <= FOLDED_ULPS * np.spacing(terms))
 
     @pytest.mark.parametrize("mode", ["reflect", "reject-step"])
     def test_constant_sigma_with_finite_ends(self, mode):
-        """A constant sigma scales the normals once even where points fold
-        or re-draw: the Normal's process walked on [-1, 1.5] gives the
-        generic route's series on both kernels, at widths on either side
-        of the crossover."""
+        """The constant kick scales the normals once even where points fold
+        or re-draw: the Normal's process walked on [-1, 1.5] gives each
+        path's reference on both kernels, at widths on either side of the
+        crossover."""
         proc = synthesize(Normal(0.0, 1.0))
+        bounds = (-1.0, 1.5)
         for n_paths in (3, PATH_MAJOR_MAX_PATHS + 1):
             cfg = SimConfig(dt=0.05, n_steps=1200, n_paths=n_paths, seed=3,
                             boundary_mode=mode)
-            runs = [kernel(drift, proc.variance_fn, -1.0, 1.5, 0.0, cfg)[0]
-                    for kernel, drift in ((_path_major, proc.drift),
-                                          (_step_major, proc.drift),
-                                          (_step_major, proc.drift_at))]
-            assert np.array_equal(runs[0], runs[1])
-            assert np.array_equal(runs[0], runs[2])
-            assert runs[0].min() >= -1.0 and runs[0].max() <= 1.5
-            assert np.any(runs[0] < -0.99) and np.any(runs[0] > 1.49)
+            a, b = _both_kernels(proc, cfg, bounds, 0.0)
+            assert np.array_equal(a, b)
+            assert np.array_equal(a, _references(proc, cfg, bounds=bounds,
+                                                 x0=0.0))
+            assert a.min() >= -1.0 and a.max() <= 1.5
+            assert np.any(a < -0.99) and np.any(a > 1.49)
 
     @pytest.mark.parametrize("spec", [
         s for s in CLOSED_KINDS if math.isfinite(s.support.lower)
@@ -516,15 +552,16 @@ class TestKernels:
     def test_simulate_picks_by_target_and_width(self, monkeypatch):
         """Closed targets up to the crossover go path-major, whatever their
         profile calls (the Hyperexponential's calls numpy); wider batches
-        take step-major's closed route. Quadrature targets and bare triples
-        take step-major's generic route, with the drift as a callable."""
+        take step-major. A quadrature target goes step-major at any width,
+        with its linear drift folded like a closed target's; only a bare
+        triple hands the kernel a callable drift."""
         seen = []
         for name in ("_path_major", "_step_major"):
             real = getattr(sim, name)
 
             def spy(*args, _name=name, _real=real):
-                seen.append((_name, "generic" if callable(args[0])
-                             else "closed"))
+                seen.append((_name, "callable" if callable(args[0])
+                             else "linear"))
                 return _real(*args)
 
             monkeypatch.setattr(sim, name, spy)
@@ -538,12 +575,13 @@ class TestKernels:
                                 (closed, PATH_MAJOR_MAX_PATHS + 1),
                                 (ou, PATH_MAJOR_MAX_PATHS + 1),
                                 (hyper, PATH_MAJOR_MAX_PATHS + 1),
-                                (quad, 1), (_ou_target(), 1)):
+                                (quad, 1), (quad, PATH_MAJOR_MAX_PATHS + 1),
+                                (_ou_target(), 1)):
             simulate(target, SimConfig(dt=1e-2, n_steps=300,
                                        n_paths=n_paths, seed=1), x0=0.5)
-        assert seen == ([("_path_major", "closed")] * 3
-                        + [("_step_major", "closed")] * 3
-                        + [("_step_major", "generic")] * 2)
+        assert seen == ([("_path_major", "linear")] * 3
+                        + [("_step_major", "linear")] * 5
+                        + [("_step_major", "callable")])
 
     def test_same_rejection_error(self):
         """Paths give up at different steps; both report the earliest, and
@@ -568,42 +606,45 @@ class TestKernels:
         assert a == b == "BoundaryViolation: step rejected 100 times at t=5"
 
     @pytest.mark.parametrize("n_steps,burn_in,step", [
-        (3000, 0, 1021), (1500, 0, 1021), (3000, 1500, 1500)])
+        (3000, 0, STEP_3), (1500, 0, STEP_3), (3000, 1500, 1500)])
     def test_same_non_finite_error(self, n_steps, burn_in, step):
         """An unstable step size overflows; both kernels step to the end
-        and name the first kept step at which some path is not finite."""
+        and name the first kept step at which some path is not finite, the
+        step at which the paths stepped on their own leave the floats."""
         proc = synthesize(Normal(0.0, 1.0))
         cfg = SimConfig(dt=3.0, n_steps=n_steps, n_paths=3, seed=5,
                         burn_in=burn_in)
         a, b = _both_kernels(proc, cfg)
         msg = "NonFiniteState: state became non-finite by step %d" % step
-        assert a == b == _generic(proc, cfg) == msg
+        assert a == b == _non_finite(proc, cfg) == msg
 
     def test_same_non_finite_error_at_width(self):
         """The overflow test above, at a width past path-major's: the
-        constant sigma of the Normal scales each chunk once on both
-        kernels, and the step named is the generic route's too."""
+        constant kick of the Normal scales each chunk once on both
+        kernels, and the step named is the one at which the paths stepped
+        on their own leave the floats."""
         proc = synthesize(Normal(0.0, 1.0))
         cfg = SimConfig(dt=3.0, n_steps=1500, n_paths=256, seed=5)
         a, b = _both_kernels(proc, cfg)
-        assert a == b == _generic(proc, cfg)
+        assert a == b == _non_finite(proc, cfg)
         assert a.startswith("NonFiniteState: state became non-finite by")
 
     def test_earliest_non_finite_path_is_reported(self):
-        """Alone, path 0 overflows at step 1022; with 3 paths another one
-        overflows at step 1021, and every path is finite before it."""
+        """Alone, path 0 overflows at step STEP_1; with 3 paths another one
+        overflows at step STEP_3, and every path is finite before it."""
         proc = synthesize(Normal(0.0, 1.0))
         msgs = []
-        for n_paths, n_steps in ((1, 1500), (3, 1022)):
+        for n_paths, n_steps in ((1, 1500), (3, STEP_3 + 1)):
             a, b = _both_kernels(proc, SimConfig(
                 dt=3.0, n_steps=n_steps, n_paths=n_paths, seed=5))
             assert a == b
             msgs.append(a)
-        assert [m.rsplit(" ", 1)[1] for m in msgs] == ["1022", "1021"]
-        cfg = SimConfig(dt=3.0, n_steps=1021, n_paths=3, seed=5)
+        assert [m.rsplit(" ", 1)[1] for m in msgs] == [str(STEP_1),
+                                                       str(STEP_3)]
+        cfg = SimConfig(dt=3.0, n_steps=STEP_3, n_paths=3, seed=5)
         a, b = _both_kernels(proc, cfg)
         assert np.isfinite(a).all() and np.array_equal(a, b)
-        assert np.array_equal(a, _generic(proc, cfg))
+        assert np.array_equal(a, _references(proc, cfg))
 
     @pytest.mark.parametrize("mode", ["reflect", "reject-step"])
     @pytest.mark.parametrize("n_steps,burn_in", [
@@ -618,26 +659,24 @@ class TestKernels:
         assert a.shape == (n_steps - burn_in, 40)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("kernel", ["path-major", "step-major",
-                                        "generic"],
-                             ids=["path-major", "step-major", "generic"])
+    @pytest.mark.parametrize("kernel", ["path-major", "step-major", "bare"])
     def test_redraws_after_a_chunk_edge(self, kernel):
         """Re-draws after step 1000 still take a path's draws after all of
         its step draws: each kernel's series matches paths stepped on
         draws taken in one call, by the folded step for the two kernels
-        and by the drift and profile for the generic route. Some paths
-        first re-draw after step 1000, some on both sides of it."""
+        and by x + mu(x) dt for the dome's bare triple. Some paths first
+        re-draw after step 1000, some on both sides of it."""
         proc = _dome_process()
         cfg = SimConfig(dt=0.01, n_steps=2001, n_paths=40, seed=3,
                         burn_in=1001, boundary_mode="reject-step")
-        if kernel == "generic":
-            series = _generic(proc, cfg)
+        if kernel == "bare":
+            series = _bare_run(proc, cfg)
         else:
             series = _both_kernels(proc, cfg)[kernel == "step-major"]
         late = both = 0
         for i in range(cfg.n_paths):
             want, redrawn = _one_call_path(proc, cfg, i,
-                                           fold=kernel != "generic")
+                                           bare=kernel == "bare")
             assert np.array_equal(series[:, i], want)
             late += bool(redrawn) and redrawn[0] >= 1000
             both += bool(redrawn) and redrawn[0] < 1000 <= redrawn[-1]
@@ -646,14 +685,17 @@ class TestKernels:
     @pytest.mark.parametrize("mode", ["reflect", "reject-step"])
     def test_points_inside_are_not_folded(self, mode):
         """Only a proposal that left the interval is folded: at rest at
-        1e-20 on (-1, 1), x stays exactly 1e-20."""
+        1e-20 on (-1, 1), x stays exactly 1e-20, on each kick rule (the
+        quadratic one clamps its negative v to 0) and on a bare triple."""
         cfg = SimConfig(dt=0.01, n_steps=20, n_paths=2, boundary_mode=mode)
         zero = lambda x: x * 0.0
-        for still in (_ClosedVariance(zero, 1.0), _ClosedVariance(0.0, 1.0)):
+        for still in (_ClosedVariance(zero, 1.0),
+                      _ClosedVariance(zero, 1.0, (0.0, 0.0, 0.0)),
+                      _ClosedVariance(zero, 1.0, (0.0, 0.0, -1.0))):
             for series, _ in (
                     _path_major((0.0, 0.0), still, -1.0, 1.0, 1e-20, cfg),
                     _step_major((0.0, 0.0), still, -1.0, 1.0, 1e-20, cfg),
-                    _step_major(zero, still, -1.0, 1.0, 1e-20, cfg)):
+                    _step_major(zero, zero, -1.0, 1.0, 1e-20, cfg)):
                 assert np.all(series == 1e-20)
 
 

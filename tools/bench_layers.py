@@ -25,7 +25,9 @@ Times, under the fastmix of this tree (src/ beside tools/):
   both. Each entry names the kernel with the lower median and the one
   simulate picks, read off its routing; the widest width at which
   path-major still wins, per kind, is what sim.PATH_MAJOR_MAX_PATHS is set
-  from;
+  from. The quadrature route's processes of the synth workload's
+  SIM_TABLES are timed the same way on step-major alone, the kernel
+  simulate picks for them at every width;
 - what simulate does after the walk, on the dome (Beta(1, 1)) at the
   lengths of the `paths` workload's jobs (SIM_RUNS): the autocorrelation
   (sim._mean_lag_products) and np.histogram within one simulate call, then
@@ -86,6 +88,9 @@ CATALOG = (
     ("cubicpearson", {"alpha": 2.0, "beta": 3.0, "a": -0.5}),
 )
 WIDTHS = (1, 8, 16, 32, 64, 256)
+# the synth workload's tables and mixtures the sampler is timed on, on the
+# quadrature route
+SIM_TABLES = ("bimodal", "mixture-beta")
 PATH_STEPS = 32768
 DOME = {"kind": "beta", "params": {"alpha": 1.0, "beta": 1.0}}
 # (paths, steps, burn-in) of the paths workload's jobs, dt = 0.01: the
@@ -208,32 +213,39 @@ def _picked(sim, proc, n_paths):
     return seen[0]
 
 
-def _kernels(fastmix, repeats):
+def _kernels(fastmix, repeats, synth):
+    """Both kernels on every catalog kind, and step-major, the kernel
+    simulate picks for them, on the quadrature route's SIM_TABLES; each
+    walks the drift and sigma^2/2 that simulate hands it."""
     sim = fastmix.sim
     kernels = {"path-major": sim._path_major, "step-major": sim._step_major}
+    targets = [(fastmix.synthesize(fastmix.parse_spec(
+        {"kind": kind, "params": params})), None, kernels)
+        for kind, params in CATALOG]
+    targets += [(fastmix.synthesize(synth[name](),
+                                    variance_mode="quadrature"), name,
+                 {"step-major": sim._step_major}) for name in SIM_TABLES]
     entries = []
-    for kind, params in CATALOG:
-        proc = fastmix.synthesize(fastmix.parse_spec(
-            {"kind": kind, "params": params}))
-        sup = proc.source.support
+    for proc, name, walks in targets:
+        drift, variance, (lo, hi), _ = sim._unpack_target(proc)
         for n_paths in WIDTHS:
             cfg = sim.SimConfig(dt=0.01 / proc.lambda1,
                                 n_steps=max(500, PATH_STEPS // n_paths),
                                 n_paths=n_paths, seed=3)
             picked = _picked(sim, proc, n_paths)
-            times = {name: [] for name in kernels}
+            times = {kernel: [] for kernel in walks}
             for _ in range(repeats):
-                for name, kernel in kernels.items():
+                for kernel, walk in walks.items():
                     t0 = time.perf_counter()
-                    kernel(proc.drift, proc.variance_fn, sup.lower,
-                           sup.upper, proc.moments.m1, cfg)
-                    times[name].append(time.perf_counter() - t0)
-            faster = min(times, key=lambda name: statistics.median(
-                times[name]))
-            entries += [_entry(repr(proc.source), times[name], kernel=name,
-                               paths=n_paths, steps=cfg.n_steps,
-                               faster=faster, picked=picked)
-                        for name in kernels]
+                    walk(drift, variance, lo, hi, proc.moments.m1, cfg)
+                    times[kernel].append(time.perf_counter() - t0)
+            faster = min(times, key=lambda kernel: statistics.median(
+                times[kernel]))
+            entries += [_entry(name or repr(proc.source), times[kernel],
+                               kernel=kernel, paths=n_paths,
+                               steps=cfg.n_steps, faster=faster,
+                               picked=picked)
+                        for kernel in walks]
     return entries
 
 
@@ -392,7 +404,7 @@ def run(pr, repeats=MIN_REPEATS):
         "layers": {"numerics.quadrature": quadrature,
                    "optimal.synthesis": synthesis,
                    "optimal.table_build": table_build,
-                   "sim.kernels": _kernels(fastmix, repeats),
+                   "sim.kernels": _kernels(fastmix, repeats, synth),
                    "sim.post_processing": _post_processing(fastmix,
                                                            repeats),
                    "spectral.generator": _generator(fastmix, repeats),
