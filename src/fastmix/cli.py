@@ -300,20 +300,24 @@ def run_simulate(spec_file, out_dir, dt=None, steps=None, paths=None,
     if not isinstance(sec, dict):
         raise SpecFileError("the 'sim' section must be a mapping")
 
-    def pick(value, key, fallback):
+    def pick(value, key, fallback, count=True):
         # an explicit argument beats the file's sim section beats the default
         if value is not None:
             return value
         v = sec.get(key, fallback)
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise SpecFileError("sim section field %r must be numeric" % key)
+        if count and isinstance(v, float) and not v.is_integer():
+            # int() would truncate it, and the manifest record the result
+            raise SpecFileError("sim section field %r must be an integer"
+                                % key)
         return v
 
     mode = (boundary_mode if boundary_mode is not None
             else sec.get("boundary_mode", "reflect"))
     if not isinstance(mode, str):
         raise SpecFileError("sim section field 'boundary_mode' must be text")
-    cfg = SimConfig(dt=float(pick(dt, "dt", 1e-3)),
+    cfg = SimConfig(dt=float(pick(dt, "dt", 1e-3, count=False)),
                     n_steps=int(pick(steps, "steps", 200000)),
                     n_paths=int(pick(paths, "paths", 4)),
                     seed=int(pick(seed, "seed", 0)),

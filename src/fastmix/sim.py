@@ -6,17 +6,33 @@ A path's n_steps step normals are the first n_steps draws of its stream;
 its reject-step re-draws are the draws after them, in step order. So
 results for a given config are bit-identical across runs.
 
-One chunk loop, _run, serves both kernels. It fills a (_CHUNK, n_paths)
+One chunk loop, _walk, serves both kernels. It fills a (_CHUNK, paths)
 buffer from each path's stream (a Generator gives the same numbers in
 chunks as in one call), _BLOCK paths at a time through a small row buffer,
 has a kernel walk the chunk, writing each position over its normal, and
 copies the kept rows into the series. A path's first re-draw opens a copy
 of its stream's state after that chunk, moved past the step normals still
 ahead. A run holds one array the size of its series plus buffers of
-_CHUNK x n_paths. The check of the finished series reads its min and max,
-which simulate passes on as the histogram's range. simulate then writes the
-slow mode of a block of paths at a time into held buffers and transforms
-them (_power_sum); those take less than the noise chunk _run has freed. It
+_CHUNK x n_paths.
+
+_run walks a path-major run long enough to pay for a fork on several
+cores: the paths go in contiguous blocks to _workers(cfg) = min(n_paths,
+cores this process may run on, path-steps // _FORK_PATH_STEPS) workers.
+The parent walks the first block into its series while a forked child
+walks each other block into its own array, keying its streams by the
+global path index, and sends it through a pipe; the parent reads it a
+chunk of rows at a time into the series. So the series is the serial
+one, bit for bit. Where os.fork or os.sched_getaffinity is missing, or a
+fork fails, the parent walks the blocks itself, as it walks the block of
+a child that died before sending it. simulate reaps every child before it
+returns or raises, after its work on the series, which a child's exit
+overlaps. Step-major is not split: its cost is per ufunc call, not per
+path.
+
+The check of the finished series reads its min and max, which simulate
+passes on as the histogram's range. simulate then writes the slow mode of
+a block of paths at a time into held buffers and transforms them
+(_power_sum); those take less than the noise chunk _walk has freed. It
 squares the series in place for m2_hat (a bare triple adds one centered
 copy). The kernels do the same float operations on the same draws, so they
 agree bit for bit.
@@ -61,8 +77,9 @@ Two kernels walk a chunk:
 A proposal that leaves a finite end of the support is folded back by the
 triangle wave (reflect) or re-drawn (reject-step); points inside are left
 untouched. A run fails by one rule: a reject-step proposal that takes more
-than _MAX_TRIES draws fails it at the earliest such step across paths
-(BoundaryViolation). Otherwise the finished series is checked once: a path
+than _MAX_TRIES draws fails it at the earliest such step across paths,
+and across the blocks of a forked run (BoundaryViolation). Otherwise the
+finished series, assembled from every block, is checked once: a path
 that is not finite fails the run as NonFiniteState, naming the first kept
 step at which some path is not finite.
 """
@@ -70,6 +87,8 @@ step at which some path is not finite.
 from __future__ import annotations
 
 import math
+import os
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,22 +105,31 @@ _CHUNK = 1000        # steps per noise draw and per path-major float walk
 # took about a third of the time to fill a chunk
 _BLOCK = 16
 # the widest batch the path-major kernel takes, for every closed kind. The
-# sim.kernels layer of tools/bench_layers.py (BENCH_27.json; 2 shared cores,
-# numpy 2.4.6) read path-major against step-major. On the six quadratic
-# kinds and CubicPearson path-major leads at 16 paths by 26-114%; at 32 it
-# leads by 6-13% on Beta, Jacobi and CubicPearson and trails by 16-41% on
-# the others; step-major leads from 64 paths on all seven. The constant
-# rule made the Normal's step-major cheaper still: it leads by 25% at 16
-# paths, path-major by 39% at 8. The Hyperexponential's profile calls
-# numpy: path-major leads by 5% at 8 paths, step-major by 85% at 16, and
-# no benchmark job samples it. One limit for every kind keeps one rule.
+# sim.kernels layer of tools/bench_layers.py (BENCH_28.json; 2 shared cores,
+# numpy 2.4.6) read step-major against path-major forked on two cores, as
+# simulate runs it from 8 paths at 131072 path-steps. On the six quadratic
+# kinds and CubicPearson path-major leads at 16 paths by 41-181%; at 32 it
+# leads by 8-55% on Jacobi, InverseGamma and CubicPearson and trails by
+# 2-23% on the others; step-major leads from 64 paths on all seven. On
+# the Normal's constant kick step-major leads by 22% at 16 paths (13% in
+# an earlier run of the layer, 25% before the fork), path-major by 44% at
+# 8. The Hyperexponential's profile calls numpy: path-major leads by 76%
+# at 8 paths, step-major by 5% at 16, and no benchmark job samples it.
+# One limit for every kind keeps one rule.
 PATH_MAJOR_MAX_PATHS = 16
 # bytes of the held blocks _power_sum transforms paths in, about 16 x the
 # FFT size per path: 4 paths at the 2500 kept steps of the paths
 # benchmark's 256-path OU and Gamma jobs, 1 at the dome job's 15875, where
-# its buffers take 0.8 MB, inside the 2 MB noise chunk that _run frees.
+# its buffers take 0.8 MB, inside the 2 MB noise chunk that _walk frees.
 # Larger blocks gain little there, where the transforms take the time
 _ACF_BYTES = 1 << 19
+# path-steps a path-major run needs per worker it forks (_workers). Whole
+# simulate calls on the dome, the Normal and Gamma, in a process that had
+# run a paths benchmark pass (117 MB; 2 shared cores): two workers took
+# 1.2-1.5x the serial time at 32000 path-steps and 0.8-1.3x at 100000 to
+# 128000, a noisy break-even; forking the paths benchmark's 16 x 8000 jobs
+# lowered its job_p50_s in 10 of 10 pairs
+_FORK_PATH_STEPS = 50000
 
 
 @dataclass(frozen=True)
@@ -120,6 +148,9 @@ class SimConfig:
             raise ValueError("n_steps and n_paths must be >= 1")
         if not 0 <= self.burn_in < self.n_steps:
             raise ValueError("burn_in must be in [0, n_steps)")
+        if not 0 <= self.seed < 2 ** 64:
+            # the first word of a path's Philox key (_path_rng)
+            raise ValueError("seed must be in [0, 2**64)")
         if self.boundary_mode not in ("reflect", "reject-step"):
             raise ValueError("boundary_mode must be 'reflect' or 'reject-step'")
 
@@ -171,7 +202,7 @@ def _reflect(x, lo, hi):
 def _path_rng(seed, i):
     # two-word key: path streams stay distinct across seeds as well; built
     # as uint64, as a list of words past int64 would pass through float64
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, i], dtype=np.uint64)
+    key = np.array([seed, i], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -202,20 +233,71 @@ def _redraw(rng, det, s, lo, hi):
     return None
 
 
-def _run(cfg, x0, walk):
-    """The (kept, n_paths) series and its (min, max), stepped a chunk at a
-    time by walk.
+def _run(cfg, x0, walk, workers=1, pids=None):
+    """The (kept, n_paths) series and its (min, max), walked by workers
+    processes, each on a contiguous block of paths (_walk).
+
+    The parent walks the first block while forked children walk the
+    others, each sending its block through a pipe (_fork). If a fork fails,
+    the parent walks that block and the ones after it; if a child dies
+    before it has sent its block, the parent walks that block after the
+    others. Either way the series is the serial run's. The
+    earliest give-up step across blocks fails the run, as it fails a
+    serial one. A child that has sent its block is reaped here, or, given
+    a list pids, left to the caller to reap: its pid is appended to pids.
+    Any other child is killed and reaped before this returns or raises.
+    """
+    series = np.empty((cfg.n_steps - cfg.burn_in, cfg.n_paths))
+    edges = [cfg.n_paths * k // workers for k in range(workers + 1)]
+    blocks = list(zip(edges[:-1], edges[1:]))
+    children = []  # [first, end, pid, read end of its pipe] until reaped
+    try:
+        for first, end in blocks[1:]:
+            try:
+                children.append(_fork(cfg, x0, walk, first, end))
+            except OSError:
+                break
+        here = blocks[:1] + blocks[1 + len(children):]
+        gave_up = [_walk(cfg, x0, walk, series[:, a:b], a) for a, b in here]
+        lost = []
+        while children:
+            a, b, pid, pipe = children[-1]
+            try:
+                gave_up.append(_receive(pipe, series[:, a:b]))
+            except EOFError:
+                lost.append((a, b))
+            children.pop()
+            if pids is None:
+                os.waitpid(pid, 0)
+            else:
+                pids.append(pid)
+        gave_up += [_walk(cfg, x0, walk, series[:, a:b], a) for a, b in lost]
+    finally:
+        for _, _, pid, pipe in children:
+            # the run is failing: no child's block is wanted
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    steps = [step for step in gave_up if step is not None]
+    if steps:
+        raise _rejected(min(steps), cfg.dt)
+    return series, _finite(series, cfg.burn_in)
+
+
+def _walk(cfg, x0, walk, series, first):
+    """Step paths first, first + 1, ... from x0 through cfg's steps, a
+    chunk at a time, into the columns of series, one per path; the step of
+    the earliest give-up, or None.
 
     walk(chunk, x, redraws) steps every path from its state in x through
-    chunk, an (m, n_paths) buffer of step normals, writing each position
-    over its normal; redraws(i) is path i's re-draw stream. It returns how
-    many rows every path completed.
+    chunk, an (m, paths) buffer of step normals, writing each position over
+    its normal; redraws(i) is the re-draw stream of the block's path i. It
+    returns how many rows every path completed.
     """
-    n_steps, burn, n_paths = cfg.n_steps, cfg.burn_in, cfg.n_paths
-    series = np.empty((n_steps - burn, n_paths))
+    n_steps, burn, n_paths = cfg.n_steps, cfg.burn_in, series.shape[1]
     noise = np.empty((_CHUNK, n_paths))
     block = np.empty((min(_BLOCK, n_paths), _CHUNK))
-    rngs = [_path_rng(cfg.seed, i) for i in range(n_paths)]
+    rngs = [_path_rng(cfg.seed, first + i) for i in range(n_paths)]
     streams = {}  # path -> its re-draw stream, opened at its first re-draw
     x = np.full(n_paths, float(x0))
 
@@ -223,7 +305,7 @@ def _run(cfg, x0, walk):
         if i not in streams:
             # a copy of the path's stream after this chunk, moved past the
             # step normals still ahead
-            rng = streams[i] = _path_rng(cfg.seed, i)
+            rng = streams[i] = _path_rng(cfg.seed, first + i)
             rng.bit_generator.state = rngs[i].bit_generator.state
             for s in range(drawn, n_steps, _CHUNK):
                 rng.standard_normal(min(_CHUNK, n_steps - s))
@@ -235,19 +317,91 @@ def _run(cfg, x0, walk):
         for start in range(0, n_steps, _CHUNK):
             drawn = min(start + _CHUNK, n_steps)
             chunk = noise[:drawn - start]
-            for first in range(0, n_paths, len(block)):
-                rows = block[:n_paths - first, :len(chunk)]
-                for rng, row in zip(rngs[first:], rows):
+            for at in range(0, n_paths, len(block)):
+                rows = block[:n_paths - at, :len(chunk)]
+                for rng, row in zip(rngs[at:], rows):
                     rng.standard_normal(out=row)
-                chunk[:, first:first + len(rows)] = rows.T
+                chunk[:, at:at + len(rows)] = rows.T
             done = walk(chunk, x, redraws)
             if done < len(chunk):
-                raise _rejected(start + done, cfg.dt)
+                return start + done
             if drawn > burn:
                 keep = max(start, burn)
                 series[keep - burn:drawn - burn] = chunk[keep - start:]
             x[:] = chunk[-1]
-    return series, _finite(series, burn)
+    return None
+
+
+def _workers(cfg):
+    """How many processes walk a path-major run: one per core this process
+    may run on, but at most one per path and one per _FORK_PATH_STEPS
+    path-steps; one where os.fork or os.sched_getaffinity is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(cfg.n_paths, len(os.sched_getaffinity(0)),
+                      cfg.n_steps * cfg.n_paths // _FORK_PATH_STEPS))
+
+
+def _fork(cfg, x0, walk, first, end):
+    """[first, end, pid, read end of its pipe] of a forked child that walks
+    paths first .. end - 1, then sends its give-up step as an int64 (-1 for
+    none) and, if none, its (kept, end - first) block. The child leaves by
+    os._exit: it runs no exit handler and flushes no buffer it shares with
+    the parent."""
+    fd, out = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(fd)
+        os.close(out)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(fd)
+            block = np.empty((cfg.n_steps - cfg.burn_in, end - first))
+            step = _walk(cfg, x0, walk, block, first)
+            _send(out, np.array([-1 if step is None else step], np.int64))
+            if step is None:
+                _send(out, block)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(out)
+    return [first, end, pid, open(fd, "rb", buffering=0)]
+
+
+def _send(fd, array):
+    view = memoryview(array).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _receive(pipe, out):
+    """A child's give-up step, or None once its block is read into out, a
+    chunk of rows at a time; the pipe is closed on return. EOFError if the
+    pipe ends early."""
+    with pipe:
+        head = np.empty(1, np.int64)
+        _fill(pipe, head)
+        if head[0] >= 0:
+            return int(head[0])
+        rows = np.empty((min(_CHUNK, len(out)), out.shape[1]))
+        for at in range(0, len(out), len(rows)):
+            part = rows[:len(out) - at]
+            _fill(pipe, part)
+            out[at:at + len(part)] = part
+    return None
+
+
+def _fill(pipe, array):
+    """array's bytes read from pipe, looping on short reads."""
+    view = memoryview(array).cast("B")
+    while view:
+        n = pipe.readinto(view)
+        if not n:
+            raise EOFError("a sampler worker's pipe ended early")
+        view = view[n:]
 
 
 def _step_rule(drift, variance, dt):
@@ -271,9 +425,10 @@ def _step_rule(drift, variance, dt):
     return fold, "quadratic", (q0, q1, q2)
 
 
-def _path_major(drift, variance, lo, hi, x0, cfg):
+def _path_major(drift, variance, lo, hi, x0, cfg, pids=None):
     """The (kept, n_paths) series and its (min, max), each path walked on
-    Python floats.
+    Python floats, in forked processes too on a long run (_run, which
+    takes pids).
 
     drift is the (a0, a1) of mu = a0 + a1 x and variance a _ClosedVariance;
     the float operations are those of _step_major, in the same order. Each
@@ -339,7 +494,7 @@ def _path_major(drift, variance, lo, hi, x0, cfg):
             chunk[:done, i] = walked
         return done
 
-    return _run(cfg, x0, walk)
+    return _run(cfg, x0, walk, _workers(cfg), pids)
 
 
 def _step_major(drift, variance, lo, hi, x0, cfg):
@@ -444,28 +599,36 @@ def simulate(target, cfg: SimConfig, x0=None, *, n_bins=50,
             x0 = target.moments.m1
         else:
             raise ValueError("x0 is required for a bare (mu, var) target")
-    closed = isinstance(var_fn, _ClosedVariance) and not callable(drift)
-    if closed and cfg.n_paths <= PATH_MAJOR_MAX_PATHS:
-        series, span = _path_major(drift, var_fn, lo, hi, x0, cfg)
-    else:
-        series, span = _step_major(drift, var_fn, lo, hi, x0, cfg)
-    n_samples = series.size
-    m1_hat = float(series.mean())
-    freq, edges = np.histogram(series.ravel(), bins=int(n_bins), range=span,
-                               density=True)
-    # series is squared in place for m2_hat once its values are read
-    if phi1 is None:
-        # one centered copy, scaled in place; the squared series then
-        # serves as the buffer for its squares
-        obs = series - m1_hat
-        m2_hat = float(np.multiply(series, series, out=series).mean())
-        sd = float(np.sqrt(np.multiply(obs, obs, out=series).mean()))
-        if sd > 0:
-            np.divide(obs, sd, out=obs)
-        acf = _mean_lag_products(obs, max_lag)
-    else:
-        acf = _mean_lag_products(series, max_lag, phi1)
-        m2_hat = float(np.multiply(series, series, out=series).mean())
+    # the walk's forked children, reaped as simulate returns or raises: a
+    # child's exit takes a few ms in a large process, and overlaps the
+    # work on the series
+    pids = []
+    try:
+        closed = isinstance(var_fn, _ClosedVariance) and not callable(drift)
+        if closed and cfg.n_paths <= PATH_MAJOR_MAX_PATHS:
+            series, span = _path_major(drift, var_fn, lo, hi, x0, cfg, pids)
+        else:
+            series, span = _step_major(drift, var_fn, lo, hi, x0, cfg)
+        n_samples = series.size
+        m1_hat = float(series.mean())
+        freq, edges = np.histogram(series.ravel(), bins=int(n_bins),
+                                   range=span, density=True)
+        # series is squared in place for m2_hat once its values are read
+        if phi1 is None:
+            # one centered copy, scaled in place; the squared series then
+            # serves as the buffer for its squares
+            obs = series - m1_hat
+            m2_hat = float(np.multiply(series, series, out=series).mean())
+            sd = float(np.sqrt(np.multiply(obs, obs, out=series).mean()))
+            if sd > 0:
+                np.divide(obs, sd, out=obs)
+            acf = _mean_lag_products(obs, max_lag)
+        else:
+            acf = _mean_lag_products(series, max_lag, phi1)
+            m2_hat = float(np.multiply(series, series, out=series).mean())
+    finally:
+        for pid in pids:
+            os.waitpid(pid, 0)
     if acf[0] <= 0:
         raise NonFiniteState("autocorrelation normalization is not positive")
     lags = np.arange(max_lag + 1)

@@ -29,13 +29,13 @@ TABLES = {"bimodal", "skewed", "mixture-beta", "mixture-jacobi",
 
 
 LAYERS = {"numerics.quadrature", "optimal.synthesis", "optimal.table_build",
-          "sim.kernels", "sim.post_processing", "spectral.generator",
-          "spectral.evolution"}
+          "sim.kernels", "sim.fork", "sim.post_processing",
+          "spectral.generator", "spectral.evolution"}
 # layers that files written before they were timed lack
-LATER = {"numerics.quadrature", "sim.kernels", "sim.post_processing",
-         "spectral.generator", "spectral.evolution"}
+LATER = {"numerics.quadrature", "sim.kernels", "sim.fork",
+         "sim.post_processing", "spectral.generator", "spectral.evolution"}
 GENERATOR_CALLS = ("discretize_generator", "spectrum")
-KERNELS = {"path-major", "step-major"}
+KERNELS = {"path-major", "path-major forked", "step-major"}
 
 
 def _check_times(e, repeats):
@@ -44,35 +44,73 @@ def _check_times(e, repeats):
     assert e["median_s"] == statistics.median(e["times_s"])
 
 
-def _check_sim_layers(layers, repeats):
-    """Both kernels on every kind at every width, and step-major on each
-    table of SIM_TABLES (files written before they were timed lack them),
-    each entry naming the faster of its kernels and the kernel simulate's
-    rule gives; then each post-processing call at every run length."""
+def _workers(paths, steps, nproc):
+    """The processes a path-major run forks into on nproc cores, by
+    sim._workers' rule."""
+    return max(1, min(paths, nproc, paths * steps // sim._FORK_PATH_STEPS))
+
+
+def _check_sim_layers(layers, repeats, nproc):
+    """Serial path-major and step-major on every kind at every width, plus
+    path-major forked wherever the run forks, and step-major on each table
+    of SIM_TABLES (files written before they were timed lack them), each
+    entry naming the faster of its kernels and the kernel simulate's rule
+    gives; then each post-processing call at every run length. A file's
+    readings take the 1-path run's steps as path-steps, but at least 500
+    steps (files written before the forked runs were timed, and their
+    path-steps per second recorded, took 32768 and timed no forked run)."""
     kernels = layers.get("sim.kernels", ())
-    pairs, tables = {}, {}
+    groups, tables = {}, {}
+    path_steps = {e["steps"] for e in kernels if e["paths"] == 1}
+    assert len(path_steps) <= 1
+    forked = all("path_steps_per_s" in e for e in kernels)
     for e in kernels:
         assert set(e) == {"target", "kernel", "paths", "steps", "median_s",
-                          "times_s", "faster", "picked"}
+                          "times_s", "faster", "picked"} | (
+            {"path_steps_per_s"} if forked else set())
         _check_times(e, repeats)
         assert e["kernel"] in KERNELS
-        assert e["steps"] == max(500, bench.PATH_STEPS // e["paths"])
+        assert e["steps"] == max(500, min(path_steps) // e["paths"])
+        if forked:
+            assert e["path_steps_per_s"] == \
+                e["paths"] * e["steps"] / e["median_s"]
         if e["target"] in bench.SIM_TABLES:
             assert e["kernel"] == e["faster"] == e["picked"] == "step-major"
             tables[(e["target"], e["paths"])] = e
             continue
-        assert e["picked"] == ("path-major" if e["paths"]
-                               <= sim.PATH_MAJOR_MAX_PATHS else "step-major")
-        pairs.setdefault((e["target"], e["paths"]), {})[e["kernel"]] = e
+        forks = _workers(e["paths"], e["steps"], nproc) > 1
+        assert e["picked"] == (
+            "step-major" if e["paths"] > sim.PATH_MAJOR_MAX_PATHS
+            else "path-major forked" if forks else "path-major")
+        groups.setdefault((e["target"], e["paths"]), {})[e["kernel"]] = e
     if kernels:
-        assert len(kernels) - len(tables) == 2 * len(pairs) == \
-            2 * len(bench.CATALOG) * len(bench.WIDTHS)
-        assert {paths for _, paths in pairs} == set(bench.WIDTHS)
+        assert {paths for _, paths in groups} == set(bench.WIDTHS)
+        assert len(groups) == len(bench.CATALOG) * len(bench.WIDTHS)
         assert len(tables) in (0, len(bench.SIM_TABLES) * len(bench.WIDTHS))
-    for pair in pairs.values():
-        assert set(pair) == KERNELS
-        faster = min(pair, key=lambda k: pair[k]["median_s"])
-        assert all(e["faster"] == faster for e in pair.values())
+    for group in groups.values():
+        e = next(iter(group.values()))
+        forks = forked and _workers(e["paths"], e["steps"], nproc) > 1
+        assert set(group) == (KERNELS if forks
+                              else KERNELS - {"path-major forked"})
+        faster = min(group, key=lambda k: group[k]["median_s"])
+        assert all(e["faster"] == faster for e in group.values())
+    fork = layers.get("sim.fork", ())
+    for e in fork:
+        assert set(e) == {"target", "kernel", "paths", "steps", "workers",
+                          "path_steps_per_s", "median_s", "times_s"}
+        _check_times(e, repeats)
+        assert e["path_steps_per_s"] == e["paths"] * e["steps"] / e["median_s"]
+        workers = _workers(e["paths"], e["steps"], nproc)
+        assert (e["kernel"], e["workers"]) in (
+            ("path-major", 1), ("path-major forked", workers))
+        assert workers > 1 or e["kernel"] == "path-major"
+    if fork:
+        runs = [(e["target"], e["paths"], e["steps"]) for e in fork]
+        assert len({run[0] for run in runs}) == 2
+        assert sorted(runs) == sorted(
+            (target, paths, steps) for target in {run[0] for run in runs}
+            for paths, steps, _, _ in bench.FORK_RUNS
+            for workers in {1, _workers(paths, steps, nproc)})
     post = layers.get("sim.post_processing", ())
     for e in post:
         assert set(e) == {"target", "call", "paths", "steps", "burn_in",
@@ -129,7 +167,7 @@ def _check_schema(doc):
     assert doc["repeats"] >= 5 and doc["nproc"] >= 1
     assert all(isinstance(doc[k], str) for k in ("python", "numpy", "scipy"))
     assert LAYERS - LATER <= set(doc["layers"]) <= LAYERS
-    _check_sim_layers(doc["layers"], doc["repeats"])
+    _check_sim_layers(doc["layers"], doc["repeats"], doc["nproc"])
     _check_generator_layer(doc["layers"], doc["repeats"])
     _check_evolution_layer(doc["layers"], doc["repeats"])
     for e in doc["layers"].get("numerics.quadrature", ()):
@@ -161,20 +199,30 @@ def _check_schema(doc):
 
 def test_a_short_run_has_the_schema(monkeypatch):
     """One kind and one table, the sampler at 1 and 16 paths on short
-    runs, one 2000-point generator and every evolution: the full sampler
-    sweep takes about 30 s."""
+    runs, which fork at 16 paths on two cores or more, one 2000-point
+    generator and every evolution: the full sampler sweep takes about
+    140 s."""
+    monkeypatch.setattr(sim, "_FORK_PATH_STEPS", 1024)
     monkeypatch.setattr(bench, "CATALOG", bench.CATALOG[:1])
     monkeypatch.setattr(bench, "WIDTHS", (1, 16))
     monkeypatch.setattr(bench, "SIM_TABLES", ("bimodal",))
     monkeypatch.setattr(bench, "PATH_STEPS", 2048)
     monkeypatch.setattr(bench, "SIM_RUNS", ((16, 1000, 100),))
+    monkeypatch.setattr(bench, "FORK_RUNS", ((16, 1000, 0.01, 100),))
     monkeypatch.setattr(bench, "SPECTRAL_RUNS", (("beta", 2000),))
     doc = bench.run(0)
     _check_schema(json.loads(json.dumps(doc)))
     assert doc["pr"] == 0 and doc["repeats"] == 5
     assert set(doc["layers"]) == LAYERS
-    assert [(e["target"], e["paths"]) for e in doc["layers"]["sim.kernels"]
+    kernels = doc["layers"]["sim.kernels"]
+    assert [(e["target"], e["paths"]) for e in kernels
             if e["target"] == "bimodal"] == [("bimodal", 1), ("bimodal", 16)]
+    assert [e["paths"] for e in kernels
+            if e["kernel"] == "path-major forked"] == (
+        [16] if doc["nproc"] > 1 else [])
+    assert [e["kernel"] for e in doc["layers"]["sim.fork"]] == 2 * (
+        ["path-major", "path-major forked"] if doc["nproc"] > 1
+        else ["path-major"])
     quadrature = doc["layers"]["numerics.quadrature"]
     assert all("calls" in e for e in quadrature)
     assert [(e["target"], e["call"]) for e in quadrature] == [

@@ -508,6 +508,35 @@ class TestSimulateCommand:
         rc = main(["simulate", spec, "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("field", ["steps", "paths", "seed", "burn_in"])
+    def test_sim_section_counts_must_be_integers(self, tmp_path, capsys,
+                                                 field):
+        """A count with a fraction is an input error naming the field:
+        int() used to truncate it, and the manifest recorded the truncated
+        count."""
+        sim = {"dt": 0.01, "steps": 2000, "paths": 2, "seed": 3,
+               "burn_in": 100}
+        sim[field] += 0.7
+        spec = _spec(tmp_path, dict(BETA_DOME, sim=sim))
+        out = tmp_path / "o"
+        assert main(["simulate", spec, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: sim section field %r must be an integer\n" % field)
+        assert not out.exists()
+
+    def test_sim_section_whole_floats_are_counts(self, tmp_path):
+        """A count written as a whole float runs, recorded as an integer."""
+        sim = {"dt": 0.01, "steps": 2000.0, "paths": 2.0, "seed": 3.0,
+               "burn_in": 100.0}
+        spec = _spec(tmp_path, dict(BETA_DOME, sim=sim))
+        out = tmp_path / "o"
+        assert main(["simulate", spec, "--out", str(out)]) == 0
+        res = _load(out, "manifest.json")["resolved"]
+        assert [res[k] for k in ("steps", "paths", "seed", "burn_in")] == \
+            [2000, 2, 3, 100]
+        assert all(type(res[k]) is int
+                   for k in ("steps", "paths", "seed", "burn_in"))
+
     def test_sim_section_must_be_a_mapping(self, tmp_path):
         """A sim section that is not a mapping is an input error."""
         spec = _spec(tmp_path, dict(BETA_DOME, sim=[0.002]))
@@ -524,18 +553,17 @@ class TestSimulateCommand:
         assert err.startswith("out of memory:")
         assert err.count("\n") == 1
 
-    def test_negative_seed_runs_its_own_paths(self, tmp_path):
-        """--seed -5 runs with no numpy warning and does not replay seed 0's
-        paths."""
+    @pytest.mark.parametrize("seed", ["-5", "18446744073709551616"])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, seed):
+        """A seed outside [0, 2^64) is bad input: one line on stderr and
+        exit 2. Masked into 64 bits, 2^64 used to replay seed 0's paths
+        and -5 to run those of 2^64 - 5."""
         spec = _spec(tmp_path, BETA_DOME)
-        args = ["--dt", "0.002", "--steps", "3000", "--paths", "2",
-                "--burn-in", "100"]
-        outs = [tmp_path / ("seed" + s) for s in ("-5", "0")]
-        for seed, out in zip(("-5", "0"), outs):
-            assert main(["simulate", spec, *args, "--seed", seed,
-                         "--out", str(out)]) == 0
-        assert ((outs[0] / "hist.csv").read_bytes()
-                != (outs[1] / "hist.csv").read_bytes())
+        rc = main(["simulate", spec, "--dt", "0.002", "--steps", "3000",
+                   "--seed", seed, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: seed must be in [0, 2**64)\n"
 
     def test_diverging_wide_batch_prints_one_line(self, tmp_path, capsys):
         """dt = 3 on a standard normal overflows. At 64 paths the run steps

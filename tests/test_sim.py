@@ -2,6 +2,7 @@
 
 import functools
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -130,17 +131,27 @@ class TestDeterminism:
         assert len(set(means)) == 3
 
     def test_seed_is_one_uint64_key_word(self):
-        """Negative seeds and seeds from 2^63 up each get their own stream
-        (none falls back to seed 0's), and a seed below 2^63 keeps the
-        stream of the key words (seed, path index)."""
+        """Seeds from 2^63 up to 2^64 - 1 each get their own stream (none
+        falls back to seed 0's), and every seed keeps the stream of the key
+        words (seed, path index)."""
         draws = {tuple(sim._path_rng(s, 0).standard_normal(4))
-                 for s in (0, -1, -5, 2 ** 63, 2 ** 63 + 1)}
+                 for s in (0, 5, 2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1)}
         assert len(draws) == 5
-        for i in (0, 1, 17):
-            ref = np.random.Generator(np.random.Philox(key=7 + (i << 64)))
-            np.testing.assert_array_equal(
-                sim._path_rng(7, i).standard_normal(8),
-                ref.standard_normal(8))
+        for seed in (7, 2 ** 64 - 1):
+            for i in (0, 1, 17):
+                ref = np.random.Generator(np.random.Philox(
+                    key=seed + (i << 64)))
+                np.testing.assert_array_equal(
+                    sim._path_rng(seed, i).standard_normal(8),
+                    ref.standard_normal(8))
+
+    @pytest.mark.parametrize("seed", [-1, -5, 2 ** 64, 2 ** 64 + 5])
+    def test_seed_outside_64_bits_is_refused(self, seed):
+        """A seed outside [0, 2^64) is not one key word: masked into 64
+        bits it would alias another seed's paths."""
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(dt=1e-3, n_steps=100, seed=seed)
+        assert SimConfig(dt=1e-3, n_steps=100, seed=2 ** 64 - 1).seed > 0
 
 
 class TestStationaryMoments:
@@ -699,6 +710,183 @@ class TestKernels:
                 assert np.all(series == 1e-20)
 
 
+@pytest.fixture
+def forking(monkeypatch):
+    """Path-major runs fork at any length on 4 cores: the pids of the
+    forks the test's process makes are appended to the list returned."""
+    monkeypatch.setattr(sim, "_FORK_PATH_STEPS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    real, pids = os.fork, []
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _serial(monkeypatch, call):
+    """call() with path-major runs walked in one process."""
+    with monkeypatch.context() as m:
+        m.setattr(sim, "_workers", lambda cfg: 1)
+        return call()
+
+
+def _no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+class TestFork:
+    """A long path-major run forks one worker per core (at most one per
+    path and per _FORK_PATH_STEPS path-steps), each on a contiguous block
+    of paths; the series and the failures are the serial run's."""
+
+    @pytest.mark.parametrize("mode", ["reflect", "reject-step"])
+    @pytest.mark.parametrize("spec", CLOSED_KINDS, ids=lambda s: s.kind)
+    def test_identical_series(self, spec, mode, forking, monkeypatch):
+        """Blocks of 1, 1 and 2 paths (2 and 3 paths) or 4 (16 paths),
+        with a burn-in that ends past the first chunk: the forked series
+        is the serial one, bit for bit."""
+        proc = synthesize(spec)
+        for n_paths in (2, 3, PATH_MAJOR_MAX_PATHS):
+            cfg = SimConfig(dt=0.05 / proc.lambda1, n_steps=2100,
+                            n_paths=n_paths, seed=3, burn_in=1100,
+                            boundary_mode=mode)
+            forked = len(forking)
+            a = _both_kernels(proc, cfg)[0]
+            assert len(forking) - forked == min(n_paths, 4) - 1
+            b = _serial(monkeypatch, lambda: _both_kernels(proc, cfg)[0])
+            assert a.shape == (1000, n_paths)
+            assert np.array_equal(a, b)
+        assert _no_children()
+
+    @pytest.mark.parametrize("n_paths", [8, 6])
+    def test_give_up_in_a_child_block(self, n_paths, forking, monkeypatch):
+        """Path 4 of the dome at dt = 1, seed 5, gives up first, at step
+        4, in a child's block (paths 4 and 5 at both widths); the forked
+        run names that step, as the serial run and step-major do."""
+        proc = _dome_process()
+        cfg = SimConfig(dt=1.0, n_steps=3000, n_paths=n_paths, seed=5,
+                        boundary_mode="reject-step")
+        a = _both_kernels(proc, cfg)
+        assert len(forking) == 3
+        assert a == _serial(monkeypatch, lambda: _both_kernels(proc, cfg))
+        assert a[0] == a[1] == \
+            "BoundaryViolation: step rejected 100 times at t=4"
+        with pytest.raises(BoundaryViolation, match="t=4$"):
+            simulate(proc, cfg)
+        assert _no_children()
+
+    @pytest.mark.parametrize("n_steps,burn_in", [(3000, 0), (3000, 1500)])
+    def test_same_non_finite_error(self, n_steps, burn_in, forking,
+                                   monkeypatch):
+        """The Normal's overflow at dt = 3 (test_same_non_finite_error in
+        TestKernels) at 3 paths, one block each: the forked run names the
+        step the paths stepped on their own leave the floats."""
+        proc = synthesize(Normal(0.0, 1.0))
+        cfg = SimConfig(dt=3.0, n_steps=n_steps, n_paths=3, seed=5,
+                        burn_in=burn_in)
+        a = _both_kernels(proc, cfg)[0]
+        assert len(forking) == 2
+        assert a == _serial(monkeypatch, lambda: _both_kernels(proc, cfg)[0])
+        assert a == _non_finite(proc, cfg)
+        with pytest.raises(NonFiniteState):
+            simulate(proc, cfg)
+        assert _no_children()
+
+    def test_every_child_is_reaped(self, forking, monkeypatch):
+        """After a run that returns and after one whose parent fails while
+        its children walk, no child is left, not even a zombie."""
+        proc = _dome_process()
+        cfg = SimConfig(dt=0.01, n_steps=2000, n_paths=8, seed=3)
+        simulate(proc, cfg)
+        assert len(forking) == 3 and _no_children()
+        parent, walk = os.getpid(), sim._walk
+
+        def failing(*args):
+            if os.getpid() == parent:
+                raise RuntimeError("the parent's walk failed")
+            return walk(*args)
+
+        monkeypatch.setattr(sim, "_walk", failing)
+        with pytest.raises(RuntimeError):
+            simulate(proc, cfg)
+        assert len(forking) == 6 and _no_children()
+
+    def test_a_child_that_dies_is_walked_by_the_parent(self, forking,
+                                                       monkeypatch):
+        """A child that exits before it has sent its block leaves the pipe
+        short; the parent walks that block itself, and the series is the
+        serial one."""
+        proc = _dome_process()
+        cfg = SimConfig(dt=0.01, n_steps=2000, n_paths=8, seed=3)
+        want = _serial(monkeypatch, lambda: _both_kernels(proc, cfg)[0])
+        parent, walk = os.getpid(), sim._walk
+
+        def dying(cfg, x0, step, series, first):
+            if os.getpid() != parent and first == 4:
+                os._exit(0)
+            return walk(cfg, x0, step, series, first)
+
+        monkeypatch.setattr(sim, "_walk", dying)
+        assert np.array_equal(_both_kernels(proc, cfg)[0], want)
+        assert len(forking) == 3 and _no_children()
+
+    def test_a_failed_fork_walks_serially(self, forking, monkeypatch):
+        """With os.fork raising OSError, the parent walks every block."""
+        proc = _dome_process()
+        cfg = SimConfig(dt=0.01, n_steps=2000, n_paths=8, seed=3,
+                        boundary_mode="reject-step")
+        want = _serial(monkeypatch, lambda: _both_kernels(proc, cfg)[0])
+
+        def fork():
+            raise OSError("no more processes")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert np.array_equal(_both_kernels(proc, cfg)[0], want)
+        assert _no_children()
+
+    def test_short_runs_do_not_fork(self, monkeypatch):
+        """Below _FORK_PATH_STEPS path-steps a worker, one path, or a
+        step-major run: os.fork is never called."""
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+        per_worker = sim._FORK_PATH_STEPS
+        for target, n_paths, n_steps in (
+                (_dome_process(), PATH_MAJOR_MAX_PATHS,
+                 2 * per_worker // PATH_MAJOR_MAX_PATHS - 1),
+                (_dome_process(), 1, 2 * per_worker),
+                (_dome_process(), PATH_MAJOR_MAX_PATHS + 1,
+                 2 * per_worker // PATH_MAJOR_MAX_PATHS)):
+            simulate(target, SimConfig(dt=0.01, n_steps=n_steps,
+                                       n_paths=n_paths, seed=1))
+
+    def test_workers_never_exceed_paths_or_cores(self, monkeypatch):
+        """min(paths, cores, path-steps // _FORK_PATH_STEPS), at least 1;
+        one where os.fork or os.sched_getaffinity is missing."""
+        per_worker = sim._FORK_PATH_STEPS
+        for cores, n_paths, n_steps, want in (
+                (64, 3, 100 * per_worker, 3), (2, 16, 100 * per_worker, 2),
+                (64, 16, per_worker // 2, 8), (64, 16, per_worker // 16, 1),
+                (1, 16, 100 * per_worker, 1)):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=cores: set(range(n)))
+            assert sim._workers(SimConfig(dt=0.01, n_steps=n_steps,
+                                          n_paths=n_paths)) == want
+        cfg = SimConfig(dt=0.01, n_steps=100 * per_worker, n_paths=16)
+        for name in ("fork", "sched_getaffinity"):
+            with monkeypatch.context() as m:
+                m.delattr(os, name)
+                assert sim._workers(cfg) == 1
+
+
 def _old_post_processing(series, phi1, n_bins=50):
     """m1, m2, histogram and acf by the formulas that made temporaries the
     size of the series: y = slope x + intercept for phi1 = (slope,
@@ -786,7 +974,7 @@ class TestPostProcessing:
     def test_acf_blocks_fit_in_the_freed_noise_chunk(self):
         """On the widest benchmark series (15875 kept steps of 256 paths)
         the ACF's held blocks and temporaries peak within the 1000 x 256
-        noise chunk that _run has freed: 0.79 MB, where one path at a time
+        noise chunk that _walk has freed: 0.79 MB, where one path at a time
         with fresh temporaries peaked at 0.92 MB."""
         series = np.random.default_rng(1).random((15875, 256))
         phi1 = _dome_process().phi1

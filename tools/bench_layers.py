@@ -17,17 +17,25 @@ Times, under the fastmix of this tree (src/ beside tools/):
   call is at 64 Chebyshev points of the density's truncated support;
 - the build of the quadrature route's V table on the same tables and
   mixtures;
-- the sampler's two kernels, sim._path_major and sim._step_major, on the
-  optimal process of every catalog kind (all have a closed variance shape;
-  reflect mode, dt = 0.01 / lambda1) at each width in WIDTHS, PATH_STEPS
-  path-steps a reading but at least 500 steps. The readings alternate
-  between the kernels, so that a slow stretch of a shared host falls on
-  both. Each entry names the kernel with the lower median and the one
-  simulate picks, read off its routing; the widest width at which
-  path-major still wins, per kind, is what sim.PATH_MAJOR_MAX_PATHS is set
-  from. The quadrature route's processes of the synth workload's
+- the sampler's kernels on the optimal process of every catalog kind (all
+  have a closed variance shape; reflect mode, dt = 0.01 / lambda1) at each
+  width in WIDTHS, PATH_STEPS path-steps a reading but at least 500 steps:
+  sim._step_major, sim._path_major walking every path in this process
+  ("path-major"), and, where the run is long enough to fork, sim._path_major
+  as simulate runs it, one worker per core on blocks of paths ("path-major
+  forked"; sim._workers). The readings alternate between the kernels, so
+  that a slow stretch of a shared host falls on all. Each entry records
+  its path-steps per second and names the kernel with the lower median
+  and the one simulate picks, read off its routing; the widest width at
+  which path-major still wins, per kind, is what sim.PATH_MAJOR_MAX_PATHS
+  is set from. The quadrature route's processes of the synth workload's
   SIM_TABLES are timed the same way on step-major alone, the kernel
   simulate picks for them at every width;
+- path-major walking every path in this process and forked as simulate
+  runs it, on the dome (Beta(1, 1)) and the Normal(0, 1), at 16 paths on
+  each run of FORK_RUNS: the paths workload's 16-path jobs, and criterion
+  08 of tests/test_acceptance.py, whose walks are 80 times longer. The
+  readings alternate between the two;
 - what simulate does after the walk, on the dome (Beta(1, 1)) at the
   lengths of the `paths` workload's jobs (SIM_RUNS): the autocorrelation
   (sim._mean_lag_products) and np.histogram within one simulate call, then
@@ -50,8 +58,8 @@ numerics.integrate call of the untimed run, and the calls of the
 integrand that made them; a synthesis entry on the quadrature route
 records the table's cell count and evaluations. The file also records
 nproc and the Python, numpy and scipy versions. It is written at the root
-of the tree. A full run takes about 40 s on two cores, most of it in the
-sampler's kernels.
+of the tree. A full run takes about 150 s on two cores, most of it in the
+sampler's kernels: step-major at one path alone takes about a minute.
 """
 
 from __future__ import annotations
@@ -91,8 +99,14 @@ WIDTHS = (1, 8, 16, 32, 64, 256)
 # the synth workload's tables and mixtures the sampler is timed on, on the
 # quadrature route
 SIM_TABLES = ("bimodal", "mixture-beta")
-PATH_STEPS = 32768
+# 8192 steps at 16 paths, about the paths workload's 16-path jobs, which
+# fork on two cores or more
+PATH_STEPS = 131072
 DOME = {"kind": "beta", "params": {"alpha": 1.0, "beta": 1.0}}
+OU = {"kind": "normal", "params": {"x0": 0.0, "sigma": 1.0}}
+# (paths, steps, dt, burn-in) of the runs path-major is timed on, serial
+# and forked: the paths workload's 16-path dome job and criterion 08
+FORK_RUNS = ((16, 8000, 0.01, 125), (16, 625000, 1e-3, 20000))
 # (paths, steps, burn-in) of the paths workload's jobs, dt = 0.01: the
 # dome's three widths, then the 256-path length of the OU and Gamma jobs
 SIM_RUNS = ((1, 20000, 125), (16, 8000, 125), (256, 16000, 125),
@@ -199,26 +213,47 @@ def _table_counts(proc):
     return {"cells": int(table.cells), "evaluations": int(table.evaluations)}
 
 
-def _picked(sim, proc, n_paths):
-    """The kernel simulate runs for proc at n_paths, read off its routing."""
+class _Routed(Exception):
+    """Raised in place of the walk once simulate has routed it."""
+
+
+def _picked(sim, proc, cfg):
+    """The kernel simulate runs for proc at cfg, read off its routing: the
+    kernel it calls and the workers that kernel hands sim._run, which
+    raises before it walks."""
     seen = []
 
     def spy(kernel):
         return lambda real: lambda *a: seen.append(kernel) or real(*a)
 
+    def routed(real):
+        def run(cfg, x0, walk, workers=1, pids=None):
+            seen.append(workers)
+            raise _Routed
+        return run
+
     with _wrapped(sim, "_path_major", spy("path-major")), \
-            _wrapped(sim, "_step_major", spy("step-major")):
-        sim.simulate(proc, sim.SimConfig(dt=0.01 / proc.lambda1, n_steps=2,
-                                         n_paths=n_paths))
-    return seen[0]
+            _wrapped(sim, "_step_major", spy("step-major")), \
+            _wrapped(sim, "_run", routed), \
+            contextlib.suppress(_Routed):
+        sim.simulate(proc, cfg)
+    kernel, workers = seen
+    return kernel + " forked" if workers > 1 else kernel
 
 
 def _kernels(fastmix, repeats, synth):
-    """Both kernels on every catalog kind, and step-major, the kernel
-    simulate picks for them, on the quadrature route's SIM_TABLES; each
-    walks the drift and sigma^2/2 that simulate hands it."""
+    """The kernels on every catalog kind, path-major forked only where the
+    run forks, and step-major, the kernel simulate picks for them, on the
+    quadrature route's SIM_TABLES; each walks the drift and sigma^2/2 that
+    simulate hands it."""
     sim = fastmix.sim
-    kernels = {"path-major": sim._path_major, "step-major": sim._step_major}
+
+    def serial(*args):
+        with _wrapped(sim, "_workers", lambda real: lambda cfg: 1):
+            return sim._path_major(*args)
+
+    kernels = {"path-major": serial, "path-major forked": sim._path_major,
+               "step-major": sim._step_major}
     targets = [(fastmix.synthesize(fastmix.parse_spec(
         {"kind": kind, "params": params})), None, kernels)
         for kind, params in CATALOG]
@@ -226,13 +261,15 @@ def _kernels(fastmix, repeats, synth):
                                     variance_mode="quadrature"), name,
                  {"step-major": sim._step_major}) for name in SIM_TABLES]
     entries = []
-    for proc, name, walks in targets:
+    for proc, name, offered in targets:
         drift, variance, (lo, hi), _ = sim._unpack_target(proc)
         for n_paths in WIDTHS:
             cfg = sim.SimConfig(dt=0.01 / proc.lambda1,
                                 n_steps=max(500, PATH_STEPS // n_paths),
                                 n_paths=n_paths, seed=3)
-            picked = _picked(sim, proc, n_paths)
+            picked = _picked(sim, proc, cfg)
+            walks = {kernel: walk for kernel, walk in offered.items()
+                     if kernel != "path-major forked" or sim._workers(cfg) > 1}
             times = {kernel: [] for kernel in walks}
             for _ in range(repeats):
                 for kernel, walk in walks.items():
@@ -243,9 +280,41 @@ def _kernels(fastmix, repeats, synth):
                 times[kernel]))
             entries += [_entry(name or repr(proc.source), times[kernel],
                                kernel=kernel, paths=n_paths,
-                               steps=cfg.n_steps, faster=faster,
-                               picked=picked)
+                               steps=cfg.n_steps,
+                               path_steps_per_s=n_paths * cfg.n_steps
+                               / statistics.median(times[kernel]),
+                               faster=faster, picked=picked)
                         for kernel in walks]
+    return entries
+
+
+def _fork(fastmix, repeats):
+    """Path-major on the dome and the Normal at each run of FORK_RUNS,
+    walking every path in this process and forked as simulate runs it."""
+    sim = fastmix.sim
+    entries = []
+    for doc in (DOME, OU):
+        proc = fastmix.synthesize(fastmix.parse_spec(doc))
+        drift, variance, (lo, hi), _ = sim._unpack_target(proc)
+        for n_paths, n_steps, dt, burn_in in FORK_RUNS:
+            cfg = sim.SimConfig(dt=dt, n_steps=n_steps, n_paths=n_paths,
+                                seed=3, burn_in=burn_in)
+            times = {1: [], sim._workers(cfg): []}
+            for _ in range(repeats):
+                for workers, readings in times.items():
+                    with _wrapped(sim, "_workers",
+                                  lambda real: lambda cfg: workers):
+                        t0 = time.perf_counter()
+                        sim._path_major(drift, variance, lo, hi,
+                                        proc.moments.m1, cfg)
+                        readings.append(time.perf_counter() - t0)
+            entries += [_entry(repr(proc.source), readings,
+                               kernel="path-major" + (
+                                   " forked" if workers > 1 else ""),
+                               paths=n_paths, steps=n_steps, workers=workers,
+                               path_steps_per_s=n_paths * n_steps
+                               / statistics.median(readings))
+                        for workers, readings in times.items()]
     return entries
 
 
@@ -405,6 +474,7 @@ def run(pr, repeats=MIN_REPEATS):
                    "optimal.synthesis": synthesis,
                    "optimal.table_build": table_build,
                    "sim.kernels": _kernels(fastmix, repeats, synth),
+                   "sim.fork": _fork(fastmix, repeats),
                    "sim.post_processing": _post_processing(fastmix,
                                                            repeats),
                    "spectral.generator": _generator(fastmix, repeats),
