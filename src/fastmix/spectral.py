@@ -9,6 +9,14 @@ pi-orthonormal eigenfunctions. The forward (Fokker-Planck) operator is the
 transpose of the same matrix, so densities evolve exactly in that eigenbasis,
 which conserves discrete mass and holds the discrete pi stationary to machine
 precision.
+
+The low spectrum of a generator of at most 2000 cells, and every spectrum
+of all n modes, comes from LAPACK's bisection (numerics.tridiag_eigs). That
+is accurate to eps ||T|| in absolute terms, and ||T|| grows like 1/h^2. A
+finer generator's k < n lowest modes come from certified inverse iteration
+seeded by its coarsening to about 2000 cells, with each eigenvalue taken as
+a Dirichlet form, to high relative accuracy; what it cannot certify falls
+back to bisection.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import numerics
 from .errors import GridTooCoarse, NumericalFailure, ZeroDenominator
@@ -32,6 +41,13 @@ _FIRST_BLOCK = 8
 _RECORD_BLOCK = 256
 # below the roundoff of the sum itself (unit roundoff is 1.1e-16)
 _DROP_TOL = 1e-17
+# spectrum bisects generators of at most _COARSE_CELLS cells; a finer one
+# takes its low modes by inverse iteration, seeded from its coarsening to
+# about _COARSE_CELLS cells. A mode has converged when its Rayleigh quotient
+# moves by less than _RQ_RTOL relative, in at most _MAX_SOLVES solves
+_COARSE_CELLS = 2000
+_RQ_RTOL = 1e-12
+_MAX_SOLVES = 6
 
 
 @dataclass(frozen=True)
@@ -122,9 +138,25 @@ def spectrum(disc: Discretization, k: int, *,
 
     With vectors=False only the eigenvalues are computed (the same values,
     bit for bit) and eigenfunctions is None.
+
+    On a grid of at most 2000 points, or for k = n, they are
+    numerics.tridiag_eigs's bisection values, accurate to about eps ||T||
+    (||T|| ~ g / (pi h^2)). On a finer grid the k < n lowest modes come
+    from _certified_low_modes: lambda_0 is 0 and each other lambda_j the
+    Dirichlet form of its inverse-iteration vector, whose relative
+    accuracy does not depend on ||T||. At 200000 points that takes
+    lambda_1's distance from the closed rate from 1.4e-7 to 6e-11 on
+    Beta(1, 1), and from 3.6e-8 to 8e-14 on the Normal: what is left is
+    the discretization error. When the pairs cannot be certified (two
+    modes found at one eigenvalue, say), bisection's result is returned.
     """
-    lams, vecs = numerics.tridiag_eigs(disc.diag, disc.offdiag, k,
-                                       vectors=vectors)
+    found = None
+    if _COARSE_CELLS < disc.grid.n and 0 < k < disc.grid.n:
+        found = _certified_low_modes(disc, k, vectors)
+    if found is None:
+        found = numerics.tridiag_eigs(disc.diag, disc.offdiag, k,
+                                      vectors=vectors)
+    lams, vecs = found
     if vecs is None:
         return SpectrumResult(eigenvalues=lams, eigenfunctions=None,
                               grid=disc.grid)
@@ -135,6 +167,157 @@ def spectrum(disc: Discretization, k: int, *,
     funcs[peaks < 0] *= -1.0
     return SpectrumResult(eigenvalues=lams, eigenfunctions=funcs,
                           grid=disc.grid)
+
+
+def _coarse_ratio(n: int) -> int:
+    """Fine cells to a cell of the coarsening of an n-cell generator."""
+    return -(-n // _COARSE_CELLS)
+
+
+def _coarse_modes(disc: Discretization, m: int):
+    """The m lowest eigenvalues of disc's generator coarsened to about
+    _COARSE_CELLS cells, and the rows of their eigenfunctions; None when
+    the coarsening has fewer than m cells.
+
+    Each coarse cell is r = ceil(n / _COARSE_CELLS) fine cells, the last
+    maybe fewer; its mass is the sum of theirs. Each coarse face keeps g of
+    the fine face there, over the coarse spacing r h.
+    """
+    n = disc.grid.n
+    h = disc.grid.h
+    r = _coarse_ratio(n)
+    # pi h is weights^2; summing pi makes no temporary of length n
+    mass = np.add.reduceat(disc.pi, np.arange(0, n, r)) * h
+    if m > mass.size:
+        return None
+    cond = disc.faces[r - 1::r] / (r * h)
+    flux = np.concatenate([[0.0], cond, [0.0]])
+    diag = (flux[:-1] + flux[1:]) / mass
+    offdiag = -cond / np.sqrt(mass[:-1] * mass[1:])
+    lams, vecs = numerics.tridiag_eigs(diag, offdiag, m)
+    return lams, (vecs / np.sqrt(mass)[:, None]).T
+
+
+def _certified_low_modes(disc: Discretization, k: int, vectors: bool):
+    """The k lowest eigenpairs of disc's generator T by shifted inverse
+    iteration, seeded from the k + 1 lowest modes of its coarsening
+    (_coarse_modes); None when they cannot be certified.
+
+    Mode 0 is weights itself, with eigenvalue 0, and takes no solve. Mode
+    j >= 1 starts from coarse eigenfunction j, constant on each coarse
+    cell, and from sigma = seeds[j]. Each step solves (T - sigma) y = x
+    (LAPACK dgtsv), normalizes y into x and resets sigma to x's Rayleigh
+    quotient rho; the mode has converged once rho moves by less than
+    _RQ_RTOL relative, within _MAX_SOLVES solves. rho is taken as the
+    Dirichlet form sum_j (g_j / h) (u_{j+1} - u_j)^2 / sum_i x_i^2,
+    u = x / weights: a sum of positive terms, so its relative accuracy does
+    not depend on the norm of T, as bisection's does.
+
+    The result is certified when every solve succeeds and every mode
+    converges; when the intervals rho_j +- ||T x_j - rho_j x_j|| (each
+    holds an eigenvalue of T; an allowance for the rounding of T x is
+    added) are disjoint and lie below mu = (rho_{k-1} + seeds[k]) / 2; and
+    when the Sturm count of T below mu is k. Then the intervals hold the k
+    lowest eigenvalues, one each.
+
+    With vectors=True the eigenvectors are the unit-norm columns of an
+    (n, k) array; with vectors=False one iteration vector is held at a
+    time, and the Sturm count runs after it and the coarse modes are
+    dropped.
+    """
+    coarse = _coarse_modes(disc, k + 1)
+    if coarse is None:
+        return None
+    seeds, starts = coarse
+    d, e, w = disc.diag, disc.offdiag, disc.weights
+    n = d.size
+    r = _coarse_ratio(n)
+    # reductions, not np.abs, so that no temporary of length n is made
+    d_min, d_max = float(np.min(d)), float(np.max(d))
+    e_max = max(float(np.max(e)), -float(np.min(e)))
+    # 3 eps ||T||, the allowance for the rounding of T x
+    slack = 3.0 * np.finfo(float).eps * (max(d_max, -d_min) + 2.0 * e_max)
+    lams = np.zeros(k)
+    radii = np.empty(k)
+    vecs = np.empty((k, n)).T if vectors else None
+    # dgtsv overwrites the three diagonals it is given; between solves they
+    # are the scratch of the quotient and the residual
+    lower, middle, upper = np.empty(n - 1), np.empty(n), np.empty(n - 1)
+    x = w / math.sqrt(float(w @ w))
+    radii[0] = _residual_norm(d, e, x, 0.0, middle, lower) + slack
+    if vectors:
+        vecs[:, 0] = x
+    whole = n // r * r  # fine cells in full coarse cells
+    for j in range(1, k):
+        # starts[j] constant on each coarse cell, times the weights
+        np.multiply(w[:whole].reshape(-1, r), starts[j][:whole // r, None],
+                    out=x[:whole].reshape(-1, r))
+        np.multiply(w[whole:], starts[j][-1], out=x[whole:])
+        sigma = float(seeds[j])
+        for _ in range(_MAX_SOLVES):
+            np.copyto(lower, e)
+            np.copyto(upper, e)
+            np.subtract(d, sigma, out=middle)
+            _, _, _, x, info = lapack.dgtsv(
+                lower, middle, upper, x, overwrite_dl=1, overwrite_d=1,
+                overwrite_du=1, overwrite_b=1)
+            if info != 0:
+                return None
+            with np.errstate(all="ignore"):  # a non-finite rho fails below
+                x /= math.sqrt(float(x @ x))
+                rho = _dirichlet_quotient(disc, x, middle, lower)
+            if not math.isfinite(rho):
+                return None
+            done = abs(rho - sigma) <= _RQ_RTOL * rho
+            sigma = rho
+            if done:
+                break
+        else:
+            return None
+        lams[j] = rho
+        radii[j] = _residual_norm(d, e, x, rho, middle, lower) + slack
+        if not lams[j] - radii[j] > lams[j - 1] + radii[j - 1]:
+            return None
+        if vectors:
+            # the solves leave the modes orthogonal only to about
+            # eps ||T|| / gap; one Gram-Schmidt pass restores it
+            v = vecs[:, j]
+            v[:] = x
+            v -= vecs[:, :j] @ (vecs[:, :j].T @ v)
+            v /= math.sqrt(float(v @ v))
+    mu = 0.5 * (lams[-1] + float(seeds[k]))
+    del x, lower, middle, upper, coarse, seeds, starts
+    if not lams[-1] + radii[-1] < mu:
+        return None
+    # dstebz counts the eigenvalues in (vl, mu]; with abstol that large it
+    # stops at the count. vl lies below Gershgorin's bound
+    vl = d_min - 3.0 * e_max - 1.0
+    count, _, _, _, info = lapack.dstebz(d, e, 1, vl, mu, 0, 0, 1e300, "E")
+    if info != 0 or count != k:
+        return None
+    return lams, vecs
+
+
+def _dirichlet_quotient(disc: Discretization, x, scratch, face_scratch):
+    """sum_j (g_j / h) (u_{j+1} - u_j)^2 / sum_i x_i^2, u = x / weights,
+    computed in the two scratch arrays (lengths n and n - 1)."""
+    u = np.divide(x, disc.weights, out=scratch)
+    du = np.subtract(u[1:], u[:-1], out=face_scratch)
+    np.multiply(du, du, out=du)
+    np.multiply(du, disc.faces, out=du)
+    return float(np.sum(du)) / (disc.grid.h * float(x @ x))
+
+
+def _residual_norm(d, e, x, rho, scratch, face_scratch):
+    """||T x - rho x|| for T = (d, e), computed in the two scratch arrays
+    (lengths n and n - 1)."""
+    r = np.subtract(d, rho, out=scratch)
+    np.multiply(r, x, out=r)
+    np.multiply(e, x[1:], out=face_scratch)
+    r[:-1] += face_scratch
+    np.multiply(e, x[:-1], out=face_scratch)
+    r[1:] += face_scratch
+    return math.sqrt(float(r @ r))
 
 
 def rayleigh_quotient(proc: OptimalProcess, q: GridFunction) -> float:

@@ -23,7 +23,7 @@ from fastmix.distributions import (
     StudentCauchy,
 )
 from fastmix.errors import GridTooCoarse, NumericalFailure, ZeroDenominator
-from fastmix.numerics import Grid, GridFunction
+from fastmix.numerics import Grid, GridFunction, tridiag_eigs
 from fastmix.optimal import synthesize
 from fastmix.spectral import (
     EvolutionState,
@@ -189,6 +189,112 @@ class TestSpectrum:
         d2 = abs(gaps[1] - gaps[2])
         assert d2 > 0
         assert 3.0 <= d1 / d2 <= 5.0
+
+
+class TestFineSpectrum:
+    """Above 2000 points the low modes come from certified inverse
+    iteration; on failure, from bisection unchanged."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record whether each call of the inverse iteration certified."""
+        certified = []
+        real = spectral._certified_low_modes
+
+        def spy(*args):
+            found = real(*args)
+            certified.append(found is not None)
+            return found
+
+        monkeypatch.setattr(spectral, "_certified_low_modes", spy)
+        return certified
+
+    @pytest.mark.parametrize("spec", [Beta(1.0, 1.0), Normal(0.0, 1.0)],
+                             ids=lambda s: s.kind)
+    def test_gap_at_200k_points_is_the_closed_rate(self, spec):
+        """Bisection misses lambda1 by 1.4e-7 (Beta) and 3.6e-8 (Normal)
+        relative at 200000 points, and prints lambda0 as noise of 1e-8 to
+        1e-6; what is left here is the discretization error."""
+        proc = synthesize(spec)
+        disc = discretize_generator(proc, default_grid(proc, 200000))
+        lams = spectrum(disc, 5, vectors=False).eigenvalues
+        assert abs(lams[1] - proc.lambda1) <= 1e-10 * proc.lambda1
+        assert abs(lams[0]) <= 1e-12 * lams[1]
+
+    @pytest.mark.parametrize("spec", CATALOG_TARGETS,
+                             ids=lambda s: "%s%s" % (s.kind,
+                                                     tuple(s.params.values())))
+    def test_every_catalog_target_is_certified(self, spec, monkeypatch):
+        certified = self._spy(monkeypatch)
+        proc = synthesize(spec)
+        disc = discretize_generator(proc, default_grid(proc, 20000))
+        lams = spectrum(disc, 5, vectors=False).eigenvalues
+        assert certified == [True]
+        ref = tridiag_eigs(disc.diag, disc.offdiag, 5, vectors=False)[0]
+        # bisection's absolute error is about eps ||T||
+        np.testing.assert_allclose(lams, ref, rtol=0.0,
+                                   atol=1e-14 * np.max(np.abs(disc.diag)))
+
+    @pytest.mark.parametrize("how", ["skip", "repeat"])
+    @pytest.mark.parametrize("vectors", [False, True])
+    def test_seeds_that_miss_a_mode_fall_back_to_bisection(
+            self, monkeypatch, how, vectors):
+        """Seeds that skip lambda1 find lambda2..lambda4 and fail the Sturm
+        count; seeds that repeat it find lambda1 twice and fail the
+        disjoint intervals. Either way spectrum returns bisection's
+        values, bit for bit."""
+        real = spectral._coarse_modes
+
+        def coarse_modes(disc, m):
+            seeds, starts = real(disc, m + 1)
+            keep = ([0] + list(range(2, m + 1)) if how == "skip"
+                    else [0, 1] + list(range(1, m)))
+            return seeds[keep], starts[keep]
+
+        monkeypatch.setattr(spectral, "_coarse_modes", coarse_modes)
+        certified = self._spy(monkeypatch)
+        proc = synthesize(Beta(1.0, 1.0))
+        disc = discretize_generator(proc, default_grid(proc, 5000))
+        got = spectrum(disc, 4, vectors=vectors)
+        assert certified == [False]
+        ref, vecs = tridiag_eigs(disc.diag, disc.offdiag, 4, vectors=vectors)
+        assert np.array_equal(got.eigenvalues, ref)
+        assert (got.eigenfunctions is None) == (vecs is None)
+
+    @pytest.mark.parametrize("spec", [Beta(1.0, 1.0), Normal(0.0, 1.0),
+                                      InverseGamma(2.0)],
+                             ids=lambda s: s.kind)
+    def test_eigenfunctions_above_2000_points(self, spec, monkeypatch):
+        """Both routes give the same values bit for bit; the functions are
+        pi-orthonormal and are bisection's vectors up to sign."""
+        certified = self._spy(monkeypatch)
+        proc = synthesize(spec)
+        g = default_grid(proc, 20000)
+        disc = discretize_generator(proc, g)
+        pairs = spectrum(disc, 5)
+        values = spectrum(disc, 5, vectors=False)
+        assert certified == [True, True]
+        assert np.array_equal(pairs.eigenvalues, values.eigenvalues)
+        phi = pairs.eigenfunctions
+        gram = (phi * disc.pi) @ phi.T * g.h
+        np.testing.assert_allclose(gram, np.eye(5), rtol=0.0, atol=1e-10)
+        ref = tridiag_eigs(disc.diag, disc.offdiag, 5)[1]
+        got = (phi * disc.weights).T
+        sign = np.sign(np.sum(got * ref, axis=0))
+        np.testing.assert_allclose(got, ref * sign, rtol=0.0, atol=1e-9)
+
+    def test_2000_points_and_below_stay_on_bisection(self, monkeypatch):
+        certified = self._spy(monkeypatch)
+        proc = synthesize(Normal(0.0, 1.0))
+        for n in (2000, 2001):
+            disc = discretize_generator(proc, default_grid(proc, n))
+            lams = spectrum(disc, 5, vectors=False).eigenvalues
+            ref = tridiag_eigs(disc.diag, disc.offdiag, 5, vectors=False)[0]
+            assert np.array_equal(lams, ref) == (n == 2000)
+        assert certified == [True]
+        for k in (0, -1, disc.grid.n + 1):
+            with pytest.raises(ValueError, match="k must be in"):
+                spectrum(disc, k)
 
 
 class TestRayleigh:
