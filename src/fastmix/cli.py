@@ -106,11 +106,11 @@ COMMANDS = {
               _GRID_POINTS,
               _arg("--sigma-hat", **_SIGMA_HAT)),
         strict_help="exit 4 if the numeric gap misses the analytic one by "
-                    "more than 1%%. Above 2000 grid points the gap comes "
-                    "from certified inverse iteration, so the miss is "
-                    "discretization error alone; at 2000 and below it "
-                    "comes from bisection, whose own error (about "
-                    "eps ||T||) adds to it"),
+                    "more than 1%%. Above 1500 grid points, the default "
+                    "included, the gap comes from certified inverse "
+                    "iteration, so the miss is discretization error alone; "
+                    "at 1500 and below it comes from bisection, whose own "
+                    "error (about eps ||T||) adds to it"),
     "simulate": Command(
         help="sample paths and an empirical decay rate",
         fields={"dt": float, "steps": int, "paths": int, "seed": int,

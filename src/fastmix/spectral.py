@@ -10,13 +10,17 @@ transpose of the same matrix, so densities evolve exactly in that eigenbasis,
 which conserves discrete mass and holds the discrete pi stationary to machine
 precision.
 
-The low spectrum of a generator of at most 2000 cells, and every spectrum
-of all n modes, comes from LAPACK's bisection (numerics.tridiag_eigs). That
-is accurate to eps ||T|| in absolute terms, and ||T|| grows like 1/h^2. A
-finer generator's k < n lowest modes come from certified inverse iteration
-seeded by its coarsening to about 2000 cells, with each eigenvalue taken as
-a Dirichlet form, to high relative accuracy; what it cannot certify falls
-back to bisection.
+spectrum takes one of two routes, by grid size. The low spectrum of a
+generator of at most 1500 cells (_ROUTE_CELLS), and every spectrum of all n
+modes, comes from LAPACK's bisection (numerics.tridiag_eigs). That is
+accurate to eps ||T|| in absolute terms, and ||T|| grows like 1/h^2. A
+finer generator's k < n lowest modes, the spectrum command's default of
+2000 points included, come from certified inverse iteration seeded by its
+coarsening to about 500 cells (_SEED_CELLS), with each eigenvalue taken as
+a Dirichlet form, to high relative accuracy. A mode stops once the
+Kato-Temple bound puts its eigenvalue within 5e-13 relative. What cannot be
+certified falls back to bisection, as do seeds that cannot tell the modes
+apart, before any solve.
 """
 
 from __future__ import annotations
@@ -41,11 +45,17 @@ _FIRST_BLOCK = 8
 _RECORD_BLOCK = 256
 # below the roundoff of the sum itself (unit roundoff is 1.1e-16)
 _DROP_TOL = 1e-17
-# spectrum bisects generators of at most _COARSE_CELLS cells; a finer one
+# spectrum bisects generators of at most _ROUTE_CELLS cells; a finer one
 # takes its low modes by inverse iteration, seeded from its coarsening to
-# about _COARSE_CELLS cells. A mode has converged when its Rayleigh quotient
-# moves by less than _RQ_RTOL relative, in at most _MAX_SOLVES solves
-_COARSE_CELLS = 2000
+# about _SEED_CELLS cells. Both are set from the spectral.routing and
+# spectral.seeds layers of tools/bench_layers.py: at 1500 points and below
+# bisection is the faster route, from 2000 the two cost about the same;
+# 500 seed cells are the fastest at 2000 and 20000 points of the sizes
+# that certify every swept target (250 cells miss one). A mode stops once
+# its Rayleigh quotient is known to within half _RQ_RTOL relative, or moves
+# by less than _RQ_RTOL, in at most _MAX_SOLVES solves
+_ROUTE_CELLS = 1500
+_SEED_CELLS = 500
 _RQ_RTOL = 1e-12
 _MAX_SOLVES = 6
 
@@ -139,19 +149,22 @@ def spectrum(disc: Discretization, k: int, *,
     With vectors=False only the eigenvalues are computed (the same values,
     bit for bit) and eigenfunctions is None.
 
-    On a grid of at most 2000 points, or for k = n, they are
-    numerics.tridiag_eigs's bisection values, accurate to about eps ||T||
-    (||T|| ~ g / (pi h^2)). On a finer grid the k < n lowest modes come
+    On a grid of at most 1500 points (_ROUTE_CELLS), or for k = n, they
+    are numerics.tridiag_eigs's bisection values, accurate to about
+    eps ||T|| (||T|| ~ g / (pi h^2)). On a finer grid, the spectrum
+    command's default of 2000 points included, the k < n lowest modes come
     from _certified_low_modes: lambda_0 is 0 and each other lambda_j the
     Dirichlet form of its inverse-iteration vector, whose relative
     accuracy does not depend on ||T||. At 200000 points that takes
     lambda_1's distance from the closed rate from 1.4e-7 to 6e-11 on
     Beta(1, 1), and from 3.6e-8 to 8e-14 on the Normal: what is left is
     the discretization error. When the pairs cannot be certified (two
-    modes found at one eigenvalue, say), bisection's result is returned.
+    modes found at one eigenvalue, say), or the coarse seeds cannot tell
+    the modes apart (heavy tails at larger k), bisection's result is
+    returned.
     """
     found = None
-    if _COARSE_CELLS < disc.grid.n and 0 < k < disc.grid.n:
+    if _ROUTE_CELLS < disc.grid.n and 0 < k < disc.grid.n:
         found = _certified_low_modes(disc, k, vectors)
     if found is None:
         found = numerics.tridiag_eigs(disc.diag, disc.offdiag, k,
@@ -169,61 +182,102 @@ def spectrum(disc: Discretization, k: int, *,
                           grid=disc.grid)
 
 
-def _coarse_ratio(n: int) -> int:
-    """Fine cells to a cell of the coarsening of an n-cell generator."""
-    return -(-n // _COARSE_CELLS)
+def _coarsening(disc: Discretization, r: int):
+    """diag, offdiag and cell masses of disc's generator coarsened by r.
 
-
-def _coarse_modes(disc: Discretization, m: int):
-    """The m lowest eigenvalues of disc's generator coarsened to about
-    _COARSE_CELLS cells, and the rows of their eigenfunctions; None when
-    the coarsening has fewer than m cells.
-
-    Each coarse cell is r = ceil(n / _COARSE_CELLS) fine cells, the last
-    maybe fewer; its mass is the sum of theirs. Each coarse face keeps g of
-    the fine face there, over the coarse spacing r h.
+    Each coarse cell is r fine cells, the last maybe fewer; its mass is the
+    sum of theirs. Each coarse face keeps g of the fine face there, over
+    the coarse spacing r h.
     """
     n = disc.grid.n
     h = disc.grid.h
-    r = _coarse_ratio(n)
     # pi h is weights^2; summing pi makes no temporary of length n
     mass = np.add.reduceat(disc.pi, np.arange(0, n, r)) * h
-    if m > mass.size:
-        return None
     cond = disc.faces[r - 1::r] / (r * h)
     flux = np.concatenate([[0.0], cond, [0.0]])
     diag = (flux[:-1] + flux[1:]) / mass
     offdiag = -cond / np.sqrt(mass[:-1] * mass[1:])
+    return diag, offdiag, mass
+
+
+def _seed_ratio(n: int) -> int:
+    """Fine cells to a cell of the seeds' coarsening of an n-cell
+    generator."""
+    return -(-n // _SEED_CELLS)
+
+
+def _coarse_modes(disc: Discretization, m: int):
+    """Seeds for the m lowest eigenvalues of disc's generator T, from its
+    coarsening to about _SEED_CELLS cells (_coarsening), and the rows of
+    that coarsening's eigenfunctions; None when the twice coarser
+    generator has fewer than m cells, or when the seeds cannot tell T's
+    modes apart.
+
+    The coarse eigenvalues converge at second order in the cell size, so a
+    coarse eigenvalue's error is about a third of its distance d_j from the
+    twice coarser generator's eigenvalue j; each seed is the coarse
+    eigenvalue less that estimate (Richardson extrapolation). Inverse
+    iteration from a seed reaches its own mode when the seed's error is
+    below half the gap to the seeds on either side (the last seed, which
+    only bounds the Sturm count, below the gap to the one before it). The
+    seeds tell the modes apart when each d_j but the first is below that
+    gap, a margin for the estimate, which a target with too few discrete
+    modes fails (InverseGamma(2) at k = 12, say).
+    """
+    r = _seed_ratio(disc.grid.n)
+    diag, offdiag, mass = _coarsening(disc, r)
+    coarser_diag, coarser_offdiag, _ = _coarsening(disc, 2 * r)
+    if m > coarser_diag.size:
+        return None
     lams, vecs = numerics.tridiag_eigs(diag, offdiag, m)
-    return lams, (vecs / np.sqrt(mass)[:, None]).T
+    coarser = numerics.tridiag_eigs(coarser_diag, coarser_offdiag, m,
+                                    vectors=False)[0]
+    moved = lams - coarser
+    gaps = np.diff(lams)
+    near = np.append(np.minimum(gaps[:-1], gaps[1:]), gaps[-1])
+    if not np.all(np.abs(moved[1:]) < near):
+        return None
+    return lams + moved / 3.0, (vecs / np.sqrt(mass)[:, None]).T
 
 
 def _certified_low_modes(disc: Discretization, k: int, vectors: bool):
     """The k lowest eigenpairs of disc's generator T by shifted inverse
     iteration, seeded from the k + 1 lowest modes of its coarsening
-    (_coarse_modes); None when they cannot be certified.
+    (_coarse_modes); None when they cannot be certified, or when the seeds
+    cannot tell the modes apart, which is found before any solve.
 
     Mode 0 is weights itself, with eigenvalue 0, and takes no solve. Mode
-    j >= 1 starts from coarse eigenfunction j, constant on each coarse
-    cell, and from sigma = seeds[j]. Each step solves (T - sigma) y = x
-    (LAPACK dgtsv), normalizes y into x and resets sigma to x's Rayleigh
-    quotient rho; the mode has converged once rho moves by less than
-    _RQ_RTOL relative, within _MAX_SOLVES solves. rho is taken as the
-    Dirichlet form sum_j (g_j / h) (u_{j+1} - u_j)^2 / sum_i x_i^2,
-    u = x / weights: a sum of positive terms, so its relative accuracy does
-    not depend on the norm of T, as bisection's does.
+    j >= 1 starts from coarse eigenfunction j, linear between the coarse
+    cells' centres (_start), and from sigma = seeds[j]. Each step solves
+    (T - sigma) y = x (LAPACK dgtsv), normalizes y into x and resets sigma
+    to x's Rayleigh quotient rho. rho is taken as the Dirichlet form
+    sum_j (g_j / h) (u_{j+1} - u_j)^2 / sum_i x_i^2, u = x / weights: a sum
+    of positive terms, so its relative accuracy does not depend on the norm
+    of T, as bisection's does.
+
+    A mode stops once rho is known to within half _RQ_RTOL relative. The
+    Kato-Temple bound (Parlett, The Symmetric Eigenvalue Problem, ch. 10)
+    gives |lambda - rho| <= ||r||^2 / gap for r = T x - rho x, with the
+    gap from rho to the rest of the spectrum, here that to the nearer
+    neighbouring seed. So the mode stops once
+    (||r|| + 3 eps ||T||)^2 <= gap _RQ_RTOL rho / 2, 3 eps ||T|| being the
+    allowance for the rounding of T x. Where that allowance alone fails
+    the test (compact supports at 200000 points) the residual is not
+    taken until the mode stops. Any mode also stops once rho moves by
+    less than _RQ_RTOL relative, within _MAX_SOLVES solves.
 
     The result is certified when every solve succeeds and every mode
-    converges; when the intervals rho_j +- ||T x_j - rho_j x_j|| (each
-    holds an eigenvalue of T; an allowance for the rounding of T x is
-    added) are disjoint and lie below mu = (rho_{k-1} + seeds[k]) / 2; and
-    when the Sturm count of T below mu is k. Then the intervals hold the k
-    lowest eigenvalues, one each.
+    stops; when the intervals rho_j +- (||r_j|| + 3 eps ||T||) (each holds
+    an eigenvalue of T) are disjoint and lie below
+    mu = (rho_{k-1} + seeds[k]) / 2; and when the Sturm count of T below mu
+    is k. Then the intervals hold the k lowest eigenvalues, one each.
 
     With vectors=True the eigenvectors are the unit-norm columns of an
-    (n, k) array; with vectors=False one iteration vector is held at a
-    time, and the Sturm count runs after it and the coarse modes are
-    dropped.
+    (n, k) array. A mode stopped by the bound takes one more solve, at its
+    rho, for its vector alone: the bound settles rho before the vector has
+    converged as far. The eigenvalues are those of vectors=False bit for
+    bit. With vectors=False one iteration vector is held at a time, and the
+    Sturm count runs after it and the coarse modes are dropped.
     """
     coarse = _coarse_modes(disc, k + 1)
     if coarse is None:
@@ -231,12 +285,15 @@ def _certified_low_modes(disc: Discretization, k: int, vectors: bool):
     seeds, starts = coarse
     d, e, w = disc.diag, disc.offdiag, disc.weights
     n = d.size
-    r = _coarse_ratio(n)
+    r = _seed_ratio(n)
     # reductions, not np.abs, so that no temporary of length n is made
     d_min, d_max = float(np.min(d)), float(np.max(d))
     e_max = max(float(np.max(e)), -float(np.min(e)))
     # 3 eps ||T||, the allowance for the rounding of T x
     slack = 3.0 * np.finfo(float).eps * (max(d_max, -d_min) + 2.0 * e_max)
+    # half the gap to the nearer neighbouring seed, times _RQ_RTOL
+    gaps = np.diff(seeds)
+    tols = 0.5 * _RQ_RTOL * np.minimum(gaps[:-1], gaps[1:])
     lams = np.zeros(k)
     radii = np.empty(k)
     vecs = np.empty((k, n)).T if vectors else None
@@ -247,42 +304,43 @@ def _certified_low_modes(disc: Discretization, k: int, vectors: bool):
     radii[0] = _residual_norm(d, e, x, 0.0, middle, lower) + slack
     if vectors:
         vecs[:, 0] = x
-    whole = n // r * r  # fine cells in full coarse cells
     for j in range(1, k):
-        # starts[j] constant on each coarse cell, times the weights
-        np.multiply(w[:whole].reshape(-1, r), starts[j][:whole // r, None],
-                    out=x[:whole].reshape(-1, r))
-        np.multiply(w[whole:], starts[j][-1], out=x[whole:])
+        _start(x, w, starts[j], r)
         sigma = float(seeds[j])
+        tol = float(tols[j - 1])
+        bounded = slack * slack <= tol * sigma
+        by_bound = False
         for _ in range(_MAX_SOLVES):
-            np.copyto(lower, e)
-            np.copyto(upper, e)
-            np.subtract(d, sigma, out=middle)
-            _, _, _, x, info = lapack.dgtsv(
-                lower, middle, upper, x, overwrite_dl=1, overwrite_d=1,
-                overwrite_du=1, overwrite_b=1)
-            if info != 0:
+            x = _shifted_solve(d, e, sigma, x, lower, middle, upper)
+            if x is None:
                 return None
             with np.errstate(all="ignore"):  # a non-finite rho fails below
                 x /= math.sqrt(float(x @ x))
                 rho = _dirichlet_quotient(disc, x, middle, lower)
             if not math.isfinite(rho):
                 return None
-            done = abs(rho - sigma) <= _RQ_RTOL * rho
+            moved = abs(rho - sigma) > _RQ_RTOL * rho
             sigma = rho
-            if done:
+            if bounded:
+                radius = _residual_norm(d, e, x, rho, middle, lower) + slack
+                by_bound = radius * radius <= tol * rho
+            if by_bound or not moved:
                 break
         else:
             return None
+        if not bounded:
+            radius = _residual_norm(d, e, x, rho, middle, lower) + slack
         lams[j] = rho
-        radii[j] = _residual_norm(d, e, x, rho, middle, lower) + slack
+        radii[j] = radius
         if not lams[j] - radii[j] > lams[j - 1] + radii[j - 1]:
             return None
         if vectors:
-            # the solves leave the modes orthogonal only to about
-            # eps ||T|| / gap; one Gram-Schmidt pass restores it
             v = vecs[:, j]
             v[:] = x
+            if by_bound:
+                _refine(d, e, rho, v, x, lower, middle, upper)
+            # the solves leave the modes orthogonal only to about
+            # eps ||T|| / gap; one Gram-Schmidt pass restores it
             v -= vecs[:, :j] @ (vecs[:, :j].T @ v)
             v /= math.sqrt(float(v @ v))
     mu = 0.5 * (lams[-1] + float(seeds[k]))
@@ -296,6 +354,59 @@ def _certified_low_modes(disc: Discretization, k: int, vectors: bool):
     if info != 0 or count != k:
         return None
     return lams, vecs
+
+
+def _start(x, w, start, r):
+    """x set to w times start, given at the centres of the coarse cells of r
+    fine cells: linear between the centres of the full coarse cells and
+    constant beyond the outer ones; a last, partial coarse cell is constant.
+
+    A start constant on each coarse cell jumps at every cell edge. One
+    solve leaves the fast modes of those jumps in the residual, more than
+    the bound that stops a mode allows.
+    """
+    whole = x.size // r * r  # fine cells in full coarse cells
+    m = whole // r
+    steps = np.diff(start[:m])
+    # per full coarse cell, the slopes towards the centres on either side,
+    # and each fine cell's offset from its coarse cell's centre, in cells
+    left = np.concatenate([[0.0], steps])
+    right = np.concatenate([steps, [0.0]])
+    offset = (np.arange(r) - 0.5 * (r - 1)) / r
+    half = r // 2  # fine cells left of the centre
+    cells = x[:whole].reshape(m, r)
+    np.multiply.outer(left, offset[:half], out=cells[:, :half])
+    np.multiply.outer(right, offset[half:], out=cells[:, half:])
+    cells += start[:m, None]
+    x[whole:] = start[-1]
+    x *= w
+
+
+def _shifted_solve(d, e, sigma, x, lower, middle, upper):
+    """The solution y of (T - sigma) y = x for T = (d, e), written over x
+    (LAPACK dgtsv, which overwrites the three scratch diagonals); None
+    when the solve fails."""
+    np.copyto(lower, e)
+    np.copyto(upper, e)
+    np.subtract(d, sigma, out=middle)
+    _, _, _, x, info = lapack.dgtsv(lower, middle, upper, x, overwrite_dl=1,
+                                    overwrite_d=1, overwrite_du=1,
+                                    overwrite_b=1)
+    return x if info == 0 else None
+
+
+def _refine(d, e, rho, v, x, lower, middle, upper):
+    """v, a copy of the unit vector x, replaced by the normalized solution
+    of (T - rho) y = x; left as x when the solve fails or overflows."""
+    y = _shifted_solve(d, e, rho, v, lower, middle, upper)
+    with np.errstate(all="ignore"):
+        norm = math.sqrt(float(y @ y)) if y is not None else math.nan
+    if not (math.isfinite(norm) and norm > 0.0):
+        v[:] = x
+        return
+    if y is not v:
+        v[:] = y
+    v /= norm
 
 
 def _dirichlet_quotient(disc: Discretization, x, scratch, face_scratch):

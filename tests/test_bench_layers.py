@@ -10,7 +10,7 @@ import tempfile
 
 import pytest
 
-from fastmix import sim
+from fastmix import sim, spectral
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -30,12 +30,18 @@ TABLES = {"bimodal", "skewed", "mixture-beta", "mixture-jacobi",
 
 LAYERS = {"numerics.quadrature", "optimal.synthesis", "optimal.table_build",
           "sim.kernels", "sim.fork", "sim.post_processing",
-          "spectral.generator", "spectral.evolution"}
+          "spectral.generator", "spectral.seeds", "spectral.routing",
+          "spectral.evolution"}
 # layers that files written before they were timed lack
 LATER = {"numerics.quadrature", "sim.kernels", "sim.fork",
-         "sim.post_processing", "spectral.generator", "spectral.evolution"}
+         "sim.post_processing", "spectral.generator", "spectral.seeds",
+         "spectral.routing", "spectral.evolution"}
 GENERATOR_CALLS = ("discretize_generator", "spectrum")
 KERNELS = {"path-major", "path-major forked", "step-major"}
+ROUTES = {"certified", "bisection"}
+# the spectral workload's spectrum jobs, all that files written before the
+# 2000-point runs were timed hold
+WORKLOAD_SPECTRA = 5
 
 
 def _check_times(e, repeats):
@@ -58,12 +64,18 @@ def _check_sim_layers(layers, repeats, nproc):
     gives; then each post-processing call at every run length. A file's
     readings take the 1-path run's steps as path-steps, but at least 500
     steps (files written before the forked runs were timed, and their
-    path-steps per second recorded, took 32768 and timed no forked run)."""
+    path-steps per second recorded, took 32768 and timed no forked run).
+    Step-major is timed from bench.STEP_MAJOR_MIN_PATHS paths up, or, in
+    files written before that, at every width."""
     kernels = layers.get("sim.kernels", ())
     groups, tables = {}, {}
     path_steps = {e["steps"] for e in kernels if e["paths"] == 1}
     assert len(path_steps) <= 1
     forked = all("path_steps_per_s" in e for e in kernels)
+    step_from = 1 if any(e["kernel"] == "step-major" and e["paths"] <
+                         bench.STEP_MAJOR_MIN_PATHS for e in kernels) \
+        else bench.STEP_MAJOR_MIN_PATHS
+    step_widths = [w for w in bench.WIDTHS if w >= step_from]
     for e in kernels:
         assert set(e) == {"target", "kernel", "paths", "steps", "median_s",
                           "times_s", "faster", "picked"} | (
@@ -86,12 +98,14 @@ def _check_sim_layers(layers, repeats, nproc):
     if kernels:
         assert {paths for _, paths in groups} == set(bench.WIDTHS)
         assert len(groups) == len(bench.CATALOG) * len(bench.WIDTHS)
-        assert len(tables) in (0, len(bench.SIM_TABLES) * len(bench.WIDTHS))
+        assert len(tables) in (0, len(bench.SIM_TABLES) * len(step_widths))
+        assert {paths for _, paths in tables} <= set(step_widths)
     for group in groups.values():
         e = next(iter(group.values()))
         forks = forked and _workers(e["paths"], e["steps"], nproc) > 1
         assert set(group) == (KERNELS if forks
-                              else KERNELS - {"path-major forked"})
+                              else KERNELS - {"path-major forked"}) - (
+            set() if e["paths"] >= step_from else {"step-major"})
         faster = min(group, key=lambda k: group[k]["median_s"])
         assert all(e["faster"] == faster for e in group.values())
     fork = layers.get("sim.fork", ())
@@ -123,18 +137,73 @@ def _check_sim_layers(layers, repeats, nproc):
             for call in ("acf", "histogram", "autocorr.csv"))
 
 
+def _check_route(e, k=None):
+    """A spectrum entry's route and its solves per mode past the first: k - 1
+    modes of 1 to _MAX_SOLVES solves each when certified, a partial count
+    (an attempt that failed) or none on bisection."""
+    k = bench.SPECTRUM_K if k is None else k
+    assert e["route"] in ROUTES
+    assert all(isinstance(n, int) and 1 <= n <= spectral._MAX_SOLVES
+               for n in e["solves"])
+    if e["route"] == "certified":
+        assert len(e["solves"]) == k - 1
+    else:
+        assert len(e["solves"]) <= k - 1
+
+
 def _check_generator_layer(layers, repeats):
-    """Both calls at every run of SPECTRAL_RUNS, one target per run."""
+    """Both calls at every run of SPECTRAL_RUNS, one target per run; each
+    spectrum names its route and solves (files written before the routes
+    were recorded lack them, and time the workload's runs alone)."""
     entries = layers.get("spectral.generator", ())
+    routed = any("route" in e for e in entries)
     for e in entries:
-        assert set(e) == {"target", "call", "points", "median_s", "times_s"}
+        spectrum_fields = ({"route", "solves"}
+                           if routed and e["call"] == "spectrum" else set())
+        assert set(e) == {"target", "call", "points", "median_s",
+                          "times_s"} | spectrum_fields
         _check_times(e, repeats)
+        if spectrum_fields:
+            _check_route(e)
     if entries:
+        runs = bench.SPECTRAL_RUNS if routed else \
+            bench.SPECTRAL_RUNS[:WORKLOAD_SPECTRA]
         assert [(e["points"], e["call"]) for e in entries] == [
-            (n, call) for _, n in bench.SPECTRAL_RUNS
-            for call in GENERATOR_CALLS]
+            (n, call) for _, n in runs for call in GENERATOR_CALLS]
         assert all(a["target"] == b["target"]
                    for a, b in zip(entries[::2], entries[1::2]))
+
+
+def _check_sweep_layers(layers, repeats):
+    """spectral.seeds: every SWEEP_TARGETS entry at every SEED_POINTS and
+    SEED_CELLS; spectral.routing: every entry at every ROUTE_POINTS on
+    both routes, bisection asked of a route that makes no attempt."""
+    seeds = layers.get("spectral.seeds", ())
+    for e in seeds:
+        assert set(e) == {"target", "points", "seed_cells", "route",
+                          "solves", "median_s", "times_s"}
+        _check_times(e, repeats)
+        _check_route(e)
+    if seeds:
+        assert len({e["target"] for e in seeds}) == len(bench.SWEEP_TARGETS)
+        assert [(e["points"], e["seed_cells"]) for e in seeds] == [
+            (n, cells) for _ in bench.SWEEP_TARGETS
+            for n in bench.SEED_POINTS for cells in bench.SEED_CELLS]
+    routing = layers.get("spectral.routing", ())
+    for e in routing:
+        assert set(e) == {"target", "points", "asked", "route", "solves",
+                          "median_s", "times_s"}
+        _check_times(e, repeats)
+        _check_route(e)
+        if e["asked"] == "bisection":
+            assert e["route"] == "bisection" and e["solves"] == []
+    if routing:
+        assert len({e["target"] for e in routing}) == \
+            len(bench.SWEEP_TARGETS)
+        assert [(e["points"], e["asked"]) for e in routing] == [
+            (n, asked) for _ in bench.SWEEP_TARGETS
+            for n in bench.ROUTE_POINTS
+            for asked in ("certified", "bisection")]
 
 
 def _evolve_jobs():
@@ -169,6 +238,7 @@ def _check_schema(doc):
     assert LAYERS - LATER <= set(doc["layers"]) <= LAYERS
     _check_sim_layers(doc["layers"], doc["repeats"], doc["nproc"])
     _check_generator_layer(doc["layers"], doc["repeats"])
+    _check_sweep_layers(doc["layers"], doc["repeats"])
     _check_evolution_layer(doc["layers"], doc["repeats"])
     for e in doc["layers"].get("numerics.quadrature", ()):
         # files written before the integrand's calls were counted lack them
@@ -199,9 +269,9 @@ def _check_schema(doc):
 
 def test_a_short_run_has_the_schema(monkeypatch):
     """One kind and one table, the sampler at 1 and 16 paths on short
-    runs, which fork at 16 paths on two cores or more, one 2000-point
-    generator and every evolution: the full sampler sweep takes about
-    140 s."""
+    runs, which fork at 16 paths on two cores or more, a 1000- and a
+    2000-point generator, the sweeps on two targets at two sizes and every
+    evolution: the full sampler sweep takes about a minute."""
     monkeypatch.setattr(sim, "_FORK_PATH_STEPS", 1024)
     monkeypatch.setattr(bench, "CATALOG", bench.CATALOG[:1])
     monkeypatch.setattr(bench, "WIDTHS", (1, 16))
@@ -209,14 +279,30 @@ def test_a_short_run_has_the_schema(monkeypatch):
     monkeypatch.setattr(bench, "PATH_STEPS", 2048)
     monkeypatch.setattr(bench, "SIM_RUNS", ((16, 1000, 100),))
     monkeypatch.setattr(bench, "FORK_RUNS", ((16, 1000, 0.01, 100),))
-    monkeypatch.setattr(bench, "SPECTRAL_RUNS", (("beta", 2000),))
+    monkeypatch.setattr(bench, "SPECTRAL_RUNS", (("beta", 1000),
+                                                 ("beta", 2000)))
+    monkeypatch.setattr(bench, "SWEEP_TARGETS", bench.SWEEP_TARGETS[:2])
+    monkeypatch.setattr(bench, "SEED_POINTS", (2000,))
+    monkeypatch.setattr(bench, "SEED_CELLS", (250, 500))
+    monkeypatch.setattr(bench, "ROUTE_POINTS", (1000, 2000))
     doc = bench.run(0)
     _check_schema(json.loads(json.dumps(doc)))
     assert doc["pr"] == 0 and doc["repeats"] == 5
     assert set(doc["layers"]) == LAYERS
     kernels = doc["layers"]["sim.kernels"]
+    # step-major is timed from STEP_MAJOR_MIN_PATHS paths up
     assert [(e["target"], e["paths"]) for e in kernels
-            if e["target"] == "bimodal"] == [("bimodal", 1), ("bimodal", 16)]
+            if e["target"] == "bimodal"] == [("bimodal", 16)]
+    assert [e["paths"] for e in kernels if e["kernel"] == "step-major"] == [
+        16, 16]
+    assert [(e["points"], e["route"], len(e["solves"]))
+            for e in doc["layers"]["spectral.generator"]
+            if e["call"] == "spectrum"] == [(1000, "bisection", 0),
+                                            (2000, "certified", 4)]
+    assert [(e["points"], e["asked"], e["route"])
+            for e in doc["layers"]["spectral.routing"]] == 2 * [
+        (1000, "certified", "certified"), (1000, "bisection", "bisection"),
+        (2000, "certified", "certified"), (2000, "bisection", "bisection")]
     assert [e["paths"] for e in kernels
             if e["kernel"] == "path-major forked"] == (
         [16] if doc["nproc"] > 1 else [])
@@ -230,6 +316,16 @@ def test_a_short_run_has_the_schema(monkeypatch):
         doc["layers"]["optimal.synthesis"][::2]] + [
         (name, "moments_quadrature") for name in
         [e["target"] for e in doc["layers"]["optimal.table_build"]]]
+
+
+def test_the_sweep_targets_are_the_catalog_targets():
+    """The sweeps run on the targets tests/test_spectral.py certifies."""
+    from test_spectral import CATALOG_TARGETS
+
+    fastmix = bench._fastmix()
+    assert [repr(fastmix.parse_spec({"kind": kind, "params": params}))
+            for kind, params in bench.SWEEP_TARGETS] == [
+        repr(spec) for spec in CATALOG_TARGETS]
 
 
 def test_quadrature_evaluations_are_counted_per_call():

@@ -383,6 +383,18 @@ class TestSpectrumCommand:
         assert main(["spectrum", _spec(tmp_path, doc), "--strict",
                      "--out", str(tmp_path / "o")]) == 0
 
+    @pytest.mark.parametrize("name", pearson.ROW_NAMES)
+    def test_lambda0_is_zero_on_every_table_row(self, tmp_path, name):
+        """The default 2000 points take the certified route, whose lambda0
+        is the weights' exact 0; bisection printed noise of 3e-12 to
+        1e-9 there."""
+        doc = {"kind": name, "params": pearson.ROW_DEFAULTS[name]}
+        out = tmp_path / "o"
+        assert main(["spectrum", _spec(tmp_path, doc), "--out",
+                     str(out)]) == 0
+        lines = (out / "spectrum.csv").read_text().splitlines()
+        assert lines[1] == "0,0"
+
     @pytest.mark.parametrize("alpha, n", [(10.0, 2000), (2.0, 20000)])
     def test_inverse_gamma_gap_within_one_percent(self, tmp_path, capsys,
                                                   alpha, n):

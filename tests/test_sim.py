@@ -4,6 +4,7 @@ import functools
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -850,6 +851,41 @@ class TestFork:
         monkeypatch.setattr(os, "fork", fork)
         assert np.array_equal(_both_kernels(proc, cfg)[0], want)
         assert _no_children()
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_a_fork_that_warns_after_forking(self, action, forking,
+                                             monkeypatch):
+        """From Python 3.12 os.fork in a process with more than one thread
+        (a threaded BLAS's workers count) warns with a DeprecationWarning,
+        in the parent, after the child exists. Under -W error CPython
+        drops the exception the warning becomes, so os.fork still returns
+        the pid. With os.fork made to do the same, the run is the serial
+        one and every child is reaped."""
+        proc = _dome_process()
+        cfg = SimConfig(dt=0.01, n_steps=2000, n_paths=8, seed=3)
+        want = _serial(monkeypatch, lambda: _both_kernels(proc, cfg)[0])
+        fork = os.fork
+        message = ("This process is multi-threaded, use of fork() may lead "
+                   "to deadlocks in the child.")
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                try:
+                    warnings.warn(message, DeprecationWarning)
+                except DeprecationWarning:
+                    pass
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter(action, DeprecationWarning)
+            got = _both_kernels(proc, cfg)[0]
+        assert np.array_equal(got, want)
+        assert len(forking) == 3 and _no_children()
+        # -W default shows the warning once, where sim forks
+        assert [str(w.message) for w in seen] == (
+            [message] if action == "default" else [])
 
     def test_short_runs_do_not_fork(self, monkeypatch):
         """Below _FORK_PATH_STEPS path-steps a worker, one path, or a

@@ -60,15 +60,23 @@ def test_traced_pipeline_records_every_hook(tracer):
 
 def test_traced_spectrum_command_tags_its_size(tracer, tmp_path):
     """The traced benchmark reads its spectral per-layer rows from the
-    spans of `fastmix spectrum`, tagged by grid size."""
+    spans of `fastmix spectrum`, tagged by grid size: at 1000 points the
+    bisection of the whole generator; at 2000 points the certified route,
+    whose bisections are those of its 500- and 250-cell coarsenings."""
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"kind": "beta",
                                 "params": {"alpha": 1.0, "beta": 1.0}}))
-    assert fastmix.cli.main(["spectrum", str(spec), "--k", "3",
-                             "--grid-points", "2000",
-                             "--out", str(tmp_path / "out")]) == 0
-    for name in ("spectral.spectrum", "numerics.tridiag_eigs"):
-        assert tracer.total(name, "n2k", field=0) == 1, name
+    for n in (1000, 2000):
+        assert fastmix.cli.main(["spectrum", str(spec), "--k", "3",
+                                 "--grid-points", str(n),
+                                 "--out", str(tmp_path / "out")]) == 0
+    for name, tag in (("spectral.spectrum", "n1k"),
+                      ("spectral.spectrum", "n2k"),
+                      ("numerics.tridiag_eigs", "n1k"),
+                      ("numerics.tridiag_eigs", "n500"),
+                      ("numerics.tridiag_eigs", "n250")):
+        assert tracer.total(name, tag, field=0) == 1, (name, tag)
+    assert tracer.total("numerics.tridiag_eigs", "n2k", field=0) == 0
 
 
 def test_uninstall_restores_the_originals():

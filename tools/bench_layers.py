@@ -20,17 +20,18 @@ Times, under the fastmix of this tree (src/ beside tools/):
 - the sampler's kernels on the optimal process of every catalog kind (all
   have a closed variance shape; reflect mode, dt = 0.01 / lambda1) at each
   width in WIDTHS, PATH_STEPS path-steps a reading but at least 500 steps:
-  sim._step_major, sim._path_major walking every path in this process
-  ("path-major"), and, where the run is long enough to fork, sim._path_major
-  as simulate runs it, one worker per core on blocks of paths ("path-major
-  forked"; sim._workers). The readings alternate between the kernels, so
-  that a slow stretch of a shared host falls on all. Each entry records
-  its path-steps per second and names the kernel with the lower median
-  and the one simulate picks, read off its routing; the widest width at
-  which path-major still wins, per kind, is what sim.PATH_MAJOR_MAX_PATHS
-  is set from. The quadrature route's processes of the synth workload's
-  SIM_TABLES are timed the same way on step-major alone, the kernel
-  simulate picks for them at every width;
+  sim._step_major from STEP_MAJOR_MIN_PATHS paths up, sim._path_major
+  walking every path in this process ("path-major"), and, where the run is
+  long enough to fork, sim._path_major as simulate runs it, one worker per
+  core on blocks of paths ("path-major forked"; sim._workers). The
+  readings alternate between the kernels, so that a slow stretch of a
+  shared host falls on all. Each entry records its path-steps per second
+  and names the kernel with the lower median and the one simulate picks,
+  read off its routing; the widest width at which path-major still wins,
+  per kind, is what sim.PATH_MAJOR_MAX_PATHS is set from. The quadrature
+  route's processes of the synth workload's SIM_TABLES are timed the same
+  way on step-major alone, the kernel simulate picks for them, from
+  STEP_MAJOR_MIN_PATHS paths up;
 - path-major walking every path in this process and forked as simulate
   runs it, on the dome (Beta(1, 1)) and the Normal(0, 1), at 16 paths on
   each run of FORK_RUNS: the paths workload's 16-path jobs, and criterion
@@ -40,10 +41,19 @@ Times, under the fastmix of this tree (src/ beside tools/):
   lengths of the `paths` workload's jobs (SIM_RUNS): the autocorrelation
   (sim._mean_lag_products) and np.histogram within one simulate call, then
   sim.write_autocorr_csv of its result;
-- the discretized generator of the `spectral` workload's spectrum jobs
-  (SPECTRAL_RUNS, parameters from perfbench/inputs.py, seed 1): the grid
-  and discretize_generator on it, then spectrum(disc, 5, vectors=False),
-  each timed on its own after one untimed run;
+- the discretized generator of the `spectral` workload's spectrum jobs,
+  and of its four targets at the spectrum command's default of 2000
+  points (SPECTRAL_RUNS, parameters from perfbench/inputs.py, seed 1): the
+  grid and discretize_generator on it, then spectrum(disc, 5,
+  vectors=False), each timed on its own after one untimed run. Each
+  spectrum entry names the route that ran ("certified" or "bisection")
+  and the dgtsv solves of each mode past the first, read off one more
+  untimed call;
+- the same spectrum call on every SWEEP_TARGETS entry (the catalog targets
+  tests/test_spectral.py certifies): at each of SEED_POINTS with the seeds'
+  coarsening spectral._SEED_CELLS at each of SEED_CELLS, and at each of
+  ROUTE_POINTS made to run each route by spectral._ROUTE_CELLS. Those two
+  constants are set from these sweeps;
 - density evolution: evolve_fpe on each evolve job of the `spectral`
   workload (seed 1), as perfbench/workload.py calls it, timed after one
   untimed run. The grid and the start bump are built untimed; the bump's
@@ -58,8 +68,8 @@ numerics.integrate call of the untimed run, and the calls of the
 integrand that made them; a synthesis entry on the quadrature route
 records the table's cell count and evaluations. The file also records
 nproc and the Python, numpy and scipy versions. It is written at the root
-of the tree. A full run takes about 150 s on two cores, most of it in the
-sampler's kernels: step-major at one path alone takes about a minute.
+of the tree. A full run takes about 100 s on two cores, half of it in the
+sampler's kernels and a third in the spectral sweeps.
 """
 
 from __future__ import annotations
@@ -96,6 +106,9 @@ CATALOG = (
     ("cubicpearson", {"alpha": 2.0, "beta": 3.0, "a": -0.5}),
 )
 WIDTHS = (1, 8, 16, 32, 64, 256)
+# step-major is timed from this width up: below it path-major is 10-45
+# times faster and no routing decision is near (BENCH_30.json)
+STEP_MAJOR_MIN_PATHS = 8
 # the synth workload's tables and mixtures the sampler is timed on, on the
 # quadrature route
 SIM_TABLES = ("bimodal", "mixture-beta")
@@ -111,9 +124,39 @@ FORK_RUNS = ((16, 8000, 0.01, 125), (16, 625000, 1e-3, 20000))
 # dome's three widths, then the 256-path length of the OU and Gamma jobs
 SIM_RUNS = ((1, 20000, 125), (16, 8000, 125), (256, 16000, 125),
             (256, 3000, 500))
-# (kind, grid points) of the spectral workload's spectrum jobs
+# (kind, grid points) of the spectral workload's spectrum jobs, and its
+# four targets at the spectrum command's default of 2000 points
 SPECTRAL_RUNS = (("beta", 20000), ("jacobi", 20000), ("normal", 20000),
-                 ("gamma", 20000), ("normal", 200000))
+                 ("gamma", 20000), ("normal", 200000), ("beta", 2000),
+                 ("jacobi", 2000), ("normal", 2000), ("gamma", 2000))
+# the catalog targets the certified spectrum is swept on, one or more per
+# kind, singular ends and heavy tails among them
+SWEEP_TARGETS = (
+    ("beta", {"alpha": 1.0, "beta": 1.0}),
+    ("beta", {"alpha": 2.0, "beta": 5.0}),
+    ("jacobi", {"alpha": 0.5, "beta": 1.5}),
+    ("jacobi", {"alpha": -0.5, "beta": -0.5}),
+    ("gamma", {"alpha": 1.0}),
+    ("gamma", {"alpha": 3.0}),
+    ("gamma", {"alpha": -0.5}),
+    ("normal", {"x0": 0.0, "sigma": 1.0}),
+    ("student", {"alpha": 3.0}),
+    ("inversegamma", {"alpha": 2.0}),
+    ("inversegamma", {"alpha": 3.0}),
+    ("inversegamma", {"alpha": 10.0}),
+    ("fisher", {"nu1": 6.0, "nu2": 10.0}),
+    ("fisher", {"nu1": 1.5, "nu2": 9.0}),
+    ("hyperexponential", {"p1": 0.5, "p2": 0.5, "eta1": 1.0, "eta2": 2.0}),
+    ("cubicpearson", {"alpha": 1.0, "beta": 2.0, "a": 0.5}),
+    ("cubicpearson", {"alpha": 2.0, "beta": 0.5, "a": -0.5}),
+)
+# grid points and seed cells (spectral._SEED_CELLS) of the coarsening sweep
+SEED_POINTS = (2000, 20000, 200000)
+SEED_CELLS = (250, 500, 1000, 2000)
+# grid points of the routing sweep, each timed on both routes
+ROUTE_POINTS = (1000, 1250, 1500, 1501, 1750, 2000)
+# eigenvalues asked of every spectrum reading, as the spectral workload asks
+SPECTRUM_K = 5
 
 
 def _fastmix():
@@ -244,7 +287,8 @@ def _picked(sim, proc, cfg):
 def _kernels(fastmix, repeats, synth):
     """The kernels on every catalog kind, path-major forked only where the
     run forks, and step-major, the kernel simulate picks for them, on the
-    quadrature route's SIM_TABLES; each walks the drift and sigma^2/2 that
+    quadrature route's SIM_TABLES; step-major only from
+    STEP_MAJOR_MIN_PATHS paths up. Each walks the drift and sigma^2/2 that
     simulate hands it."""
     sim = fastmix.sim
 
@@ -267,9 +311,14 @@ def _kernels(fastmix, repeats, synth):
             cfg = sim.SimConfig(dt=0.01 / proc.lambda1,
                                 n_steps=max(500, PATH_STEPS // n_paths),
                                 n_paths=n_paths, seed=3)
-            picked = _picked(sim, proc, cfg)
             walks = {kernel: walk for kernel, walk in offered.items()
-                     if kernel != "path-major forked" or sim._workers(cfg) > 1}
+                     if (kernel != "path-major forked"
+                         or sim._workers(cfg) > 1)
+                     and (kernel != "step-major"
+                          or n_paths >= STEP_MAJOR_MIN_PATHS)}
+            if not walks:
+                continue
+            picked = _picked(sim, proc, cfg)
             times = {kernel: [] for kernel in walks}
             for _ in range(repeats):
                 for kernel, walk in walks.items():
@@ -359,9 +408,55 @@ def _post_processing(fastmix, repeats):
     return entries
 
 
+def _route(fastmix, disc):
+    """Which route spectrum(disc, SPECTRUM_K, vectors=False) ran,
+    "certified" or "bisection", and the solves each mode past the first
+    took, in order (empty on bisection, or when the attempt was given up
+    before any solve), read off one untimed call."""
+    spectral = fastmix.spectral
+    solves, certified = [], []
+
+    def started(real):
+        def start(*args):
+            solves.append(0)
+            return real(*args)
+        return start
+
+    def counted(real):
+        def solve(*args):
+            solves[-1] += 1
+            return real(*args)
+        return solve
+
+    def attempted(real):
+        def attempt(*args):
+            found = real(*args)
+            certified.append(found is not None)
+            return found
+        return attempt
+
+    with _wrapped(spectral, "_start", started), \
+            _wrapped(spectral, "_shifted_solve", counted), \
+            _wrapped(spectral, "_certified_low_modes", attempted):
+        fastmix.spectrum(disc, SPECTRUM_K, vectors=False)
+    route = "certified" if certified == [True] else "bisection"
+    return {"route": route, "solves": solves}
+
+
+def _spectrum_times(fastmix, disc, repeats):
+    """repeats timings of spectrum(disc, SPECTRUM_K, vectors=False)."""
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fastmix.spectrum(disc, SPECTRUM_K, vectors=False)
+        times.append(time.perf_counter() - t0)
+    return times
+
+
 def _generator(fastmix, repeats):
     """discretize_generator, with its grid, and spectrum at every run of
-    SPECTRAL_RUNS, on the optimal process of the run's target."""
+    SPECTRAL_RUNS, on the optimal process of the run's target; each
+    spectrum entry names the route it ran and its solves per mode."""
     with tempfile.TemporaryDirectory() as tmp:
         params = {job["ref"]["catalog"]: job["ref"]["params"]
                   for job in _workload_jobs("spectral", tmp)
@@ -376,11 +471,61 @@ def _generator(fastmix, repeats):
             disc = fastmix.discretize_generator(
                 proc, fastmix.default_grid(proc, n))
             t1 = time.perf_counter()
-            fastmix.spectrum(disc, 5, vectors=False)
+            fastmix.spectrum(disc, SPECTRUM_K, vectors=False)
             times["discretize_generator"].append(t1 - t0)
             times["spectrum"].append(time.perf_counter() - t1)
-        entries += [_entry(repr(proc.source), readings[1:], call=call,
-                           points=n) for call, readings in times.items()]
+        entries += [_entry(repr(proc.source), times["discretize_generator"][1:],
+                           call="discretize_generator", points=n),
+                    _entry(repr(proc.source), times["spectrum"][1:],
+                           call="spectrum", points=n,
+                           **_route(fastmix, disc))]
+    return entries
+
+
+def _sweep_discs(fastmix, points):
+    """(name, generator) of every SWEEP_TARGETS entry at each of points."""
+    for kind, params in SWEEP_TARGETS:
+        proc = fastmix.synthesize(fastmix.parse_spec(
+            {"kind": kind, "params": params}))
+        for n in points:
+            yield repr(proc.source), fastmix.discretize_generator(
+                proc, fastmix.default_grid(proc, n))
+
+
+def _seeds(fastmix, repeats):
+    """spectrum on every SWEEP_TARGETS entry at each of SEED_POINTS, with
+    the seeds' coarsening (spectral._SEED_CELLS) at each of SEED_CELLS:
+    the sweep _SEED_CELLS is set from. Each entry names the route that
+    ran and its solves per mode."""
+    spectral = fastmix.spectral
+    entries = []
+    for name, disc in _sweep_discs(fastmix, SEED_POINTS):
+        for cells in SEED_CELLS:
+            with _wrapped(spectral, "_SEED_CELLS", lambda real: cells):
+                fastmix.spectrum(disc, SPECTRUM_K, vectors=False)
+                entries.append(_entry(
+                    name, _spectrum_times(fastmix, disc, repeats),
+                    points=disc.grid.n, seed_cells=cells,
+                    **_route(fastmix, disc)))
+    return entries
+
+
+def _routing(fastmix, repeats):
+    """spectrum on every SWEEP_TARGETS entry at each of ROUTE_POINTS, made
+    to run each route by spectral._ROUTE_CELLS: the sweep _ROUTE_CELLS is
+    set from. A certified entry that gave up names the route that ran."""
+    spectral = fastmix.spectral
+    entries = []
+    for name, disc in _sweep_discs(fastmix, ROUTE_POINTS):
+        for asked, route_cells in (("certified", 0),
+                                   ("bisection", disc.grid.n)):
+            with _wrapped(spectral, "_ROUTE_CELLS",
+                          lambda real: route_cells):
+                fastmix.spectrum(disc, SPECTRUM_K, vectors=False)
+                entries.append(_entry(
+                    name, _spectrum_times(fastmix, disc, repeats),
+                    points=disc.grid.n, asked=asked,
+                    **_route(fastmix, disc)))
     return entries
 
 
@@ -478,6 +623,8 @@ def run(pr, repeats=MIN_REPEATS):
                    "sim.post_processing": _post_processing(fastmix,
                                                            repeats),
                    "spectral.generator": _generator(fastmix, repeats),
+                   "spectral.seeds": _seeds(fastmix, repeats),
+                   "spectral.routing": _routing(fastmix, repeats),
                    "spectral.evolution": _evolution(fastmix, repeats)},
     }
 
