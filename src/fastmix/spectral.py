@@ -18,9 +18,11 @@ finer generator's k < n lowest modes, the spectrum command's default of
 2000 points included, come from certified inverse iteration seeded by its
 coarsening to about 500 cells (_SEED_CELLS), with each eigenvalue taken as
 a Dirichlet form, to high relative accuracy. A mode stops once the
-Kato-Temple bound puts its eigenvalue within 5e-13 relative. What cannot be
-certified falls back to bisection, as do seeds that cannot tell the modes
-apart, before any solve.
+Kato-Temple bound puts its eigenvalue within 5e-13 relative; where the
+rounding of the residual rules the bound out, or the seeds are rough (heavy
+tails), the seeds are first refined on a four times finer coarsening. What
+cannot be certified falls back to bisection, as do seeds that cannot tell
+the modes apart, before any solve.
 """
 
 from __future__ import annotations
@@ -51,11 +53,15 @@ _DROP_TOL = 1e-17
 # spectral.seeds layers of tools/bench_layers.py: at 1500 points and below
 # bisection is the faster route, from 2000 the two cost about the same;
 # 500 seed cells are the fastest at 2000 and 20000 points of the sizes
-# that certify every swept target (250 cells miss one). A mode stops once
-# its Rayleigh quotient is known to within half _RQ_RTOL relative, or moves
-# by less than _RQ_RTOL, in at most _MAX_SOLVES solves
+# that certify every swept target (250 cells miss one). Seeds too rough
+# for the modes to stop on their residuals are refined on the coarsening
+# _REFINE times finer (about 2000 cells; 1000 left some modes a solve
+# more than 2000-cell seeds). A mode stops once its Rayleigh quotient is
+# known to within half _RQ_RTOL relative, or moves by less than
+# _RQ_RTOL, in at most _MAX_SOLVES solves
 _ROUTE_CELLS = 1500
 _SEED_CELLS = 500
+_REFINE = 4
 _RQ_RTOL = 1e-12
 _MAX_SOLVES = 6
 
@@ -206,12 +212,12 @@ def _seed_ratio(n: int) -> int:
     return -(-n // _SEED_CELLS)
 
 
-def _coarse_modes(disc: Discretization, m: int):
+def _coarse_modes(disc: Discretization, m: int, slack: float):
     """Seeds for the m lowest eigenvalues of disc's generator T, from its
-    coarsening to about _SEED_CELLS cells (_coarsening), and the rows of
-    that coarsening's eigenfunctions; None when the twice coarser
-    generator has fewer than m cells, or when the seeds cannot tell T's
-    modes apart.
+    coarsening by r fine cells to a cell, about _SEED_CELLS cells
+    (_coarsening), and the rows of that coarsening's eigenfunctions, as
+    (r, seeds, rows); None when the twice coarser generator has fewer than
+    m cells, or when the seeds cannot tell T's modes apart.
 
     The coarse eigenvalues converge at second order in the cell size, so a
     coarse eigenvalue's error is about a third of its distance d_j from the
@@ -223,6 +229,13 @@ def _coarse_modes(disc: Discretization, m: int):
     seeds tell the modes apart when each d_j but the first is below that
     gap, a margin for the estimate, which a target with too few discrete
     modes fails (InverseGamma(2) at k = 12, say).
+
+    Where some mode j < m - 1 cannot stop on its residual (slack, the
+    rounding allowance of _certified_low_modes, already fails the bound),
+    or d_j reaches half that gap, the modes stop on the quotient rule or
+    converge slowly, both of which want finer seeds: those are refined on
+    the coarsening _REFINE times finer (_refined_modes), where that is
+    still a coarsening by 2 or more.
     """
     r = _seed_ratio(disc.grid.n)
     diag, offdiag, mass = _coarsening(disc, r)
@@ -237,14 +250,74 @@ def _coarse_modes(disc: Discretization, m: int):
     near = np.append(np.minimum(gaps[:-1], gaps[1:]), gaps[-1])
     if not np.all(np.abs(moved[1:]) < near):
         return None
-    return lams + moved / 3.0, (vecs / np.sqrt(mass)[:, None]).T
+    seeds = lams + moved / 3.0
+    rows = (vecs / np.sqrt(mass)[:, None]).T
+    rough = np.any(np.abs(moved[1:-1]) >= 0.5 * near[:-1])
+    floor = np.any(slack * slack > _stop_tolerances(seeds) * seeds[1:-1])
+    if (rough or floor) and r >= 2 * _REFINE:
+        return _refined_modes(disc, r, lams, seeds, rows)
+    return r, seeds, rows
+
+
+def _stop_tolerances(seeds):
+    """tol_j for modes 1..m - 2 of seeds: half _RQ_RTOL times the gap to the
+    nearer neighbouring seed. A mode stops once ||r||^2 <= tol_j rho."""
+    gaps = np.diff(seeds)
+    return 0.5 * _RQ_RTOL * np.minimum(gaps[:-1], gaps[1:])
+
+
+def _refined_modes(disc: Discretization, r: int, lams, seeds, rows):
+    """_coarse_modes's (r, seeds, rows) refined on the coarsening by
+    f = r // _REFINE: each mode j >= 1 takes two steps of Rayleigh quotient
+    iteration there, from seeds[j] and rows[j] interpolated linearly
+    between the coarse cells' centres, and its seed is the quotient
+    Richardson-extrapolated against lams[j], the coarse eigenvalue. Where
+    a solve fails, or two refined seeds may have met at one eigenvalue
+    (from a seed off by a good part of its gap, the quotient iteration can
+    reach a neighbouring mode), the finer coarsening's modes come from
+    bisection instead.
+    """
+    f = r // _REFINE
+    diag, offdiag, mass = _coarsening(disc, f)
+    c = diag.size
+    w = np.sqrt(mass)
+    # cell centres of both coarsenings, in fine cells
+    at = (np.arange(c) + 0.5) * f
+    coarse_at = (np.arange(rows.shape[1]) + 0.5) * r
+    richardson = 1.0 / ((r / f) ** 2 - 1.0)
+    lower, middle, upper = np.empty(c - 1), np.empty(c), np.empty(c - 1)
+    refined_seeds = seeds.copy()
+    refined_rows = np.ones((seeds.size, c))  # mode 0 takes no start
+    for j in range(1, seeds.size):
+        x = w * np.interp(at, coarse_at, rows[j])
+        rho = float(seeds[j])
+        for _ in range(2):
+            x = _shifted_solve(diag, offdiag, rho, x, lower, middle, upper)
+            if x is None:
+                break
+            with np.errstate(all="ignore"):  # a non-finite rho fails below
+                x /= math.sqrt(float(x @ x))
+                rho = float(diag @ (x * x)
+                            + 2.0 * (offdiag @ (x[:-1] * x[1:])))
+        if x is None or not math.isfinite(rho):
+            break
+        refined_seeds[j] = rho + (rho - lams[j]) * richardson
+        refined_rows[j] = x / w
+    else:
+        # a gap closed to half its size or less: two quotients may have met
+        if np.all(np.diff(refined_seeds) > 0.5 * np.diff(seeds)):
+            return f, refined_seeds, refined_rows
+    fine_lams, vecs = numerics.tridiag_eigs(diag, offdiag, seeds.size)
+    return (f, fine_lams + (fine_lams - lams) * richardson,
+            (vecs / w[:, None]).T)
 
 
 def _certified_low_modes(disc: Discretization, k: int, vectors: bool):
     """The k lowest eigenpairs of disc's generator T by shifted inverse
-    iteration, seeded from the k + 1 lowest modes of its coarsening
-    (_coarse_modes); None when they cannot be certified, or when the seeds
-    cannot tell the modes apart, which is found before any solve.
+    iteration, seeded from the k + 1 lowest modes of its coarsening by r
+    fine cells to a cell (_coarse_modes); None when they cannot be
+    certified, or when the seeds cannot tell the modes apart, which is
+    found before any solve.
 
     Mode 0 is weights itself, with eigenvalue 0, and takes no solve. Mode
     j >= 1 starts from coarse eigenfunction j, linear between the coarse
@@ -263,8 +336,10 @@ def _certified_low_modes(disc: Discretization, k: int, vectors: bool):
     (||r|| + 3 eps ||T||)^2 <= gap _RQ_RTOL rho / 2, 3 eps ||T|| being the
     allowance for the rounding of T x. Where that allowance alone fails
     the test (compact supports at 200000 points) the residual is not
-    taken until the mode stops. Any mode also stops once rho moves by
-    less than _RQ_RTOL relative, within _MAX_SOLVES solves.
+    taken until the mode stops, and the seeds were refined so that this
+    rule stops a mode as soon as it did on 2000-cell seeds. Any mode also
+    stops once rho moves by less than _RQ_RTOL relative, within
+    _MAX_SOLVES solves.
 
     The result is certified when every solve succeeds and every mode
     stops; when the intervals rho_j +- (||r_j|| + 3 eps ||T||) (each holds
@@ -279,21 +354,18 @@ def _certified_low_modes(disc: Discretization, k: int, vectors: bool):
     bit. With vectors=False one iteration vector is held at a time, and the
     Sturm count runs after it and the coarse modes are dropped.
     """
-    coarse = _coarse_modes(disc, k + 1)
-    if coarse is None:
-        return None
-    seeds, starts = coarse
     d, e, w = disc.diag, disc.offdiag, disc.weights
     n = d.size
-    r = _seed_ratio(n)
     # reductions, not np.abs, so that no temporary of length n is made
     d_min, d_max = float(np.min(d)), float(np.max(d))
     e_max = max(float(np.max(e)), -float(np.min(e)))
     # 3 eps ||T||, the allowance for the rounding of T x
     slack = 3.0 * np.finfo(float).eps * (max(d_max, -d_min) + 2.0 * e_max)
-    # half the gap to the nearer neighbouring seed, times _RQ_RTOL
-    gaps = np.diff(seeds)
-    tols = 0.5 * _RQ_RTOL * np.minimum(gaps[:-1], gaps[1:])
+    coarse = _coarse_modes(disc, k + 1, slack)
+    if coarse is None:
+        return None
+    r, seeds, starts = coarse
+    tols = _stop_tolerances(seeds)
     lams = np.zeros(k)
     radii = np.empty(k)
     vecs = np.empty((k, n)).T if vectors else None

@@ -140,9 +140,11 @@ def _check_sim_layers(layers, repeats, nproc):
 def _check_route(e, k=None):
     """A spectrum entry's route and its solves per mode past the first: k - 1
     modes of 1 to _MAX_SOLVES solves each when certified, a partial count
-    (an attempt that failed) or none on bisection."""
+    (an attempt that failed) or none on bisection; and the seeds'
+    refinement, two solves for each of modes 1..k or none."""
     k = bench.SPECTRUM_K if k is None else k
     assert e["route"] in ROUTES
+    assert e["seed_solves"] in (0, 2 * k)
     assert all(isinstance(n, int) and 1 <= n <= spectral._MAX_SOLVES
                for n in e["solves"])
     if e["route"] == "certified":
@@ -158,7 +160,7 @@ def _check_generator_layer(layers, repeats):
     entries = layers.get("spectral.generator", ())
     routed = any("route" in e for e in entries)
     for e in entries:
-        spectrum_fields = ({"route", "solves"}
+        spectrum_fields = ({"route", "solves", "seed_solves"}
                            if routed and e["call"] == "spectrum" else set())
         assert set(e) == {"target", "call", "points", "median_s",
                           "times_s"} | spectrum_fields
@@ -181,7 +183,7 @@ def _check_sweep_layers(layers, repeats):
     seeds = layers.get("spectral.seeds", ())
     for e in seeds:
         assert set(e) == {"target", "points", "seed_cells", "route",
-                          "solves", "median_s", "times_s"}
+                          "solves", "seed_solves", "median_s", "times_s"}
         _check_times(e, repeats)
         _check_route(e)
     if seeds:
@@ -192,7 +194,7 @@ def _check_sweep_layers(layers, repeats):
     routing = layers.get("spectral.routing", ())
     for e in routing:
         assert set(e) == {"target", "points", "asked", "route", "solves",
-                          "median_s", "times_s"}
+                          "seed_solves", "median_s", "times_s"}
         _check_times(e, repeats)
         _check_route(e)
         if e["asked"] == "bisection":

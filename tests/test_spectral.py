@@ -210,16 +210,6 @@ RATE_RULE_SOLVES = [
     ((2, 2, 2, 2), (2, 2, 2, 2)), ((2, 2, 2, 2), (2, 2, 2, 2)),
     ((2, 2, 2, 2), (2, 2, 2, 2)),
 ]
-# seeds from 500 coarse cells are too rough on these for the quotient rule
-# at 200000 points, where the rounding allowance rules the bound out, and
-# on InverseGamma(2), whose modes past the first are not discrete, at 20000
-_MORE_SOLVES = pytest.mark.xfail(
-    strict=True, reason="coarse seeds too rough (ROADMAP item 16)")
-MORE_SOLVES = {("Jacobi(-0.5, -0.5)", 200000), ("Gamma(-0.5,)", 200000),
-               ("StudentCauchy(3.0,)", 200000),
-               ("InverseGamma(2.0,)", 20000), ("InverseGamma(2.0,)", 200000),
-               ("InverseGamma(3.0,)", 200000),
-               ("FisherSnedecor(6.0, 10.0)", 200000)}
 
 
 class TestFineSpectrum:
@@ -243,9 +233,10 @@ class TestFineSpectrum:
 
     @staticmethod
     def _solves(monkeypatch):
-        """Record the dgtsv solves of each mode past the first, a new count
-        at each start vector."""
-        solves = []
+        """Record the dgtsv solves: first those before any start vector (the
+        seeds' refinement on a coarsening), then those of each mode past
+        the first, a new count at each start vector."""
+        solves = [0]
         start, dgtsv = spectral._start, spectral.lapack.dgtsv
 
         def started(*args):
@@ -301,22 +292,71 @@ class TestFineSpectrum:
         proc = synthesize(spec)
         disc = discretize_generator(proc, default_grid(proc, n))
         spectrum(disc, 5, vectors=False)
-        assert solves == [per_mode] * 4
+        assert solves[1:] == [per_mode] * 4
 
     @pytest.mark.parametrize("n,column", [(20000, 0), (200000, 1)])
     @pytest.mark.parametrize("spec,before", [
         pytest.param(spec, before, id=_target_id(spec))
         for spec, before in zip(CATALOG_TARGETS, RATE_RULE_SOLVES)])
     def test_no_mode_takes_more_solves_than_the_quotient_rule(
-            self, spec, before, n, column, monkeypatch, request):
-        if (_target_id(spec), n) in MORE_SOLVES:
-            request.applymarker(_MORE_SOLVES)
+            self, spec, before, n, column, monkeypatch):
         solves = self._solves(monkeypatch)
         proc = synthesize(spec)
         disc = discretize_generator(proc, default_grid(proc, n))
         spectrum(disc, 5, vectors=False)
-        assert len(solves) == 4
-        assert all(a <= b for a, b in zip(solves, before[column]))
+        assert len(solves) == 5
+        assert all(a <= b for a, b in zip(solves[1:], before[column]))
+
+    @pytest.mark.parametrize("spec,n,refined", [
+        (Normal(0.0, 1.0), 20000, False), (Normal(0.0, 1.0), 200000, False),
+        (Beta(2.0, 5.0), 20000, False), (Beta(2.0, 5.0), 200000, True),
+        (InverseGamma(2.0), 20000, True), (InverseGamma(2.0), 2000, False)],
+        ids=lambda v: _target_id(v) if hasattr(v, "kind") else str(v))
+    def test_seeds_are_refined_where_the_bound_cannot_stop_a_mode(
+            self, spec, n, refined, monkeypatch):
+        """Beta(2, 5) at 200000 points (the rounding allowance alone fails
+        the bound) and InverseGamma(2) at 20000 (Richardson corrections of
+        most of a gap) refine their seeds on the coarsening four times
+        finer; at 2000 points, 4 fine cells to a seed cell, that would be
+        no coarsening."""
+        solves = self._solves(monkeypatch)
+        proc = synthesize(spec)
+        disc = discretize_generator(proc, default_grid(proc, n))
+        spectrum(disc, 5, vectors=False)
+        # two Rayleigh quotient steps for each of modes 1..5
+        assert solves[0] == (10 if refined else 0)
+
+    @pytest.mark.parametrize("spec,n,cells,k", [
+        (InverseGamma(2.0), 200000, 1000, 5),
+        (InverseGamma(3.0), 20000, 500, 8)],
+        ids=lambda v: _target_id(v) if hasattr(v, "kind") else str(v))
+    def test_refined_seeds_that_meet_are_bisected(self, spec, n, cells, k,
+                                                  monkeypatch):
+        """Seeds off by much of their gap: InverseGamma(2)'s last one at
+        200000 points from 1000 seed cells (7.2 against lambda5 = 8.2),
+        InverseGamma(3)'s sixth at 20000 points (14.1 against 17.0, with
+        lambda5 = 13.9). Their quotient steps reach a neighbouring mode,
+        so the finer coarsening is bisected instead, and the modes
+        certify (the unrefined seeds found InverseGamma(3)'s lambda5
+        twice)."""
+        monkeypatch.setattr(spectral, "_SEED_CELLS", cells)
+        bisected = []
+        real = spectral.numerics.tridiag_eigs
+
+        def spy(diag, *args, **kwargs):
+            bisected.append(diag.size)
+            return real(diag, *args, **kwargs)
+
+        monkeypatch.setattr(spectral.numerics, "tridiag_eigs", spy)
+        certified = self._spy(monkeypatch)
+        proc = synthesize(spec)
+        disc = discretize_generator(proc, default_grid(proc, n))
+        lams = spectrum(disc, k, vectors=False).eigenvalues
+        assert certified == [True]
+        assert bisected[-1] == -(-n // (-(-n // cells) // 4))
+        ref = real(disc.diag, disc.offdiag, k, vectors=False)[0]
+        np.testing.assert_allclose(lams, ref, rtol=0.0,
+                                   atol=1e-14 * np.max(np.abs(disc.diag)))
 
     @pytest.mark.parametrize("spec,k", [
         (InverseGamma(2.0), 12), (InverseGamma(3.0), 20),
@@ -333,7 +373,7 @@ class TestFineSpectrum:
         proc = synthesize(spec)
         disc = discretize_generator(proc, default_grid(proc, 20000))
         lams = spectrum(disc, k, vectors=False).eigenvalues
-        assert certified == [False] and solves == []
+        assert certified == [False] and solves == [0]
         ref = tridiag_eigs(disc.diag, disc.offdiag, k, vectors=False)[0]
         assert np.array_equal(lams, ref)
 
@@ -347,11 +387,11 @@ class TestFineSpectrum:
         values, bit for bit."""
         real = spectral._coarse_modes
 
-        def coarse_modes(disc, m):
-            seeds, starts = real(disc, m + 1)
+        def coarse_modes(disc, m, slack):
+            r, seeds, starts = real(disc, m + 1, slack)
             keep = ([0] + list(range(2, m + 1)) if how == "skip"
                     else [0, 1] + list(range(1, m)))
-            return seeds[keep], starts[keep]
+            return r, seeds[keep], starts[keep]
 
         monkeypatch.setattr(spectral, "_coarse_modes", coarse_modes)
         certified = self._spy(monkeypatch)

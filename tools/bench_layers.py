@@ -46,9 +46,9 @@ Times, under the fastmix of this tree (src/ beside tools/):
   points (SPECTRAL_RUNS, parameters from perfbench/inputs.py, seed 1): the
   grid and discretize_generator on it, then spectrum(disc, 5,
   vectors=False), each timed on its own after one untimed run. Each
-  spectrum entry names the route that ran ("certified" or "bisection")
-  and the dgtsv solves of each mode past the first, read off one more
-  untimed call;
+  spectrum entry names the route that ran ("certified" or "bisection"),
+  the dgtsv solves of each mode past the first and those that set out to
+  refine the seeds on a coarsening, read off one more untimed call;
 - the same spectrum call on every SWEEP_TARGETS entry (the catalog targets
   tests/test_spectral.py certifies): at each of SEED_POINTS with the seeds'
   coarsening spectral._SEED_CELLS at each of SEED_CELLS, and at each of
@@ -410,11 +410,14 @@ def _post_processing(fastmix, repeats):
 
 def _route(fastmix, disc):
     """Which route spectrum(disc, SPECTRUM_K, vectors=False) ran,
-    "certified" or "bisection", and the solves each mode past the first
-    took, in order (empty on bisection, or when the attempt was given up
-    before any solve), read off one untimed call."""
+    "certified" or "bisection", the solves each mode past the first took,
+    in order (empty on bisection, or when the attempt was given up before
+    any solve), and the solves on a coarsening that set out to refine the
+    seeds (seed_solves, 0 when that was not tried), read off one untimed
+    call."""
     spectral = fastmix.spectral
-    solves, certified = [], []
+    # solves[0] counts the solves before the first start vector
+    solves, certified = [0], []
 
     def started(real):
         def start(*args):
@@ -440,7 +443,7 @@ def _route(fastmix, disc):
             _wrapped(spectral, "_certified_low_modes", attempted):
         fastmix.spectrum(disc, SPECTRUM_K, vectors=False)
     route = "certified" if certified == [True] else "bisection"
-    return {"route": route, "solves": solves}
+    return {"route": route, "solves": solves[1:], "seed_solves": solves[0]}
 
 
 def _spectrum_times(fastmix, disc, repeats):
@@ -456,7 +459,8 @@ def _spectrum_times(fastmix, disc, repeats):
 def _generator(fastmix, repeats):
     """discretize_generator, with its grid, and spectrum at every run of
     SPECTRAL_RUNS, on the optimal process of the run's target; each
-    spectrum entry names the route it ran and its solves per mode."""
+    spectrum entry names the route it ran, its solves per mode and its
+    seed_solves."""
     with tempfile.TemporaryDirectory() as tmp:
         params = {job["ref"]["catalog"]: job["ref"]["params"]
                   for job in _workload_jobs("spectral", tmp)
@@ -474,11 +478,11 @@ def _generator(fastmix, repeats):
             fastmix.spectrum(disc, SPECTRUM_K, vectors=False)
             times["discretize_generator"].append(t1 - t0)
             times["spectrum"].append(time.perf_counter() - t1)
-        entries += [_entry(repr(proc.source), times["discretize_generator"][1:],
+        name = repr(proc.source)
+        entries += [_entry(name, times["discretize_generator"][1:],
                            call="discretize_generator", points=n),
-                    _entry(repr(proc.source), times["spectrum"][1:],
-                           call="spectrum", points=n,
-                           **_route(fastmix, disc))]
+                    _entry(name, times["spectrum"][1:], call="spectrum",
+                           points=n, **_route(fastmix, disc))]
     return entries
 
 
