@@ -49,15 +49,16 @@ _RECORD_BLOCK = 256
 _DROP_TOL = 1e-17
 # spectrum bisects generators of at most _ROUTE_CELLS cells; a finer one
 # takes its low modes by inverse iteration, seeded from its coarsening to
-# about _SEED_CELLS cells. Both are set from the spectral.routing and
-# spectral.seeds layers of tools/bench_layers.py: at 1500 points and below
-# bisection is the faster route, from 2000 the two cost about the same;
-# 500 seed cells are the fastest at 2000 and 20000 points of the sizes
-# that certify every swept target (250 cells miss one). Seeds too rough
-# for the modes to stop on their residuals are refined on the coarsening
-# _REFINE times finer (about 2000 cells; 1000 left some modes a solve
-# more than 2000-cell seeds). A mode stops once its Rayleigh quotient is
-# known to within half _RQ_RTOL relative, or moves by less than
+# about _SEED_CELLS cells. Seeds too rough for the modes to stop on their
+# residuals are refined on the coarsening _REFINE times finer. All three
+# are set from the spectral.routing, spectral.seeds and spectral.refine
+# layers of tools/bench_layers.py: at 1500 points and below bisection is
+# the faster route, above it the certified one; 500 seed cells are the
+# fewest, and a factor of 4 the smallest, that leave no mode of a swept
+# target more solves than 2000-cell seeds took, at about the time of the
+# alternatives (250 cells and a factor of 2 each leave three (target,
+# size) cases more). A mode stops once its Rayleigh quotient
+# is known to within half _RQ_RTOL relative, or moves by less than
 # _RQ_RTOL, in at most _MAX_SOLVES solves
 _ROUTE_CELLS = 1500
 _SEED_CELLS = 500

@@ -31,11 +31,11 @@ TABLES = {"bimodal", "skewed", "mixture-beta", "mixture-jacobi",
 LAYERS = {"numerics.quadrature", "optimal.synthesis", "optimal.table_build",
           "sim.kernels", "sim.fork", "sim.post_processing",
           "spectral.generator", "spectral.seeds", "spectral.routing",
-          "spectral.evolution"}
+          "spectral.refine", "spectral.evolution"}
 # layers that files written before they were timed lack
 LATER = {"numerics.quadrature", "sim.kernels", "sim.fork",
          "sim.post_processing", "spectral.generator", "spectral.seeds",
-         "spectral.routing", "spectral.evolution"}
+         "spectral.routing", "spectral.refine", "spectral.evolution"}
 GENERATOR_CALLS = ("discretize_generator", "spectrum")
 KERNELS = {"path-major", "path-major forked", "step-major"}
 ROUTES = {"certified", "bisection"}
@@ -179,7 +179,9 @@ def _check_generator_layer(layers, repeats):
 def _check_sweep_layers(layers, repeats):
     """spectral.seeds: every SWEEP_TARGETS entry at every SEED_POINTS and
     SEED_CELLS; spectral.routing: every entry at every ROUTE_POINTS on
-    both routes, bisection asked of a route that makes no attempt."""
+    both routes, bisection asked of a route that makes no attempt;
+    spectral.refine: every entry at every REFINE_POINTS and
+    REFINE_FACTORS."""
     seeds = layers.get("spectral.seeds", ())
     for e in seeds:
         assert set(e) == {"target", "points", "seed_cells", "route",
@@ -206,6 +208,17 @@ def _check_sweep_layers(layers, repeats):
             (n, asked) for _ in bench.SWEEP_TARGETS
             for n in bench.ROUTE_POINTS
             for asked in ("certified", "bisection")]
+    refine = layers.get("spectral.refine", ())
+    for e in refine:
+        assert set(e) == {"target", "points", "refine", "route", "solves",
+                          "seed_solves", "median_s", "times_s"}
+        _check_times(e, repeats)
+        _check_route(e)
+    if refine:
+        assert len({e["target"] for e in refine}) == len(bench.SWEEP_TARGETS)
+        assert [(e["points"], e["refine"]) for e in refine] == [
+            (n, factor) for _ in bench.SWEEP_TARGETS
+            for n in bench.REFINE_POINTS for factor in bench.REFINE_FACTORS]
 
 
 def _evolve_jobs():
@@ -287,6 +300,8 @@ def test_a_short_run_has_the_schema(monkeypatch):
     monkeypatch.setattr(bench, "SEED_POINTS", (2000,))
     monkeypatch.setattr(bench, "SEED_CELLS", (250, 500))
     monkeypatch.setattr(bench, "ROUTE_POINTS", (1000, 2000))
+    monkeypatch.setattr(bench, "REFINE_POINTS", (2000,))
+    monkeypatch.setattr(bench, "REFINE_FACTORS", (2, 4))
     doc = bench.run(0)
     _check_schema(json.loads(json.dumps(doc)))
     assert doc["pr"] == 0 and doc["repeats"] == 5

@@ -52,7 +52,9 @@ Times, under the fastmix of this tree (src/ beside tools/):
 - the same spectrum call on every SWEEP_TARGETS entry (the catalog targets
   tests/test_spectral.py certifies): at each of SEED_POINTS with the seeds'
   coarsening spectral._SEED_CELLS at each of SEED_CELLS, and at each of
-  ROUTE_POINTS made to run each route by spectral._ROUTE_CELLS. Those two
+  ROUTE_POINTS made to run each route by spectral._ROUTE_CELLS, and at
+  each of REFINE_POINTS with the seeds refined on the coarsening
+  spectral._REFINE times finer at each of REFINE_FACTORS. Those three
   constants are set from these sweeps;
 - density evolution: evolve_fpe on each evolve job of the `spectral`
   workload (seed 1), as perfbench/workload.py calls it, timed after one
@@ -68,8 +70,8 @@ numerics.integrate call of the untimed run, and the calls of the
 integrand that made them; a synthesis entry on the quadrature route
 records the table's cell count and evaluations. The file also records
 nproc and the Python, numpy and scipy versions. It is written at the root
-of the tree. A full run takes about 100 s on two cores, half of it in the
-sampler's kernels and a third in the spectral sweeps.
+of the tree. A full run takes about 140 s on two cores, a third of it in
+the sampler's kernels and half in the spectral sweeps.
 """
 
 from __future__ import annotations
@@ -155,6 +157,10 @@ SEED_POINTS = (2000, 20000, 200000)
 SEED_CELLS = (250, 500, 1000, 2000)
 # grid points of the routing sweep, each timed on both routes
 ROUTE_POINTS = (1000, 1250, 1500, 1501, 1750, 2000)
+# grid points and refinement factors (spectral._REFINE) of the sweep of the
+# seeds' refinement, which most targets take at 200000 points
+REFINE_POINTS = (20000, 200000)
+REFINE_FACTORS = (2, 4, 8)
 # eigenvalues asked of every spectrum reading, as the spectral workload asks
 SPECTRUM_K = 5
 
@@ -533,6 +539,24 @@ def _routing(fastmix, repeats):
     return entries
 
 
+def _refinement(fastmix, repeats):
+    """spectrum on every SWEEP_TARGETS entry at each of REFINE_POINTS, with
+    the seeds refined on the coarsening spectral._REFINE times finer at
+    each of REFINE_FACTORS: the sweep _REFINE is set from. Each entry
+    names the route that ran, its solves per mode and its seed_solves."""
+    spectral = fastmix.spectral
+    entries = []
+    for name, disc in _sweep_discs(fastmix, REFINE_POINTS):
+        for factor in REFINE_FACTORS:
+            with _wrapped(spectral, "_REFINE", lambda real: factor):
+                fastmix.spectrum(disc, SPECTRUM_K, vectors=False)
+                entries.append(_entry(
+                    name, _spectrum_times(fastmix, disc, repeats),
+                    points=disc.grid.n, refine=factor,
+                    **_route(fastmix, disc)))
+    return entries
+
+
 def _evolution(fastmix, repeats):
     """evolve_fpe on every evolve job of the spectral workload: a Gaussian
     bump offset_sd standard deviations from the mean, width_sd wide, on
@@ -629,6 +653,7 @@ def run(pr, repeats=MIN_REPEATS):
                    "spectral.generator": _generator(fastmix, repeats),
                    "spectral.seeds": _seeds(fastmix, repeats),
                    "spectral.routing": _routing(fastmix, repeats),
+                   "spectral.refine": _refinement(fastmix, repeats),
                    "spectral.evolution": _evolution(fastmix, repeats)},
     }
 
