@@ -18,11 +18,12 @@ finer generator's k < n lowest modes, the spectrum command's default of
 2000 points included, come from certified inverse iteration seeded by its
 coarsening to about 500 cells (_SEED_CELLS), with each eigenvalue taken as
 a Dirichlet form, to high relative accuracy. A mode stops once the
-Kato-Temple bound puts its eigenvalue within 5e-13 relative; where the
-rounding of the residual rules the bound out, or the seeds are rough (heavy
-tails), the seeds are first refined on a four times finer coarsening. What
-cannot be certified falls back to bisection, as do seeds that cannot tell
-the modes apart, before any solve.
+Kato-Temple bound puts its eigenvalue within 5e-13 relative. Where those
+seeds cannot tell the modes apart (heavy tails at larger k), are rough, or
+leave a mode whose residual's rounding rules the bound out, the seeds come
+from the coarsening four times finer (about 2000 cells). What cannot be
+certified falls back to bisection, as do seeds that cannot tell the modes
+apart on either coarsening, before any solve.
 """
 
 from __future__ import annotations
@@ -49,17 +50,16 @@ _RECORD_BLOCK = 256
 _DROP_TOL = 1e-17
 # spectrum bisects generators of at most _ROUTE_CELLS cells; a finer one
 # takes its low modes by inverse iteration, seeded from its coarsening to
-# about _SEED_CELLS cells. Seeds too rough for the modes to stop on their
-# residuals are refined on the coarsening _REFINE times finer. All three
-# are set from the spectral.routing, spectral.seeds and spectral.refine
-# layers of tools/bench_layers.py: at 1500 points and below bisection is
-# the faster route, above it the certified one; 500 seed cells are the
-# fewest, and a factor of 4 the smallest, that leave no mode of a swept
-# target more solves than 2000-cell seeds took, at about the time of the
-# alternatives (250 cells and a factor of 2 each leave three (target,
-# size) cases more). A mode stops once its Rayleigh quotient
-# is known to within half _RQ_RTOL relative, or moves by less than
-# _RQ_RTOL, in at most _MAX_SOLVES solves
+# about _SEED_CELLS cells, or, where those seeds fall short, from the
+# coarsening _REFINE times finer (_coarse_modes). The first two are set
+# from the spectral.routing and spectral.seeds layers of
+# tools/bench_layers.py: at 1500 points and below bisection is the faster
+# route, above it the certified one; 500 seed cells are the fewest that
+# leave no mode of a swept target more solves than 2000-cell seeds took, at
+# about the time of the alternatives (250 cells leave three (target, size)
+# cases more). _REFINE = 4 makes the finer seeds about 2000 cells. A mode
+# stops once its Rayleigh quotient is known to within half _RQ_RTOL
+# relative, or moves by less than _RQ_RTOL, in at most _MAX_SOLVES solves
 _ROUTE_CELLS = 1500
 _SEED_CELLS = 500
 _REFINE = 4
@@ -214,11 +214,40 @@ def _seed_ratio(n: int) -> int:
 
 
 def _coarse_modes(disc: Discretization, m: int, slack: float):
-    """Seeds for the m lowest eigenvalues of disc's generator T, from its
-    coarsening by r fine cells to a cell, about _SEED_CELLS cells
-    (_coarsening), and the rows of that coarsening's eigenfunctions, as
-    (r, seeds, rows); None when the twice coarser generator has fewer than
-    m cells, or when the seeds cannot tell T's modes apart.
+    """Seeds for the m lowest eigenvalues of disc's generator T, and the
+    rows of the coarse eigenfunctions they come from, as (r, seeds, rows),
+    from T's coarsening by r fine cells to a cell (_richardson_seeds); None
+    when no coarsening tried gives seeds that tell T's modes apart.
+
+    The seeds come from the coarsening to about _SEED_CELLS cells. Where
+    those cannot tell the modes apart, or are rough, or where some mode
+    j < m - 1 cannot stop on its residual (slack, the rounding allowance of
+    _certified_low_modes, already fails the bound), they come from the
+    coarsening _REFINE times finer instead, if that is still a coarsening
+    by 2 or more and its seeds tell the modes apart: rough seeds converge
+    slowly, and the modes that stop on the quotient rule stop sooner from
+    finer seeds.
+    """
+    r = _seed_ratio(disc.grid.n)
+    found = _richardson_seeds(disc, r, m)
+    if found is not None:
+        seeds, rows, rough = found
+        floor = np.any(slack * slack > _stop_tolerances(seeds) * seeds[1:-1])
+        if not (rough or floor):
+            return r, seeds, rows
+    if r >= 2 * _REFINE:
+        finer = _richardson_seeds(disc, r // _REFINE, m)
+        if finer is not None:
+            return r // _REFINE, finer[0], finer[1]
+    return None if found is None else (r, seeds, rows)
+
+
+def _richardson_seeds(disc: Discretization, r: int, m: int):
+    """Seeds for the m lowest eigenvalues of disc's generator T from its
+    coarsening by r fine cells to a cell (_coarsening), the rows of that
+    coarsening's eigenfunctions, and whether the seeds are rough, as
+    (seeds, rows, rough); None when the twice coarser generator has fewer
+    than m cells, or when the seeds cannot tell T's modes apart.
 
     The coarse eigenvalues converge at second order in the cell size, so a
     coarse eigenvalue's error is about a third of its distance d_j from the
@@ -229,16 +258,9 @@ def _coarse_modes(disc: Discretization, m: int, slack: float):
     only bounds the Sturm count, below the gap to the one before it). The
     seeds tell the modes apart when each d_j but the first is below that
     gap, a margin for the estimate, which a target with too few discrete
-    modes fails (InverseGamma(2) at k = 12, say).
-
-    Where some mode j < m - 1 cannot stop on its residual (slack, the
-    rounding allowance of _certified_low_modes, already fails the bound),
-    or d_j reaches half that gap, the modes stop on the quotient rule or
-    converge slowly, both of which want finer seeds: those are refined on
-    the coarsening _REFINE times finer (_refined_modes), where that is
-    still a coarsening by 2 or more.
+    modes fails (InverseGamma(2) at k = 12, say). They are rough when some
+    d_j of a mode 1..m - 2 reaches half that gap.
     """
-    r = _seed_ratio(disc.grid.n)
     diag, offdiag, mass = _coarsening(disc, r)
     coarser_diag, coarser_offdiag, _ = _coarsening(disc, 2 * r)
     if m > coarser_diag.size:
@@ -251,13 +273,9 @@ def _coarse_modes(disc: Discretization, m: int, slack: float):
     near = np.append(np.minimum(gaps[:-1], gaps[1:]), gaps[-1])
     if not np.all(np.abs(moved[1:]) < near):
         return None
-    seeds = lams + moved / 3.0
-    rows = (vecs / np.sqrt(mass)[:, None]).T
     rough = np.any(np.abs(moved[1:-1]) >= 0.5 * near[:-1])
-    floor = np.any(slack * slack > _stop_tolerances(seeds) * seeds[1:-1])
-    if (rough or floor) and r >= 2 * _REFINE:
-        return _refined_modes(disc, r, lams, seeds, rows)
-    return r, seeds, rows
+    return (lams + moved / 3.0, (vecs / np.sqrt(mass)[:, None]).T,
+            bool(rough))
 
 
 def _stop_tolerances(seeds):
@@ -265,52 +283,6 @@ def _stop_tolerances(seeds):
     nearer neighbouring seed. A mode stops once ||r||^2 <= tol_j rho."""
     gaps = np.diff(seeds)
     return 0.5 * _RQ_RTOL * np.minimum(gaps[:-1], gaps[1:])
-
-
-def _refined_modes(disc: Discretization, r: int, lams, seeds, rows):
-    """_coarse_modes's (r, seeds, rows) refined on the coarsening by
-    f = r // _REFINE: each mode j >= 1 takes two steps of Rayleigh quotient
-    iteration there, from seeds[j] and rows[j] interpolated linearly
-    between the coarse cells' centres, and its seed is the quotient
-    Richardson-extrapolated against lams[j], the coarse eigenvalue. Where
-    a solve fails, or two refined seeds may have met at one eigenvalue
-    (from a seed off by a good part of its gap, the quotient iteration can
-    reach a neighbouring mode), the finer coarsening's modes come from
-    bisection instead.
-    """
-    f = r // _REFINE
-    diag, offdiag, mass = _coarsening(disc, f)
-    c = diag.size
-    w = np.sqrt(mass)
-    # cell centres of both coarsenings, in fine cells
-    at = (np.arange(c) + 0.5) * f
-    coarse_at = (np.arange(rows.shape[1]) + 0.5) * r
-    richardson = 1.0 / ((r / f) ** 2 - 1.0)
-    lower, middle, upper = np.empty(c - 1), np.empty(c), np.empty(c - 1)
-    refined_seeds = seeds.copy()
-    refined_rows = np.ones((seeds.size, c))  # mode 0 takes no start
-    for j in range(1, seeds.size):
-        x = w * np.interp(at, coarse_at, rows[j])
-        rho = float(seeds[j])
-        for _ in range(2):
-            x = _shifted_solve(diag, offdiag, rho, x, lower, middle, upper)
-            if x is None:
-                break
-            with np.errstate(all="ignore"):  # a non-finite rho fails below
-                x /= math.sqrt(float(x @ x))
-                rho = float(diag @ (x * x)
-                            + 2.0 * (offdiag @ (x[:-1] * x[1:])))
-        if x is None or not math.isfinite(rho):
-            break
-        refined_seeds[j] = rho + (rho - lams[j]) * richardson
-        refined_rows[j] = x / w
-    else:
-        # a gap closed to half its size or less: two quotients may have met
-        if np.all(np.diff(refined_seeds) > 0.5 * np.diff(seeds)):
-            return f, refined_seeds, refined_rows
-    fine_lams, vecs = numerics.tridiag_eigs(diag, offdiag, seeds.size)
-    return (f, fine_lams + (fine_lams - lams) * richardson,
-            (vecs / w[:, None]).T)
 
 
 def _certified_low_modes(disc: Discretization, k: int, vectors: bool):
@@ -337,8 +309,9 @@ def _certified_low_modes(disc: Discretization, k: int, vectors: bool):
     (||r|| + 3 eps ||T||)^2 <= gap _RQ_RTOL rho / 2, 3 eps ||T|| being the
     allowance for the rounding of T x. Where that allowance alone fails
     the test (compact supports at 200000 points) the residual is not
-    taken until the mode stops, and the seeds were refined so that this
-    rule stops a mode as soon as it did on 2000-cell seeds. Any mode also
+    taken until the mode stops, and the seeds come from the finer
+    coarsening, about 2000 cells, from which the next rule stops a mode
+    sooner. Any mode also
     stops once rho moves by less than _RQ_RTOL relative, within
     _MAX_SOLVES solves.
 

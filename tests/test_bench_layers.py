@@ -31,11 +31,11 @@ TABLES = {"bimodal", "skewed", "mixture-beta", "mixture-jacobi",
 LAYERS = {"numerics.quadrature", "optimal.synthesis", "optimal.table_build",
           "sim.kernels", "sim.fork", "sim.post_processing",
           "spectral.generator", "spectral.seeds", "spectral.routing",
-          "spectral.refine", "spectral.evolution"}
+          "spectral.evolution"}
 # layers that files written before they were timed lack
 LATER = {"numerics.quadrature", "sim.kernels", "sim.fork",
          "sim.post_processing", "spectral.generator", "spectral.seeds",
-         "spectral.routing", "spectral.refine", "spectral.evolution"}
+         "spectral.routing", "spectral.evolution"}
 GENERATOR_CALLS = ("discretize_generator", "spectrum")
 KERNELS = {"path-major", "path-major forked", "step-major"}
 ROUTES = {"certified", "bisection"}
@@ -140,11 +140,15 @@ def _check_sim_layers(layers, repeats, nproc):
 def _check_route(e, k=None):
     """A spectrum entry's route and its solves per mode past the first: k - 1
     modes of 1 to _MAX_SOLVES solves each when certified, a partial count
-    (an attempt that failed) or none on bisection; and the seeds'
-    refinement, two solves for each of modes 1..k or none."""
+    (an attempt that failed) or none on bisection; and the cells of the
+    seeds' coarsening, at most the grid's, which any solve needs, or 0
+    where no coarsening gave seeds."""
     k = bench.SPECTRUM_K if k is None else k
     assert e["route"] in ROUTES
-    assert e["seed_solves"] in (0, 2 * k)
+    assert isinstance(e["coarse_cells"], int)
+    assert 0 <= e["coarse_cells"] <= e["points"]
+    if e["solves"] or e["route"] == "certified":
+        assert e["coarse_cells"] > 0
     assert all(isinstance(n, int) and 1 <= n <= spectral._MAX_SOLVES
                for n in e["solves"])
     if e["route"] == "certified":
@@ -160,7 +164,7 @@ def _check_generator_layer(layers, repeats):
     entries = layers.get("spectral.generator", ())
     routed = any("route" in e for e in entries)
     for e in entries:
-        spectrum_fields = ({"route", "solves", "seed_solves"}
+        spectrum_fields = ({"route", "solves", "coarse_cells"}
                            if routed and e["call"] == "spectrum" else set())
         assert set(e) == {"target", "call", "points", "median_s",
                           "times_s"} | spectrum_fields
@@ -179,13 +183,11 @@ def _check_generator_layer(layers, repeats):
 def _check_sweep_layers(layers, repeats):
     """spectral.seeds: every SWEEP_TARGETS entry at every SEED_POINTS and
     SEED_CELLS; spectral.routing: every entry at every ROUTE_POINTS on
-    both routes, bisection asked of a route that makes no attempt;
-    spectral.refine: every entry at every REFINE_POINTS and
-    REFINE_FACTORS."""
+    both routes, bisection asked of a route that makes no attempt."""
     seeds = layers.get("spectral.seeds", ())
     for e in seeds:
         assert set(e) == {"target", "points", "seed_cells", "route",
-                          "solves", "seed_solves", "median_s", "times_s"}
+                          "solves", "coarse_cells", "median_s", "times_s"}
         _check_times(e, repeats)
         _check_route(e)
     if seeds:
@@ -196,11 +198,12 @@ def _check_sweep_layers(layers, repeats):
     routing = layers.get("spectral.routing", ())
     for e in routing:
         assert set(e) == {"target", "points", "asked", "route", "solves",
-                          "seed_solves", "median_s", "times_s"}
+                          "coarse_cells", "median_s", "times_s"}
         _check_times(e, repeats)
         _check_route(e)
         if e["asked"] == "bisection":
             assert e["route"] == "bisection" and e["solves"] == []
+            assert e["coarse_cells"] == 0
     if routing:
         assert len({e["target"] for e in routing}) == \
             len(bench.SWEEP_TARGETS)
@@ -208,17 +211,7 @@ def _check_sweep_layers(layers, repeats):
             (n, asked) for _ in bench.SWEEP_TARGETS
             for n in bench.ROUTE_POINTS
             for asked in ("certified", "bisection")]
-    refine = layers.get("spectral.refine", ())
-    for e in refine:
-        assert set(e) == {"target", "points", "refine", "route", "solves",
-                          "seed_solves", "median_s", "times_s"}
-        _check_times(e, repeats)
-        _check_route(e)
-    if refine:
-        assert len({e["target"] for e in refine}) == len(bench.SWEEP_TARGETS)
-        assert [(e["points"], e["refine"]) for e in refine] == [
-            (n, factor) for _ in bench.SWEEP_TARGETS
-            for n in bench.REFINE_POINTS for factor in bench.REFINE_FACTORS]
+
 
 
 def _evolve_jobs():
@@ -300,8 +293,6 @@ def test_a_short_run_has_the_schema(monkeypatch):
     monkeypatch.setattr(bench, "SEED_POINTS", (2000,))
     monkeypatch.setattr(bench, "SEED_CELLS", (250, 500))
     monkeypatch.setattr(bench, "ROUTE_POINTS", (1000, 2000))
-    monkeypatch.setattr(bench, "REFINE_POINTS", (2000,))
-    monkeypatch.setattr(bench, "REFINE_FACTORS", (2, 4))
     doc = bench.run(0)
     _check_schema(json.loads(json.dumps(doc)))
     assert doc["pr"] == 0 and doc["repeats"] == 5

@@ -233,9 +233,9 @@ class TestFineSpectrum:
 
     @staticmethod
     def _solves(monkeypatch):
-        """Record the dgtsv solves: first those before any start vector (the
-        seeds' refinement on a coarsening), then those of each mode past
-        the first, a new count at each start vector."""
+        """Record the dgtsv solves: first those before any start vector
+        (there should be none), then those of each mode past the first, a
+        new count at each start vector."""
         solves = [0]
         start, dgtsv = spectral._start, spectral.lapack.dgtsv
 
@@ -307,6 +307,24 @@ class TestFineSpectrum:
         assert len(solves) == 5
         assert all(a <= b for a, b in zip(solves[1:], before[column]))
 
+    @staticmethod
+    def _bisected(monkeypatch):
+        """Record the size of every matrix numerics.tridiag_eigs bisects."""
+        bisected = []
+        real = spectral.numerics.tridiag_eigs
+
+        def spy(diag, *args, **kwargs):
+            bisected.append(diag.size)
+            return real(diag, *args, **kwargs)
+
+        monkeypatch.setattr(spectral.numerics, "tridiag_eigs", spy)
+        return bisected
+
+    @staticmethod
+    def _seed_cells(n, r):
+        """Cells of an n-cell generator's coarsening by r and by 2 r."""
+        return [-(-n // r), -(-n // (2 * r))]
+
     @pytest.mark.parametrize("spec,n,refined", [
         (Normal(0.0, 1.0), 20000, False), (Normal(0.0, 1.0), 200000, False),
         (Beta(2.0, 5.0), 20000, False), (Beta(2.0, 5.0), 200000, True),
@@ -316,45 +334,42 @@ class TestFineSpectrum:
             self, spec, n, refined, monkeypatch):
         """Beta(2, 5) at 200000 points (the rounding allowance alone fails
         the bound) and InverseGamma(2) at 20000 (Richardson corrections of
-        most of a gap) refine their seeds on the coarsening four times
-        finer; at 2000 points, 4 fine cells to a seed cell, that would be
-        no coarsening."""
+        most of a gap) take their seeds from the coarsening four times
+        finer, bisected against the one twice as coarse as that; at 2000
+        points, 4 fine cells to a seed cell, that would be no coarsening.
+        No solve is made before the first mode's start."""
+        bisected = self._bisected(monkeypatch)
         solves = self._solves(monkeypatch)
+        certified = self._spy(monkeypatch)
         proc = synthesize(spec)
         disc = discretize_generator(proc, default_grid(proc, n))
         spectrum(disc, 5, vectors=False)
-        # two Rayleigh quotient steps for each of modes 1..5
-        assert solves[0] == (10 if refined else 0)
+        r = spectral._seed_ratio(n)
+        assert certified == [True] and solves[0] == 0
+        assert bisected == self._seed_cells(n, r) + (
+            self._seed_cells(n, r // 4) if refined else [])
 
-    @pytest.mark.parametrize("spec,n,cells,k", [
-        (InverseGamma(2.0), 200000, 1000, 5),
-        (InverseGamma(3.0), 20000, 500, 8)],
+    @pytest.mark.parametrize("spec,n,k", [
+        (InverseGamma(2.0), 20000, 8), (InverseGamma(2.0), 200000, 8),
+        (StudentCauchy(3.0), 20000, 40)],
         ids=lambda v: _target_id(v) if hasattr(v, "kind") else str(v))
-    def test_refined_seeds_that_meet_are_bisected(self, spec, n, cells, k,
-                                                  monkeypatch):
-        """Seeds off by much of their gap: InverseGamma(2)'s last one at
-        200000 points from 1000 seed cells (7.2 against lambda5 = 8.2),
-        InverseGamma(3)'s sixth at 20000 points (14.1 against 17.0, with
-        lambda5 = 13.9). Their quotient steps reach a neighbouring mode,
-        so the finer coarsening is bisected instead, and the modes
-        certify (the unrefined seeds found InverseGamma(3)'s lambda5
-        twice)."""
-        monkeypatch.setattr(spectral, "_SEED_CELLS", cells)
-        bisected = []
-        real = spectral.numerics.tridiag_eigs
-
-        def spy(diag, *args, **kwargs):
-            bisected.append(diag.size)
-            return real(diag, *args, **kwargs)
-
-        monkeypatch.setattr(spectral.numerics, "tridiag_eigs", spy)
+    def test_seeds_the_coarse_cells_cannot_tell_apart_come_from_finer_ones(
+            self, spec, n, k, monkeypatch):
+        """InverseGamma(2)'s last Richardson correction on the 500-cell
+        coarsening is a whole gap, and StudentCauchy(3)'s at mode 29 most
+        of one; on the coarsening four times finer they fall within the
+        margin, and the modes certify rather than fall back on bisection
+        (at 20000 points 16.9 against 29.9 ms for InverseGamma(2), 88
+        against 142 ms for StudentCauchy(3))."""
+        bisected = self._bisected(monkeypatch)
         certified = self._spy(monkeypatch)
         proc = synthesize(spec)
         disc = discretize_generator(proc, default_grid(proc, n))
         lams = spectrum(disc, k, vectors=False).eigenvalues
+        r = spectral._seed_ratio(n)
         assert certified == [True]
-        assert bisected[-1] == -(-n // (-(-n // cells) // 4))
-        ref = real(disc.diag, disc.offdiag, k, vectors=False)[0]
+        assert bisected == self._seed_cells(n, r) + self._seed_cells(n, r // 4)
+        ref = tridiag_eigs(disc.diag, disc.offdiag, k, vectors=False)[0]
         np.testing.assert_allclose(lams, ref, rtol=0.0,
                                    atol=1e-14 * np.max(np.abs(disc.diag)))
 
@@ -364,16 +379,21 @@ class TestFineSpectrum:
         ids=lambda v: _target_id(v) if hasattr(v, "kind") else str(v))
     def test_seeds_that_cannot_tell_the_modes_apart_make_no_solve(
             self, spec, k, monkeypatch):
-        """Heavy tails past their discrete spectrum: the coarse seeds sit
-        further from their fine eigenvalues than from each other, so the
-        attempt is given up before any solve, and spectrum returns
-        bisection's values bit for bit."""
+        """Heavy tails past their discrete spectrum: the seeds of both
+        coarsenings, about 500 and about 2000 cells, sit further from their
+        fine eigenvalues than from each other, so the attempt is given up
+        before any solve, and spectrum returns bisection's values bit for
+        bit."""
+        bisected = self._bisected(monkeypatch)
         certified = self._spy(monkeypatch)
         solves = self._solves(monkeypatch)
         proc = synthesize(spec)
         disc = discretize_generator(proc, default_grid(proc, 20000))
         lams = spectrum(disc, k, vectors=False).eigenvalues
         assert certified == [False] and solves == [0]
+        r = spectral._seed_ratio(20000)
+        assert bisected == (self._seed_cells(20000, r)
+                            + self._seed_cells(20000, r // 4) + [20000])
         ref = tridiag_eigs(disc.diag, disc.offdiag, k, vectors=False)[0]
         assert np.array_equal(lams, ref)
 

@@ -47,14 +47,12 @@ Times, under the fastmix of this tree (src/ beside tools/):
   grid and discretize_generator on it, then spectrum(disc, 5,
   vectors=False), each timed on its own after one untimed run. Each
   spectrum entry names the route that ran ("certified" or "bisection"),
-  the dgtsv solves of each mode past the first and those that set out to
-  refine the seeds on a coarsening, read off one more untimed call;
+  the dgtsv solves of each mode past the first and the cells of the
+  coarsening the seeds came from, read off one more untimed call;
 - the same spectrum call on every SWEEP_TARGETS entry (the catalog targets
   tests/test_spectral.py certifies): at each of SEED_POINTS with the seeds'
   coarsening spectral._SEED_CELLS at each of SEED_CELLS, and at each of
-  ROUTE_POINTS made to run each route by spectral._ROUTE_CELLS, and at
-  each of REFINE_POINTS with the seeds refined on the coarsening
-  spectral._REFINE times finer at each of REFINE_FACTORS. Those three
+  ROUTE_POINTS made to run each route by spectral._ROUTE_CELLS. Those two
   constants are set from these sweeps;
 - density evolution: evolve_fpe on each evolve job of the `spectral`
   workload (seed 1), as perfbench/workload.py calls it, timed after one
@@ -157,10 +155,6 @@ SEED_POINTS = (2000, 20000, 200000)
 SEED_CELLS = (250, 500, 1000, 2000)
 # grid points of the routing sweep, each timed on both routes
 ROUTE_POINTS = (1000, 1250, 1500, 1501, 1750, 2000)
-# grid points and refinement factors (spectral._REFINE) of the sweep of the
-# seeds' refinement, which most targets take at 200000 points
-REFINE_POINTS = (20000, 200000)
-REFINE_FACTORS = (2, 4, 8)
 # eigenvalues asked of every spectrum reading, as the spectral workload asks
 SPECTRUM_K = 5
 
@@ -418,12 +412,11 @@ def _route(fastmix, disc):
     """Which route spectrum(disc, SPECTRUM_K, vectors=False) ran,
     "certified" or "bisection", the solves each mode past the first took,
     in order (empty on bisection, or when the attempt was given up before
-    any solve), and the solves on a coarsening that set out to refine the
-    seeds (seed_solves, 0 when that was not tried), read off one untimed
+    any solve), and the cells of the coarsening the seeds came from
+    (coarse_cells, 0 when no coarsening gave seeds), read off one untimed
     call."""
     spectral = fastmix.spectral
-    # solves[0] counts the solves before the first start vector
-    solves, certified = [0], []
+    solves, certified, cells = [], [], [0]
 
     def started(real):
         def start(*args):
@@ -437,6 +430,14 @@ def _route(fastmix, disc):
             return real(*args)
         return solve
 
+    def seeded(real):
+        def seeds(disc, *args):
+            found = real(disc, *args)
+            if found is not None:
+                cells[0] = -(-disc.grid.n // found[0])
+            return found
+        return seeds
+
     def attempted(real):
         def attempt(*args):
             found = real(*args)
@@ -446,10 +447,11 @@ def _route(fastmix, disc):
 
     with _wrapped(spectral, "_start", started), \
             _wrapped(spectral, "_shifted_solve", counted), \
+            _wrapped(spectral, "_coarse_modes", seeded), \
             _wrapped(spectral, "_certified_low_modes", attempted):
         fastmix.spectrum(disc, SPECTRUM_K, vectors=False)
     route = "certified" if certified == [True] else "bisection"
-    return {"route": route, "solves": solves[1:], "seed_solves": solves[0]}
+    return {"route": route, "solves": solves, "coarse_cells": cells[0]}
 
 
 def _spectrum_times(fastmix, disc, repeats):
@@ -465,8 +467,8 @@ def _spectrum_times(fastmix, disc, repeats):
 def _generator(fastmix, repeats):
     """discretize_generator, with its grid, and spectrum at every run of
     SPECTRAL_RUNS, on the optimal process of the run's target; each
-    spectrum entry names the route it ran, its solves per mode and its
-    seed_solves."""
+    spectrum entry names the route it ran, its solves per mode and the
+    cells of its seeds' coarsening."""
     with tempfile.TemporaryDirectory() as tmp:
         params = {job["ref"]["catalog"]: job["ref"]["params"]
                   for job in _workload_jobs("spectral", tmp)
@@ -535,24 +537,6 @@ def _routing(fastmix, repeats):
                 entries.append(_entry(
                     name, _spectrum_times(fastmix, disc, repeats),
                     points=disc.grid.n, asked=asked,
-                    **_route(fastmix, disc)))
-    return entries
-
-
-def _refinement(fastmix, repeats):
-    """spectrum on every SWEEP_TARGETS entry at each of REFINE_POINTS, with
-    the seeds refined on the coarsening spectral._REFINE times finer at
-    each of REFINE_FACTORS: the sweep _REFINE is set from. Each entry
-    names the route that ran, its solves per mode and its seed_solves."""
-    spectral = fastmix.spectral
-    entries = []
-    for name, disc in _sweep_discs(fastmix, REFINE_POINTS):
-        for factor in REFINE_FACTORS:
-            with _wrapped(spectral, "_REFINE", lambda real: factor):
-                fastmix.spectrum(disc, SPECTRUM_K, vectors=False)
-                entries.append(_entry(
-                    name, _spectrum_times(fastmix, disc, repeats),
-                    points=disc.grid.n, refine=factor,
                     **_route(fastmix, disc)))
     return entries
 
@@ -653,7 +637,6 @@ def run(pr, repeats=MIN_REPEATS):
                    "spectral.generator": _generator(fastmix, repeats),
                    "spectral.seeds": _seeds(fastmix, repeats),
                    "spectral.routing": _routing(fastmix, repeats),
-                   "spectral.refine": _refinement(fastmix, repeats),
                    "spectral.evolution": _evolution(fastmix, repeats)},
     }
 
