@@ -325,50 +325,37 @@ class TestFineSpectrum:
         """Cells of an n-cell generator's coarsening by r and by 2 r."""
         return [-(-n // r), -(-n // (2 * r))]
 
-    @pytest.mark.parametrize("spec,n,refined", [
-        (Normal(0.0, 1.0), 20000, False), (Normal(0.0, 1.0), 200000, False),
-        (Beta(2.0, 5.0), 20000, False), (Beta(2.0, 5.0), 200000, True),
-        (InverseGamma(2.0), 20000, True), (InverseGamma(2.0), 2000, False)],
+    @pytest.mark.parametrize("spec,n,k,refined", [
+        (Normal(0.0, 1.0), 20000, 5, False),
+        (Normal(0.0, 1.0), 200000, 5, False),
+        (Beta(2.0, 5.0), 20000, 5, False), (Beta(2.0, 5.0), 200000, 5, True),
+        (InverseGamma(2.0), 2000, 5, False),
+        (InverseGamma(2.0), 20000, 5, True),
+        (InverseGamma(2.0), 20000, 8, True),
+        (InverseGamma(2.0), 200000, 8, True),
+        (StudentCauchy(3.0), 20000, 40, True)],
         ids=lambda v: _target_id(v) if hasattr(v, "kind") else str(v))
-    def test_seeds_are_refined_where_the_bound_cannot_stop_a_mode(
-            self, spec, n, refined, monkeypatch):
+    def test_seeds_are_refined_where_the_coarse_ones_fall_short(
+            self, spec, n, k, refined, monkeypatch):
         """Beta(2, 5) at 200000 points (the rounding allowance alone fails
-        the bound) and InverseGamma(2) at 20000 (Richardson corrections of
-        most of a gap) take their seeds from the coarsening four times
-        finer, bisected against the one twice as coarse as that; at 2000
-        points, 4 fine cells to a seed cell, that would be no coarsening.
-        No solve is made before the first mode's start."""
+        the bound), InverseGamma(2) at 20000 (Richardson corrections of
+        most of a gap), and, at larger k, InverseGamma(2) (its last
+        correction a whole gap) and StudentCauchy(3) (most of one at mode
+        29), whose 500-cell seeds cannot tell the modes apart, take their
+        seeds from the coarsening four times finer, bisected against the
+        one twice as coarse as that, and certify. At 2000 points, 4 fine
+        cells to a seed cell, that would be no coarsening. No solve is made
+        before the first mode's start."""
         bisected = self._bisected(monkeypatch)
         solves = self._solves(monkeypatch)
         certified = self._spy(monkeypatch)
         proc = synthesize(spec)
         disc = discretize_generator(proc, default_grid(proc, n))
-        spectrum(disc, 5, vectors=False)
+        lams = spectrum(disc, k, vectors=False).eigenvalues
         r = spectral._seed_ratio(n)
         assert certified == [True] and solves[0] == 0
         assert bisected == self._seed_cells(n, r) + (
             self._seed_cells(n, r // 4) if refined else [])
-
-    @pytest.mark.parametrize("spec,n,k", [
-        (InverseGamma(2.0), 20000, 8), (InverseGamma(2.0), 200000, 8),
-        (StudentCauchy(3.0), 20000, 40)],
-        ids=lambda v: _target_id(v) if hasattr(v, "kind") else str(v))
-    def test_seeds_the_coarse_cells_cannot_tell_apart_come_from_finer_ones(
-            self, spec, n, k, monkeypatch):
-        """InverseGamma(2)'s last Richardson correction on the 500-cell
-        coarsening is a whole gap, and StudentCauchy(3)'s at mode 29 most
-        of one; on the coarsening four times finer they fall within the
-        margin, and the modes certify rather than fall back on bisection
-        (at 20000 points 16.9 against 29.9 ms for InverseGamma(2), 88
-        against 142 ms for StudentCauchy(3))."""
-        bisected = self._bisected(monkeypatch)
-        certified = self._spy(monkeypatch)
-        proc = synthesize(spec)
-        disc = discretize_generator(proc, default_grid(proc, n))
-        lams = spectrum(disc, k, vectors=False).eigenvalues
-        r = spectral._seed_ratio(n)
-        assert certified == [True]
-        assert bisected == self._seed_cells(n, r) + self._seed_cells(n, r // 4)
         ref = tridiag_eigs(disc.diag, disc.offdiag, k, vectors=False)[0]
         np.testing.assert_allclose(lams, ref, rtol=0.0,
                                    atol=1e-14 * np.max(np.abs(disc.diag)))
