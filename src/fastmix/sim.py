@@ -111,11 +111,15 @@ _BLOCK = 16
 # kinds and CubicPearson path-major leads at 16 paths by 41-181%; at 32 it
 # leads by 8-55% on Jacobi, InverseGamma and CubicPearson and trails by
 # 2-23% on the others; step-major leads from 64 paths on all seven. On
-# the Normal's constant kick step-major leads by 22% at 16 paths (13% in
-# an earlier run of the layer, 25% before the fork), path-major by 44% at
-# 8. The Hyperexponential's profile calls numpy: path-major leads by 76%
-# at 8 paths, step-major by 5% at 16, and no benchmark job samples it.
-# One limit for every kind keeps one rule.
+# the Normal's constant kick path-major leads at 8 paths in every file
+# from BENCH_28.json to BENCH_32.json, by 40-50%. At 16 paths the sign of
+# the lead changes from run to run: step-major against path-major forked
+# read 13.9 against 16.9 ms (BENCH_28.json), 15.0 against 23.4
+# (BENCH_30.json) and 11.5 against 16.0 (BENCH_32.json), but 22.1 against
+# 19.3 (BENCH_31.json), so no limit of its own is set from them. The
+# Hyperexponential's profile calls numpy: path-major leads by 76% at 8
+# paths, step-major by 5% at 16, and no benchmark job samples it. One
+# limit for every kind keeps one rule.
 PATH_MAJOR_MAX_PATHS = 16
 # bytes of the held blocks _power_sum transforms paths in, about 16 x the
 # FFT size per path: 4 paths at the 2500 kept steps of the paths
@@ -576,6 +580,13 @@ def _step_major(drift, variance, lo, hi, x0, cfg):
     return _run(cfg, x0, walk)
 
 
+def _takes_path_major(drift, variance, cfg):
+    """Whether simulate walks a run path-major: a closed variance shape, a
+    linear drift and at most PATH_MAJOR_MAX_PATHS paths; else step-major."""
+    return (isinstance(variance, _ClosedVariance) and not callable(drift)
+            and cfg.n_paths <= PATH_MAJOR_MAX_PATHS)
+
+
 def simulate(target, cfg: SimConfig, x0=None, *, n_bins=50,
              max_lag=None) -> SimResult:
     """Euler-Maruyama paths X += mu dt + sqrt(2 (sigma^2/2) dt) xi.
@@ -604,8 +615,7 @@ def simulate(target, cfg: SimConfig, x0=None, *, n_bins=50,
     # work on the series
     pids = []
     try:
-        closed = isinstance(var_fn, _ClosedVariance) and not callable(drift)
-        if closed and cfg.n_paths <= PATH_MAJOR_MAX_PATHS:
+        if _takes_path_major(drift, var_fn, cfg):
             series, span = _path_major(drift, var_fn, lo, hi, x0, cfg, pids)
         else:
             series, span = _step_major(drift, var_fn, lo, hi, x0, cfg)

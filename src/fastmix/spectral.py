@@ -52,14 +52,15 @@ _DROP_TOL = 1e-17
 # takes its low modes by inverse iteration, seeded from its coarsening to
 # about _SEED_CELLS cells, or, where those seeds fall short, from the
 # coarsening _REFINE times finer (_coarse_modes). The first two are set
-# from the spectral.routing and spectral.seeds layers of
-# tools/bench_layers.py: at 1500 points and below bisection is the faster
-# route, above it the certified one; 500 seed cells are the fewest that
-# leave no mode of a swept target more solves than 2000-cell seeds took, at
-# about the time of the alternatives (250 cells leave three (target, size)
-# cases more). _REFINE = 4 makes the finer seeds about 2000 cells. A mode
-# stops once its Rayleigh quotient is known to within half _RQ_RTOL
-# relative, or moves by less than _RQ_RTOL, in at most _MAX_SOLVES solves
+# from the sweeps of every catalog target recorded in BENCH_31.json
+# (spectral.routing, spectral.seeds; timed once, not re-run): at 1500
+# points and below bisection is the faster route, above it the certified
+# one; 500 seed cells are the fewest that leave no mode of a swept target
+# more solves than 2000-cell seeds took, at about the time of the
+# alternatives (250 cells leave three (target, size) cases more).
+# _REFINE = 4 makes the finer seeds about 2000 cells. A mode stops once its
+# Rayleigh quotient is known to within half _RQ_RTOL relative, or moves by
+# less than _RQ_RTOL, in at most _MAX_SOLVES solves
 _ROUTE_CELLS = 1500
 _SEED_CELLS = 500
 _REFINE = 4

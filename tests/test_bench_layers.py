@@ -11,6 +11,7 @@ import tempfile
 import pytest
 
 from fastmix import sim, spectral
+from test_spectral import CATALOG_TARGETS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -30,15 +31,18 @@ TABLES = {"bimodal", "skewed", "mixture-beta", "mixture-jacobi",
 
 LAYERS = {"numerics.quadrature", "optimal.synthesis", "optimal.table_build",
           "sim.kernels", "sim.fork", "sim.post_processing",
-          "spectral.generator", "spectral.seeds", "spectral.routing",
-          "spectral.evolution"}
+          "spectral.generator", "spectral.evolution"}
 # layers that files written before they were timed lack
 LATER = {"numerics.quadrature", "sim.kernels", "sim.fork",
-         "sim.post_processing", "spectral.generator", "spectral.seeds",
-         "spectral.routing", "spectral.evolution"}
+         "sim.post_processing", "spectral.generator", "spectral.evolution"}
+# the sweeps spectral._SEED_CELLS and _ROUTE_CELLS were set from, timed
+# once on their grids (_check_sweep_layers): only SWEPT_PR's file holds them
+RETIRED = {"spectral.seeds", "spectral.routing"}
+SWEPT_PR = 31
+SEED_POINTS, SEED_CELLS = (2000, 20000, 200000), (250, 500, 1000, 2000)
+ROUTE_POINTS = (1000, 1250, 1500, 1501, 1750, 2000)
 GENERATOR_CALLS = ("discretize_generator", "spectrum")
 KERNELS = {"path-major", "path-major forked", "step-major"}
-ROUTES = {"certified", "bisection"}
 # the spectral workload's spectrum jobs, all that files written before the
 # 2000-point runs were timed hold
 WORKLOAD_SPECTRA = 5
@@ -137,14 +141,13 @@ def _check_sim_layers(layers, repeats, nproc):
             for call in ("acf", "histogram", "autocorr.csv"))
 
 
-def _check_route(e, k=None):
-    """A spectrum entry's route and its solves per mode past the first: k - 1
-    modes of 1 to _MAX_SOLVES solves each when certified, a partial count
-    (an attempt that failed) or none on bisection; and the cells of the
-    seeds' coarsening, at most the grid's, which any solve needs, or 0
-    where no coarsening gave seeds."""
-    k = bench.SPECTRUM_K if k is None else k
-    assert e["route"] in ROUTES
+def _check_route(e):
+    """A spectrum entry's route and its solves per mode past the first:
+    SPECTRUM_K - 1 modes of 1 to _MAX_SOLVES solves each when certified, a
+    partial count (an attempt that failed) or none on bisection; and the
+    cells of the seeds' coarsening, at most the grid's, which any solve
+    needs, or 0 where no coarsening gave seeds."""
+    assert e["route"] in ("certified", "bisection")
     assert isinstance(e["coarse_cells"], int)
     assert 0 <= e["coarse_cells"] <= e["points"]
     if e["solves"] or e["route"] == "certified":
@@ -152,9 +155,9 @@ def _check_route(e, k=None):
     assert all(isinstance(n, int) and 1 <= n <= spectral._MAX_SOLVES
                for n in e["solves"])
     if e["route"] == "certified":
-        assert len(e["solves"]) == k - 1
+        assert len(e["solves"]) == bench.SPECTRUM_K - 1
     else:
-        assert len(e["solves"]) <= k - 1
+        assert len(e["solves"]) <= bench.SPECTRUM_K - 1
 
 
 def _check_generator_layer(layers, repeats):
@@ -181,37 +184,30 @@ def _check_generator_layer(layers, repeats):
 
 
 def _check_sweep_layers(layers, repeats):
-    """spectral.seeds: every SWEEP_TARGETS entry at every SEED_POINTS and
-    SEED_CELLS; spectral.routing: every entry at every ROUTE_POINTS on
-    both routes, bisection asked of a route that makes no attempt."""
-    seeds = layers.get("spectral.seeds", ())
-    for e in seeds:
-        assert set(e) == {"target", "points", "seed_cells", "route",
-                          "solves", "coarse_cells", "median_s", "times_s"}
-        _check_times(e, repeats)
-        _check_route(e)
-    if seeds:
-        assert len({e["target"] for e in seeds}) == len(bench.SWEEP_TARGETS)
-        assert [(e["points"], e["seed_cells"]) for e in seeds] == [
-            (n, cells) for _ in bench.SWEEP_TARGETS
-            for n in bench.SEED_POINTS for cells in bench.SEED_CELLS]
-    routing = layers.get("spectral.routing", ())
-    for e in routing:
-        assert set(e) == {"target", "points", "asked", "route", "solves",
-                          "coarse_cells", "median_s", "times_s"}
-        _check_times(e, repeats)
-        _check_route(e)
-        if e["asked"] == "bisection":
-            assert e["route"] == "bisection" and e["solves"] == []
-            assert e["coarse_cells"] == 0
-    if routing:
-        assert len({e["target"] for e in routing}) == \
-            len(bench.SWEEP_TARGETS)
-        assert [(e["points"], e["asked"]) for e in routing] == [
-            (n, asked) for _ in bench.SWEEP_TARGETS
-            for n in bench.ROUTE_POINTS
-            for asked in ("certified", "bisection")]
-
+    """spectral.seeds: every CATALOG_TARGETS entry, in order, at every
+    SEED_POINTS and SEED_CELLS; spectral.routing: every entry at every
+    ROUTE_POINTS on both routes, bisection asked of a route that makes no
+    attempt."""
+    for layer, field, grid in (
+            ("spectral.seeds", "seed_cells",
+             [(n, cells) for n in SEED_POINTS for cells in SEED_CELLS]),
+            ("spectral.routing", "asked",
+             [(n, asked) for n in ROUTE_POINTS
+              for asked in ("certified", "bisection")])):
+        entries = layers.get(layer, ())
+        for e in entries:
+            assert set(e) == {"target", "points", field, "route", "solves",
+                              "coarse_cells", "median_s", "times_s"}
+            _check_times(e, repeats)
+            _check_route(e)
+            if e.get("asked") == "bisection":
+                assert e["route"] == "bisection" and e["solves"] == []
+                assert e["coarse_cells"] == 0
+        if entries:
+            assert [(e["target"], e["points"], e[field])
+                    for e in entries] == [
+                (repr(spec), n, value) for spec in CATALOG_TARGETS
+                for n, value in grid]
 
 
 def _evolve_jobs():
@@ -237,13 +233,16 @@ def _check_evolution_layer(layers, repeats):
 
 def _check_schema(doc):
     """Every layer a file holds has its schema; a file written before a
-    layer of LATER was timed lacks it."""
+    layer of LATER was timed lacks it. Only the file of SWEPT_PR holds the
+    RETIRED layers, and it holds both."""
     assert set(doc) == {"pr", "repeats", "nproc", "python", "numpy",
                         "scipy", "layers"}
     assert isinstance(doc["pr"], int)
     assert doc["repeats"] >= 5 and doc["nproc"] >= 1
     assert all(isinstance(doc[k], str) for k in ("python", "numpy", "scipy"))
-    assert LAYERS - LATER <= set(doc["layers"]) <= LAYERS
+    assert LAYERS - LATER <= set(doc["layers"]) <= LAYERS | RETIRED
+    retired = RETIRED & set(doc["layers"])
+    assert not retired or (retired == RETIRED and doc["pr"] == SWEPT_PR)
     _check_sim_layers(doc["layers"], doc["repeats"], doc["nproc"])
     _check_generator_layer(doc["layers"], doc["repeats"])
     _check_sweep_layers(doc["layers"], doc["repeats"])
@@ -278,8 +277,8 @@ def _check_schema(doc):
 def test_a_short_run_has_the_schema(monkeypatch):
     """One kind and one table, the sampler at 1 and 16 paths on short
     runs, which fork at 16 paths on two cores or more, a 1000- and a
-    2000-point generator, the sweeps on two targets at two sizes and every
-    evolution: the full sampler sweep takes about a minute."""
+    2000-point generator and every evolution: the full sampler sweep takes
+    about a minute. No retired layer is written."""
     monkeypatch.setattr(sim, "_FORK_PATH_STEPS", 1024)
     monkeypatch.setattr(bench, "CATALOG", bench.CATALOG[:1])
     monkeypatch.setattr(bench, "WIDTHS", (1, 16))
@@ -289,14 +288,11 @@ def test_a_short_run_has_the_schema(monkeypatch):
     monkeypatch.setattr(bench, "FORK_RUNS", ((16, 1000, 0.01, 100),))
     monkeypatch.setattr(bench, "SPECTRAL_RUNS", (("beta", 1000),
                                                  ("beta", 2000)))
-    monkeypatch.setattr(bench, "SWEEP_TARGETS", bench.SWEEP_TARGETS[:2])
-    monkeypatch.setattr(bench, "SEED_POINTS", (2000,))
-    monkeypatch.setattr(bench, "SEED_CELLS", (250, 500))
-    monkeypatch.setattr(bench, "ROUTE_POINTS", (1000, 2000))
     doc = bench.run(0)
     _check_schema(json.loads(json.dumps(doc)))
     assert doc["pr"] == 0 and doc["repeats"] == 5
     assert set(doc["layers"]) == LAYERS
+    assert not RETIRED & set(doc["layers"])
     kernels = doc["layers"]["sim.kernels"]
     # step-major is timed from STEP_MAJOR_MIN_PATHS paths up
     assert [(e["target"], e["paths"]) for e in kernels
@@ -307,10 +303,6 @@ def test_a_short_run_has_the_schema(monkeypatch):
             for e in doc["layers"]["spectral.generator"]
             if e["call"] == "spectrum"] == [(1000, "bisection", 0),
                                             (2000, "certified", 4)]
-    assert [(e["points"], e["asked"], e["route"])
-            for e in doc["layers"]["spectral.routing"]] == 2 * [
-        (1000, "certified", "certified"), (1000, "bisection", "bisection"),
-        (2000, "certified", "certified"), (2000, "bisection", "bisection")]
     assert [e["paths"] for e in kernels
             if e["kernel"] == "path-major forked"] == (
         [16] if doc["nproc"] > 1 else [])
@@ -324,16 +316,6 @@ def test_a_short_run_has_the_schema(monkeypatch):
         doc["layers"]["optimal.synthesis"][::2]] + [
         (name, "moments_quadrature") for name in
         [e["target"] for e in doc["layers"]["optimal.table_build"]]]
-
-
-def test_the_sweep_targets_are_the_catalog_targets():
-    """The sweeps run on the targets tests/test_spectral.py certifies."""
-    from test_spectral import CATALOG_TARGETS
-
-    fastmix = bench._fastmix()
-    assert [repr(fastmix.parse_spec({"kind": kind, "params": params}))
-            for kind, params in bench.SWEEP_TARGETS] == [
-        repr(spec) for spec in CATALOG_TARGETS]
 
 
 def test_quadrature_evaluations_are_counted_per_call():

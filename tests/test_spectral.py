@@ -384,6 +384,22 @@ class TestFineSpectrum:
         ref = tridiag_eigs(disc.diag, disc.offdiag, k, vectors=False)[0]
         assert np.array_equal(lams, ref)
 
+    def test_more_seeds_than_coarser_cells_make_no_solve(self, monkeypatch):
+        """At 2000 points k = 250 needs 251 seeds, more than the 250 cells
+        of the generator twice as coarse as the seeds' 500-cell one, and no
+        finer coarsening is left: the attempt is given up before any solve
+        or coarse bisection, and bisection's values come back bit for
+        bit."""
+        bisected = self._bisected(monkeypatch)
+        certified = self._spy(monkeypatch)
+        solves = self._solves(monkeypatch)
+        proc = synthesize(Normal(0.0, 1.0))
+        disc = discretize_generator(proc, default_grid(proc, 2000))
+        lams = spectrum(disc, 250, vectors=False).eigenvalues
+        assert certified == [False] and solves == [0] and bisected == [2000]
+        ref = tridiag_eigs(disc.diag, disc.offdiag, 250, vectors=False)[0]
+        assert np.array_equal(lams, ref)
+
     @pytest.mark.parametrize("how", ["skip", "repeat"])
     @pytest.mark.parametrize("vectors", [False, True])
     def test_seeds_that_miss_a_mode_fall_back_to_bisection(

@@ -27,11 +27,12 @@ Times, under the fastmix of this tree (src/ beside tools/):
   readings alternate between the kernels, so that a slow stretch of a
   shared host falls on all. Each entry records its path-steps per second
   and names the kernel with the lower median and the one simulate picks,
-  read off its routing; the widest width at which path-major still wins,
-  per kind, is what sim.PATH_MAJOR_MAX_PATHS is set from. The quadrature
-  route's processes of the synth workload's SIM_TABLES are timed the same
-  way on step-major alone, the kernel simulate picks for them, from
-  STEP_MAJOR_MIN_PATHS paths up;
+  by simulate's own rule (sim._takes_path_major, sim._workers); the
+  widest width at which path-major still wins, per kind, is what
+  sim.PATH_MAJOR_MAX_PATHS is set from. The quadrature route's processes
+  of the synth workload's SIM_TABLES are timed the same way on step-major
+  alone, the kernel simulate picks for them, from STEP_MAJOR_MIN_PATHS
+  paths up;
 - path-major walking every path in this process and forked as simulate
   runs it, on the dome (Beta(1, 1)) and the Normal(0, 1), at 16 paths on
   each run of FORK_RUNS: the paths workload's 16-path jobs, and criterion
@@ -49,11 +50,6 @@ Times, under the fastmix of this tree (src/ beside tools/):
   spectrum entry names the route that ran ("certified" or "bisection"),
   the dgtsv solves of each mode past the first and the cells of the
   coarsening the seeds came from, read off one more untimed call;
-- the same spectrum call on every SWEEP_TARGETS entry (the catalog targets
-  tests/test_spectral.py certifies): at each of SEED_POINTS with the seeds'
-  coarsening spectral._SEED_CELLS at each of SEED_CELLS, and at each of
-  ROUTE_POINTS made to run each route by spectral._ROUTE_CELLS. Those two
-  constants are set from these sweeps;
 - density evolution: evolve_fpe on each evolve job of the `spectral`
   workload (seed 1), as perfbench/workload.py calls it, timed after one
   untimed run. The grid and the start bump are built untimed; the bump's
@@ -68,8 +64,9 @@ numerics.integrate call of the untimed run, and the calls of the
 integrand that made them; a synthesis entry on the quadrature route
 records the table's cell count and evaluations. The file also records
 nproc and the Python, numpy and scipy versions. It is written at the root
-of the tree. A full run takes about 140 s on two cores, a third of it in
-the sampler's kernels and half in the spectral sweeps.
+of the tree. A full run took 73-80 s on two shared cores: about 41 s in
+the sampler's kernels, 35 s in the fork readings, most of them at
+criterion 08's length, and 2 s in the rest.
 """
 
 from __future__ import annotations
@@ -129,32 +126,6 @@ SIM_RUNS = ((1, 20000, 125), (16, 8000, 125), (256, 16000, 125),
 SPECTRAL_RUNS = (("beta", 20000), ("jacobi", 20000), ("normal", 20000),
                  ("gamma", 20000), ("normal", 200000), ("beta", 2000),
                  ("jacobi", 2000), ("normal", 2000), ("gamma", 2000))
-# the catalog targets the certified spectrum is swept on, one or more per
-# kind, singular ends and heavy tails among them
-SWEEP_TARGETS = (
-    ("beta", {"alpha": 1.0, "beta": 1.0}),
-    ("beta", {"alpha": 2.0, "beta": 5.0}),
-    ("jacobi", {"alpha": 0.5, "beta": 1.5}),
-    ("jacobi", {"alpha": -0.5, "beta": -0.5}),
-    ("gamma", {"alpha": 1.0}),
-    ("gamma", {"alpha": 3.0}),
-    ("gamma", {"alpha": -0.5}),
-    ("normal", {"x0": 0.0, "sigma": 1.0}),
-    ("student", {"alpha": 3.0}),
-    ("inversegamma", {"alpha": 2.0}),
-    ("inversegamma", {"alpha": 3.0}),
-    ("inversegamma", {"alpha": 10.0}),
-    ("fisher", {"nu1": 6.0, "nu2": 10.0}),
-    ("fisher", {"nu1": 1.5, "nu2": 9.0}),
-    ("hyperexponential", {"p1": 0.5, "p2": 0.5, "eta1": 1.0, "eta2": 2.0}),
-    ("cubicpearson", {"alpha": 1.0, "beta": 2.0, "a": 0.5}),
-    ("cubicpearson", {"alpha": 2.0, "beta": 0.5, "a": -0.5}),
-)
-# grid points and seed cells (spectral._SEED_CELLS) of the coarsening sweep
-SEED_POINTS = (2000, 20000, 200000)
-SEED_CELLS = (250, 500, 1000, 2000)
-# grid points of the routing sweep, each timed on both routes
-ROUTE_POINTS = (1000, 1250, 1500, 1501, 1750, 2000)
 # eigenvalues asked of every spectrum reading, as the spectral workload asks
 SPECTRUM_K = 5
 
@@ -256,32 +227,13 @@ def _table_counts(proc):
     return {"cells": int(table.cells), "evaluations": int(table.evaluations)}
 
 
-class _Routed(Exception):
-    """Raised in place of the walk once simulate has routed it."""
-
-
-def _picked(sim, proc, cfg):
-    """The kernel simulate runs for proc at cfg, read off its routing: the
-    kernel it calls and the workers that kernel hands sim._run, which
-    raises before it walks."""
-    seen = []
-
-    def spy(kernel):
-        return lambda real: lambda *a: seen.append(kernel) or real(*a)
-
-    def routed(real):
-        def run(cfg, x0, walk, workers=1, pids=None):
-            seen.append(workers)
-            raise _Routed
-        return run
-
-    with _wrapped(sim, "_path_major", spy("path-major")), \
-            _wrapped(sim, "_step_major", spy("step-major")), \
-            _wrapped(sim, "_run", routed), \
-            contextlib.suppress(_Routed):
-        sim.simulate(proc, cfg)
-    kernel, workers = seen
-    return kernel + " forked" if workers > 1 else kernel
+def _picked(sim, drift, variance, cfg):
+    """The kernel simulate runs at cfg, by its own rule: path-major where
+    sim._takes_path_major holds, forked where sim._workers gives it more
+    than one worker, as sim._path_major forks; else step-major."""
+    if not sim._takes_path_major(drift, variance, cfg):
+        return "step-major"
+    return "path-major forked" if sim._workers(cfg) > 1 else "path-major"
 
 
 def _kernels(fastmix, repeats, synth):
@@ -318,7 +270,7 @@ def _kernels(fastmix, repeats, synth):
                           or n_paths >= STEP_MAJOR_MIN_PATHS)}
             if not walks:
                 continue
-            picked = _picked(sim, proc, cfg)
+            picked = _picked(sim, drift, variance, cfg)
             times = {kernel: [] for kernel in walks}
             for _ in range(repeats):
                 for kernel, walk in walks.items():
@@ -454,16 +406,6 @@ def _route(fastmix, disc):
     return {"route": route, "solves": solves, "coarse_cells": cells[0]}
 
 
-def _spectrum_times(fastmix, disc, repeats):
-    """repeats timings of spectrum(disc, SPECTRUM_K, vectors=False)."""
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fastmix.spectrum(disc, SPECTRUM_K, vectors=False)
-        times.append(time.perf_counter() - t0)
-    return times
-
-
 def _generator(fastmix, repeats):
     """discretize_generator, with its grid, and spectrum at every run of
     SPECTRAL_RUNS, on the optimal process of the run's target; each
@@ -491,53 +433,6 @@ def _generator(fastmix, repeats):
                            call="discretize_generator", points=n),
                     _entry(name, times["spectrum"][1:], call="spectrum",
                            points=n, **_route(fastmix, disc))]
-    return entries
-
-
-def _sweep_discs(fastmix, points):
-    """(name, generator) of every SWEEP_TARGETS entry at each of points."""
-    for kind, params in SWEEP_TARGETS:
-        proc = fastmix.synthesize(fastmix.parse_spec(
-            {"kind": kind, "params": params}))
-        for n in points:
-            yield repr(proc.source), fastmix.discretize_generator(
-                proc, fastmix.default_grid(proc, n))
-
-
-def _seeds(fastmix, repeats):
-    """spectrum on every SWEEP_TARGETS entry at each of SEED_POINTS, with
-    the seeds' coarsening (spectral._SEED_CELLS) at each of SEED_CELLS:
-    the sweep _SEED_CELLS is set from. Each entry names the route that
-    ran and its solves per mode."""
-    spectral = fastmix.spectral
-    entries = []
-    for name, disc in _sweep_discs(fastmix, SEED_POINTS):
-        for cells in SEED_CELLS:
-            with _wrapped(spectral, "_SEED_CELLS", lambda real: cells):
-                fastmix.spectrum(disc, SPECTRUM_K, vectors=False)
-                entries.append(_entry(
-                    name, _spectrum_times(fastmix, disc, repeats),
-                    points=disc.grid.n, seed_cells=cells,
-                    **_route(fastmix, disc)))
-    return entries
-
-
-def _routing(fastmix, repeats):
-    """spectrum on every SWEEP_TARGETS entry at each of ROUTE_POINTS, made
-    to run each route by spectral._ROUTE_CELLS: the sweep _ROUTE_CELLS is
-    set from. A certified entry that gave up names the route that ran."""
-    spectral = fastmix.spectral
-    entries = []
-    for name, disc in _sweep_discs(fastmix, ROUTE_POINTS):
-        for asked, route_cells in (("certified", 0),
-                                   ("bisection", disc.grid.n)):
-            with _wrapped(spectral, "_ROUTE_CELLS",
-                          lambda real: route_cells):
-                fastmix.spectrum(disc, SPECTRUM_K, vectors=False)
-                entries.append(_entry(
-                    name, _spectrum_times(fastmix, disc, repeats),
-                    points=disc.grid.n, asked=asked,
-                    **_route(fastmix, disc)))
     return entries
 
 
@@ -635,8 +530,6 @@ def run(pr, repeats=MIN_REPEATS):
                    "sim.post_processing": _post_processing(fastmix,
                                                            repeats),
                    "spectral.generator": _generator(fastmix, repeats),
-                   "spectral.seeds": _seeds(fastmix, repeats),
-                   "spectral.routing": _routing(fastmix, repeats),
                    "spectral.evolution": _evolution(fastmix, repeats)},
     }
 
